@@ -1,8 +1,8 @@
 """Command-line harness: parameter sweeps, figure reproductions, verification.
 
 Output CSVs are deterministic: fixed 12-significant-digit scientific
-notation, LF line endings, and a comment header carrying the tool version,
-the full parameter set of every curve and the integrator tolerances.
+notation, LF line endings, and a comment header carrying the tool version
+and the full parameter set of every curve.
 
 Sweep points are independent pure-function evaluations; they are dispatched
 to a process pool sized by the CASCADEG2_WORKERS environment variable
@@ -53,18 +53,12 @@ class RunConfig:
     start: float
     stop: float
     steps: int
-    rtol: float = 1e-10
-    atol: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if not self.stop > self.start:
             raise ValueError(f"stop must exceed start, got [{self.start}, {self.stop}]")
-        for name in ("rtol", "atol"):
-            tol = getattr(self, name)
-            if not 0.0 < tol < 1e-2:
-                raise ValueError(f"{name} must lie in (0, 1e-2), got {tol}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -155,17 +149,24 @@ def _run_jobs(jobs, workers: int) -> list[float]:
 
 
 def _base_metadata(command: str) -> list[tuple[str, str]]:
-    return [("tool", f"cascadeg2 {__version__}"), ("command", command),
-            ("rtol", _fmt(1e-10)), ("atol", _fmt(1e-12))]
+    return [("tool", f"cascadeg2 {__version__}"), ("command", command)]
+
+
+def _check_param_keys(keys, what: str) -> None:
+    for key in keys:
+        if key not in PARAM_FIELDS and key != "gamma_d":
+            raise ValueError(f"unknown {what} {key!r}; expected one of "
+                             f"{', '.join(PARAM_FIELDS + ('gamma_d',))}")
 
 
 def _apply_param_overrides(params: CascadeParams,
                            overrides: dict[str, float]) -> CascadeParams:
+    _check_param_keys(overrides, "override")
     changes = {}
     for key, value in overrides.items():
         if key == "gamma_d":
             changes["gamma12"] = changes["gamma21"] = value
-        elif key in PARAM_FIELDS:
+        else:
             changes[key] = value
     return params.with_(**changes) if changes else params
 
@@ -343,6 +344,7 @@ def _add_param_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_params(args) -> CascadeParams:
     config = load_config(args.config) if args.config else {}
+    _check_param_keys(config, f"key in {args.config}")
     values = {}
     for name in PARAM_FIELDS:
         cli_value = getattr(args, name)

@@ -18,8 +18,13 @@ conditions on the emitter occupying |2X> at the first detection, so the
 co-polarized correlation at tau = 0 equals 4 for every analyzer angle.
 
 Time-averaged correlations integrate the same quantities over tau in
-[0, infinity): analytically via the Laplace transform at zero frequency,
-numerically by error-controlled quadrature of the regression pipeline.
+[0, infinity).  Both routes take the Laplace transform at zero frequency:
+``g2_avg_analytic`` from the closed-form kernels, ``g2_avg_numeric`` as the
+exact resolvent of the full generator restricted to the elements that the
+conditioned state reaches and the second detection sees, one linear solve.
+On a delay grid the full generator and the driven population block are
+propagated exactly by stepping with one matrix exponential per distinct
+grid step.
 """
 
 from __future__ import annotations
@@ -28,22 +33,20 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.linalg import expm
 
-from .errors import DivergentAverageError, NumericError
+from .errors import DivergentAverageError
 from .liouvillian import (DEFAULT_ATOL, DEFAULT_RTOL, Liouvillian,
-                          build_generator, evolve, evolve_grid, vectorize)
+                          build_generator, evolve, evolve_grid,
+                          propagate_steps, vectorize)
 from .model import Level, N_LEVELS, CascadeParams, DetectorSetting, omega_pm
 
 # Below this argument size the oscillatory/hyperbolic kernel ratios switch to
 # a 3-term Taylor series to avoid 0/0.
 _SERIES_CUTOFF = 1e-4
 
-# Envelope threshold for truncating infinite time averages: integrate until
-# the slowest decaying mode has fallen to 1e-12, capped at 1e4.
-_TRUNCATION_LOG = -np.log(1e-12)
-_TRUNCATION_CAP = 1e4
+# A time average exists only if every mode of the sector it integrates
+# decays faster than this rate; both routes refuse at the same threshold.
+_DECAY_FLOOR = 1e-12
 
 
 class PhotonStage(enum.Enum):
@@ -273,20 +276,16 @@ def _population_generator(params: CascadeParams) -> np.ndarray:
 
 def _population_propagators(params: CascadeParams, taus: np.ndarray):
     """Exact population propagators (P11, P12, P21, P22) on the tau grid."""
-    kernel = CorrelationKernel.from_params(params)
     if params.rabi == 0.0:
+        kernel = CorrelationKernel.from_params(params)
         return (kernel.f1(taus), kernel.f2(taus),
                 kernel.g2(taus), kernel.g1(taus))
-    gen = _population_generator(params)
-    p11 = np.empty(taus.shape, dtype=complex)
-    p12 = np.empty_like(p11)
-    p21 = np.empty_like(p11)
-    p22 = np.empty_like(p11)
-    for k, tau in enumerate(taus):
-        prop = expm(gen * tau)
-        p11[k], p12[k] = prop[0, 0], prop[0, 1]
-        p21[k], p22[k] = prop[1, 0], prop[1, 1]
-    return p11, p12, p21, p22
+    # the first two columns of the propagator, stepped along the sorted grid
+    order = np.argsort(taus, kind="stable")
+    cols = np.empty((taus.size, 5, 2), dtype=complex)
+    cols[order] = propagate_steps(_population_generator(params),
+                                  np.eye(5, 2, dtype=complex), taus[order])
+    return cols[:, 0, 0], cols[:, 0, 1], cols[:, 1, 0], cols[:, 1, 1]
 
 
 def _angle_weights(det1: DetectorSetting, det2: DetectorSetting):
@@ -347,15 +346,13 @@ def _detection_projector(det2: DetectorSetting) -> np.ndarray:
 
 
 def g2_numeric_grid(params: CascadeParams, det1: DetectorSetting,
-                    det2: DetectorSetting, taus, rtol: float = DEFAULT_RTOL,
-                    atol: float = DEFAULT_ATOL,
+                    det2: DetectorSetting, taus,
                     gen: Liouvillian | None = None) -> np.ndarray:
     """Regression-theorem correlation on a strictly increasing tau grid."""
     taus = np.asarray(taus, dtype=float)
     if gen is None:
         gen = build_generator(params)
-    conditioned = evolve_grid(gen, _conditioned_state(det1), taus,
-                              rtol=rtol, atol=atol)
+    conditioned = evolve_grid(gen, _conditioned_state(det1), taus)
     proj = _detection_projector(det2)
     return 4.0 * np.real(np.einsum("ij,kji->k", proj, conditioned))
 
@@ -363,19 +360,15 @@ def g2_numeric_grid(params: CascadeParams, det1: DetectorSetting,
 def g2_numeric(params: CascadeParams, det1: DetectorSetting,
                det2: DetectorSetting, tau: float, method: str = "ode",
                rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> float:
-    """Regression-theorem correlation at a single delay."""
-    if method not in ("ode", "expm"):
-        raise ValueError(f"unknown method {method!r}, expected 'ode' or 'expm'")
+    """Regression-theorem correlation at a single delay.
+
+    method "ode" integrates adaptively (DOP853 at rtol/atol); method "expm"
+    takes one dense matrix exponential.
+    """
     taus, _ = _validate_taus(float(tau))
-    if taus[0] == 0.0:
-        value = 4.0 * np.real(np.trace(_detection_projector(det2)
-                                       @ _conditioned_state(det1)))
-        return float(value)
-    if method == "expm":
-        gen = build_generator(params)
-        op = evolve(gen, _conditioned_state(det1), taus[0], method="expm")
-        return float(4.0 * np.real(np.trace(_detection_projector(det2) @ op)))
-    return float(g2_numeric_grid(params, det1, det2, taus, rtol=rtol, atol=atol)[0])
+    op = evolve(build_generator(params), _conditioned_state(det1), taus[0],
+                method=method, rtol=rtol, atol=atol)
+    return float(4.0 * np.real(np.trace(_detection_projector(det2) @ op)))
 
 
 def correlation_curve(params: CascadeParams, det1: DetectorSetting,
@@ -414,14 +407,14 @@ def _population_averages(params: CascadeParams):
     if params.rabi == 0.0:
         neg = -_population_generator(params)[:2, :2].real
         rates = _population_decay_rates(params)
-        if np.min(rates) <= 1e-12:
+        if np.min(rates) <= _DECAY_FLOOR:
             raise DivergentAverageError(
                 "population sector has a non-decaying mode")
         inv = np.linalg.inv(neg)
         return inv[0, 0], inv[0, 1], inv[1, 0], inv[1, 1]
     neg = -_population_generator(params)
     rates = _population_decay_rates(params)
-    if np.min(rates) <= 1e-12:
+    if np.min(rates) <= _DECAY_FLOOR:
         raise DivergentAverageError("population sector has a non-decaying mode")
     try:
         col1 = np.linalg.solve(neg, np.eye(5, dtype=complex)[:, 0])
@@ -437,119 +430,42 @@ def g2_avg_analytic(params: CascadeParams, det1: DetectorSetting,
     kernel = CorrelationKernel.from_params(params)
     _check_average_preconditions(kernel)
     lam_plus, lam_minus = kernel.coherence_eigenvalues()
-    if max(lam_plus.real, lam_minus.real) >= -1e-12:
+    if max(lam_plus.real, lam_minus.real) >= -_DECAY_FLOOR:
         raise DivergentAverageError("coherence sector has a non-decaying mode")
     p11, p12, p21, p22 = _population_averages(params)
     wterm = _coherence_term(np.asarray(kernel.avg_w), det1, det2)
     return float(_braces(p11, p12, p21, p22, wterm, det1, det2))
 
 
-def _slowest_decay_rate(params: CascadeParams, kernel: CorrelationKernel) -> float:
-    rates = [-kernel.a0.real, -kernel.b0.real]
-    rates.extend(r for r in _population_decay_rates(params) if r > 1e-9)
-    slowest = min(rates)
-    if slowest <= 0:
-        raise DivergentAverageError("no decaying envelope for the time average")
-    return float(slowest)
+def _average_sector(params: CascadeParams) -> np.ndarray:
+    """Vectorized indices of the elements a time average has to integrate.
 
-
-def _truncation_time(params: CascadeParams, kernel: CorrelationKernel) -> float:
-    slowest = _slowest_decay_rate(params, kernel)
-    return float(min(_TRUNCATION_LOG / slowest, _TRUNCATION_CAP))
-
-
-# Past this time a slowly returning population tail can remain while the
-# explicit solver stays step-limited by dead oscillatory modes; the tail of
-# the constant-coefficient linear system is integrated in closed form.
-_TAIL_SWITCH = 60.0
-
-
-def _integrate_tail(gen_m: np.ndarray, proj_vec: np.ndarray, state: np.ndarray,
-                    integral: float, t0: float, t1: float):
-    """Add the exact tail integral over [t0, t1] for the linear pipeline.
-
-    Uses the augmented-block identity exp([[M, y],[0, 0]] s) =
-    [[e^{Ms}, int_0^s e^{Mr} y dr], [0, 1]].
+    The conditioned state A|2X><2X|A^dag lives on {X1, X2}, and B^dag B only
+    reads that block.  Elements with both indices in {X1, X2, u} evolve among
+    themselves: they leak into g but are fed only from 2X, which stays empty.
+    Without the drive u is a trap that never feeds back into {X1, X2}, so it
+    is left out too.
     """
-    n = gen_m.shape[0]
-    aug = np.zeros((n + 1, n + 1), dtype=complex)
-    aug[:n, :n] = gen_m
-    aug[:n, n] = state
-    prop = expm(aug * (t1 - t0))
-    if not np.all(np.isfinite(prop)):
-        raise NumericError("tail propagation overflowed")
-    tail = 4.0 * np.real(proj_vec @ prop[:n, n])
-    final_state = prop[:n, :n] @ state
-    return integral + float(tail), final_state
-
-
-def _check_tail_converged(params: CascadeParams, kernel: CorrelationKernel,
-                          tau_max: float, last_value: float,
-                          integral: float) -> None:
-    # single-mode bound on the discarded tail beyond the truncation cap
-    bound = abs(last_value) / _slowest_decay_rate(params, kernel)
-    if bound > 1e-8 * max(1.0, abs(integral)):
-        raise NumericError(
-            f"time average not converged at tau = {tau_max:g}: residual tail "
-            f"bound {bound:.2e}")
+    levels = [Level.X1, Level.X2] + ([Level.U] if params.rabi != 0.0 else [])
+    return np.array([i + N_LEVELS * j for j in levels for i in levels])
 
 
 def g2_avg_numeric(params: CascadeParams, det1: DetectorSetting,
-                   det2: DetectorSetting, method: str = "ode",
-                   rtol: float = 1e-11, atol: float = 1e-13,
-                   quad_rtol: float = 1e-9) -> float:
-    """Time-averaged correlation by quadrature of the regression pipeline.
+                   det2: DetectorSetting) -> float:
+    """Time-averaged correlation from the resolvent of the full generator.
 
-    method "ode" carries the running integral as an extra component of the
-    error-controlled solve; method "quad" applies Gauss-Kronrod adaptive
-    quadrature to a dense-output solution of the same pipeline.  A slowly
-    returning population tail (weak drive mixing with an open u channel) is
-    carried to the truncation cap by the closed-form tail of the linear
-    pipeline.
+    The integral of 4 Tr[B^dag B e^{M tau} y0] over [0, inf) equals
+    4 Tr[B^dag B x] with M_SS x = -y0_S on the sector S of
+    :func:`_average_sector`: one linear solve, exact up to round-off.
     """
-    kernel = CorrelationKernel.from_params(params)
-    _check_average_preconditions(kernel)
-    tau_max = _truncation_time(params, kernel)
-    t_switch = min(tau_max, _TAIL_SWITCH)
-    gen = build_generator(params)
-    y0 = vectorize(_conditioned_state(det1))
-    proj_vec = vectorize(_detection_projector(det2).conj().T).conj()
-
-    if method == "ode":
-        state0 = np.concatenate([y0, [0.0 + 0.0j]])
-
-        def rhs(_t, y):
-            dy = np.empty_like(y)
-            dy[:-1] = gen.m @ y[:-1]
-            dy[-1] = 4.0 * (proj_vec @ y[:-1])
-            return dy
-
-        sol = solve_ivp(rhs, (0.0, t_switch), state0, method="DOP853",
-                        rtol=rtol, atol=atol)
-        if not sol.success or not np.all(np.isfinite(sol.y)):
-            raise NumericError(f"time-average integration failed: {sol.message}")
-        state, integral = sol.y[:-1, -1], float(sol.y[-1, -1].real)
-    elif method == "quad":
-        sol = solve_ivp(lambda _t, y: gen.m @ y, (0.0, t_switch), y0,
-                        method="DOP853", dense_output=True, rtol=rtol, atol=atol)
-        if not sol.success:
-            raise NumericError(f"time-average integration failed: {sol.message}")
-
-        def integrand(t):
-            return 4.0 * np.real(proj_vec @ sol.sol(t))
-
-        integral, _err = quad(integrand, 0.0, t_switch, epsabs=1e-12,
-                              epsrel=quad_rtol, limit=400)
-        state = sol.y[:, -1]
-    else:
-        raise ValueError(f"unknown method {method!r}, expected 'ode' or 'quad'")
-
-    if tau_max > t_switch:
-        integral, state = _integrate_tail(gen.m, proj_vec, state, integral,
-                                          t_switch, tau_max)
-        last = 4.0 * np.real(proj_vec @ state)
-        _check_tail_converged(params, kernel, tau_max, float(last), integral)
-    return float(integral)
+    sector = _average_sector(params)
+    m_ss = build_generator(params).m[np.ix_(sector, sector)]
+    if np.max(np.linalg.eigvals(m_ss).real) >= -_DECAY_FLOOR:
+        raise DivergentAverageError(
+            "the averaged sector of the generator has a non-decaying mode")
+    y0 = vectorize(_conditioned_state(det1))[sector]
+    proj = vectorize(_detection_projector(det2).T)[sector]
+    return float(4.0 * np.real(proj @ np.linalg.solve(m_ss, -y0)))
 
 
 class SpecialCase(enum.Enum):

@@ -113,6 +113,12 @@ class DetectorSetting:
     theta: float
     phi: float = 0.0
 
+    def __post_init__(self) -> None:
+        for name in ("theta", "phi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+
     def unit_vectors(self) -> np.ndarray:
         """Rows are the two analyzer polarization vectors in the (H, V) basis."""
         return polarization_rotation(self.theta, self.phi)

@@ -26,12 +26,6 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(start=2.0, stop=1.0, steps=5)
 
-    def test_tolerances_bounded(self):
-        with pytest.raises(ValueError):
-            RunConfig(start=0.0, stop=1.0, steps=5, rtol=0.5)
-        with pytest.raises(ValueError):
-            RunConfig(start=0.0, stop=1.0, steps=5, atol=0.0)
-
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
@@ -53,6 +47,12 @@ class TestConfigFile:
                      "--config", str(path)]) == 0
         reported = float(capsys.readouterr().out.split("=")[-1])
         assert reported == pytest.approx(1.0 / 26.0, abs=1e-9)
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "typo.cfg"
+        path.write_text("delta_fs = 5.0\ngama_u = 0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="gama_u"):
+            main(["degree", "--theta", "0.5", "--config", str(path)])
 
 
 class TestFigures:
@@ -109,6 +109,17 @@ class TestFigures:
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError):
             run_figure("9z", {}, workers=1)
+
+    def test_unknown_override_rejected(self):
+        with pytest.raises(ValueError, match="gama_u"):
+            run_figure("3b", {"steps": 3, "gama_u": 0.0}, workers=1)
+        with pytest.raises(ValueError, match="gama_u"):
+            main(["figure", "3b", "--override", "gama_u=0"])
+
+    def test_header_names_no_integrator_tolerances(self):
+        header = run_figure("3a", {"steps": 2}, workers=1).metadata
+        assert [key for key, _ in header[:2]] == ["tool", "command"]
+        assert not any(key in ("rtol", "atol") for key, _ in header)
 
 
 class TestSweep:
@@ -193,10 +204,10 @@ class TestVerify:
         assert payload["passed"] is True
         assert len(payload["checks"]) == 13
 
-    def test_tightened_tolerance_fails_at_integrator_floor(self):
-        # documented expected failure: the ODE floor sits near 1e-9
+    def test_tightened_tolerance_passes_at_exact_floor(self):
+        # both routes are exact, so they agree to round-off
         result = check_oracle_equivalence(n_sets=3, tol=1e-12)
-        assert not result.passed
+        assert result.passed, result.detail
 
     def test_sign_flip_mutation_caught_by_w_phase(self):
         def flipped(params):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from scipy.linalg import expm
+
 from cascadeg2 import (CascadeParams, DensityMatrix, Level, NumericError,
                        build_generator, evolve, evolve_grid, unvectorize,
                        vectorize)
+from cascadeg2.liouvillian import propagate_steps
 
 UP, X1, X2, U, G = Level.TWO_X, Level.X1, Level.X2, Level.U, Level.G
 
@@ -209,6 +212,38 @@ class TestEvolve:
         gen = build_generator(CascadeParams())
         with pytest.raises(ValueError):
             evolve(gen, DensityMatrix.pure(Level.TWO_X).rho, -1.0)
+
+    def test_step_propagators_exact_on_uniform_grid(self, monkeypatch):
+        # one exponential per distinct step; every point matches a direct
+        # exponential to round-off
+        from cascadeg2 import liouvillian
+        gen = build_generator(CascadeParams(delta_fs=3.0, rabi=7.0, detuning=11.0,
+                                            gamma12=0.4, gamma21=0.4,
+                                            gamma_u=0.01))
+        rho = DensityMatrix.pure(Level.TWO_X).rho
+        taus = np.linspace(0.0, 10.0, 100)
+        calls = []
+
+        def counted(mat):
+            calls.append(mat)
+            return expm(mat)
+
+        monkeypatch.setattr(liouvillian, "expm", counted)
+        states = evolve_grid(gen, rho, taus)
+        assert len(calls) == np.unique(np.diff(taus, prepend=0.0)).size <= 10
+        monkeypatch.undo()
+        for tau, state in zip(taus[::9], states[::9]):
+            assert np.max(np.abs(state - evolve(gen, rho, tau, method="expm"))) < 1e-13
+
+    def test_step_propagators_accept_any_square_block(self):
+        rng = np.random.default_rng(8)
+        mat = rng.normal(size=(4, 4)) - 3.0 * np.eye(4)
+        cols = np.eye(4, 2)
+        taus = np.array([0.0, 0.3, 0.3, 1.1, 2.6])
+        out = propagate_steps(mat, cols, taus)
+        assert out.shape == (5, 4, 2)
+        for tau, block in zip(taus, out):
+            assert np.max(np.abs(block - expm(mat * tau) @ cols)) < 1e-13
 
     def test_grid_must_increase(self):
         gen = build_generator(CascadeParams())

@@ -93,6 +93,13 @@ class TestPolarizationRotation:
             gram = vecs @ vecs.conj().T
             assert np.max(np.abs(gram - np.eye(2))) < 1e-14
 
+    def test_nonfinite_angles_rejected(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="theta"):
+                DetectorSetting(bad)
+            with pytest.raises(ValueError, match="phi"):
+                DetectorSetting(0.3, bad)
+
 
 class TestCascadeParams:
     def test_defaults_are_unit_gamma(self):
