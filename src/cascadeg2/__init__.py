@@ -16,10 +16,11 @@ from .correlate import (CorrelationCurve, CorrelationKernel, JumpOperator,
                         PhotonStage, SpecialCase, SpecialCaseResult,
                         correlation_curve, g2_analytic, g2_avg_analytic,
                         g2_avg_numeric, g2_numeric, g2_numeric_grid,
-                        special_case)
+                        special_case, two_photon_response)
 from .observables import (STANDARD_CHSH_ANGLES, TSIRELSON_BOUND, BellResult,
-                          CorrelationDegree, bell_s_chsh, bell_s_shortcut,
-                          chsh_coefficient, degree_of_correlation,
+                          CorrelationDegree, bell_s_chsh, bell_s_from_response,
+                          bell_s_shortcut, chsh_coefficient,
+                          degree_from_response, degree_of_correlation,
                           degree_of_correlation_instant)
 
 __version__ = "0.1.0"
@@ -44,10 +45,12 @@ __all__ = [
     "SpecialCaseResult",
     "TSIRELSON_BOUND",
     "bell_s_chsh",
+    "bell_s_from_response",
     "bell_s_shortcut",
     "build_generator",
     "chsh_coefficient",
     "correlation_curve",
+    "degree_from_response",
     "degree_of_correlation",
     "degree_of_correlation_instant",
     "evolve",
@@ -61,6 +64,7 @@ __all__ = [
     "omega_star",
     "polarization_rotation",
     "special_case",
+    "two_photon_response",
     "unvectorize",
     "vectorize",
     "__version__",

@@ -4,19 +4,22 @@ Output CSVs are deterministic: fixed 12-significant-digit scientific
 notation, LF line endings, and a comment header carrying the tool version
 and the full parameter set of every curve.
 
-Sweep points are independent pure-function evaluations; they are dispatched
-to a process pool sized by the CASCADEG2_WORKERS environment variable
-(default: available parallelism).
+Sweeps are evaluated in batches.  A sweep is planned as groups of parameter
+points; each group gets one two-photon response
+(:func:`~cascadeg2.correlate.two_photon_response`, one stacked solve for all
+its points), from which C or S follows for the whole axis in a few array
+operations.  A degree curve is one point, since its parameters do not change
+along the basis angle; a Bell curve has one point per swept value.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import contextlib
 import dataclasses
+import functools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -24,12 +27,10 @@ import numpy as np
 
 from . import __version__
 from .model import CascadeParams, DetectorSetting, omega_star
-from .correlate import correlation_curve
-from .observables import bell_s_chsh, bell_s_shortcut, degree_of_correlation
+from .correlate import correlation_curve, two_photon_response
+from .observables import (bell_s_chsh, bell_s_from_response, bell_s_shortcut,
+                          degree_from_response, degree_of_correlation)
 from .verify import run_all_checks, summarize
-
-WORKERS_ENV = "CASCADEG2_WORKERS"
-_POOL_THRESHOLD = 32  # below this many jobs a pool costs more than it saves
 
 PARAM_FIELDS = ("gamma1", "gamma2", "gamma3", "gamma4", "gamma_u",
                 "gamma12", "gamma21", "delta_fs", "rabi", "detuning")
@@ -117,35 +118,11 @@ def _parse_overrides(pairs) -> dict[str, float]:
         if "=" not in pair:
             raise ValueError(f"override {pair!r} is not of the form key=value")
         key, _, value = pair.partition("=")
-        overrides[key.strip().replace("-", "_")] = float(value)
+        try:
+            overrides[key.strip().replace("-", "_")] = float(value)
+        except ValueError:
+            raise ValueError(f"override {pair!r}: {value!r} is not a number") from None
     return overrides
-
-
-def _worker_count(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-# Top-level so jobs pickle cleanly into pool workers.
-def _evaluate_job(job):
-    kind, params, arg = job
-    if kind == "degree":
-        return degree_of_correlation(params, arg).value
-    if kind == "bell":
-        return bell_s_shortcut(params).s
-    raise ValueError(f"unknown job kind {kind!r}")
-
-
-def _run_jobs(jobs, workers: int) -> list[float]:
-    if workers <= 1 or len(jobs) < _POOL_THRESHOLD:
-        return [_evaluate_job(job) for job in jobs]
-    chunk = max(1, len(jobs) // (4 * workers))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_evaluate_job, jobs, chunksize=chunk))
 
 
 def _base_metadata(command: str) -> list[tuple[str, str]]:
@@ -214,91 +191,101 @@ def _figure_curves(fig_id: str, gamma_u: float):
             ("C[dfs5_gd1_detuned]",
              dephased.with_(detuning=25.0, rabi=omega_star(5.0, 25.0))),
         ]
+    # Bell curves also say how a swept value x sets the point.
     if fig_id == "5":
         return "bell_vs_delta_fs", [
-            ("S[no_field]", base),
-            ("S[resonant]", base),
-            ("S[detuned]", base),
+            ("S[no_field]", base, lambda p, x: p.with_(delta_fs=x)),
+            ("S[resonant]", base, lambda p, x: p.with_(delta_fs=x, rabi=x)),
+            ("S[detuned]", base,
+             lambda p, x: p.with_(delta_fs=x, detuning=5.0 * x,
+                                  rabi=omega_star(x, 5.0 * x))),
         ]
     if fig_id == "6":
+        def dephased(p, x):
+            return p.with_(gamma12=x, gamma21=x)
+
         return "bell_vs_gamma_d", [
-            ("S[dfs0_no_field]", base),
-            ("S[dfs5_no_field]", base.with_(delta_fs=5.0)),
+            ("S[dfs0_no_field]", base, dephased),
+            ("S[dfs5_no_field]", base.with_(delta_fs=5.0), dephased),
             ("S[dfs5_detuned]",
-             base.with_(delta_fs=5.0, detuning=25.0, rabi=omega_star(5.0, 25.0))),
+             base.with_(delta_fs=5.0, detuning=25.0, rabi=omega_star(5.0, 25.0)),
+             dephased),
         ]
     raise ValueError(f"unknown figure id {fig_id!r}; expected one of {FIGURE_IDS}")
 
 
-def run_figure(fig_id: str, overrides: dict[str, float] | None = None,
-               workers: int | None = None) -> SweepResult:
-    """Evaluate one predefined sweep and return its rows and metadata."""
+# Figure kind -> (start, stop, default steps, axis header, swept parameter).
+_FIGURE_AXES = {
+    "degree": (0.0, math.pi / 2.0, 91, "basis angle theta [rad]", None),
+    "bell_vs_delta_fs": (0.0, 10.0, 101, "delta_fs [gamma]", "delta_fs"),
+    "bell_vs_gamma_d": (0.0, 2.0, 101, "gamma_d [gamma]", "gamma_d"),
+}
+
+
+def _figure_plan(fig_id: str, overrides: dict[str, float] | None):
+    """Metadata and evaluation groups of one predefined sweep.
+
+    A group is (swept values, parameter points, [(label, evaluate)]): one
+    two-photon response is computed for its points, and each evaluate turns
+    that response into one value per swept value.  Bad input (an unknown
+    figure or override, a bad step count or parameter) raises ValueError
+    here, before anything is evaluated.
+    """
     overrides = dict(overrides or {})
     gamma_u = overrides.pop("gamma_u", CLI_DEFAULT_GAMMA_U)
     steps = int(overrides.pop("steps", 0)) or None
     kind, curves = _figure_curves(fig_id, gamma_u)
-    curves = [(label, _apply_param_overrides(params, overrides))
-              for label, params in curves]
+    start, stop, default_steps, axis, swept = _FIGURE_AXES[kind]
+    xs = RunConfig(start=start, stop=stop, steps=steps or default_steps).grid()
 
     metadata = _base_metadata(f"figure {fig_id}")
-    jobs = []
-    labels = []
-    xs = []
-
-    if kind == "degree":
-        config = RunConfig(start=0.0, stop=math.pi / 2.0, steps=steps or 91)
-        metadata.append(("axis", "basis angle theta [rad]"))
-        for label, params in curves:
+    metadata.append(("axis", axis))
+    groups = []
+    for label, params, *rest in curves:
+        params = _apply_param_overrides(params, overrides)
+        if swept is None:
             metadata.append((f"curve {label}", _params_summary(params)))
-            for theta in config.grid():
-                jobs.append(("degree", params, float(theta)))
-                labels.append(label)
-                xs.append(float(theta))
-    elif kind == "bell_vs_delta_fs":
-        config = RunConfig(start=0.0, stop=10.0, steps=steps or 101)
-        metadata.append(("axis", "delta_fs [gamma]"))
-        for label, params in curves:
+            groups.append((xs, [params], [
+                (label, functools.partial(degree_from_response, theta=xs))]))
+        else:
             metadata.append((f"curve {label}", _params_summary(params)
-                             + " (delta_fs swept)"))
-            for dfs in config.grid():
-                dfs = float(dfs)
-                if label == "S[resonant]":
-                    point = params.with_(delta_fs=dfs, rabi=dfs)
-                elif label == "S[detuned]":
-                    point = params.with_(delta_fs=dfs, detuning=5.0 * dfs,
-                                         rabi=omega_star(dfs, 5.0 * dfs))
-                else:
-                    point = params.with_(delta_fs=dfs)
-                jobs.append(("bell", point, None))
-                labels.append(label)
-                xs.append(dfs)
-    elif kind == "bell_vs_gamma_d":
-        config = RunConfig(start=0.0, stop=2.0, steps=steps or 101)
-        metadata.append(("axis", "gamma_d [gamma]"))
-        for label, params in curves:
-            metadata.append((f"curve {label}", _params_summary(params)
-                             + " (gamma_d swept)"))
-            for gd in config.grid():
-                point = params.with_(gamma12=float(gd), gamma21=float(gd))
-                jobs.append(("bell", point, None))
-                labels.append(label)
-                xs.append(float(gd))
-    else:  # pragma: no cover - guarded by _figure_curves
-        raise ValueError(kind)
+                             + f" ({swept} swept)"))
+            (vary,) = rest
+            points = [vary(params, float(x)) for x in xs]
+            groups.append((xs, points, [(label, bell_s_from_response)]))
+    return metadata, groups
 
-    values = _run_jobs(jobs, _worker_count(workers))
-    rows = tuple((x, label, value) for x, label, value in zip(xs, labels, values))
-    return SweepResult(metadata=tuple(metadata), rows=rows)
+
+def _evaluate(metadata, groups) -> SweepResult:
+    """One two-photon response per group; rows follow the swept values,
+    the columns of a group side by side."""
+    rows = []
+    for xs, points, columns in groups:
+        response = two_photon_response(points)
+        values = [evaluate(response) for _, evaluate in columns]
+        rows += [(float(x), label, float(column[k]))
+                 for k, x in enumerate(xs)
+                 for (label, _), column in zip(columns, values)]
+    return SweepResult(metadata=tuple(metadata), rows=tuple(rows))
+
+
+def run_figure(fig_id: str, overrides: dict[str, float] | None = None) -> SweepResult:
+    """Evaluate one predefined sweep and return its rows and metadata."""
+    return _evaluate(*_figure_plan(fig_id, overrides))
 
 
 SWEEP_AXES = ("delta_fs", "rabi", "detuning", "gamma_d", "gamma_u")
-SWEEP_OBSERVABLES = ("c_h", "c_d", "s")
+_SWEEP_COLUMNS = {
+    "c_h": functools.partial(degree_from_response, theta=0.0),
+    "c_d": functools.partial(degree_from_response, theta=math.pi / 4.0),
+    "s": bell_s_from_response,
+}
+SWEEP_OBSERVABLES = tuple(_SWEEP_COLUMNS)
 
 
-def run_sweep(params: CascadeParams, axis: str, config: RunConfig,
-              observables=SWEEP_OBSERVABLES,
-              workers: int | None = None) -> SweepResult:
-    """Sweep one parameter axis and evaluate the requested observables."""
+def _sweep_plan(params: CascadeParams, axis: str, config: RunConfig,
+                observables):
+    """Metadata and the one evaluation group of a one-axis sweep."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown axis {axis!r}; expected one of {SWEEP_AXES}")
     for name in observables:
@@ -310,26 +297,19 @@ def run_sweep(params: CascadeParams, axis: str, config: RunConfig,
                              f"{_fmt(config.stop)} in {config.steps} steps"))
     metadata.append(("base", _params_summary(params)))
 
-    jobs, labels, xs = [], [], []
-    for x in config.grid():
-        x = float(x)
-        if axis == "gamma_d":
-            point = params.with_(gamma12=x, gamma21=x)
-        else:
-            point = params.with_(**{axis: x})
-        for name in observables:
-            if name == "c_h":
-                jobs.append(("degree", point, 0.0))
-            elif name == "c_d":
-                jobs.append(("degree", point, math.pi / 4.0))
-            else:
-                jobs.append(("bell", point, None))
-            labels.append(name)
-            xs.append(x)
+    xs = config.grid()
+    if axis == "gamma_d":
+        points = [params.with_(gamma12=float(x), gamma21=float(x)) for x in xs]
+    else:
+        points = [params.with_(**{axis: float(x)}) for x in xs]
+    return metadata, [(xs, points, [(name, _SWEEP_COLUMNS[name])
+                                    for name in observables])]
 
-    values = _run_jobs(jobs, _worker_count(workers))
-    rows = tuple((x, label, value) for x, label, value in zip(xs, labels, values))
-    return SweepResult(metadata=tuple(metadata), rows=rows)
+
+def run_sweep(params: CascadeParams, axis: str, config: RunConfig,
+              observables=SWEEP_OBSERVABLES) -> SweepResult:
+    """Sweep one parameter axis and evaluate the requested observables."""
+    return _evaluate(*_sweep_plan(params, axis, config, observables))
 
 
 def _add_param_arguments(parser: argparse.ArgumentParser) -> None:
@@ -383,7 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="override a parameter, gamma_u, or steps")
-    p_fig.add_argument("--workers", type=int, default=None)
 
     p_deg = sub.add_parser("degree", help="degree of correlation at one basis angle")
     p_deg.add_argument("--theta", type=float, required=True)
@@ -416,7 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--observables", type=str, default="c_h,c_d,s",
                          help="comma list from c_h, c_d, s")
     p_sweep.add_argument("--out", type=str, default=None)
-    p_sweep.add_argument("--workers", type=int, default=None)
     _add_param_arguments(p_sweep)
 
     p_ver = sub.add_parser("verify", help="run the oracle and invariant suite")
@@ -429,23 +407,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _usage_errors(parser: argparse.ArgumentParser):
+    """Report bad input (an override, config file or parameter) as a one-line
+    usage error with exit status 2, as argparse does for bad flags."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "figure":
-        result = run_figure(args.fig_id, _parse_overrides(args.override),
-                            workers=args.workers)
-        _write_result(result, args.out or f"figure_{args.fig_id}.csv")
+        with _usage_errors(parser):
+            plan = _figure_plan(args.fig_id, _parse_overrides(args.override))
+        _write_result(_evaluate(*plan), args.out or f"figure_{args.fig_id}.csv")
         return 0
 
     if args.command == "degree":
-        params = _resolve_params(args)
+        with _usage_errors(parser):
+            params = _resolve_params(args)
         degree = degree_of_correlation(params, args.theta)
         print(f"C(theta={_fmt(args.theta)}) = {_fmt(degree.value)}")
         return 0
 
     if args.command == "bell":
-        params = _resolve_params(args)
+        with _usage_errors(parser):
+            params = _resolve_params(args)
         if args.angles is None:
             result = bell_s_shortcut(params)
         else:
@@ -454,9 +445,10 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "correlate":
-        params = _resolve_params(args)
-        config = RunConfig(start=0.0, stop=args.tau_max, steps=args.tau_steps)
-        taus = config.grid()
+        with _usage_errors(parser):
+            params = _resolve_params(args)
+            taus = RunConfig(start=0.0, stop=args.tau_max,
+                             steps=args.tau_steps).grid()
         curve = correlation_curve(params, DetectorSetting(args.theta1, args.phi1),
                                   DetectorSetting(args.theta2, args.phi2),
                                   taus, method=args.method)
@@ -472,12 +464,12 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "sweep":
-        params = _resolve_params(args)
-        config = RunConfig(start=args.start, stop=args.stop, steps=args.steps)
         observables = tuple(s.strip() for s in args.observables.split(",") if s.strip())
-        result = run_sweep(params, args.axis, config, observables,
-                           workers=args.workers)
-        _write_result(result, args.out)
+        with _usage_errors(parser):
+            config = RunConfig(start=args.start, stop=args.stop, steps=args.steps)
+            plan = _sweep_plan(_resolve_params(args), args.axis, config,
+                               observables)
+        _write_result(_evaluate(*plan), args.out)
         return 0
 
     if args.command == "verify":

@@ -18,10 +18,15 @@ conditions on the emitter occupying |2X> at the first detection, so the
 co-polarized correlation at tau = 0 equals 4 for every analyzer angle.
 
 Time-averaged correlations integrate the same quantities over tau in
-[0, infinity).  Both routes take the Laplace transform at zero frequency:
-``g2_avg_analytic`` from the closed-form kernels, ``g2_avg_numeric`` as the
-exact resolvent of the full generator restricted to the elements that the
-conditioned state reaches and the second detection sees, one linear solve.
+[0, infinity).  Every averaged coincidence is one bilinear form in
+(cos 2theta_i, sin 2theta_i) of five numbers per parameter point: the
+averages of the four population propagators and of the coherence kernel.
+``two_photon_response`` computes them for a whole batch of points, by
+either route as a Laplace transform at zero frequency: from the closed-form
+kernels (stacked 2x2 inverses and 5x5 solves), or as the exact resolvent of
+the full generator restricted to the elements that the conditioned state
+reaches and the second detection sees (one linear solve per point).
+``g2_avg_analytic`` and ``g2_avg_numeric`` are one-point calls of it.
 On a delay grid the full generator and the driven population block are
 propagated exactly by stepping with one matrix exponential per distinct
 grid step.
@@ -31,13 +36,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import DivergentAverageError
 from .liouvillian import (DEFAULT_ATOL, DEFAULT_RTOL, Liouvillian,
                           build_generator, evolve, evolve_grid,
-                          propagate_steps, vectorize)
+                          propagate_steps)
 from .model import Level, N_LEVELS, CascadeParams, DetectorSetting, omega_pm
 
 # Below this argument size the oscillatory/hyperbolic kernel ratios switch to
@@ -134,7 +141,9 @@ class CorrelationKernel:
     Both square roots take the principal branch.  The hyperbolic population
     kernels f1, f2, g1, g2 solve the undriven two-level rate system and are
     exact whenever rabi = 0; the coherence kernel w is exact for all
-    parameters.
+    parameters.  Built from stacked rates (:func:`_stacked`), the
+    coefficients, time averages and coherence eigenvalues are arrays with
+    one entry per point.
     """
 
     a0: complex
@@ -148,12 +157,14 @@ class CorrelationKernel:
         p = params
         a0 = -0.25 * (2 * p.gamma3 + 2 * p.gamma21 + p.gamma4 + p.gamma12
                       + p.gamma_u + 2j * p.detuning)
-        b0 = complex(-0.5 * (p.gamma3 + p.gamma4 + p.gamma21 + p.gamma12 + p.gamma_u))
+        b0 = -0.5 * (p.gamma3 + p.gamma4 + p.gamma21 + p.gamma12 + p.gamma_u) + 0j
         d = p.gamma3 - p.gamma4 + p.gamma21 - p.gamma12 - p.gamma_u
-        eta = np.sqrt(complex(d * d + 4.0 * p.gamma12 * p.gamma21))
+        eta = np.sqrt(d * d + 4.0 * p.gamma12 * p.gamma21 + 0j)
         q = p.gamma4 + p.gamma12 + p.gamma_u - 2j * p.detuning
         mu = np.sqrt(16.0 * p.rabi ** 2 - q * q)
-        return cls(complex(a0), b0, complex(eta), complex(mu), p)
+        if np.ndim(mu) == 0:
+            a0, b0, eta, mu = complex(a0), complex(b0), complex(eta), complex(mu)
+        return cls(a0, b0, eta, mu, p)
 
     @property
     def _d(self) -> float:
@@ -243,7 +254,7 @@ class CorrelationKernel:
         p = self.params
         numer = 1j * (p.delta_fs + p.detuning) + 0.5 * (p.gamma3 + p.gamma21)
         denom = (self.a0 - 1j * p.delta_fs) ** 2 + self.mu * self.mu / 16.0
-        if abs(denom) < 1e-14:
+        if np.any(np.abs(denom) < 1e-14):
             raise DivergentAverageError("coherence average denominator vanishes")
         return numer / denom
 
@@ -253,24 +264,40 @@ class CorrelationKernel:
         return shift + 0.25j * self.mu, shift - 0.25j * self.mu
 
 
-def _population_generator(params: CascadeParams) -> np.ndarray:
+def _stacked(points) -> SimpleNamespace:
+    """The rates of a sequence of CascadeParams as arrays, one entry per point.
+
+    The attributes carry the CascadeParams field names, so the kernel and
+    population-block formulas evaluate a whole batch at once.
+    """
+    fields = ("gamma3", "gamma4", "gamma_u", "gamma12", "gamma21", "delta_fs",
+              "rabi", "detuning")
+    rates = attrgetter(*fields)
+    table = np.array([rates(p) for p in points], dtype=float).reshape(-1, len(fields))
+    return SimpleNamespace(**dict(zip(fields, table.T)))
+
+
+def _population_generator(params) -> np.ndarray:
     """Generator of the conditioned population sector.
 
     Basis: (rho_X1X1, rho_X2X2, rho_uu, rho_X2u, rho_uX2).  The drive couples
     the X2 population to u, so the pointwise propagators depend on rabi and
-    detuning; the hyperbolic kernels are the rabi = 0 restriction.
+    detuning; the hyperbolic kernels are the rabi = 0 restriction.  Stacked
+    rates give one 5x5 block per point, shape (n, 5, 5).
     """
     p = params
     alpha1 = p.gamma3 + p.gamma21
     alpha2 = p.gamma4 + p.gamma_u + p.gamma12
+    m = np.zeros(np.shape(alpha1) + (5, 5), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1] = -alpha1, p.gamma12
+    m[..., 1, 0], m[..., 1, 1] = p.gamma21, -alpha2
+    m[..., 2, 1] = p.gamma_u
+    m[..., 3, 3] = -(0.5 * alpha2 + 1j * p.detuning)
+    m[..., 4, 4] = -(0.5 * alpha2 - 1j * p.detuning)
+    # the drive couples X2X2 and uu through the X2u and uX2 coherences
     om = 1j * p.rabi
-    m = np.array([
-        [-alpha1, p.gamma12, 0.0, 0.0, 0.0],
-        [p.gamma21, -alpha2, 0.0, -om, om],
-        [0.0, p.gamma_u, 0.0, om, -om],
-        [0.0, -om, om, -(0.5 * alpha2 + 1j * p.detuning), 0.0],
-        [0.0, om, -om, 0.0, -(0.5 * alpha2 - 1j * p.detuning)],
-    ], dtype=complex)
+    m[..., 1, 4] = m[..., 2, 3] = m[..., 3, 2] = m[..., 4, 1] = om
+    m[..., 1, 3] = m[..., 2, 4] = m[..., 3, 1] = m[..., 4, 2] = -om
     return m
 
 
@@ -288,29 +315,29 @@ def _population_propagators(params: CascadeParams, taus: np.ndarray):
     return cols[:, 0, 0], cols[:, 0, 1], cols[:, 1, 0], cols[:, 1, 1]
 
 
-def _angle_weights(det1: DetectorSetting, det2: DetectorSetting):
-    c1, c2 = np.cos(2.0 * det1.theta), np.cos(2.0 * det2.theta)
-    s1, s2 = np.sin(2.0 * det1.theta), np.sin(2.0 * det2.theta)
+def _angle_weights(theta1, theta2):
+    c1, c2 = np.cos(2.0 * theta1), np.cos(2.0 * theta2)
+    s1, s2 = np.sin(2.0 * theta1), np.sin(2.0 * theta2)
     return c1, c2, s1, s2
 
 
-def _braces(p11, p12, p21, p22, wterm, det1: DetectorSetting, det2: DetectorSetting):
-    """Angular combination of the four population slots and the coherence term.
+def _braces(response, theta1, theta2, phase=0.0):
+    """Angular combination of the four population slots and the coherence slot.
 
-    Equals f1 + f2 + g1 + g2 + (c1 + c2)(f1 - g1) + (c1 - c2)(g2 - f2)
-    + c1 c2 (f1 + g1 - f2 - g2) + s1 s2 * wterm, with ci = cos(2 theta_i),
-    si = sin(2 theta_i) and the slot mapping f1, f2, g2, g1 = P11, P12, P21,
-    P22.
+    ``response`` is (P11, P12, P21, P22, w): propagators on a delay grid, or
+    their time averages from :func:`two_photon_response`.  Equals f1 + f2 +
+    g1 + g2 + (c1 + c2)(f1 - g1) + (c1 - c2)(g2 - f2) + c1 c2 (f1 + g1 - f2 -
+    g2) + s1 s2 * 2 Re[e^{-i phase} w], with ci = cos(2 theta_i), si =
+    sin(2 theta_i), phase = phi1 + phi2 (the e^{+i phi} jump convention) and
+    the slot mapping f1, f2, g2, g1 = P11, P12, P21, P22.  Slots and angles
+    broadcast against each other.
     """
-    c1, c2, s1, s2 = _angle_weights(det1, det2)
+    p11, p12, p21, p22, w = response
+    c1, c2, s1, s2 = _angle_weights(theta1, theta2)
+    wterm = 2.0 * np.real(np.exp(-1j * phase) * w)
     return np.real((1 + c1) * (1 + c2) * p11 + (1 - c1) * (1 + c2) * p12
                    + (1 + c1) * (1 - c2) * p21 + (1 - c1) * (1 - c2) * p22
                    + s1 * s2 * wterm)
-
-
-def _coherence_term(w: np.ndarray, det1: DetectorSetting, det2: DetectorSetting):
-    """2 Re[e^{-i(phi1 + phi2)} w(tau)] for the e^{+i phi} jump convention."""
-    return 2.0 * np.real(np.exp(-1j * (det1.phi + det2.phi)) * w)
 
 
 def _validate_taus(tau) -> tuple[np.ndarray, bool]:
@@ -325,9 +352,8 @@ def g2_analytic(params: CascadeParams, det1: DetectorSetting,
     """Closed-form normalized correlation at delay tau (scalar or array)."""
     taus, scalar = _validate_taus(tau)
     kernel = CorrelationKernel.from_params(params)
-    p11, p12, p21, p22 = _population_propagators(params, taus)
-    wterm = _coherence_term(kernel.w(taus), det1, det2)
-    value = _braces(p11, p12, p21, p22, wterm, det1, det2)
+    response = (*_population_propagators(params, taus), kernel.w(taus))
+    value = _braces(response, det1.theta, det2.theta, det1.phi + det2.phi)
     return float(value[0]) if scalar else value
 
 
@@ -387,58 +413,46 @@ def correlation_curve(params: CascadeParams, det1: DetectorSetting,
     return CorrelationCurve(taus, values)
 
 
-def _check_average_preconditions(kernel: CorrelationKernel) -> None:
-    if kernel.b0.real >= 0 or kernel.a0.real >= 0:
-        raise DivergentAverageError(
-            "time average requires Re(a0) < 0 and Re(b0) < 0; "
-            "add nonzero decay rates")
+def _population_averages(p) -> np.ndarray:
+    """Zero-frequency Laplace transforms (P11, P12, P21, P22) of the population
+    propagators for stacked rates, shape (4, n).
+
+    Undriven points invert their 2x2 rate block, driven points solve their
+    5x5 block for its first two unit columns; both as one stacked call.
+    """
+    m = _population_generator(p)
+    driven = p.rabi != 0.0
+    out = np.empty((2, 2, driven.size), dtype=complex)
+    for mask, size in ((~driven, 2), (driven, 5)):
+        if not mask.any():
+            continue
+        block = m[mask, :size, :size]
+        if np.min(-np.linalg.eigvals(block).real) <= _DECAY_FLOOR:
+            raise DivergentAverageError("population sector has a non-decaying mode")
+        if size == 2:
+            cols = np.linalg.inv(-block.real)
+        else:
+            try:
+                cols = np.linalg.solve(-block, np.eye(5, 2, dtype=complex))
+            except np.linalg.LinAlgError as exc:
+                raise DivergentAverageError(str(exc)) from None
+        out[:, :, mask] = cols[:, :2, :2].transpose(1, 2, 0)
+    return out.reshape(4, driven.size)
 
 
-def _population_decay_rates(params: CascadeParams) -> np.ndarray:
-    if params.rabi == 0.0:
-        block = _population_generator(params)[:2, :2]
-    else:
-        block = _population_generator(params)
-    return -np.real(np.linalg.eigvals(block))
-
-
-def _population_averages(params: CascadeParams):
-    """Zero-frequency Laplace transform of the population propagators."""
-    if params.rabi == 0.0:
-        neg = -_population_generator(params)[:2, :2].real
-        rates = _population_decay_rates(params)
-        if np.min(rates) <= _DECAY_FLOOR:
-            raise DivergentAverageError(
-                "population sector has a non-decaying mode")
-        inv = np.linalg.inv(neg)
-        return inv[0, 0], inv[0, 1], inv[1, 0], inv[1, 1]
-    neg = -_population_generator(params)
-    rates = _population_decay_rates(params)
-    if np.min(rates) <= _DECAY_FLOOR:
-        raise DivergentAverageError("population sector has a non-decaying mode")
-    try:
-        col1 = np.linalg.solve(neg, np.eye(5, dtype=complex)[:, 0])
-        col2 = np.linalg.solve(neg, np.eye(5, dtype=complex)[:, 1])
-    except np.linalg.LinAlgError as exc:
-        raise DivergentAverageError(str(exc)) from None
-    return col1[0], col2[0], col1[1], col2[1]
-
-
-def g2_avg_analytic(params: CascadeParams, det1: DetectorSetting,
-                    det2: DetectorSetting) -> float:
-    """Closed-form time-averaged correlation, integral of g2 over [0, inf)."""
-    kernel = CorrelationKernel.from_params(params)
-    _check_average_preconditions(kernel)
+def _closed_form_response(points) -> np.ndarray:
+    kernel = CorrelationKernel.from_params(_stacked(points))
     lam_plus, lam_minus = kernel.coherence_eigenvalues()
-    if max(lam_plus.real, lam_minus.real) >= -_DECAY_FLOOR:
+    if np.any(np.maximum(lam_plus.real, lam_minus.real) >= -_DECAY_FLOOR):
         raise DivergentAverageError("coherence sector has a non-decaying mode")
-    p11, p12, p21, p22 = _population_averages(params)
-    wterm = _coherence_term(np.asarray(kernel.avg_w), det1, det2)
-    return float(_braces(p11, p12, p21, p22, wterm, det1, det2))
+    response = np.empty((5, len(points)), dtype=complex)
+    response[:4] = _population_averages(kernel.params)
+    response[4] = kernel.avg_w
+    return response
 
 
-def _average_sector(params: CascadeParams) -> np.ndarray:
-    """Vectorized indices of the elements a time average has to integrate.
+def _average_sector(levels) -> np.ndarray:
+    """Vectorized indices of the elements with both indices in ``levels``.
 
     The conditioned state A|2X><2X|A^dag lives on {X1, X2}, and B^dag B only
     reads that block.  Elements with both indices in {X1, X2, u} evolve among
@@ -446,26 +460,76 @@ def _average_sector(params: CascadeParams) -> np.ndarray:
     Without the drive u is a trap that never feeds back into {X1, X2}, so it
     is left out too.
     """
-    levels = [Level.X1, Level.X2] + ([Level.U] if params.rabi != 0.0 else [])
     return np.array([i + N_LEVELS * j for j in levels for i in levels])
+
+
+def _resolvent_response(points) -> np.ndarray:
+    """The response from the full generator, restricted to the averaged sector.
+
+    The integral of e^{M tau} y0 over [0, inf) is x with M_SS x = -y0_S; one
+    solve per point takes y0 = |X1><X1|, |X2><X2| and |X1><X2|, whose
+    solutions hold the population slots and the coherence slot.
+    """
+    response = np.empty((5, len(points)), dtype=complex)
+    driven = np.array([p.rabi != 0.0 for p in points], dtype=bool)
+    for mask, levels in ((~driven, (Level.X1, Level.X2)),
+                         (driven, (Level.X1, Level.X2, Level.U))):
+        if not mask.any():
+            continue
+        sector = _average_sector(levels)
+        m_ss = np.array([build_generator(points[k]).m[np.ix_(sector, sector)]
+                         for k in np.flatnonzero(mask)])
+        if np.max(np.linalg.eigvals(m_ss).real) >= -_DECAY_FLOOR:
+            raise DivergentAverageError(
+                "the averaged sector of the generator has a non-decaying mode")
+        # sector positions of X1X1, X2X2 and X1X2 (X1 and X2 lead ``levels``)
+        n = len(levels)
+        x11, x22, x12 = 0, n + 1, n
+        x = np.linalg.solve(m_ss, -np.eye(n * n)[:, [x11, x22, x12]])
+        response[:, mask] = (x[:, x11, 0], x[:, x11, 1], x[:, x22, 0],
+                             x[:, x22, 1], x[:, x12, 2])
+    return response
+
+
+def two_photon_response(points, method: str = "analytic") -> np.ndarray:
+    """Time-averaged two-photon response of each of a sequence of n
+    CascadeParams points.
+
+    Returns a (5, n) complex array, rows (P11, P12, P21, P22, avg_w): the
+    integrals over tau in [0, inf) of the population propagators X1 -> X1,
+    X2 -> X1, X1 -> X2, X2 -> X2 and of the coherence kernel w.  Every
+    averaged coincidence is :func:`_braces` of it.  method "analytic" uses
+    the closed-form kernels and the population block, "numeric" the
+    resolvent of the full generator.  Raises DivergentAverageError if any
+    point has a mode decaying slower than the refusal floor.
+    """
+    if method == "analytic":
+        return _closed_form_response(points)
+    if method == "numeric":
+        return _resolvent_response(points)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _average(response: np.ndarray, det1: DetectorSetting,
+             det2: DetectorSetting) -> float:
+    return float(_braces(response, det1.theta, det2.theta,
+                         det1.phi + det2.phi)[0])
+
+
+def g2_avg_analytic(params: CascadeParams, det1: DetectorSetting,
+                    det2: DetectorSetting) -> float:
+    """Closed-form time-averaged correlation, integral of g2 over [0, inf)."""
+    return _average(two_photon_response([params]), det1, det2)
 
 
 def g2_avg_numeric(params: CascadeParams, det1: DetectorSetting,
                    det2: DetectorSetting) -> float:
     """Time-averaged correlation from the resolvent of the full generator.
 
-    The integral of 4 Tr[B^dag B e^{M tau} y0] over [0, inf) equals
-    4 Tr[B^dag B x] with M_SS x = -y0_S on the sector S of
-    :func:`_average_sector`: one linear solve, exact up to round-off.
+    The integral of 4 Tr[B^dag B e^{M tau} y0] over [0, inf) is linear in
+    y0; see :func:`_resolvent_response`.  Exact up to round-off.
     """
-    sector = _average_sector(params)
-    m_ss = build_generator(params).m[np.ix_(sector, sector)]
-    if np.max(np.linalg.eigvals(m_ss).real) >= -_DECAY_FLOOR:
-        raise DivergentAverageError(
-            "the averaged sector of the generator has a non-decaying mode")
-    y0 = vectorize(_conditioned_state(det1))[sector]
-    proj = vectorize(_detection_projector(det2).T)[sector]
-    return float(4.0 * np.real(proj @ np.linalg.solve(m_ss, -y0)))
+    return _average(two_photon_response([params], method="numeric"), det1, det2)
 
 
 class SpecialCase(enum.Enum):
@@ -528,7 +592,7 @@ def special_case(case: SpecialCase, params: CascadeParams,
     if case is not SpecialCase.I and p.gamma_u > 0.1 * g_level:
         warnings.append("formulas neglect gamma_u (assumed << gamma)")
 
-    c1, c2, s1, s2 = _angle_weights(det1, det2)
+    c1, c2, s1, s2 = _angle_weights(det1.theta, det2.theta)
     env = np.exp(-g_level * taus)
     if case is SpecialCase.I:
         value = env * (1.0 + c1 * c2 + s1 * s2 * np.cos(p.delta_fs * taus))

@@ -3,6 +3,15 @@
 All observables are ratios of time-averaged coincidence rates, so the overall
 correlation normalization cancels.  Analyzer phases are zero throughout
 (linear polarization bases).
+
+Every averaged coincidence is a bilinear form in (cos 2theta_i,
+sin 2theta_i) of one two-photon response per parameter point: four
+population averages and one coherence average
+(:func:`~cascadeg2.correlate.two_photon_response`).  Each observable computes
+that response once and evaluates all its analyzer pairs on it.
+``degree_from_response`` and ``bell_s_from_response`` evaluate a stacked
+response of many points, and arrays of angles, at once; sweeps use them to
+evaluate a whole axis in a few array operations.
 """
 
 from __future__ import annotations
@@ -10,7 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .correlate import g2_analytic, g2_avg_analytic, g2_avg_numeric
+import numpy as np
+
+from .correlate import _braces, g2_analytic, two_photon_response
 from .model import CascadeParams, DetectorSetting
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -27,8 +38,7 @@ class CorrelationDegree:
     basis_angle: float
 
     def __post_init__(self) -> None:
-        if not -1.0 - 1e-9 <= self.value <= 1.0 + 1e-9:
-            raise ValueError(f"degree of correlation {self.value} outside [-1, 1]")
+        _check_degrees(np.asarray(self.value))
 
 
 @dataclass(frozen=True)
@@ -44,18 +54,43 @@ class BellResult:
     settings: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        if abs(self.s) > TSIRELSON_BOUND + 1e-6:
-            raise ValueError(f"|S| = {abs(self.s)} exceeds the Tsirelson bound")
+        _check_bell(np.asarray(self.s))
 
 
-def _avg(params: CascadeParams, theta1: float, theta2: float,
-         method: str) -> float:
-    det1, det2 = DetectorSetting(theta1), DetectorSetting(theta2)
-    if method == "analytic":
-        return g2_avg_analytic(params, det1, det2)
-    if method == "numeric":
-        return g2_avg_numeric(params, det1, det2)
-    raise ValueError(f"unknown method {method!r}")
+def _check_degrees(values: np.ndarray) -> None:
+    outside = values[~(np.abs(values) <= 1.0 + 1e-9)]
+    if outside.size:
+        raise ValueError(f"degree of correlation {outside[0]} outside [-1, 1]")
+
+
+def _check_bell(values: np.ndarray) -> None:
+    outside = values[np.abs(values) > TSIRELSON_BOUND + 1e-6]
+    if outside.size:
+        raise ValueError(f"|S| = {abs(outside[0])} exceeds the Tsirelson bound")
+
+
+def degree_from_response(response: np.ndarray, theta) -> np.ndarray:
+    """Degree of correlation C(theta) of each point of a two-photon response.
+
+    ``theta`` is an angle or an array of angles that broadcasts against the
+    points; raises ValueError if any |C| exceeds 1.
+    """
+    co = _braces(response, theta, theta)
+    cross = _braces(response, theta, theta + math.pi / 2.0)
+    values = (co - cross) / (co + cross)
+    _check_degrees(values)
+    return values
+
+
+def bell_s_from_response(response: np.ndarray) -> np.ndarray:
+    """Shortcut S = sqrt(2)(C_H + C_D) of each point of a two-photon response.
+
+    Raises ValueError if any |S| exceeds the Tsirelson bound.
+    """
+    s = math.sqrt(2.0) * (degree_from_response(response, 0.0)
+                          + degree_from_response(response, math.pi / 4.0))
+    _check_bell(s)
+    return s
 
 
 def degree_of_correlation(params: CascadeParams, theta: float,
@@ -66,9 +101,8 @@ def degree_of_correlation(params: CascadeParams, theta: float,
     analyzer pairs (theta, theta) and (theta, theta + pi/2); theta = 0 gives
     C_H, theta = pi/4 gives C_D.
     """
-    co = _avg(params, theta, theta, method)
-    cross = _avg(params, theta, theta + math.pi / 2.0, method)
-    return CorrelationDegree(value=(co - cross) / (co + cross), basis_angle=theta)
+    value = degree_from_response(two_photon_response([params], method), theta)
+    return CorrelationDegree(value=float(value[0]), basis_angle=theta)
 
 
 def degree_of_correlation_instant(params: CascadeParams, theta: float,
@@ -82,6 +116,22 @@ def degree_of_correlation_instant(params: CascadeParams, theta: float,
     return CorrelationDegree(value=(co - cross) / (co + cross), basis_angle=theta)
 
 
+def _require_finite(*angles: float) -> None:
+    if not all(map(math.isfinite, angles)):
+        raise ValueError(f"analyzer angles must be finite, got {angles}")
+
+
+def _chsh(response: np.ndarray, alpha, beta) -> np.ndarray:
+    """E(alpha, beta) of each point; the angles may be arrays."""
+    half_pi = math.pi / 2.0
+    g_pp = _braces(response, alpha, beta)
+    g_po = _braces(response, alpha, beta + half_pi)
+    g_op = _braces(response, alpha + half_pi, beta)
+    g_oo = _braces(response, alpha + half_pi, beta + half_pi)
+    total = g_pp + g_po + g_op + g_oo
+    return (g_pp + g_oo - g_po - g_op) / total
+
+
 def chsh_coefficient(params: CascadeParams, alpha: float, beta: float,
                      method: str = "analytic") -> float:
     """Correlation coefficient E(alpha, beta) = p_plus - p_minus.
@@ -90,22 +140,17 @@ def chsh_coefficient(params: CascadeParams, alpha: float, beta: float,
     averaged coincidences at (alpha, beta), (alpha, beta+pi/2),
     (alpha+pi/2, beta) and (alpha+pi/2, beta+pi/2).
     """
-    half_pi = math.pi / 2.0
-    g_pp = _avg(params, alpha, beta, method)
-    g_po = _avg(params, alpha, beta + half_pi, method)
-    g_op = _avg(params, alpha + half_pi, beta, method)
-    g_oo = _avg(params, alpha + half_pi, beta + half_pi, method)
-    total = g_pp + g_po + g_op + g_oo
-    return (g_pp + g_oo - g_po - g_op) / total
+    _require_finite(alpha, beta)
+    return float(_chsh(two_photon_response([params], method), alpha, beta)[0])
 
 
 def bell_s_chsh(params: CascadeParams, a1: float, a2: float, b1: float,
                 b2: float, method: str = "analytic") -> BellResult:
     """CHSH parameter S = E(a1,b1) - E(a1,b2) + E(a2,b1) + E(a2,b2)."""
-    s = (chsh_coefficient(params, a1, b1, method)
-         - chsh_coefficient(params, a1, b2, method)
-         + chsh_coefficient(params, a2, b1, method)
-         + chsh_coefficient(params, a2, b2, method))
+    _require_finite(a1, a2, b1, b2)
+    e = _chsh(two_photon_response([params], method),
+              np.array([a1, a1, a2, a2]), np.array([b1, b2, b1, b2]))
+    s = float(e[0] - e[1] + e[2] + e[3])
     return BellResult(s=s, violated=s > 2.0, settings=(a1, a2, b1, b2))
 
 
@@ -115,7 +160,5 @@ def bell_s_shortcut(params: CascadeParams, method: str = "analytic") -> BellResu
     Coincides with :func:`bell_s_chsh` at the standard analyzer angles for
     symmetric rates.
     """
-    c_h = degree_of_correlation(params, 0.0, method).value
-    c_d = degree_of_correlation(params, math.pi / 4.0, method).value
-    s = math.sqrt(2.0) * (c_h + c_d)
+    s = float(bell_s_from_response(two_photon_response([params], method))[0])
     return BellResult(s=s, violated=s > 2.0, settings=STANDARD_CHSH_ANGLES)

@@ -8,7 +8,8 @@ generator construction they validate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float | None = None  # wall time, set by run_all_checks
 
 
 def _result(name: str, passed: bool, detail: str) -> CheckResult:
@@ -343,10 +345,12 @@ def run_all_checks(tol: float = 1e-6, quick: bool = False,
     ]
     results = []
     for name, runner in staged:
+        start = time.perf_counter()
         try:
-            results.append(runner())
+            result = runner()
         except Exception as exc:  # a crashed check is a failed check
-            results.append(_result(name, False, f"raised {exc!r}"))
+            result = _result(name, False, f"raised {exc!r}")
+        results.append(replace(result, seconds=time.perf_counter() - start))
     return results
 
 

@@ -1,16 +1,19 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cascadeg2 import (CascadeParams, DetectorSetting, bell_s_shortcut,
-                       degree_of_correlation, g2_analytic)
+                       degree_of_correlation, g2_analytic, omega_star)
 from cascadeg2.cli import (RunConfig, load_config, main, run_figure, run_sweep)
 from cascadeg2.liouvillian import build_generator
 from cascadeg2.verify import (check_oracle_equivalence, check_w_phase,
                               run_all_checks, summarize)
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestRunConfig:
@@ -48,18 +51,34 @@ class TestConfigFile:
         reported = float(capsys.readouterr().out.split("=")[-1])
         assert reported == pytest.approx(1.0 / 26.0, abs=1e-9)
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "typo.cfg"
         path.write_text("delta_fs = 5.0\ngama_u = 0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="gama_u"):
+        with pytest.raises(SystemExit) as exit_info:
             main(["degree", "--theta", "0.5", "--config", str(path)])
+        assert exit_info.value.code == 2
+        assert "gama_u" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "delta_fs 5.0\n",
+                                         "delta_fs = five\n"])
+    def test_missing_or_bad_config_is_usage_error(self, tmp_path, capsys,
+                                                  content):
+        path = tmp_path / "run.cfg"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bell", "--config", str(path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("cascadeg2: error: ")
 
 
 class TestFigures:
     def test_deterministic_bytes(self, tmp_path):
         paths = []
         for name in ("a.csv", "b.csv"):
-            result = run_figure("3b", {"steps": 7}, workers=1)
+            result = run_figure("3b", {"steps": 7})
             target = tmp_path / name
             result.save(str(target))
             paths.append(target.read_bytes())
@@ -67,7 +86,7 @@ class TestFigures:
         assert b"\r" not in paths[0]
 
     def test_header_carries_full_parameter_sets(self, tmp_path):
-        result = run_figure("3a", {"steps": 5}, workers=1)
+        result = run_figure("3a", {"steps": 5})
         lines = []
         target = tmp_path / "fig.csv"
         result.save(str(target))
@@ -82,7 +101,7 @@ class TestFigures:
         assert len(first) == 3
 
     def test_figure_values_match_library(self):
-        result = run_figure("3b", {"steps": 3, "gamma_u": 0.0}, workers=1)
+        result = run_figure("3b", {"steps": 3, "gamma_u": 0.0})
         rows = {(label, round(x, 12)): value for x, label, value in result.rows}
         detuned = CascadeParams(delta_fs=5.0, detuning=25.0,
                                 rabi=math.sqrt(150.0))
@@ -91,7 +110,7 @@ class TestFigures:
         assert rows[key] == pytest.approx(expected, rel=1e-12)
 
     def test_figure_5_curves(self):
-        result = run_figure("5", {"steps": 6, "gamma_u": 0.0}, workers=1)
+        result = run_figure("5", {"steps": 6, "gamma_u": 0.0})
         no_field = [(x, v) for x, label, v in result.rows if label == "S[no_field]"]
         xs, values = zip(*no_field)
         assert xs[0] == 0.0 and values[0] == pytest.approx(2.0 * math.sqrt(2.0),
@@ -101,23 +120,74 @@ class TestFigures:
         detuned = [v for x, label, v in result.rows if label == "S[detuned]"]
         assert all(v > 2.0 for v in detuned[1:])
 
-    def test_worker_pool_matches_serial(self):
-        serial = run_figure("3a", {"steps": 11}, workers=1)
-        pooled = run_figure("3a", {"steps": 11}, workers=2)
-        assert serial.rows == pooled.rows
+    @pytest.mark.parametrize("fig_id", ["5", "6", "3b"])
+    def test_batched_rows_match_scalar_calls(self, fig_id):
+        # each row of a batched sweep equals the one-point library call
+        base = CascadeParams(gamma_u=0.01)
+        points = {
+            "S[no_field]": lambda x: base.with_(delta_fs=x),
+            "S[resonant]": lambda x: base.with_(delta_fs=x, rabi=x),
+            "S[detuned]": lambda x: base.with_(delta_fs=x, detuning=5.0 * x,
+                                               rabi=omega_star(x, 5.0 * x)),
+            "S[dfs0_no_field]": lambda x: base.with_(gamma12=x, gamma21=x),
+            "S[dfs5_no_field]": lambda x: base.with_(
+                delta_fs=5.0, gamma12=x, gamma21=x),
+            "S[dfs5_detuned]": lambda x: base.with_(
+                delta_fs=5.0, detuning=25.0, rabi=omega_star(5.0, 25.0),
+                gamma12=x, gamma21=x),
+        }
+        curves_3b = {
+            "C[dfs5_no_field]": base.with_(delta_fs=5.0),
+            "C[dfs5_resonant]": base.with_(delta_fs=5.0, rabi=5.0),
+            "C[dfs5_detuned]": base.with_(delta_fs=5.0, detuning=25.0,
+                                          rabi=omega_star(5.0, 25.0)),
+        }
+        rows = run_figure(fig_id, {"steps": 11}).rows
+        assert len(rows) == 33
+        for x, label, value in rows:
+            if fig_id == "3b":
+                expected = degree_of_correlation(curves_3b[label], x).value
+            else:
+                expected = bell_s_shortcut(points[label](x)).s
+            assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["figure", "3a", "--override", "steps=11"], "figure_3a_steps11.csv"),
+        (["figure", "5", "--override", "steps=11"], "figure_5_steps11.csv"),
+        (["figure", "6", "--override", "steps=11"], "figure_6_steps11.csv"),
+        (["sweep", "--axis", "rabi", "--start", "0", "--stop", "10",
+          "--steps", "21"], "sweep_rabi_0_10_21.csv"),
+    ])
+    def test_output_matches_golden_csv(self, tmp_path, argv, golden):
+        # captured before sweeps were batched; output must not move a byte
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / golden).read_bytes()
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError):
-            run_figure("9z", {}, workers=1)
+            run_figure("9z", {})
 
-    def test_unknown_override_rejected(self):
+    def test_unknown_override_rejected(self, capsys):
         with pytest.raises(ValueError, match="gama_u"):
-            run_figure("3b", {"steps": 3, "gama_u": 0.0}, workers=1)
-        with pytest.raises(ValueError, match="gama_u"):
+            run_figure("3b", {"steps": 3, "gama_u": 0.0})
+        with pytest.raises(SystemExit) as exit_info:
             main(["figure", "3b", "--override", "gama_u=0"])
+        assert exit_info.value.code == 2
+        assert "gama_u" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["steps=x", "steps=1", "rabi",
+                                          "gamma3=-1"])
+    def test_bad_override_is_usage_error(self, capsys, override):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure", "3b", "--override", override])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("cascadeg2: error: ")
 
     def test_header_names_no_integrator_tolerances(self):
-        header = run_figure("3a", {"steps": 2}, workers=1).metadata
+        header = run_figure("3a", {"steps": 2}).metadata
         assert [key for key, _ in header[:2]] == ["tool", "command"]
         assert not any(key in ("rtol", "atol") for key, _ in header)
 
@@ -126,7 +196,7 @@ class TestSweep:
     def test_rows_and_values(self):
         params = CascadeParams(gamma_u=0.0)
         config = RunConfig(start=0.0, stop=4.0, steps=3)
-        result = run_sweep(params, "delta_fs", config, ("c_d", "s"), workers=1)
+        result = run_sweep(params, "delta_fs", config, ("c_d", "s"))
         assert len(result.rows) == 6
         c_d = {x: v for x, label, v in result.rows if label == "c_d"}
         assert c_d[4.0] == pytest.approx(1.0 / 17.0, abs=1e-9)
@@ -136,14 +206,14 @@ class TestSweep:
     def test_gamma_d_axis_sets_both_rates(self):
         params = CascadeParams(gamma_u=0.0)
         config = RunConfig(start=0.0, stop=1.0, steps=2)
-        result = run_sweep(params, "gamma_d", config, ("c_h",), workers=1)
+        result = run_sweep(params, "gamma_d", config, ("c_h",))
         values = {x: v for x, label, v in result.rows}
         assert values[1.0] == pytest.approx(1.0 / 3.0, abs=1e-8)
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(CascadeParams(), "nonsense",
-                      RunConfig(start=0.0, stop=1.0, steps=2), workers=1)
+                      RunConfig(start=0.0, stop=1.0, steps=2))
 
 
 class TestCommands:
@@ -203,6 +273,9 @@ class TestVerify:
         payload = json.loads(report.read_text(encoding="utf-8"))
         assert payload["passed"] is True
         assert len(payload["checks"]) == 13
+        for check in payload["checks"]:
+            assert isinstance(check["seconds"], float)
+            assert check["seconds"] >= 0.0
 
     def test_tightened_tolerance_passes_at_exact_floor(self):
         # both routes are exact, so they agree to round-off

@@ -8,7 +8,11 @@ from cascadeg2 import (CascadeParams, CorrelationCurve, CorrelationKernel,
                        DetectorSetting, DivergentAverageError, JumpOperator,
                        Level, PhotonStage, SpecialCase, correlation_curve,
                        g2_analytic, g2_avg_analytic, g2_avg_numeric,
-                       g2_numeric, g2_numeric_grid, omega_pm, special_case)
+                       g2_numeric, g2_numeric_grid, omega_pm, special_case,
+                       two_photon_response)
+from cascadeg2.observables import (STANDARD_CHSH_ANGLES, bell_s_chsh,
+                                   bell_s_shortcut)
+from cascadeg2.verify import _random_params
 
 UP, X1, X2, U, G = Level.TWO_X, Level.X1, Level.X2, Level.U, Level.G
 
@@ -94,11 +98,10 @@ class TestCorrelationKernel:
         assert np.isfinite(k2.w(np.array([0.0, 1.0, 5.0]))).all()
 
     def test_average_slots_match_laplace_solution_without_drive(self):
-        from cascadeg2.correlate import _population_averages
         p = CascadeParams(gamma3=1.4, gamma4=0.6, gamma12=0.5, gamma21=1.1,
                           gamma_u=0.2)
         k = CorrelationKernel.from_params(p)
-        p11, p12, p21, p22 = _population_averages(p)
+        p11, p12, p21, p22 = two_photon_response([p])[:4, 0]
         assert p11 == pytest.approx(k.avg_f1, rel=1e-12)
         assert p12 == pytest.approx(k.avg_f2, rel=1e-12)
         assert p21 == pytest.approx(k.avg_g2, rel=1e-12)
@@ -106,10 +109,9 @@ class TestCorrelationKernel:
 
     def test_average_slots_survive_drive_when_u_channel_closed(self):
         # branching ratios are insensitive to coherent X2-u cycling
-        from cascadeg2.correlate import _population_averages
         p = CascadeParams(gamma12=0.5, gamma21=0.5, rabi=20.0, detuning=30.0)
         k = CorrelationKernel.from_params(p)
-        p11, p12, p21, p22 = _population_averages(p)
+        p11, p12, p21, p22 = two_photon_response([p])[:4, 0]
         assert complex(p11) == pytest.approx(k.avg_f1, rel=1e-12)
         assert complex(p12) == pytest.approx(k.avg_f2, rel=1e-12)
         assert complex(p21) == pytest.approx(k.avg_g2, rel=1e-12)
@@ -339,6 +341,79 @@ class TestTimeAverages:
             g2_avg_analytic(params, D, D)
         with pytest.raises(DivergentAverageError):
             g2_avg_numeric(params, D, D)
+
+
+def _mixed_family(seed, n=24):
+    """Draws of the verify oracle family, every third one undriven."""
+    rng = np.random.default_rng(seed)
+    points = [_random_params(rng, idx) for idx in range(n)]
+    return [p.with_(rabi=0.0) if idx % 3 == 0 else p
+            for idx, p in enumerate(points)]
+
+
+def _asymmetric_family(seed, n=12):
+    rng = np.random.default_rng(seed)
+    return [CascadeParams(gamma3=rng.uniform(0.2, 2), gamma4=rng.uniform(0.2, 2),
+                          gamma_u=rng.uniform(0, 0.5), gamma12=rng.uniform(0, 2),
+                          gamma21=rng.uniform(0, 2), delta_fs=rng.uniform(0, 10),
+                          rabi=0.0 if idx % 3 == 0 else rng.uniform(0, 35),
+                          detuning=rng.uniform(-100, 100))
+            for idx in range(n)]
+
+
+def _relative_to_point_scale(got, want):
+    """Largest deviation per point, relative to that point's largest slot."""
+    return np.max(np.abs(got - want) / np.max(np.abs(want), axis=0))
+
+
+class TestTwoPhotonResponse:
+    @pytest.mark.parametrize("points", [_mixed_family(2024), _mixed_family(31),
+                                        _asymmetric_family(3)])
+    def test_routes_agree_on_mixed_batches(self, points):
+        analytic = two_photon_response(points)
+        numeric = two_photon_response(points, method="numeric")
+        assert analytic.shape == numeric.shape == (5, len(points))
+        assert _relative_to_point_scale(numeric, analytic) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["analytic", "numeric"])
+    def test_batch_equals_one_point_calls(self, method):
+        points = _mixed_family(7, n=9)
+        batch = two_photon_response(points, method)
+        single = np.column_stack([two_photon_response([p], method)[:, 0]
+                                  for p in points])
+        assert _relative_to_point_scale(batch, single) <= 1e-14
+
+    def test_chsh_at_standard_angles_equals_shortcut(self):
+        # they coincide for symmetric rates: gamma3 = gamma4, gamma12 =
+        # gamma21 and no decay into u, which would favour X1 over X2
+        symmetric = [p for p in _mixed_family(2024, n=16) if p.gamma_u == 0.0]
+        assert any(p.rabi == 0.0 for p in symmetric)
+        for params in symmetric:
+            for method in ("analytic", "numeric"):
+                chsh = bell_s_chsh(params, *STANDARD_CHSH_ANGLES, method=method)
+                shortcut = bell_s_shortcut(params, method=method)
+                assert chsh.s == pytest.approx(shortcut.s, rel=1e-12)
+
+    @pytest.mark.parametrize("divergent", [
+        CascadeParams(gamma4=0.0, rabi=5.0),
+        CascadeParams(gamma3=0.0, rabi=3.0, detuning=1.0),
+        CascadeParams(gamma1=0, gamma2=0, gamma3=0, gamma4=0),
+    ])
+    @pytest.mark.parametrize("method, scalar_call", [
+        ("analytic", g2_avg_analytic), ("numeric", g2_avg_numeric)])
+    def test_divergent_point_refuses_the_batch(self, divergent, method,
+                                               scalar_call):
+        with pytest.raises(DivergentAverageError) as scalar:
+            scalar_call(divergent, D, D)
+        batch = _mixed_family(11, n=6)
+        batch.insert(4, divergent)
+        with pytest.raises(DivergentAverageError) as batched:
+            two_photon_response(batch, method)
+        assert str(batched.value) == str(scalar.value)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="magic"):
+            two_photon_response([CascadeParams()], method="magic")
 
 
 class TestSpecialCases:
