@@ -28,8 +28,8 @@ import numpy as np
 from . import __version__
 from .model import CascadeParams, DetectorSetting, omega_star
 from .correlate import correlation_curve, two_photon_response
-from .observables import (bell_s_chsh, bell_s_from_response, bell_s_shortcut,
-                          degree_from_response, degree_of_correlation)
+from .observables import (_require_finite, bell_s_chsh, bell_s_from_response,
+                          bell_s_shortcut, degree_from_response, degree_of_correlation)
 from .verify import run_all_checks, summarize
 
 PARAM_FIELDS = ("gamma1", "gamma2", "gamma3", "gamma4", "gamma_u",
@@ -58,8 +58,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
-        if not self.stop > self.start:
-            raise ValueError(f"stop must exceed start, got [{self.start}, {self.stop}]")
+        if not -math.inf < self.start < self.stop < math.inf:
+            raise ValueError(f"need finite start < stop, got [{self.start}, {self.stop}]")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -430,6 +430,7 @@ def main(argv=None) -> int:
     if args.command == "degree":
         with _usage_errors(parser):
             params = _resolve_params(args)
+            _require_finite(args.theta)
         degree = degree_of_correlation(params, args.theta)
         print(f"C(theta={_fmt(args.theta)}) = {_fmt(degree.value)}")
         return 0
@@ -437,6 +438,7 @@ def main(argv=None) -> int:
     if args.command == "bell":
         with _usage_errors(parser):
             params = _resolve_params(args)
+            _require_finite(*(args.angles or ()))
         if args.angles is None:
             result = bell_s_shortcut(params)
         else:
@@ -449,9 +451,9 @@ def main(argv=None) -> int:
             params = _resolve_params(args)
             taus = RunConfig(start=0.0, stop=args.tau_max,
                              steps=args.tau_steps).grid()
-        curve = correlation_curve(params, DetectorSetting(args.theta1, args.phi1),
-                                  DetectorSetting(args.theta2, args.phi2),
-                                  taus, method=args.method)
+            det1 = DetectorSetting(args.theta1, args.phi1)
+            det2 = DetectorSetting(args.theta2, args.phi2)
+        curve = correlation_curve(params, det1, det2, taus, method=args.method)
         metadata = _base_metadata("correlate")
         metadata.append(("params", _params_summary(params)))
         metadata.append(("angles", f"theta1={_fmt(args.theta1)} "

@@ -1,15 +1,15 @@
 """Lindblad generator of the cascade and propagation of vectorized operators.
 
 The generator acts on column-major vectorized 5x5 operators: ``vec(X)[i + 5j]
-= X[i, j]``, so ``vec(A X B) = kron(B.T, A) vec(X)``.  It is assembled from
-the Hamiltonian
+= X[i, j]``, so ``vec(A X B) = kron(B.T, A) vec(X)``.  The Hamiltonian
 
     H = delta_fs |X1><X1| - detuning |u><u| - rabi (|X2><u| + |u><X2|)
 
-in the frame rotating at the drive frequency, plus seven radiative and
-population-transfer dissipators.  The splitting enters as a Hamiltonian term
-on |X1> so the cross coherence <X1|rho|X2> picks up its e^{-i delta_fs tau}
-phase from the generator itself.
+in the frame rotating at the drive frequency enters as its commutator; the
+splitting gives the cross coherence <X1|rho|X2> its e^{-i delta_fs tau} phase.
+The seven jumps |lower><upper| at rate r are filled in element by element:
+rho_upper,upper feeds rho_lower,lower at rate r, and rho_ij decays at
+(out_i + out_j) / 2, out_k being the total rate out of level k.
 """
 
 from __future__ import annotations
@@ -45,13 +45,6 @@ def unvectorize(vec: np.ndarray) -> np.ndarray:
     if vec.shape != (DIM,):
         raise ValueError(f"expected a length-{DIM} vector, got {vec.shape}")
     return vec.reshape((N_LEVELS, N_LEVELS), order="F")
-
-
-def _transition(upper: Level, lower: Level) -> np.ndarray:
-    """Lowering operator |lower><upper|."""
-    op = np.zeros((N_LEVELS, N_LEVELS), dtype=complex)
-    op[lower, upper] = 1.0
-    return op
 
 
 @dataclass(frozen=True)
@@ -126,23 +119,22 @@ def build_generator(params: CascadeParams) -> Liouvillian:
     ham[Level.U, Level.X2] = -params.rabi
 
     jumps = (
-        (params.gamma1, _transition(Level.TWO_X, Level.X1)),
-        (params.gamma2, _transition(Level.TWO_X, Level.X2)),
-        (params.gamma3, _transition(Level.X1, Level.G)),
-        (params.gamma4, _transition(Level.X2, Level.G)),
-        (params.gamma_u, _transition(Level.X2, Level.U)),
-        (params.gamma21, _transition(Level.X1, Level.X2)),
-        (params.gamma12, _transition(Level.X2, Level.X1)),
+        (params.gamma1, Level.TWO_X, Level.X1),
+        (params.gamma2, Level.TWO_X, Level.X2),
+        (params.gamma3, Level.X1, Level.G),
+        (params.gamma4, Level.X2, Level.G),
+        (params.gamma_u, Level.X2, Level.U),
+        (params.gamma21, Level.X1, Level.X2),
+        (params.gamma12, Level.X2, Level.X1),
     )
 
     m = -1j * (np.kron(ident, ham) - np.kron(ham.T, ident))
-    for rate, lop in jumps:
-        if rate == 0.0:
-            continue
-        ldl = lop.conj().T @ lop
-        m += rate * (np.kron(lop.conj(), lop)
-                     - 0.5 * np.kron(ident, ldl)
-                     - 0.5 * np.kron(ldl.T, ident))
+    out = np.zeros(N_LEVELS)
+    # the population rho_kk sits at vec index k (N_LEVELS + 1)
+    for rate, upper, lower in jumps:
+        m[lower * (N_LEVELS + 1), upper * (N_LEVELS + 1)] += rate
+        out[upper] += rate
+    m[np.diag_indices(DIM)] -= 0.5 * np.add.outer(out, out).ravel()
     return Liouvillian(m)
 
 
@@ -183,15 +175,15 @@ def propagate_steps(m: np.ndarray, y0: np.ndarray, taus) -> np.ndarray:
 def evolve_grid(gen: Liouvillian, x0, taus) -> np.ndarray:
     """Propagate x0 exactly to every time in ``taus``.
 
-    ``taus`` must be nonnegative and strictly increasing.  Returns an array of
-    shape (len(taus), 5, 5).
+    ``taus`` must be finite, nonnegative and strictly increasing.  Returns an
+    array of shape (len(taus), 5, 5).
     """
     x0 = _as_operator(x0)
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError("taus must be a nonempty 1-d array")
-    if taus[0] < 0 or np.any(np.diff(taus) <= 0):
-        raise ValueError("taus must be nonnegative and strictly increasing")
+    if not np.all(np.isfinite(taus)) or taus[0] < 0 or np.any(np.diff(taus) <= 0):
+        raise ValueError("taus must be finite, nonnegative and strictly increasing")
     vecs = propagate_steps(gen.m, vectorize(x0), taus)
     # row k holds vec(X_k) column-major, so the reshape yields X_k transposed
     return vecs.reshape(taus.size, N_LEVELS, N_LEVELS).transpose(0, 2, 1)
@@ -209,8 +201,8 @@ def evolve(gen: Liouvillian, x0, tau: float, method: str = "ode",
     if method not in ("ode", "expm"):
         raise ValueError(f"unknown method {method!r}, expected 'ode' or 'expm'")
     x0 = _as_operator(x0)
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    if not np.isfinite(tau) or tau < 0:
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
     if tau == 0.0:
         return x0.copy()
     if method == "expm":

@@ -101,6 +101,7 @@ def degree_of_correlation(params: CascadeParams, theta: float,
     analyzer pairs (theta, theta) and (theta, theta + pi/2); theta = 0 gives
     C_H, theta = pi/4 gives C_D.
     """
+    _require_finite(theta)
     value = degree_from_response(two_photon_response([params], method), theta)
     return CorrelationDegree(value=float(value[0]), basis_angle=theta)
 
@@ -109,6 +110,7 @@ def degree_of_correlation_instant(params: CascadeParams, theta: float,
                                   tau: float) -> CorrelationDegree:
     """Instantaneous-delay C(theta; tau), a diagnostic companion of the
     time-averaged degree used by every swept observable."""
+    _require_finite(theta)
     det_co = (DetectorSetting(theta), DetectorSetting(theta))
     det_cross = (DetectorSetting(theta), DetectorSetting(theta + math.pi / 2.0))
     co = g2_analytic(params, *det_co, tau)

@@ -29,6 +29,10 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(start=2.0, stop=1.0, steps=5)
 
+    def test_nonfinite_range_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(start=0.0, stop=math.inf, steps=5)
+
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
@@ -185,6 +189,21 @@ class TestFigures:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith("cascadeg2: error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["degree", "--theta", "nan"],
+        ["bell", "--angles", "nan", "0", "0", "0"],
+        ["correlate", "--tau-max", "5", "--tau-steps", "5", "--theta1", "nan"],
+        ["correlate", "--tau-max", "inf", "--tau-steps", "5"],
+    ])
+    def test_nonfinite_input_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("cascadeg2: error: ")
+        assert "finite" in err
 
     def test_header_names_no_integrator_tolerances(self):
         header = run_figure("3a", {"steps": 2}).metadata

@@ -6,10 +6,10 @@ from scipy.integrate import quad
 
 from cascadeg2 import (CascadeParams, CorrelationCurve, CorrelationKernel,
                        DetectorSetting, DivergentAverageError, JumpOperator,
-                       Level, PhotonStage, SpecialCase, correlation_curve,
-                       g2_analytic, g2_avg_analytic, g2_avg_numeric,
-                       g2_numeric, g2_numeric_grid, omega_pm, special_case,
-                       two_photon_response)
+                       Level, PhotonStage, SpecialCase, build_generator,
+                       correlation_curve, evolve, g2_analytic, g2_avg_analytic,
+                       g2_avg_numeric, g2_numeric, g2_numeric_grid, omega_pm,
+                       special_case, two_photon_response)
 from cascadeg2.observables import (STANDARD_CHSH_ANGLES, bell_s_chsh,
                                    bell_s_shortcut)
 from cascadeg2.verify import _random_params
@@ -179,6 +179,17 @@ class TestOracleEquivalence:
                                gamma_u=0.05, delta_fs=3.0, rabi=8.0, detuning=12.0)
         self._check(params, DetectorSetting(0.35), DetectorSetting(1.25))
         self._check(params, H, D)
+
+    def test_nonfinite_delays_are_bad_input_on_both_routes(self):
+        params = CascadeParams(delta_fs=2.0, rabi=3.0)
+        for taus in ([0.0, math.nan, 1.0], [0.0, math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                g2_numeric_grid(params, H, D, taus)
+            with pytest.raises(ValueError, match="finite"):
+                g2_analytic(params, H, D, taus)
+        for method in ("expm", "ode"):
+            with pytest.raises(ValueError, match="finite"):
+                evolve(build_generator(params), np.eye(5), math.nan, method=method)
 
 
 class TestAgainstClosedFormOracles:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from cascadeg2 import (CascadeParams, DensityMatrix, Level, NumericError,
@@ -67,6 +67,37 @@ def _expected_rows(p: CascadeParams):
     }
 
 
+# The generator in its textbook superoperator form, kept here as the reference
+# for the element fill of build_generator: the Hamiltonian commutator plus,
+# for each jump L = |lower><upper| at rate r,
+# r (kron(L*, L) - 1/2 kron(I, L^dag L) - 1/2 kron((L^dag L)^T, I)).
+def _textbook_generator(p: CascadeParams) -> np.ndarray:
+    ident = np.eye(5, dtype=complex)
+    ham = np.zeros((5, 5), dtype=complex)
+    ham[X1, X1] = p.delta_fs
+    ham[U, U] = -p.detuning
+    ham[X2, U] = ham[U, X2] = -p.rabi
+    m = -1j * (np.kron(ident, ham) - np.kron(ham.T, ident))
+    for rate, upper, lower in ((p.gamma1, UP, X1), (p.gamma2, UP, X2),
+                               (p.gamma3, X1, G), (p.gamma4, X2, G),
+                               (p.gamma_u, X2, U), (p.gamma21, X1, X2),
+                               (p.gamma12, X2, X1)):
+        lop = np.zeros((5, 5), dtype=complex)
+        lop[lower, upper] = 1.0
+        ldl = lop.conj().T @ lop
+        m += rate * (np.kron(lop.conj(), lop) - 0.5 * np.kron(ident, ldl)
+                     - 0.5 * np.kron(ldl.T, ident))
+    return m
+
+
+_RATE = st.floats(0.0, 2.0)
+_PARAMS = st.builds(
+    CascadeParams, gamma1=_RATE, gamma2=_RATE, gamma3=_RATE, gamma4=_RATE,
+    gamma_u=st.floats(0.0, 1.0), gamma12=_RATE, gamma21=_RATE,
+    delta_fs=st.floats(-10.0, 10.0), rabi=st.floats(0.0, 35.0),
+    detuning=st.floats(-100.0, 100.0))
+
+
 class TestVectorization:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
@@ -100,6 +131,15 @@ class TestGeneratorCoefficients:
                     target[_idx(col)] = coeff
                 # coefficient-by-coefficient, including absent entries
                 assert np.max(np.abs(row - target)) <= 1e-14
+
+    @settings(derandomize=True, deadline=None)
+    @given(_PARAMS)
+    @example(CascadeParams(gamma1=0, gamma2=0, gamma3=0, gamma4=0,
+                           delta_fs=4.0, rabi=35.0, detuning=-100.0))
+    def test_element_fill_matches_textbook_form(self, params):
+        # all 625 entries, any splitting, zero and asymmetric rates
+        diff = build_generator(params).m - _textbook_generator(params)
+        assert np.max(np.abs(diff)) <= 1e-15
 
     def test_splitting_enters_intermediate_coherences(self):
         base = CascadeParams(delta_fs=0.0, rabi=3.0, detuning=7.0)

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from cascadeg2 import (CascadeParams, DetectorSetting, omega_pm, omega_star,
+from cascadeg2 import (CascadeParams, DetectorSetting, degree_of_correlation,
+                       degree_of_correlation_instant, omega_pm, omega_star,
                        polarization_rotation)
 
 
@@ -94,11 +96,18 @@ class TestPolarizationRotation:
             assert np.max(np.abs(gram - np.eye(2))) < 1e-14
 
     def test_nonfinite_angles_rejected(self):
+        params = CascadeParams()
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="theta"):
                 DetectorSetting(bad)
             with pytest.raises(ValueError, match="phi"):
                 DetectorSetting(0.3, bad)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="must be finite"):
+                    degree_of_correlation(params, bad)
+                with pytest.raises(ValueError, match="must be finite"):
+                    degree_of_correlation_instant(params, bad, 1.0)
 
 
 class TestCascadeParams:
