@@ -93,36 +93,26 @@ def _params_summary(params: CascadeParams) -> str:
                     for name in PARAM_FIELDS)
 
 
+def _key_value(text: str, where: str) -> tuple[str, float]:
+    """Parse one ``key = value`` pair; dashes in the key become underscores."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise ValueError(f"{where}: expected 'key = value'")
+    try:
+        return key.strip().replace("-", "_"), float(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def load_config(path: str) -> dict[str, float]:
     """Parse a flat ``key = value`` config file; # starts a comment."""
-    values: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            try:
-                values[key] = float(value.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return values
+        lines = [(n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(fh, 1)]
+    return dict(_key_value(line, f"{path}:{n}") for n, line in lines if line)
 
 
 def _parse_overrides(pairs) -> dict[str, float]:
-    overrides: dict[str, float] = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise ValueError(f"override {pair!r} is not of the form key=value")
-        key, _, value = pair.partition("=")
-        try:
-            overrides[key.strip().replace("-", "_")] = float(value)
-        except ValueError:
-            raise ValueError(f"override {pair!r}: {value!r} is not a number") from None
-    return overrides
+    return dict(_key_value(pair, f"override {pair!r}") for pair in pairs or ())
 
 
 def _base_metadata(command: str) -> list[tuple[str, str]]:
@@ -136,26 +126,35 @@ def _check_param_keys(keys, what: str) -> None:
                              f"{', '.join(PARAM_FIELDS + ('gamma_d',))}")
 
 
+def _layered_params(*layers: dict[str, float]) -> dict[str, float]:
+    """Merge parameter layers into CascadeParams fields; a later layer wins.
+
+    gamma_d sets gamma12 and gamma21 together, but within one layer an
+    explicit gamma12 or gamma21 beats it, whatever the order of the keys.
+    """
+    values: dict[str, float] = {}
+    for layer in layers:
+        if "gamma_d" in layer:
+            values["gamma12"] = values["gamma21"] = layer["gamma_d"]
+        values.update((k, v) for k, v in layer.items() if k != "gamma_d")
+    return values
+
+
 def _apply_param_overrides(params: CascadeParams,
                            overrides: dict[str, float]) -> CascadeParams:
     _check_param_keys(overrides, "override")
-    changes = {}
-    for key, value in overrides.items():
-        if key == "gamma_d":
-            changes["gamma12"] = changes["gamma21"] = value
-        else:
-            changes[key] = value
+    changes = _layered_params(overrides)
     return params.with_(**changes) if changes else params
 
 
-def _figure_curves(fig_id: str, gamma_u: float):
+def _figure_curves(fig_id: str):
     """Parameter sets for the predefined figure sweeps.
 
     The drive condition of the detuned curves is rabi = omega_star(delta_fs,
     detuning); detunings follow the 5 x delta_fs regime of the split-doublet
     sweep (10 x for the delta_fs = 10 panel).
     """
-    base = CascadeParams(gamma_u=gamma_u)
+    base = CascadeParams(gamma_u=CLI_DEFAULT_GAMMA_U)
 
     def detuned(dfs: float, factor: float = 5.0) -> CascadeParams:
         delta = factor * dfs
@@ -232,9 +231,8 @@ def _figure_plan(fig_id: str, overrides: dict[str, float] | None):
     here, before anything is evaluated.
     """
     overrides = dict(overrides or {})
-    gamma_u = overrides.pop("gamma_u", CLI_DEFAULT_GAMMA_U)
     steps = int(overrides.pop("steps", 0)) or None
-    kind, curves = _figure_curves(fig_id, gamma_u)
+    kind, curves = _figure_curves(fig_id)
     start, stop, default_steps, axis, swept = _FIGURE_AXES[kind]
     xs = RunConfig(start=start, stop=stop, steps=steps or default_steps).grid()
 
@@ -323,21 +321,13 @@ def _add_param_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_params(args) -> CascadeParams:
+    """Defaults < config file < flags, by :func:`_layered_params`."""
     config = load_config(args.config) if args.config else {}
     _check_param_keys(config, f"key in {args.config}")
-    values = {}
-    for name in PARAM_FIELDS:
-        cli_value = getattr(args, name)
-        if cli_value is not None:
-            values[name] = cli_value
-        elif name in config:
-            values[name] = config[name]
-    gamma_d = args.gamma_d if args.gamma_d is not None else config.get("gamma_d")
-    if gamma_d is not None:
-        values.setdefault("gamma12", gamma_d)
-        values.setdefault("gamma21", gamma_d)
-    values.setdefault("gamma_u", CLI_DEFAULT_GAMMA_U)
-    return CascadeParams(**values)
+    flags = {name: getattr(args, name) for name in PARAM_FIELDS + ("gamma_d",)
+             if getattr(args, name) is not None}
+    return CascadeParams(**_layered_params({"gamma_u": CLI_DEFAULT_GAMMA_U},
+                                           config, flags))
 
 
 def _write_result(result: SweepResult, out: str | None) -> None:

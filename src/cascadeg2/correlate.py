@@ -23,9 +23,12 @@ Time-averaged correlations integrate the same quantities over tau in
 averages of the four population propagators and of the coherence kernel.
 ``two_photon_response`` computes them for a whole batch of points, by
 either route as a Laplace transform at zero frequency: from the closed-form
-kernels (stacked 2x2 inverses and 5x5 solves), or as the exact resolvent of
-the full generator restricted to the elements that the conditioned state
-reaches and the second detection sees (one linear solve per point).
+coherence kernel and population block, or from the full generator
+restricted to the elements that the conditioned state reaches and the
+second detection sees.  Both routes take every averaged block through one
+resolvent, ``_resolvent``: a stack of blocks M is refused with
+DivergentAverageError if a mode decays slower than the floor, else -M x = y0
+is solved for the integral x of e^{M tau} y0.
 ``g2_avg_analytic`` and ``g2_avg_numeric`` are one-point calls of it.
 On a delay grid the full generator and the driven population block are
 propagated exactly by stepping with one matrix exponential per distinct
@@ -42,8 +45,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DivergentAverageError
-from .liouvillian import (DEFAULT_ATOL, DEFAULT_RTOL, Liouvillian,
-                          build_generator, evolve, evolve_grid,
+from .liouvillian import (Liouvillian, build_generator, evolve, evolve_grid,
                           propagate_steps)
 from .model import Level, N_LEVELS, CascadeParams, DetectorSetting, omega_pm
 
@@ -254,8 +256,6 @@ class CorrelationKernel:
         p = self.params
         numer = 1j * (p.delta_fs + p.detuning) + 0.5 * (p.gamma3 + p.gamma21)
         denom = (self.a0 - 1j * p.delta_fs) ** 2 + self.mu * self.mu / 16.0
-        if np.any(np.abs(denom) < 1e-14):
-            raise DivergentAverageError("coherence average denominator vanishes")
         return numer / denom
 
     def coherence_eigenvalues(self) -> tuple[complex, complex]:
@@ -384,16 +384,15 @@ def g2_numeric_grid(params: CascadeParams, det1: DetectorSetting,
 
 
 def g2_numeric(params: CascadeParams, det1: DetectorSetting,
-               det2: DetectorSetting, tau: float, method: str = "ode",
-               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> float:
+               det2: DetectorSetting, tau: float, method: str = "ode") -> float:
     """Regression-theorem correlation at a single delay.
 
-    method "ode" integrates adaptively (DOP853 at rtol/atol); method "expm"
-    takes one dense matrix exponential.
+    method "ode" integrates adaptively (DOP853, see :func:`evolve`); method
+    "expm" takes one dense matrix exponential.
     """
     taus, _ = _validate_taus(float(tau))
     op = evolve(build_generator(params), _conditioned_state(det1), taus[0],
-                method=method, rtol=rtol, atol=atol)
+                method=method)
     return float(4.0 * np.real(np.trace(_detection_projector(det2) @ op)))
 
 
@@ -413,31 +412,20 @@ def correlation_curve(params: CascadeParams, det1: DetectorSetting,
     return CorrelationCurve(taus, values)
 
 
-def _population_averages(p) -> np.ndarray:
-    """Zero-frequency Laplace transforms (P11, P12, P21, P22) of the population
-    propagators for stacked rates, shape (4, n).
+def _resolvent(blocks: np.ndarray, rhs: np.ndarray, sector: str) -> np.ndarray:
+    """The integrals over tau in [0, inf) of e^{M tau} rhs for a stack of
+    blocks M: the solutions x of -M x = rhs.
 
-    Undriven points invert their 2x2 rate block, driven points solve their
-    5x5 block for its first two unit columns; both as one stacked call.
+    Every averaged block of both routes is solved here.  An integral exists
+    only if every mode of M decays faster than the refusal floor; otherwise,
+    or if the solve fails, raise DivergentAverageError naming the sector.
     """
-    m = _population_generator(p)
-    driven = p.rabi != 0.0
-    out = np.empty((2, 2, driven.size), dtype=complex)
-    for mask, size in ((~driven, 2), (driven, 5)):
-        if not mask.any():
-            continue
-        block = m[mask, :size, :size]
-        if np.min(-np.linalg.eigvals(block).real) <= _DECAY_FLOOR:
-            raise DivergentAverageError("population sector has a non-decaying mode")
-        if size == 2:
-            cols = np.linalg.inv(-block.real)
-        else:
-            try:
-                cols = np.linalg.solve(-block, np.eye(5, 2, dtype=complex))
-            except np.linalg.LinAlgError as exc:
-                raise DivergentAverageError(str(exc)) from None
-        out[:, :, mask] = cols[:, :2, :2].transpose(1, 2, 0)
-    return out.reshape(4, driven.size)
+    if np.max(np.linalg.eigvals(blocks).real) >= -_DECAY_FLOOR:
+        raise DivergentAverageError(f"{sector} has a non-decaying mode")
+    try:
+        return np.linalg.solve(-blocks, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise DivergentAverageError(str(exc)) from None
 
 
 def _closed_form_response(points) -> np.ndarray:
@@ -445,8 +433,16 @@ def _closed_form_response(points) -> np.ndarray:
     lam_plus, lam_minus = kernel.coherence_eigenvalues()
     if np.any(np.maximum(lam_plus.real, lam_minus.real) >= -_DECAY_FLOOR):
         raise DivergentAverageError("coherence sector has a non-decaying mode")
+    m = _population_generator(kernel.params)
+    driven = kernel.params.rabi != 0.0
     response = np.empty((5, len(points)), dtype=complex)
-    response[:4] = _population_averages(kernel.params)
+    # undriven points average their 2x2 rate block, driven points the 5x5
+    # block; the X1 and X2 rows of the first two columns are the slots
+    for mask, size in ((~driven, 2), (driven, 5)):
+        if mask.any():
+            cols = _resolvent(m[mask, :size, :size], np.eye(size, 2),
+                              "population sector")
+            response[:4, mask] = cols[:, :2].transpose(1, 2, 0).reshape(4, -1)
     response[4] = kernel.avg_w
     return response
 
@@ -479,13 +475,11 @@ def _resolvent_response(points) -> np.ndarray:
         sector = _average_sector(levels)
         m_ss = np.array([build_generator(points[k]).m[np.ix_(sector, sector)]
                          for k in np.flatnonzero(mask)])
-        if np.max(np.linalg.eigvals(m_ss).real) >= -_DECAY_FLOOR:
-            raise DivergentAverageError(
-                "the averaged sector of the generator has a non-decaying mode")
         # sector positions of X1X1, X2X2 and X1X2 (X1 and X2 lead ``levels``)
         n = len(levels)
         x11, x22, x12 = 0, n + 1, n
-        x = np.linalg.solve(m_ss, -np.eye(n * n)[:, [x11, x22, x12]])
+        x = _resolvent(m_ss, np.eye(n * n)[:, [x11, x22, x12]],
+                       "the averaged sector of the generator")
         response[:, mask] = (x[:, x11, 0], x[:, x11, 1], x[:, x22, 0],
                              x[:, x22, 1], x[:, x12, 2])
     return response

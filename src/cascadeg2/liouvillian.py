@@ -189,14 +189,13 @@ def evolve_grid(gen: Liouvillian, x0, taus) -> np.ndarray:
     return vecs.reshape(taus.size, N_LEVELS, N_LEVELS).transpose(0, 2, 1)
 
 
-def evolve(gen: Liouvillian, x0, tau: float, method: str = "ode",
-           rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> np.ndarray:
+def evolve(gen: Liouvillian, x0, tau: float, method: str = "ode") -> np.ndarray:
     """Return exp(M tau) applied to the operator x0.
 
-    method "ode" uses adaptive DOP853 integration, kept as an independent
-    cross-check; method "expm" uses the dense scaling-and-squaring matrix
-    exponential.  Both agree to better than 1e-8 over the rate and drive
-    ranges this package sweeps.
+    method "ode" uses adaptive DOP853 integration at DEFAULT_RTOL and
+    DEFAULT_ATOL, kept as an independent cross-check; method "expm" uses the
+    dense scaling-and-squaring matrix exponential.  Both agree to better than
+    1e-8 over the rate and drive ranges this package sweeps.
     """
     if method not in ("ode", "expm"):
         raise ValueError(f"unknown method {method!r}, expected 'ode' or 'expm'")
@@ -208,7 +207,7 @@ def evolve(gen: Liouvillian, x0, tau: float, method: str = "ode",
     if method == "expm":
         return unvectorize(propagate_steps(gen.m, vectorize(x0), [tau])[0])
     sol = solve_ivp(lambda _t, y: gen.m @ y, (0.0, float(tau)), vectorize(x0),
-                    method="DOP853", rtol=rtol, atol=atol)
+                    method="DOP853", rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL)
     if not sol.success or not np.all(np.isfinite(sol.y)):
         raise NumericError(f"ODE propagation failed: {sol.message}")
     return unvectorize(sol.y[:, -1])

@@ -273,6 +273,34 @@ class TestCommands:
             assert float(x) == pytest.approx(tau)
             assert float(val) == pytest.approx(value, abs=1e-12)
 
+    @pytest.mark.parametrize("argv, config, gamma12", [
+        # within one layer an explicit gamma12 beats gamma_d in either order
+        (["figure", "4a", "--override", "gamma12=0.3",
+          "--override", "gamma_d=1"], None, 0.3),
+        (["figure", "4a", "--override", "gamma_d=1",
+          "--override", "gamma12=0.3"], None, 0.3),
+        # a later layer wins: flags over the config file
+        (["sweep", "--gamma-d", "1"], "gamma12 = 0.3\n", 1.0),
+        (["sweep", "--gamma12", "0.3"], "gamma_d = 1\n", 0.3),
+    ], ids=["gamma12-then-gamma_d", "gamma_d-then-gamma12", "flag-over-config",
+            "flag-gamma12-over-config-gamma_d"])
+    def test_parameter_precedence(self, tmp_path, argv, config, gamma12):
+        if argv[0] == "sweep":
+            argv = argv + ["--axis", "rabi", "--start", "0", "--stop", "1",
+                           "--steps", "2"]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+            argv = argv + ["--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        # the first curve or base line of the header
+        header = next(line for line in out.read_text().splitlines()
+                      if "gamma12=" in line)
+        values = dict(item.split("=") for item in header.split(" = ", 1)[1].split()
+                      if "=" in item)
+        assert float(values["gamma12"]) == gamma12
+        assert float(values["gamma21"]) == 1.0
+
     def test_sweep_command_to_stdout(self, capsys):
         assert main(["sweep", "--axis", "delta_fs", "--start", "0",
                      "--stop", "2", "--steps", "2", "--observables", "c_h",
