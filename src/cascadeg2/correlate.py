@@ -6,12 +6,13 @@ Two independent routes compute the same normalized correlation:
   generator: G(tau) = 4 Tr[ B^dag B  e^{M tau}( A |2X><2X| A^dag ) ] with A
   and B the polarization-projected first- and second-photon jump operators.
 
-* ``g2_analytic`` evaluates the same quantity from the closed-form solution
-  of the conditioned dynamics: the cross coherence <X1|.|X2> obeys a 2x2
-  linear system solved in closed form (the kernel ``w``), while the
-  population sector (X1, X2, u populations plus the driven X2-u coherences)
-  is a 5x5 linear block propagated exactly.  With the drive off the
-  population propagators reduce to the hyperbolic kernels f1, f2, g1, g2.
+* ``g2_analytic`` evaluates the same quantity from two hand-written blocks
+  of the conditioned dynamics: the 2x2 cross-coherence block (rho_X1X2,
+  rho_X1u), whose X1X2 entry of e^{C tau} is the coherence kernel ``w``, and
+  the 5x5 population block (X1, X2, u populations plus the driven X2-u
+  coherences).  One closed-form 2x2 exponential, ``_expm2``, gives ``w`` and,
+  with the drive off, the population propagators from the leading 2x2 rate
+  block; the driven population block is propagated exactly by stepping.
 
 The normalization sets the dimensional emission prefactor to one and
 conditions on the emitter occupying |2X> at the first detection, so the
@@ -22,13 +23,15 @@ Time-averaged correlations integrate the same quantities over tau in
 (cos 2theta_i, sin 2theta_i) of five numbers per parameter point: the
 averages of the four population propagators and of the coherence kernel.
 ``two_photon_response`` computes them for a whole batch of points, by
-either route as a Laplace transform at zero frequency: from the closed-form
-coherence kernel and population block, or from the full generator
-restricted to the elements that the conditioned state reaches and the
-second detection sees.  Both routes take every averaged block through one
-resolvent, ``_resolvent``: a stack of blocks M is refused with
-DivergentAverageError if a mode decays slower than the floor, else -M x = y0
-is solved for the integral x of e^{M tau} y0.
+either route as a Laplace transform at zero frequency: from the two blocks,
+or from the full generator restricted to the elements that the conditioned
+state reaches and the second detection sees.  The population blocks and the
+generator blocks go through one resolvent, ``_resolvent``: a stack of
+blocks M is refused with DivergentAverageError if a mode decays slower than
+the floor, else -M x = y0 is solved for the integral x of e^{M tau} y0.  The
+coherence average is the X1X2 entry of -C^{-1}, written out, and refused by
+the same floor on the eigenvalues of C that the average reaches: rho_X1X2
+alone without the drive, both with it.
 ``g2_avg_analytic`` and ``g2_avg_numeric`` are one-point calls of it.
 On a delay grid the full generator and the driven population block are
 propagated exactly by stepping with one matrix exponential per distinct
@@ -49,8 +52,8 @@ from .liouvillian import (Liouvillian, build_generator, evolve, evolve_grid,
                           propagate_steps)
 from .model import Level, N_LEVELS, CascadeParams, DetectorSetting, omega_pm
 
-# Below this argument size the oscillatory/hyperbolic kernel ratios switch to
-# a 3-term Taylor series to avoid 0/0.
+# Below this argument size sinh(z)/z switches to a 3-term Taylor series to
+# avoid 0/0.
 _SERIES_CUTOFF = 1e-4
 
 # A time average exists only if every mode of the sector it integrates
@@ -118,157 +121,37 @@ def _sinhc(z: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + z2 / 6.0 + z2 * z2 / 120.0, np.sinh(safe) / safe)
 
 
-def _sinc(z: np.ndarray) -> np.ndarray:
-    """sin(z)/z with a series limit near z = 0."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < _SERIES_CUTOFF
-    safe = np.where(small, 1.0, z)
-    z2 = z * z
-    return np.where(small, 1.0 - z2 / 6.0 + z2 * z2 / 120.0, np.sin(safe) / safe)
+def _split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half trace s and a root h of ((m00 - m11)/2)^2 + m01 m10 of 2x2 blocks.
 
-
-@dataclass(frozen=True)
-class CorrelationKernel:
-    """Closed-form kernel coefficients of the conditioned cascade dynamics.
-
-    a0  decay/rotation constant of the cross-coherence sector,
-        -(2 gamma3 + 2 gamma21 + gamma4 + gamma12 + gamma_u + 2i delta)/4
-    b0  mean population decay, -(gamma3 + gamma4 + gamma21 + gamma12 + gamma_u)/2
-    eta population eigenvalue splitting,
-        sqrt((gamma3 - gamma4 + gamma21 - gamma12 - gamma_u)^2
-             + 4 gamma12 gamma21)
-    mu  coherence-sector splitting,
-        sqrt(16 rabi^2 - (gamma4 + gamma12 + gamma_u - 2i delta)^2)
-
-    Both square roots take the principal branch.  The hyperbolic population
-    kernels f1, f2, g1, g2 solve the undriven two-level rate system and are
-    exact whenever rabi = 0; the coherence kernel w is exact for all
-    parameters.  Built from stacked rates (:func:`_stacked`), the
-    coefficients, time averages and coherence eigenvalues are arrays with
-    one entry per point.
+    The eigenvalues of each block are s + h and s - h.
     """
+    s = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
+    h = np.sqrt(0.25 * (m[..., 0, 0] - m[..., 1, 1]) ** 2
+                + m[..., 0, 1] * m[..., 1, 0] + 0j)
+    return s, h
 
-    a0: complex
-    b0: complex
-    eta: complex
-    mu: complex
-    params: CascadeParams
 
-    @classmethod
-    def from_params(cls, params: CascadeParams) -> "CorrelationKernel":
-        p = params
-        a0 = -0.25 * (2 * p.gamma3 + 2 * p.gamma21 + p.gamma4 + p.gamma12
-                      + p.gamma_u + 2j * p.detuning)
-        b0 = -0.5 * (p.gamma3 + p.gamma4 + p.gamma21 + p.gamma12 + p.gamma_u) + 0j
-        d = p.gamma3 - p.gamma4 + p.gamma21 - p.gamma12 - p.gamma_u
-        eta = np.sqrt(d * d + 4.0 * p.gamma12 * p.gamma21 + 0j)
-        q = p.gamma4 + p.gamma12 + p.gamma_u - 2j * p.detuning
-        mu = np.sqrt(16.0 * p.rabi ** 2 - q * q)
-        if np.ndim(mu) == 0:
-            a0, b0, eta, mu = complex(a0), complex(b0), complex(eta), complex(mu)
-        return cls(a0, b0, eta, mu, p)
+def _expm2(m: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """e^{m tau} of one 2x2 block m for every tau, shape (len(taus), 2, 2).
 
-    @property
-    def _d(self) -> float:
-        p = self.params
-        return p.gamma3 - p.gamma4 + p.gamma21 - p.gamma12 - p.gamma_u
-
-    @property
-    def _q(self) -> complex:
-        p = self.params
-        return p.gamma4 + p.gamma12 + p.gamma_u - 2j * p.detuning
-
-    @property
-    def zeta(self) -> complex:
-        """mu/4 expressed through Gamma_1; defined for symmetric rates only."""
-        p = self.params
-        return complex(np.sqrt(p.rabi ** 2
-                               - (p.big_gamma1 / 4.0 - 0.5j * p.detuning) ** 2))
-
-    def _hyperbolic(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        env = np.exp(self.b0 * tau)
-        half = 0.5 * self.eta * tau
-        return env, env * np.cosh(half), env * 0.5 * tau * _sinhc(half)
-
-    def f1(self, tau) -> np.ndarray:
-        """X1 -> X1 population propagator (drive off)."""
-        tau = np.asarray(tau, dtype=float)
-        _, ch, sh = self._hyperbolic(tau)
-        return ch - self._d * sh
-
-    def f2(self, tau) -> np.ndarray:
-        """X2 -> X1 population propagator (drive off)."""
-        tau = np.asarray(tau, dtype=float)
-        _, _, sh = self._hyperbolic(tau)
-        return 2.0 * self.params.gamma12 * sh
-
-    def g1(self, tau) -> np.ndarray:
-        """X2 -> X2 population propagator (drive off)."""
-        tau = np.asarray(tau, dtype=float)
-        _, ch, sh = self._hyperbolic(tau)
-        return ch + self._d * sh
-
-    def g2(self, tau) -> np.ndarray:
-        """X1 -> X2 population propagator (drive off)."""
-        tau = np.asarray(tau, dtype=float)
-        _, _, sh = self._hyperbolic(tau)
-        return 2.0 * self.params.gamma21 * sh
-
-    def w(self, tau) -> np.ndarray:
-        """Cross-coherence propagator <X1|.|X2>, exact for all parameters.
-
-        w(tau) = e^{(a0 - i delta_fs) tau} [cos(mu tau/4)
-                 - ((gamma4 + gamma12 + gamma_u - 2i delta)/mu) sin(mu tau/4)]
-        """
-        tau = np.asarray(tau, dtype=float)
-        quarter = 0.25 * self.mu * tau
-        env = np.exp((self.a0 - 1j * self.params.delta_fs) * tau)
-        return env * (np.cos(quarter) - self._q * 0.25 * tau * _sinc(quarter))
-
-    # Time averages over tau in [0, inf).  The population averages F1..G2 are
-    # the zero-frequency Laplace transforms of f1..g2; they remain exact with
-    # the drive on whenever gamma_u = 0.  The coherence average is exact
-    # always.
-    @property
-    def _population_denominator(self) -> complex:
-        return self.b0 * self.b0 - 0.25 * self.eta * self.eta
-
-    @property
-    def avg_f1(self) -> complex:
-        p = self.params
-        return (p.gamma4 + p.gamma12 + p.gamma_u) / self._population_denominator
-
-    @property
-    def avg_f2(self) -> complex:
-        return self.params.gamma12 / self._population_denominator
-
-    @property
-    def avg_g1(self) -> complex:
-        p = self.params
-        return (p.gamma3 + p.gamma21) / self._population_denominator
-
-    @property
-    def avg_g2(self) -> complex:
-        return self.params.gamma21 / self._population_denominator
-
-    @property
-    def avg_w(self) -> complex:
-        p = self.params
-        numer = 1j * (p.delta_fs + p.detuning) + 0.5 * (p.gamma3 + p.gamma21)
-        denom = (self.a0 - 1j * p.delta_fs) ** 2 + self.mu * self.mu / 16.0
-        return numer / denom
-
-    def coherence_eigenvalues(self) -> tuple[complex, complex]:
-        """Eigenvalues of the cross-coherence sector."""
-        shift = self.a0 - 1j * self.params.delta_fs
-        return shift + 0.25j * self.mu, shift - 0.25j * self.mu
+    e^{m tau} = e^{s tau} [cosh(h tau) I + (m - s I) tau sinhc(h tau)], with
+    s and h from :func:`_split`.  Both factors are even in h, so the branch of
+    its square root does not matter, and the series limit of sinhc covers
+    the exceptional point h = 0.
+    """
+    s, h = _split(m)
+    t = np.asarray(taus, dtype=float)[:, None, None]
+    eye = np.eye(2)
+    return np.exp(s * t) * (np.cosh(h * t) * eye
+                            + (m - s * eye) * t * _sinhc(h * t))
 
 
 def _stacked(points) -> SimpleNamespace:
     """The rates of a sequence of CascadeParams as arrays, one entry per point.
 
-    The attributes carry the CascadeParams field names, so the kernel and
-    population-block formulas evaluate a whole batch at once.
+    The attributes carry the CascadeParams field names, so the coherence and
+    population blocks are built for a whole batch at once.
     """
     fields = ("gamma3", "gamma4", "gamma_u", "gamma12", "gamma21", "delta_fs",
               "rabi", "detuning")
@@ -277,12 +160,29 @@ def _stacked(points) -> SimpleNamespace:
     return SimpleNamespace(**dict(zip(fields, table.T)))
 
 
+def _coherence_generator(params) -> np.ndarray:
+    """Generator of the conditioned cross coherence.
+
+    Basis: (rho_X1X2, rho_X1u).  The drive couples the X1-X2 coherence to the
+    X1-u coherence; the eigenvalue split of this block is the dressed-state
+    splitting.  Stacked rates give one 2x2 block per point, shape (n, 2, 2).
+    """
+    p = params
+    alpha1 = p.gamma3 + p.gamma21
+    alpha2 = p.gamma4 + p.gamma_u + p.gamma12
+    m = np.zeros(np.shape(alpha1) + (2, 2), dtype=complex)
+    m[..., 0, 0] = -(0.5 * (alpha1 + alpha2) + 1j * p.delta_fs)
+    m[..., 1, 1] = -(0.5 * alpha1 + 1j * (p.delta_fs + p.detuning))
+    m[..., 0, 1] = m[..., 1, 0] = -1j * p.rabi
+    return m
+
+
 def _population_generator(params) -> np.ndarray:
     """Generator of the conditioned population sector.
 
     Basis: (rho_X1X1, rho_X2X2, rho_uu, rho_X2u, rho_uX2).  The drive couples
     the X2 population to u, so the pointwise propagators depend on rabi and
-    detuning; the hyperbolic kernels are the rabi = 0 restriction.  Stacked
+    detuning; without it the leading 2x2 rate block is closed.  Stacked
     rates give one 5x5 block per point, shape (n, 5, 5).
     """
     p = params
@@ -303,15 +203,14 @@ def _population_generator(params) -> np.ndarray:
 
 def _population_propagators(params: CascadeParams, taus: np.ndarray):
     """Exact population propagators (P11, P12, P21, P22) on the tau grid."""
+    m = _population_generator(params)
     if params.rabi == 0.0:
-        kernel = CorrelationKernel.from_params(params)
-        return (kernel.f1(taus), kernel.f2(taus),
-                kernel.g2(taus), kernel.g1(taus))
-    # the first two columns of the propagator, stepped along the sorted grid
-    order = np.argsort(taus, kind="stable")
-    cols = np.empty((taus.size, 5, 2), dtype=complex)
-    cols[order] = propagate_steps(_population_generator(params),
-                                  np.eye(5, 2, dtype=complex), taus[order])
+        cols = _expm2(m[:2, :2], taus)
+    else:
+        # the first two columns of the propagator, stepped along the sorted grid
+        order = np.argsort(taus, kind="stable")
+        cols = np.empty((taus.size, 5, 2), dtype=complex)
+        cols[order] = propagate_steps(m, np.eye(5, 2, dtype=complex), taus[order])
     return cols[:, 0, 0], cols[:, 0, 1], cols[:, 1, 0], cols[:, 1, 1]
 
 
@@ -351,8 +250,8 @@ def g2_analytic(params: CascadeParams, det1: DetectorSetting,
                 det2: DetectorSetting, tau):
     """Closed-form normalized correlation at delay tau (scalar or array)."""
     taus, scalar = _validate_taus(tau)
-    kernel = CorrelationKernel.from_params(params)
-    response = (*_population_propagators(params, taus), kernel.w(taus))
+    w = _expm2(_coherence_generator(params), taus)[:, 0, 0]
+    response = (*_population_propagators(params, taus), w)
     value = _braces(response, det1.theta, det2.theta, det1.phi + det2.phi)
     return float(value[0]) if scalar else value
 
@@ -416,7 +315,7 @@ def _resolvent(blocks: np.ndarray, rhs: np.ndarray, sector: str) -> np.ndarray:
     """The integrals over tau in [0, inf) of e^{M tau} rhs for a stack of
     blocks M: the solutions x of -M x = rhs.
 
-    Every averaged block of both routes is solved here.  An integral exists
+    Every population and generator block is solved here.  An integral exists
     only if every mode of M decays faster than the refusal floor; otherwise,
     or if the solve fails, raise DivergentAverageError naming the sector.
     """
@@ -429,12 +328,15 @@ def _resolvent(blocks: np.ndarray, rhs: np.ndarray, sector: str) -> np.ndarray:
 
 
 def _closed_form_response(points) -> np.ndarray:
-    kernel = CorrelationKernel.from_params(_stacked(points))
-    lam_plus, lam_minus = kernel.coherence_eigenvalues()
-    if np.any(np.maximum(lam_plus.real, lam_minus.real) >= -_DECAY_FLOOR):
+    params = _stacked(points)
+    c = _coherence_generator(params)
+    driven = params.rabi != 0.0
+    # without the drive rho_X1X2 evolves alone; with it, both modes count
+    s, h = _split(c)
+    slowest = np.where(driven, s.real + np.abs(h.real), c[:, 0, 0].real)
+    if np.any(slowest >= -_DECAY_FLOOR):
         raise DivergentAverageError("coherence sector has a non-decaying mode")
-    m = _population_generator(kernel.params)
-    driven = kernel.params.rabi != 0.0
+    m = _population_generator(params)
     response = np.empty((5, len(points)), dtype=complex)
     # undriven points average their 2x2 rate block, driven points the 5x5
     # block; the X1 and X2 rows of the first two columns are the slots
@@ -443,7 +345,9 @@ def _closed_form_response(points) -> np.ndarray:
             cols = _resolvent(m[mask, :size, :size], np.eye(size, 2),
                               "population sector")
             response[:4, mask] = cols[:, :2].transpose(1, 2, 0).reshape(4, -1)
-    response[4] = kernel.avg_w
+    # avg_w is the X1X2 entry of -c^{-1}
+    det = c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]
+    response[4] = -c[:, 1, 1] / det
     return response
 
 
@@ -493,8 +397,8 @@ def two_photon_response(points, method: str = "analytic") -> np.ndarray:
     integrals over tau in [0, inf) of the population propagators X1 -> X1,
     X2 -> X1, X1 -> X2, X2 -> X2 and of the coherence kernel w.  Every
     averaged coincidence is :func:`_braces` of it.  method "analytic" uses
-    the closed-form kernels and the population block, "numeric" the
-    resolvent of the full generator.  Raises DivergentAverageError if any
+    the coherence and population blocks, "numeric" the resolvent of the
+    full generator.  Raises DivergentAverageError if any
     point has a mode decaying slower than the refusal floor.
     """
     if method == "analytic":

@@ -157,6 +157,10 @@ class TestFigures:
 
     @pytest.mark.parametrize("argv, golden", [
         (["figure", "3a", "--override", "steps=11"], "figure_3a_steps11.csv"),
+        (["figure", "3b", "--override", "steps=11"], "figure_3b_steps11.csv"),
+        (["figure", "3c", "--override", "steps=11"], "figure_3c_steps11.csv"),
+        (["figure", "4a", "--override", "steps=11"], "figure_4a_steps11.csv"),
+        (["figure", "4b", "--override", "steps=11"], "figure_4b_steps11.csv"),
         (["figure", "5", "--override", "steps=11"], "figure_5_steps11.csv"),
         (["figure", "6", "--override", "steps=11"], "figure_6_steps11.csv"),
         (["sweep", "--axis", "rabi", "--start", "0", "--stop", "10",

@@ -1,17 +1,20 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from cascadeg2 import (CascadeParams, CorrelationCurve, CorrelationKernel,
-                       DetectorSetting, DivergentAverageError, JumpOperator,
-                       Level, PhotonStage, SpecialCase, build_generator,
-                       correlation_curve, evolve, g2_analytic, g2_avg_analytic,
-                       g2_avg_numeric, g2_numeric, g2_numeric_grid, omega_pm,
-                       special_case, two_photon_response)
-from cascadeg2.correlate import _average_sector
+from cascadeg2 import (CascadeParams, CorrelationCurve, DetectorSetting,
+                       DivergentAverageError, JumpOperator, Level, PhotonStage,
+                       SpecialCase, TSIRELSON_BOUND, build_generator,
+                       correlation_curve, degree_of_correlation, evolve,
+                       g2_analytic, g2_avg_analytic, g2_avg_numeric,
+                       g2_numeric, g2_numeric_grid, omega_pm, special_case,
+                       two_photon_response)
+from cascadeg2.correlate import (_average_sector, _coherence_generator,
+                                 _expm2, _population_generator)
 from cascadeg2.observables import (STANDARD_CHSH_ANGLES, bell_s_chsh,
                                    bell_s_shortcut)
 from cascadeg2.verify import _random_params
@@ -28,6 +31,24 @@ def _symmetric_params(rng, with_gamma_u):
     return CascadeParams(delta_fs=rng.uniform(0, 10), rabi=rng.uniform(0, 35),
                          detuning=rng.uniform(0, 100), gamma12=gd, gamma21=gd,
                          gamma_u=0.01 if with_gamma_u else 0.0)
+
+
+def _zero_or(*bands):
+    return st.one_of(st.just(0.0), *(st.floats(lo, hi) for lo, hi in bands))
+
+
+def _domain(*tiny):
+    """Rates drawn independently, so gamma3/gamma4 and gamma12/gamma21 are
+    asymmetric and zero rates occur; ``tiny`` adds a band of small rates."""
+    rate = _zero_or(*tiny, (1e-3, 2.0))
+    return st.builds(
+        CascadeParams, gamma3=rate, gamma4=rate, gamma12=rate, gamma21=rate,
+        gamma_u=_zero_or(*tiny, (1e-3, 1.0)), rabi=_zero_or((0.0, 35.0)),
+        detuning=st.floats(-100.0, 100.0), delta_fs=st.floats(-10.0, 10.0))
+
+
+# half the draws reach into the ill-conditioned band 1e-8..1e-5
+_DOMAIN = st.one_of(_domain(), _domain((1e-8, 1e-5)))
 
 
 class TestJumpOperators:
@@ -52,72 +73,130 @@ class TestJumpOperators:
             assert np.trace(op.conj().T @ op).real == pytest.approx(1.0)
 
 
-class TestCorrelationKernel:
-    def test_coefficients(self):
-        p = CascadeParams(gamma3=1.3, gamma4=0.7, gamma12=0.4, gamma21=0.9,
-                          gamma_u=0.05, rabi=6.0, detuning=11.0)
-        k = CorrelationKernel.from_params(p)
-        assert k.a0 == pytest.approx(-0.25 * (2 * 1.3 + 2 * 0.9 + 0.7 + 0.4
-                                              + 0.05 + 22j))
-        assert k.b0 == pytest.approx(-0.5 * (1.3 + 0.7 + 0.9 + 0.4 + 0.05))
-        d = 1.3 - 0.7 + 0.9 - 0.4 - 0.05
-        assert k.eta == pytest.approx(math.sqrt(d * d + 4 * 0.4 * 0.9))
-        q = 0.7 + 0.4 + 0.05 - 22j
-        assert k.mu ** 2 == pytest.approx(16 * 36 - q * q)
+def _paper_coefficients(p):
+    """The paper's closed-form constants (a0, b0, eta, mu, q).
 
-    def test_principal_branches(self):
-        p = CascadeParams(gamma12=0.2, gamma21=0.7, rabi=0.1, detuning=40.0)
-        k = CorrelationKernel.from_params(p)
-        for root in (k.eta, k.mu):
-            assert root.real > 0 or (root.real == 0 and root.imag >= 0)
+    a0 and mu fix the cross-coherence sector, b0 and eta the undriven
+    population pair; both roots take the principal branch.
+    """
+    a0 = -0.25 * (2 * p.gamma3 + 2 * p.gamma21 + p.gamma4 + p.gamma12
+                  + p.gamma_u + 2j * p.detuning)
+    b0 = -0.5 * (p.gamma3 + p.gamma4 + p.gamma21 + p.gamma12 + p.gamma_u)
+    d = p.gamma3 - p.gamma4 + p.gamma21 - p.gamma12 - p.gamma_u
+    eta = np.sqrt(d * d + 4.0 * p.gamma12 * p.gamma21 + 0j)
+    q = p.gamma4 + p.gamma12 + p.gamma_u - 2j * p.detuning
+    mu = np.sqrt(16.0 * p.rabi ** 2 - q * q)
+    return a0, b0, eta, mu, q
 
-    def test_tau_zero_identities(self):
+
+def _paper_w(p, taus):
+    """The paper's coherence kernel, e^{(a0 - i delta_fs) tau} [cos(mu tau/4)
+    - (q/mu) sin(mu tau/4)], for mu != 0."""
+    a0, _, _, mu, q = _paper_coefficients(p)
+    quarter = 0.25 * mu * taus
+    return np.exp((a0 - 1j * p.delta_fs) * taus) * (np.cos(quarter)
+                                                    - q * np.sin(quarter) / mu)
+
+
+def _paper_average_slots(p):
+    """The paper's averages of f1, f2, g2, g1 (slots P11, P12, P21, P22): the
+    zero-frequency Laplace transforms of the undriven hyperbolic kernels."""
+    _, b0, eta, _, _ = _paper_coefficients(p)
+    den = b0 * b0 - 0.25 * eta * eta
+    return ((p.gamma4 + p.gamma12 + p.gamma_u) / den, p.gamma12 / den,
+            p.gamma21 / den, (p.gamma3 + p.gamma21) / den)
+
+
+def _mp_expm(block, tau):
+    """e^{block tau} from a 30-digit mpmath exponential."""
+    with mpmath.workdps(30):
+        arg = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row]
+                             for row in block]) * mpmath.mpf(tau)
+        exp = mpmath.expm(arg)
+        return np.array([[complex(exp[i, j]) for j in range(2)]
+                         for i in range(2)])
+
+
+def _blocks(params):
+    """The coherence block and the leading 2x2 of the population block."""
+    return _coherence_generator(params), _population_generator(params)[:2, :2]
+
+
+def _same_pair(got, want):
+    """Largest deviation of two eigenvalue pairs, in either order."""
+    got, want = np.asarray(got), np.asarray(want)
+    return min(np.max(np.abs(got - want)), np.max(np.abs(got[::-1] - want)))
+
+
+class TestBlockExponential:
+    @pytest.mark.parametrize("params", [
+        CascadeParams(gamma3=1.3, gamma4=0.7, gamma12=0.4, gamma21=0.9,
+                      gamma_u=0.05, rabi=6.0, detuning=11.0, delta_fs=2.0),
+        CascadeParams(gamma12=0.2, gamma21=0.7, rabi=0.1, detuning=40.0),
+        CascadeParams(delta_fs=3.0, rabi=9.0, detuning=-17.0, gamma12=0.6,
+                      gamma21=0.6, gamma_u=0.01),
+        CascadeParams(gamma3=1.4, gamma4=0.6, gamma12=0.5, gamma21=1.1,
+                      gamma_u=0.2, delta_fs=5.0),
+    ])
+    def test_block_eigenvalues_are_the_paper_coefficients(self, params):
+        a0, b0, eta, mu, _ = _paper_coefficients(params)
+        coherence, population = _blocks(params)
+        shift = a0 - 1j * params.delta_fs
+        assert _same_pair(np.linalg.eigvals(coherence),
+                          [shift + 0.25j * mu, shift - 0.25j * mu]) < 1e-12
+        assert _same_pair(np.linalg.eigvals(population),
+                          [b0 + 0.5 * eta, b0 - 0.5 * eta]) < 1e-12
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(_DOMAIN)
+    def test_blocks_are_restrictions_of_the_generator(self, params):
+        m = build_generator(params).m
+        for block, elements in (
+                (_coherence_generator(params), [(X1, X2), (X1, U)]),
+                (_population_generator(params),
+                 [(X1, X1), (X2, X2), (U, U), (X2, U), (U, X2)])):
+            idx = [i + 5 * j for i, j in elements]
+            assert np.allclose(block, m[np.ix_(idx, idx)], rtol=0, atol=1e-14)
+
+    def test_tau_zero_is_identity(self):
         p = CascadeParams(delta_fs=3.0, rabi=9.0, detuning=17.0,
                           gamma12=0.6, gamma21=0.6, gamma_u=0.01)
-        k = CorrelationKernel.from_params(p)
-        assert k.f1(0.0) == pytest.approx(1.0)
-        assert k.g1(0.0) == pytest.approx(1.0)
-        assert k.f2(0.0) == pytest.approx(0.0)
-        assert k.g2(0.0) == pytest.approx(0.0)
-        assert k.w(0.0) == pytest.approx(1.0)
+        for block in _blocks(p):
+            assert np.array_equal(_expm2(block, np.array([0.0]))[0], np.eye(2))
 
-    def test_zeta_is_quarter_mu_for_symmetric_rates(self):
-        p = CascadeParams(gamma12=0.8, gamma21=0.8, gamma_u=0.02,
-                          rabi=7.0, detuning=19.0)
-        k = CorrelationKernel.from_params(p)
-        assert k.zeta == pytest.approx(k.mu / 4.0, rel=1e-12)
-
-    def test_degenerate_kernel_limits(self):
-        # eta = 0 and mu = 0 evaluate through the series limits
-        p = CascadeParams(gamma12=0.0, gamma21=0.0)
-        k = CorrelationKernel.from_params(p)
-        assert k.eta == 0.0
-        assert np.isfinite(k.f1(np.array([0.0, 1.0, 5.0]))).all()
-        q = 1.0  # gamma4 with defaults
-        p2 = CascadeParams(rabi=q / 4.0)  # 16 rabi^2 = q^2, so mu = 0
-        k2 = CorrelationKernel.from_params(p2)
-        assert abs(k2.mu) < 1e-12
-        assert np.isfinite(k2.w(np.array([0.0, 1.0, 5.0]))).all()
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_DOMAIN, st.floats(0.0, 10.0))
+    # the coherence exceptional point (mu = 0) and the undriven defaults
+    # (eta = 0), where h = 0 and sinhc takes its series limit
+    @example(CascadeParams(gamma4=1.0, gamma12=0.5, gamma_u=0.5, rabi=0.5), 3.0)
+    @example(CascadeParams(), 3.0)
+    # |h tau| = 0.96e-4 and 1.08e-4 for the population pair (h = 1.2e-5),
+    # on both sides of the 1e-4 series cutoff
+    @example(CascadeParams(gamma3=1.000024), 8.0)
+    @example(CascadeParams(gamma3=1.000024), 9.0)
+    # scipy.linalg.expm is 2e-10 off here
+    @example(CascadeParams(gamma3=1e-8, gamma4=0.0, gamma_u=1.0, gamma21=1.0),
+             4.07)
+    def test_matches_high_precision_exponential(self, params, tau):
+        for block in _blocks(params):
+            got = _expm2(block, np.array([tau]))[0]
+            want = _mp_expm(block, tau)
+            assert np.max(np.abs(got - want)
+                          / np.maximum(1.0, np.abs(want))) <= 1e-12
 
     def test_average_slots_match_laplace_solution_without_drive(self):
         p = CascadeParams(gamma3=1.4, gamma4=0.6, gamma12=0.5, gamma21=1.1,
                           gamma_u=0.2)
-        k = CorrelationKernel.from_params(p)
-        p11, p12, p21, p22 = two_photon_response([p])[:4, 0]
-        assert p11 == pytest.approx(k.avg_f1, rel=1e-12)
-        assert p12 == pytest.approx(k.avg_f2, rel=1e-12)
-        assert p21 == pytest.approx(k.avg_g2, rel=1e-12)
-        assert p22 == pytest.approx(k.avg_g1, rel=1e-12)
+        slots = two_photon_response([p])[:4, 0]
+        for slot, paper in zip(slots, _paper_average_slots(p)):
+            assert complex(slot) == pytest.approx(paper, rel=1e-12)
 
     def test_average_slots_survive_drive_when_u_channel_closed(self):
         # branching ratios are insensitive to coherent X2-u cycling
         p = CascadeParams(gamma12=0.5, gamma21=0.5, rabi=20.0, detuning=30.0)
-        k = CorrelationKernel.from_params(p)
-        p11, p12, p21, p22 = two_photon_response([p])[:4, 0]
-        assert complex(p11) == pytest.approx(k.avg_f1, rel=1e-12)
-        assert complex(p12) == pytest.approx(k.avg_f2, rel=1e-12)
-        assert complex(p21) == pytest.approx(k.avg_g2, rel=1e-12)
-        assert complex(p22) == pytest.approx(k.avg_g1, rel=1e-12)
+        slots = two_photon_response([p])[:4, 0]
+        for slot, paper in zip(slots, _paper_average_slots(p)):
+            assert complex(slot) == pytest.approx(paper, rel=1e-12)
 
 
 class TestTauZero:
@@ -225,13 +304,12 @@ class TestAgainstClosedFormOracles:
         # undriven symmetric rates with a closed u channel: the braces are
         # 2 [e^{-g tau} + c1 c2 e^{-(g + 2 gd) tau} + s1 s2 * 2 Re w(tau)]
         params = CascadeParams(delta_fs=4.0, gamma12=0.7, gamma21=0.7)
-        kernel = CorrelationKernel.from_params(params)
         taus = np.linspace(0.0, 6.0, 50)
         th1, th2 = 0.5, 1.0
         c1, c2 = math.cos(2 * th1), math.cos(2 * th2)
         s1, s2 = math.sin(2 * th1), math.sin(2 * th2)
         expected = 2.0 * (np.exp(-taus) + c1 * c2 * np.exp(-(1 + 2 * 0.7) * taus)
-                          + s1 * s2 * np.real(kernel.w(taus)))
+                          + s1 * s2 * np.real(_paper_w(params, taus)))
         value = g2_analytic(params, DetectorSetting(th1), DetectorSetting(th2), taus)
         assert np.max(np.abs(value - expected)) < 1e-12
 
@@ -240,14 +318,13 @@ class TestAgainstClosedFormOracles:
         # equals s1 s2 * 2 Re w(tau) exactly, drive on or off
         params = CascadeParams(delta_fs=4.0, rabi=9.0, detuning=13.0,
                                gamma12=0.7, gamma21=0.7, gamma_u=0.01)
-        kernel = CorrelationKernel.from_params(params)
         taus = np.linspace(0.0, 6.0, 50)
         th1, th2 = 0.5, 1.0
         plus = g2_analytic(params, DetectorSetting(th1), DetectorSetting(th2), taus)
         minus = g2_analytic(params, DetectorSetting(th1), DetectorSetting(-th2), taus)
         isolated = 0.5 * (plus - minus)
         expected = (math.sin(2 * th1) * math.sin(2 * th2)
-                    * 2.0 * np.real(kernel.w(taus)))
+                    * 2.0 * np.real(_paper_w(params, taus)))
         assert np.max(np.abs(isolated - expected)) < 1e-12
 
     def test_scalar_and_array_paths_agree(self):
@@ -379,24 +456,6 @@ def _relative_to_point_scale(got, want):
     return np.max(np.abs(got - want) / np.max(np.abs(want), axis=0))
 
 
-def _zero_or(*bands):
-    return st.one_of(st.just(0.0), *(st.floats(lo, hi) for lo, hi in bands))
-
-
-def _domain(*tiny):
-    """Rates drawn independently, so gamma3/gamma4 and gamma12/gamma21 are
-    asymmetric and zero rates occur; ``tiny`` adds a band of small rates."""
-    rate = _zero_or(*tiny, (1e-3, 2.0))
-    return st.builds(
-        CascadeParams, gamma3=rate, gamma4=rate, gamma12=rate, gamma21=rate,
-        gamma_u=_zero_or(*tiny, (1e-3, 1.0)), rabi=_zero_or((0.0, 35.0)),
-        detuning=st.floats(-100.0, 100.0), delta_fs=st.floats(-10.0, 10.0))
-
-
-# half the draws reach into the ill-conditioned band 1e-8..1e-5
-_DOMAIN = st.one_of(_domain(), _domain((1e-8, 1e-5)))
-
-
 def _response_or_refusal(params, method):
     try:
         return two_photon_response([params], method)
@@ -410,6 +469,11 @@ def _slowest_decay(params):
     sector = _average_sector(levels)
     block = build_generator(params).m[np.ix_(sector, sector)]
     return -np.max(np.linalg.eigvals(block).real)
+
+
+# undriven points with 1e-12 < gamma3 + gamma21 <= 2e-12
+_BAND = [CascadeParams(gamma3=1.5e-12, gamma4=1.0),
+         CascadeParams(gamma3=1.5e-12, gamma4=1.0, delta_fs=3.0, detuning=-3.0)]
 
 
 class TestTwoPhotonResponse:
@@ -431,6 +495,8 @@ class TestTwoPhotonResponse:
     @example(CascadeParams(gamma4=1.0, gamma12=0.5, gamma_u=0.5, rabi=0.5))
     @example(CascadeParams(gamma3=3.27e-6, gamma4=0.0, gamma12=6.37e-6,
                            gamma21=1.74, gamma_u=1.98, rabi=33.2, detuning=31.4))
+    @example(_BAND[0])
+    @example(_BAND[1])
     def test_routes_refuse_alike_and_agree(self, params):
         analytic = _response_or_refusal(params, "analytic")
         numeric = _response_or_refusal(params, "numeric")
@@ -442,6 +508,32 @@ class TestTwoPhotonResponse:
         # 1e-4, and up to 3.2e-4 below it, where only refusal is compared.
         if analytic is not None and _slowest_decay(params) >= 1e-4:
             assert _relative_to_point_scale(numeric, analytic) <= 1e-9
+
+    @pytest.mark.parametrize("params", _BAND)
+    def test_undriven_band_answers_by_both_routes(self, params):
+        # the X1-u coherence is slower than the floor here, but an undriven
+        # average never reaches it; the point's largest slot is 6.7e11, so
+        # the coherence slot is compared on its own scale
+        analytic = two_photon_response([params])[4, 0]
+        numeric = two_photon_response([params], method="numeric")[4, 0]
+        assert abs(analytic - numeric) <= 1e-12 * abs(numeric)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(_DOMAIN, st.floats(0.0, math.pi), st.floats(0.0, math.pi),
+           st.floats(-math.pi, math.pi))
+    def test_grid_and_observable_bounds(self, params, theta1, theta2, phi):
+        taus = np.linspace(0.0, 10.0, 41)
+        det1, det2 = DetectorSetting(theta1, phi), DetectorSetting(theta2)
+        analytic = g2_analytic(params, det1, det2, taus)
+        numeric = g2_numeric_grid(params, det1, det2, taus)
+        assert np.max(np.abs(analytic - numeric)
+                      / np.maximum(1.0, np.abs(numeric))) <= 1e-9
+        assert min(analytic.min(), numeric.min()) >= -1e-12
+        if _slowest_decay(params) >= 1e-4:
+            for method in ("analytic", "numeric"):
+                c = degree_of_correlation(params, theta1, method).value
+                s = bell_s_chsh(params, *STANDARD_CHSH_ANGLES, method=method).s
+                assert abs(c) <= 1.0 and abs(s) <= TSIRELSON_BOUND
 
     @pytest.mark.parametrize("method", ["analytic", "numeric"])
     def test_batch_equals_one_point_calls(self, method):
