@@ -5,11 +5,17 @@ The generator acts on column-major vectorized 5x5 operators: ``vec(X)[i + 5j]
 
     H = delta_fs |X1><X1| - detuning |u><u| - rabi (|X2><u| + |u><X2|)
 
-in the frame rotating at the drive frequency enters as its commutator; the
-splitting gives the cross coherence <X1|rho|X2> its e^{-i delta_fs tau} phase.
-The seven jumps |lower><upper| at rate r are filled in element by element:
-rho_upper,upper feeds rho_lower,lower at rate r, and rho_ij decays at
-(out_i + out_j) / 2, out_k being the total rate out of level k.
+in the frame rotating at the drive frequency enters as its commutator, and the
+seven jumps |lower><upper| at rate r with it; all are filled in element by
+element.  rho_ij rotates at -(E_i - E_j), E_k being the diagonal of H, so the
+splitting gives the cross coherence <X1|rho|X2> its e^{-i delta_fs tau} phase;
+the drive adds 20 off-diagonal entries.  rho_upper,upper feeds
+rho_lower,lower at rate r, and rho_ij decays at (out_i + out_j) / 2, out_k
+being the total rate out of level k.
+
+scipy is imported on first use: ``scipy.linalg`` by the first matrix
+exponential and ``scipy.integrate`` by the first ODE solve, so the closed-form
+time averages behind figures, degree, Bell and sweeps load numpy only.
 """
 
 from __future__ import annotations
@@ -17,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .errors import NumericError
 from .model import Level, N_LEVELS, CascadeParams
@@ -29,6 +33,18 @@ DIM = N_LEVELS * N_LEVELS
 # the cross-check of the exact matrix-exponential propagation.
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
+
+
+def expm(m: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on the first call."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(m)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def vectorize(op: np.ndarray) -> np.ndarray:
@@ -108,15 +124,30 @@ class Liouvillian:
         return unvectorize(self.m @ vectorize(op))
 
 
+def _drive_pattern() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vec rows, columns and signs s of the entries i rabi s of -i[H, rho].
+
+    They come from the drive H_ab = -rabi, (a, b) = (X2, u) and (u, X2):
+    (H rho)_aj takes rho_bj and (rho H)_ib takes rho_ia, for every level i
+    and j.  The 20 entries are distinct and off the diagonal.
+    """
+    levels = np.arange(N_LEVELS)
+    rows, cols = [], []
+    for a, b in ((Level.X2, Level.U), (Level.U, Level.X2)):
+        rows += [a + N_LEVELS * levels, levels + N_LEVELS * b]
+        cols += [b + N_LEVELS * levels, levels + N_LEVELS * a]
+    signs = np.tile(np.repeat([1.0, -1.0], N_LEVELS), 2)
+    return np.concatenate(rows), np.concatenate(cols), signs
+
+
+_DRIVE_ROWS, _DRIVE_COLS, _DRIVE_SIGNS = _drive_pattern()
+
+
 def build_generator(params: CascadeParams) -> Liouvillian:
     """Assemble the Lindblad generator for the given cascade parameters."""
-    ident = np.eye(N_LEVELS, dtype=complex)
-
-    ham = np.zeros((N_LEVELS, N_LEVELS), dtype=complex)
-    ham[Level.X1, Level.X1] = params.delta_fs
-    ham[Level.U, Level.U] = -params.detuning
-    ham[Level.X2, Level.U] = -params.rabi
-    ham[Level.U, Level.X2] = -params.rabi
+    energy = np.zeros(N_LEVELS)
+    energy[Level.X1] = params.delta_fs
+    energy[Level.U] = -params.detuning
 
     jumps = (
         (params.gamma1, Level.TWO_X, Level.X1),
@@ -128,13 +159,17 @@ def build_generator(params: CascadeParams) -> Liouvillian:
         (params.gamma12, Level.X2, Level.X1),
     )
 
-    m = -1j * (np.kron(ident, ham) - np.kron(ham.T, ident))
+    m = np.zeros((DIM, DIM), dtype=complex)
+    m[_DRIVE_ROWS, _DRIVE_COLS] = 1j * params.rabi * _DRIVE_SIGNS
     out = np.zeros(N_LEVELS)
     # the population rho_kk sits at vec index k (N_LEVELS + 1)
     for rate, upper, lower in jumps:
         m[lower * (N_LEVELS + 1), upper * (N_LEVELS + 1)] += rate
         out[upper] += rate
-    m[np.diag_indices(DIM)] -= 0.5 * np.add.outer(out, out).ravel()
+    # rho_ij rotates at -(E_i - E_j) and decays at (out_i + out_j) / 2; each
+    # outer product's [j, i] entry ravels to 5j + i, the vec index of rho_ij
+    m.flat[::DIM + 1] = (1j * np.subtract.outer(energy, energy)
+                         - 0.5 * np.add.outer(out, out)).ravel()
     return Liouvillian(m)
 
 
@@ -149,6 +184,17 @@ def _as_operator(x0) -> np.ndarray:
     return x0
 
 
+def _flush_subnormal(a: np.ndarray) -> np.ndarray:
+    """Zero the subnormal real and imaginary parts of ``a`` in place.
+
+    scipy's expm divides by differences of diagonal entries, which overflows
+    when one is subnormal; each dropped part is below 2.3e-308.
+    """
+    parts = a.view(a.real.dtype)  # real and imaginary parts side by side
+    parts[np.abs(parts) < np.finfo(parts.dtype).tiny] = 0.0
+    return a
+
+
 def propagate_steps(m: np.ndarray, y0: np.ndarray, taus) -> np.ndarray:
     """Return exp(m tau) @ y0 for every tau of a nondecreasing nonnegative grid.
 
@@ -161,7 +207,9 @@ def propagate_steps(m: np.ndarray, y0: np.ndarray, taus) -> np.ndarray:
     """
     steps = np.diff(np.asarray(taus, dtype=float), prepend=0.0)
     values, which = np.unique(steps, return_inverse=True)
-    props = [expm(m * step) for step in values]
+    # C order, so that the stack of every m * step views as real pairs
+    scaled = _flush_subnormal(values[:, None, None] * np.ascontiguousarray(m))
+    props = [expm(a) for a in scaled]
     out = np.empty((steps.size,) + np.shape(y0), dtype=complex)
     y = np.asarray(y0, dtype=complex)
     for k, idx in enumerate(which):

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cascadeg2
 from cascadeg2 import (CascadeParams, DetectorSetting, bell_s_shortcut,
                        degree_of_correlation, g2_analytic, omega_star)
 from cascadeg2.cli import (RunConfig, load_config, main, run_figure, run_sweep)
@@ -312,6 +316,34 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "x,observable,value" in out
         assert out.endswith("\n")
+
+    def test_closed_form_commands_leave_scipy_unloaded(self, tmp_path):
+        # a fresh interpreter, since this one has imported scipy already
+        child = f"""
+import json, sys
+import numpy as np
+from cascadeg2 import cli
+from cascadeg2 import CascadeParams, DetectorSetting, build_generator, evolve
+from cascadeg2 import g2_numeric_grid
+cli.main(["figure", "5", "--out", {str(tmp_path / "figure_5.csv")!r}])
+cli.main(["bell"])
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+det = DetectorSetting(0.0)
+grid = g2_numeric_grid(CascadeParams(), det, det, np.linspace(0.0, 2.0, 5))
+params = CascadeParams(rabi=1.0)
+state = evolve(build_generator(params), np.eye(5) / 5, 0.5, method="ode")
+print(json.dumps({{"loaded": loaded, "grid": grid.tolist(),
+                  "trace": abs(np.trace(state) - 1.0)}}))
+"""
+        src = str(Path(cascadeg2.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["loaded"] == []
+        assert result["grid"][0] == pytest.approx(4.0) and np.all(np.isfinite(result["grid"]))
+        assert result["trace"] < 1e-9
 
 
 class TestVerify:
