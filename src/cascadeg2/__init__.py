@@ -8,8 +8,8 @@ CHSH Bell observables across parameter sweeps.
 """
 
 from .errors import DivergentAverageError, NumericError
-from .model import (CascadeParams, DetectorSetting, Level, N_LEVELS, omega_pm,
-                    omega_star, polarization_rotation)
+from .model import (CascadeBatch, CascadeParams, DetectorSetting, Level,
+                    N_LEVELS, omega_pm, omega_star, polarization_rotation)
 from .liouvillian import (DensityMatrix, Liouvillian, build_generator, evolve,
                           evolve_grid, unvectorize, vectorize)
 from .correlate import (CorrelationCurve, JumpOperator, PhotonStage,
@@ -27,6 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BellResult",
+    "CascadeBatch",
     "CascadeParams",
     "CorrelationCurve",
     "CorrelationDegree",

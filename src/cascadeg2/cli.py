@@ -4,12 +4,14 @@ Output CSVs are deterministic: fixed 12-significant-digit scientific
 notation, LF line endings, and a comment header carrying the tool version
 and the full parameter set of every curve.
 
-Sweeps are evaluated in batches.  A sweep is planned as groups of parameter
-points; each group gets one two-photon response
-(:func:`~cascadeg2.correlate.two_photon_response`, one stacked solve for all
-its points), from which C or S follows for the whole axis in a few array
-operations.  A degree curve is one point, since its parameters do not change
-along the basis angle; a Bell curve has one point per swept value.
+Sweeps are evaluated in batches.  A sweep is planned as groups, one per
+curve, each holding its parameter points as one CascadeBatch: a Bell curve
+broadcasts its base point against the swept values, a degree curve is one
+point, since its parameters do not change along the basis angle.  The
+groups of a figure or sweep are joined into one batch and get one
+two-photon response (:func:`~cascadeg2.correlate.two_photon_response`, one
+stacked solve for all points), which is sliced per curve; C or S then
+follows for the whole axis in a few array operations.
 """
 
 from __future__ import annotations
@@ -26,14 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .model import CascadeParams, DetectorSetting, omega_star
+from .model import (PARAM_FIELDS, CascadeBatch, CascadeParams, DetectorSetting,
+                    omega_star)
 from .correlate import correlation_curve, two_photon_response
 from .observables import (_require_finite, bell_s_chsh, bell_s_from_response,
                           bell_s_shortcut, degree_from_response, degree_of_correlation)
 from .verify import run_all_checks, summarize
-
-PARAM_FIELDS = ("gamma1", "gamma2", "gamma3", "gamma4", "gamma_u",
-                "gamma12", "gamma21", "delta_fs", "rabi", "detuning")
 
 # The model proper has gamma_u = 0; swept figures keep a small nonzero decay
 # into the auxiliary level unless overridden.
@@ -190,18 +190,18 @@ def _figure_curves(fig_id: str):
             ("C[dfs5_gd1_detuned]",
              dephased.with_(detuning=25.0, rabi=omega_star(5.0, 25.0))),
         ]
-    # Bell curves also say how a swept value x sets the point.
+    # Bell curves also say which fields the swept values x set.
     if fig_id == "5":
         return "bell_vs_delta_fs", [
-            ("S[no_field]", base, lambda p, x: p.with_(delta_fs=x)),
-            ("S[resonant]", base, lambda p, x: p.with_(delta_fs=x, rabi=x)),
+            ("S[no_field]", base, lambda x: {"delta_fs": x}),
+            ("S[resonant]", base, lambda x: {"delta_fs": x, "rabi": x}),
             ("S[detuned]", base,
-             lambda p, x: p.with_(delta_fs=x, detuning=5.0 * x,
-                                  rabi=omega_star(x, 5.0 * x))),
+             lambda x: {"delta_fs": x, "detuning": 5.0 * x,
+                        "rabi": omega_star(x, 5.0 * x)}),
         ]
     if fig_id == "6":
-        def dephased(p, x):
-            return p.with_(gamma12=x, gamma21=x)
+        def dephased(x):
+            return {"gamma12": x, "gamma21": x}
 
         return "bell_vs_gamma_d", [
             ("S[dfs0_no_field]", base, dephased),
@@ -221,20 +221,31 @@ _FIGURE_AXES = {
 }
 
 
+def _steps_override(overrides: dict[str, float]) -> int | None:
+    """Pop the optional ``steps`` override; it must be an integer."""
+    steps = overrides.pop("steps", None)
+    if steps is None:
+        return None
+    if not float(steps).is_integer():
+        raise ValueError(f"steps must be an integer, got {steps}")
+    return int(steps)
+
+
 def _figure_plan(fig_id: str, overrides: dict[str, float] | None):
     """Metadata and evaluation groups of one predefined sweep.
 
-    A group is (swept values, parameter points, [(label, evaluate)]): one
-    two-photon response is computed for its points, and each evaluate turns
-    that response into one value per swept value.  Bad input (an unknown
-    figure or override, a bad step count or parameter) raises ValueError
-    here, before anything is evaluated.
+    A group is (swept values, parameter batch, [(label, evaluate)]): each
+    evaluate turns the group's slice of the two-photon response into one
+    value per swept value.  Bad input (an unknown figure or override, a bad
+    step count or parameter) raises ValueError here, before anything is
+    evaluated.
     """
     overrides = dict(overrides or {})
-    steps = int(overrides.pop("steps", 0)) or None
+    steps = _steps_override(overrides)
     kind, curves = _figure_curves(fig_id)
     start, stop, default_steps, axis, swept = _FIGURE_AXES[kind]
-    xs = RunConfig(start=start, stop=stop, steps=steps or default_steps).grid()
+    xs = RunConfig(start=start, stop=stop,
+                   steps=default_steps if steps is None else steps).grid()
 
     metadata = _base_metadata(f"figure {fig_id}")
     metadata.append(("axis", axis))
@@ -243,24 +254,28 @@ def _figure_plan(fig_id: str, overrides: dict[str, float] | None):
         params = _apply_param_overrides(params, overrides)
         if swept is None:
             metadata.append((f"curve {label}", _params_summary(params)))
-            groups.append((xs, [params], [
+            groups.append((xs, CascadeBatch.stack([params]), [
                 (label, functools.partial(degree_from_response, theta=xs))]))
         else:
             metadata.append((f"curve {label}", _params_summary(params)
                              + f" ({swept} swept)"))
-            (vary,) = rest
-            points = [vary(params, float(x)) for x in xs]
-            groups.append((xs, points, [(label, bell_s_from_response)]))
+            (axes,) = rest
+            groups.append((xs, CascadeBatch.broadcast(params, **axes(xs)),
+                           [(label, bell_s_from_response)]))
     return metadata, groups
 
 
 def _evaluate(metadata, groups) -> SweepResult:
-    """One two-photon response per group; rows follow the swept values,
-    the columns of a group side by side."""
+    """One two-photon response for the points of every group, sliced per
+    group; rows follow the swept values, the columns of a group side by
+    side."""
+    batches = [batch for _, batch, _ in groups]
+    response = two_photon_response(CascadeBatch.concatenate(batches))
+    ends = np.cumsum([len(b) for b in batches])
+    parts = np.split(response, ends[:-1], axis=1)
     rows = []
-    for xs, points, columns in groups:
-        response = two_photon_response(points)
-        values = [evaluate(response) for _, evaluate in columns]
+    for (xs, _, columns), part in zip(groups, parts):
+        values = [evaluate(part) for _, evaluate in columns]
         rows += [(float(x), label, float(column[k]))
                  for k, x in enumerate(xs)
                  for (label, _), column in zip(columns, values)]
@@ -286,6 +301,9 @@ def _sweep_plan(params: CascadeParams, axis: str, config: RunConfig,
     """Metadata and the one evaluation group of a one-axis sweep."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown axis {axis!r}; expected one of {SWEEP_AXES}")
+    if not observables:
+        raise ValueError(f"no observables requested; expected some of "
+                         f"{', '.join(SWEEP_OBSERVABLES)}")
     for name in observables:
         if name not in SWEEP_OBSERVABLES:
             raise ValueError(f"unknown observable {name!r}")
@@ -296,12 +314,9 @@ def _sweep_plan(params: CascadeParams, axis: str, config: RunConfig,
     metadata.append(("base", _params_summary(params)))
 
     xs = config.grid()
-    if axis == "gamma_d":
-        points = [params.with_(gamma12=float(x), gamma21=float(x)) for x in xs]
-    else:
-        points = [params.with_(**{axis: float(x)}) for x in xs]
-    return metadata, [(xs, points, [(name, _SWEEP_COLUMNS[name])
-                                    for name in observables])]
+    axes = {"gamma12": xs, "gamma21": xs} if axis == "gamma_d" else {axis: xs}
+    return metadata, [(xs, CascadeBatch.broadcast(params, **axes),
+                       [(name, _SWEEP_COLUMNS[name]) for name in observables])]
 
 
 def run_sweep(params: CascadeParams, axis: str, config: RunConfig,

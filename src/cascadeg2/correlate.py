@@ -10,9 +10,10 @@ Two independent routes compute the same normalized correlation:
   of the conditioned dynamics: the 2x2 cross-coherence block (rho_X1X2,
   rho_X1u), whose X1X2 entry of e^{C tau} is the coherence kernel ``w``, and
   the 5x5 population block (X1, X2, u populations plus the driven X2-u
-  coherences).  One closed-form 2x2 exponential, ``_expm2``, gives ``w`` and,
-  with the drive off, the population propagators from the leading 2x2 rate
-  block; the driven population block is propagated exactly by stepping.
+  coherence as a real pair, so the block is real).  One closed-form 2x2
+  exponential, ``_expm2``, gives ``w`` and, with the drive off, the
+  population propagators from the leading 2x2 rate block; the driven
+  population block is propagated exactly by real stepping.
 
 The normalization sets the dimensional emission prefactor to one and
 conditions on the emitter occupying |2X> at the first detection, so the
@@ -22,9 +23,10 @@ Time-averaged correlations integrate the same quantities over tau in
 [0, infinity).  Every averaged coincidence is one bilinear form in
 (cos 2theta_i, sin 2theta_i) of five numbers per parameter point: the
 averages of the four population propagators and of the coherence kernel.
-``two_photon_response`` computes them for a whole batch of points, by
-either route as a Laplace transform at zero frequency: from the two blocks,
-or from the full generator restricted to the elements that the conditioned
+``two_photon_response`` computes them for a whole CascadeBatch of points,
+by either route as a Laplace transform at zero frequency: from the two
+blocks, built for the whole batch at once, or from the full generator,
+built once per point and restricted to the elements that the conditioned
 state reaches and the second detection sees.  The population blocks and the
 generator blocks go through one resolvent, ``_resolvent``: a stack of
 blocks M is refused with DivergentAverageError if a mode decays slower than
@@ -42,15 +44,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from operator import attrgetter
-from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import DivergentAverageError
 from .liouvillian import (Liouvillian, build_generator, evolve, evolve_grid,
                           propagate_steps)
-from .model import Level, N_LEVELS, CascadeParams, DetectorSetting, omega_pm
+from .model import (Level, N_LEVELS, CascadeBatch, CascadeParams,
+                    DetectorSetting, omega_pm)
 
 # Below this argument size sinh(z)/z switches to a 3-term Taylor series to
 # avoid 0/0.
@@ -147,25 +148,12 @@ def _expm2(m: np.ndarray, taus: np.ndarray) -> np.ndarray:
                             + (m - s * eye) * t * _sinhc(h * t))
 
 
-def _stacked(points) -> SimpleNamespace:
-    """The rates of a sequence of CascadeParams as arrays, one entry per point.
-
-    The attributes carry the CascadeParams field names, so the coherence and
-    population blocks are built for a whole batch at once.
-    """
-    fields = ("gamma3", "gamma4", "gamma_u", "gamma12", "gamma21", "delta_fs",
-              "rabi", "detuning")
-    rates = attrgetter(*fields)
-    table = np.array([rates(p) for p in points], dtype=float).reshape(-1, len(fields))
-    return SimpleNamespace(**dict(zip(fields, table.T)))
-
-
 def _coherence_generator(params) -> np.ndarray:
     """Generator of the conditioned cross coherence.
 
     Basis: (rho_X1X2, rho_X1u).  The drive couples the X1-X2 coherence to the
     X1-u coherence; the eigenvalue split of this block is the dressed-state
-    splitting.  Stacked rates give one 2x2 block per point, shape (n, 2, 2).
+    splitting.  Batched rates give one 2x2 block per point, shape (n, 2, 2).
     """
     p = params
     alpha1 = p.gamma3 + p.gamma21
@@ -178,26 +166,30 @@ def _coherence_generator(params) -> np.ndarray:
 
 
 def _population_generator(params) -> np.ndarray:
-    """Generator of the conditioned population sector.
+    """Generator of the conditioned population sector, in a real basis.
 
-    Basis: (rho_X1X1, rho_X2X2, rho_uu, rho_X2u, rho_uX2).  The drive couples
-    the X2 population to u, so the pointwise propagators depend on rabi and
-    detuning; without it the leading 2x2 rate block is closed.  Stacked
-    rates give one 5x5 block per point, shape (n, 5, 5).
+    Basis: (rho_X1X1, rho_X2X2, rho_uu, rho_X2u + rho_uX2,
+    i(rho_X2u - rho_uX2)).  The last two elements are real on Hermitian
+    operators, which the generator maps to Hermitian operators, so the
+    block is real; it is similar to the block on the elements (rho_X1X1,
+    rho_X2X2, rho_uu, rho_X2u, rho_uX2), with the same spectrum and the
+    same X1 and X2 slots.  The drive couples the X2 population to u, so the
+    pointwise propagators depend on rabi and detuning; without it the
+    leading 2x2 rate block is closed.  Batched rates give one 5x5 block per
+    point, shape (n, 5, 5).
     """
     p = params
     alpha1 = p.gamma3 + p.gamma21
     alpha2 = p.gamma4 + p.gamma_u + p.gamma12
-    m = np.zeros(np.shape(alpha1) + (5, 5), dtype=complex)
+    m = np.zeros(np.shape(alpha1) + (5, 5))
     m[..., 0, 0], m[..., 0, 1] = -alpha1, p.gamma12
     m[..., 1, 0], m[..., 1, 1] = p.gamma21, -alpha2
     m[..., 2, 1] = p.gamma_u
-    m[..., 3, 3] = -(0.5 * alpha2 + 1j * p.detuning)
-    m[..., 4, 4] = -(0.5 * alpha2 - 1j * p.detuning)
-    # the drive couples X2X2 and uu through the X2u and uX2 coherences
-    om = 1j * p.rabi
-    m[..., 1, 4] = m[..., 2, 3] = m[..., 3, 2] = m[..., 4, 1] = om
-    m[..., 1, 3] = m[..., 2, 4] = m[..., 3, 1] = m[..., 4, 2] = -om
+    m[..., 3, 3] = m[..., 4, 4] = -0.5 * alpha2
+    m[..., 3, 4], m[..., 4, 3] = -p.detuning, p.detuning
+    # the drive couples X2X2 and uu through the imaginary part of rho_X2u
+    m[..., 1, 4], m[..., 2, 4] = -p.rabi, p.rabi
+    m[..., 4, 1], m[..., 4, 2] = 2.0 * p.rabi, -2.0 * p.rabi
     return m
 
 
@@ -209,8 +201,8 @@ def _population_propagators(params: CascadeParams, taus: np.ndarray):
     else:
         # the first two columns of the propagator, stepped along the sorted grid
         order = np.argsort(taus, kind="stable")
-        cols = np.empty((taus.size, 5, 2), dtype=complex)
-        cols[order] = propagate_steps(m, np.eye(5, 2, dtype=complex), taus[order])
+        cols = np.empty((taus.size, 5, 2))
+        cols[order] = propagate_steps(m, np.eye(5, 2), taus[order])
     return cols[:, 0, 0], cols[:, 0, 1], cols[:, 1, 0], cols[:, 1, 1]
 
 
@@ -327,8 +319,7 @@ def _resolvent(blocks: np.ndarray, rhs: np.ndarray, sector: str) -> np.ndarray:
         raise DivergentAverageError(str(exc)) from None
 
 
-def _closed_form_response(points) -> np.ndarray:
-    params = _stacked(points)
+def _closed_form_response(params: CascadeBatch) -> np.ndarray:
     c = _coherence_generator(params)
     driven = params.rabi != 0.0
     # without the drive rho_X1X2 evolves alone; with it, both modes count
@@ -337,7 +328,7 @@ def _closed_form_response(points) -> np.ndarray:
     if np.any(slowest >= -_DECAY_FLOOR):
         raise DivergentAverageError("coherence sector has a non-decaying mode")
     m = _population_generator(params)
-    response = np.empty((5, len(points)), dtype=complex)
+    response = np.empty((5, len(params)), dtype=complex)
     # undriven points average their 2x2 rate block, driven points the 5x5
     # block; the X1 and X2 rows of the first two columns are the slots
     for mask, size in ((~driven, 2), (driven, 5)):
@@ -363,21 +354,22 @@ def _average_sector(levels) -> np.ndarray:
     return np.array([i + N_LEVELS * j for j in levels for i in levels])
 
 
-def _resolvent_response(points) -> np.ndarray:
+def _resolvent_response(params: CascadeBatch) -> np.ndarray:
     """The response from the full generator, restricted to the averaged sector.
 
     The integral of e^{M tau} y0 over [0, inf) is x with M_SS x = -y0_S; one
     solve per point takes y0 = |X1><X1|, |X2><X2| and |X1><X2|, whose
-    solutions hold the population slots and the coherence slot.
+    solutions hold the population slots and the coherence slot.  One
+    generator is built per point.
     """
-    response = np.empty((5, len(points)), dtype=complex)
-    driven = np.array([p.rabi != 0.0 for p in points], dtype=bool)
+    response = np.empty((5, len(params)), dtype=complex)
+    driven = params.rabi != 0.0
     for mask, levels in ((~driven, (Level.X1, Level.X2)),
                          (driven, (Level.X1, Level.X2, Level.U))):
         if not mask.any():
             continue
         sector = _average_sector(levels)
-        m_ss = np.array([build_generator(points[k]).m[np.ix_(sector, sector)]
+        m_ss = np.array([build_generator(params.point(k)).m[np.ix_(sector, sector)]
                          for k in np.flatnonzero(mask)])
         # sector positions of X1X1, X2X2 and X1X2 (X1 and X2 lead ``levels``)
         n = len(levels)
@@ -390,22 +382,24 @@ def _resolvent_response(points) -> np.ndarray:
 
 
 def two_photon_response(points, method: str = "analytic") -> np.ndarray:
-    """Time-averaged two-photon response of each of a sequence of n
-    CascadeParams points.
+    """Time-averaged two-photon response of each of n parameter points.
 
-    Returns a (5, n) complex array, rows (P11, P12, P21, P22, avg_w): the
-    integrals over tau in [0, inf) of the population propagators X1 -> X1,
-    X2 -> X1, X1 -> X2, X2 -> X2 and of the coherence kernel w.  Every
-    averaged coincidence is :func:`_braces` of it.  method "analytic" uses
-    the coherence and population blocks, "numeric" the resolvent of the
-    full generator.  Raises DivergentAverageError if any
+    ``points`` is a CascadeBatch, or a sequence of CascadeParams, which is
+    stacked into one.  Returns a (5, n) complex array, rows (P11, P12, P21,
+    P22, avg_w): the integrals over tau in [0, inf) of the population
+    propagators X1 -> X1, X2 -> X1, X1 -> X2, X2 -> X2 and of the coherence
+    kernel w.  Every averaged coincidence is :func:`_braces` of it.  method
+    "analytic" uses the coherence and population blocks, "numeric" the
+    resolvent of the full generator.  Raises DivergentAverageError if any
     point has a mode decaying slower than the refusal floor.
     """
+    if method not in ("analytic", "numeric"):
+        raise ValueError(f"unknown method {method!r}")
+    if not isinstance(points, CascadeBatch):
+        points = CascadeBatch.stack(points)
     if method == "analytic":
         return _closed_form_response(points)
-    if method == "numeric":
-        return _resolvent_response(points)
-    raise ValueError(f"unknown method {method!r}")
+    return _resolvent_response(points)
 
 
 def _average(response: np.ndarray, det1: DetectorSetting,

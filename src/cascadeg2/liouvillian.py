@@ -203,15 +203,17 @@ def propagate_steps(m: np.ndarray, y0: np.ndarray, taus) -> np.ndarray:
     exponential per distinct step value (matched exactly), so a uniform grid
     costs a handful of exponentials and matrix products, with no
     discretization error beyond round-off.  Returns an array of shape
-    ``(len(taus),) + y0.shape``.
+    ``(len(taus),) + y0.shape`` and dtype ``result_type(m, y0)``, so a real
+    block steps in real arithmetic.
     """
     steps = np.diff(np.asarray(taus, dtype=float), prepend=0.0)
     values, which = np.unique(steps, return_inverse=True)
     # C order, so that the stack of every m * step views as real pairs
     scaled = _flush_subnormal(values[:, None, None] * np.ascontiguousarray(m))
     props = [expm(a) for a in scaled]
-    out = np.empty((steps.size,) + np.shape(y0), dtype=complex)
-    y = np.asarray(y0, dtype=complex)
+    dtype = np.result_type(m, y0)
+    out = np.empty((steps.size,) + np.shape(y0), dtype=dtype)
+    y = np.asarray(y0, dtype=dtype)
     for k, idx in enumerate(which):
         y = props[idx] @ y
         out[k] = y

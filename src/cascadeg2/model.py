@@ -9,13 +9,18 @@ All rates and frequencies are dimensionless, in units of the total upper-level
 radiative rate gamma = gamma1 + gamma2.  With the defaults gamma1 = gamma2 =
 1/2 and gamma3 = gamma4 = 1, the unit rate is also the radiative rate of each
 intermediate level, which is the normalization used for every swept quantity.
+
+``CascadeParams`` is one parameter point; ``CascadeBatch`` holds many as
+arrays with the same field names, for sweeps, and both are validated by one
+rule.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -59,14 +64,10 @@ class CascadeParams:
     detuning: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("gamma1", "gamma2", "gamma3", "gamma4", "gamma_u",
-                     "gamma12", "gamma21", "rabi"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        for name in ("delta_fs", "detuning"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        values = _field_values(self)
+        for value in values:
+            math.isfinite(value)  # TypeError unless a real number, such as "1"
+        _check_fields(np.array(values, dtype=float))
 
     @property
     def gamma(self) -> float:
@@ -100,6 +101,98 @@ class CascadeParams:
     def with_(self, **changes) -> "CascadeParams":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
+
+
+PARAM_FIELDS = tuple(f.name for f in fields(CascadeParams))
+_field_values = attrgetter(*PARAM_FIELDS)
+
+# rows of the fields that may be negative; every other field is a rate or
+# the Rabi frequency, bounded below by zero
+_SIGNED = np.isin(PARAM_FIELDS, ("delta_fs", "detuning"))
+_LOWER = np.where(_SIGNED, -np.inf, 0.0)[:, None]
+
+
+def _check_fields(table: np.ndarray) -> None:
+    """The one validation rule of CascadeParams and CascadeBatch.
+
+    ``table`` holds one row per field of PARAM_FIELDS, a value or a column
+    per point.  Rates and rabi must be finite and >= 0, delta_fs and
+    detuning finite; the ValueError names the first bad value, rates and
+    rabi before the signed fields.
+    """
+    table = table.reshape(len(PARAM_FIELDS), -1)
+    ok = np.isfinite(table) & (table >= _LOWER)
+    if ok.all():
+        return
+    bad = ~ok
+    row = min(np.flatnonzero(bad.any(axis=1)), key=lambda k: _SIGNED[k])
+    name = PARAM_FIELDS[row]
+    if _SIGNED[row]:
+        raise ValueError(f"{name} must be finite")
+    value = float(table[row, np.argmax(bad[row])])
+    raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+class CascadeBatch:
+    """n parameter points as arrays: the CascadeParams fields, each a float
+    array of shape (n,).
+
+    Build a batch by broadcasting a base point against axis arrays
+    (:meth:`broadcast`), by stacking points (:meth:`stack`) or by joining
+    batches (:meth:`concatenate`).  It is validated once, on construction,
+    by the rule of CascadeParams, and read-only after.  ``table`` holds the
+    fields as rows, in the order of PARAM_FIELDS.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, table) -> None:
+        table = np.array(table, dtype=float)
+        if table.ndim != 2 or table.shape[0] != len(PARAM_FIELDS):
+            raise ValueError(f"expected a ({len(PARAM_FIELDS)}, n) table, "
+                             f"got shape {table.shape}")
+        _check_fields(table)
+        table.flags.writeable = False
+        self.table = table
+
+    @classmethod
+    def broadcast(cls, base: CascadeParams, **axes) -> "CascadeBatch":
+        """The points of ``base`` with the named fields set from arrays.
+
+        The axis arrays broadcast against each other; the points follow
+        their broadcast shape in C order.
+        """
+        unknown = set(axes) - set(PARAM_FIELDS)
+        if unknown:
+            raise ValueError(f"unknown parameter {sorted(unknown)[0]!r}")
+        columns = np.broadcast_arrays(*(axes.get(name, value) for name, value
+                                        in zip(PARAM_FIELDS, _field_values(base))))
+        return cls([np.ravel(c) for c in columns])
+
+    @classmethod
+    def stack(cls, points) -> "CascadeBatch":
+        """The batch of a sequence of CascadeParams, in order."""
+        return cls(np.array([_field_values(p) for p in points],
+                            dtype=float).reshape(-1, len(PARAM_FIELDS)).T)
+
+    @classmethod
+    def concatenate(cls, batches) -> "CascadeBatch":
+        """One batch holding the points of each batch in turn."""
+        return cls(np.concatenate([b.table for b in batches], axis=1))
+
+    def __len__(self) -> int:
+        return self.table.shape[1]
+
+    def point(self, k: int) -> CascadeParams:
+        """Point k as CascadeParams."""
+        return CascadeParams(*self.table[:, k].tolist())
+
+
+for _row, _name in enumerate(PARAM_FIELDS):
+    setattr(CascadeBatch, _name,
+            property(lambda self, row=_row: self.table[row],
+                     doc=f"{_name} of every point, shape (n,)"))
+del _row, _name
 
 
 @dataclass(frozen=True)
@@ -151,17 +244,21 @@ def omega_pm(rabi: float, detuning: float) -> tuple[float, float]:
     return half_split + 0.5 * detuning, half_split - 0.5 * detuning
 
 
-def omega_star(delta_fs: float, detuning: float) -> float:
+def omega_star(delta_fs: float | np.ndarray,
+               detuning: float | np.ndarray) -> float | np.ndarray:
     """Drive amplitude that Stark-shifts the upper dressed state onto X1.
 
     Solves Omega_minus(Omega, detuning) = delta_fs, giving
-    Omega* = sqrt(delta_fs^2 + delta_fs * detuning).
+    Omega* = sqrt(delta_fs^2 + delta_fs * detuning).  Element-wise on
+    arrays; scalars give a float.
     """
-    if delta_fs < 0:
-        raise ValueError(f"delta_fs must be >= 0, got {delta_fs}")
-    radicand = delta_fs * delta_fs + delta_fs * detuning
-    if radicand < 0:
+    delta_fs = np.asarray(delta_fs, dtype=float)
+    if np.any(delta_fs < 0):
+        raise ValueError(f"delta_fs must be >= 0, got {delta_fs.min()}")
+    radicand = delta_fs * delta_fs + delta_fs * np.asarray(detuning, dtype=float)
+    if np.any(radicand < 0):
         raise ValueError(
-            f"delta_fs^2 + delta_fs*detuning = {radicand} < 0: no real drive "
-            "amplitude brings the dressed state into degeneracy")
-    return math.sqrt(radicand)
+            f"delta_fs^2 + delta_fs*detuning = {radicand.min()} < 0: no real "
+            "drive amplitude brings the dressed state into degeneracy")
+    root = np.sqrt(radicand)
+    return float(root) if root.ndim == 0 else root

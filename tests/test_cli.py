@@ -11,8 +11,10 @@ import pytest
 
 import cascadeg2
 from cascadeg2 import (CascadeParams, DetectorSetting, bell_s_shortcut,
-                       degree_of_correlation, g2_analytic, omega_star)
-from cascadeg2.cli import (RunConfig, load_config, main, run_figure, run_sweep)
+                       degree_of_correlation, g2_analytic, omega_star,
+                       two_photon_response)
+from cascadeg2.cli import (FIGURE_IDS, RunConfig, _figure_plan, load_config,
+                           main, run_figure, run_sweep)
 from cascadeg2.liouvillian import build_generator
 from cascadeg2.verify import (check_oracle_equivalence, check_w_phase,
                               run_all_checks, summarize)
@@ -167,14 +169,28 @@ class TestFigures:
         (["figure", "4b", "--override", "steps=11"], "figure_4b_steps11.csv"),
         (["figure", "5", "--override", "steps=11"], "figure_5_steps11.csv"),
         (["figure", "6", "--override", "steps=11"], "figure_6_steps11.csv"),
+        (["figure", "5"], "figure_5.csv"),
+        (["figure", "6"], "figure_6.csv"),
         (["sweep", "--axis", "rabi", "--start", "0", "--stop", "10",
           "--steps", "21"], "sweep_rabi_0_10_21.csv"),
     ])
     def test_output_matches_golden_csv(self, tmp_path, argv, golden):
-        # captured before sweeps were batched; output must not move a byte
+        # captured before sweeps were batched, the default-resolution
+        # figures before parameter batches; output must not move a byte
         out = tmp_path / "out.csv"
         assert main(argv + ["--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / golden).read_bytes()
+
+    @pytest.mark.parametrize("fig_id", FIGURE_IDS)
+    def test_one_response_per_figure_equals_per_curve_responses(self, fig_id):
+        _, groups = _figure_plan(fig_id, {})
+        expected = []
+        for xs, batch, columns in groups:
+            response = two_photon_response(batch)
+            for label, evaluate in columns:
+                expected += [(float(x), label, float(v))
+                             for x, v in zip(xs, evaluate(response))]
+        assert run_figure(fig_id).rows == tuple(expected)
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError):
@@ -188,7 +204,8 @@ class TestFigures:
         assert exit_info.value.code == 2
         assert "gama_u" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override", ["steps=x", "steps=1", "rabi",
+    @pytest.mark.parametrize("override", ["steps=x", "steps=1", "steps=0",
+                                          "steps=2.7", "steps=inf", "rabi",
                                           "gamma3=-1"])
     def test_bad_override_is_usage_error(self, capsys, override):
         with pytest.raises(SystemExit) as exit_info:
@@ -308,6 +325,14 @@ class TestCommands:
                       if "=" in item)
         assert float(values["gamma12"]) == gamma12
         assert float(values["gamma21"]) == 1.0
+
+    def test_empty_observable_list_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--axis", "rabi", "--start", "0", "--stop", "1",
+                  "--steps", "2", "--observables", ","])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("cascadeg2: error: no observables")
 
     def test_sweep_command_to_stdout(self, capsys):
         assert main(["sweep", "--axis", "delta_fs", "--start", "0",

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from cascadeg2 import (CascadeParams, CorrelationCurve, DetectorSetting,
-                       DivergentAverageError, JumpOperator, Level, PhotonStage,
+from cascadeg2 import (CascadeBatch, CascadeParams, CorrelationCurve,
+                       DetectorSetting, DivergentAverageError, JumpOperator,
+                       Level, PhotonStage,
                        SpecialCase, TSIRELSON_BOUND, build_generator,
                        correlation_curve, degree_of_correlation, evolve,
                        g2_analytic, g2_avg_analytic, g2_avg_numeric,
@@ -151,12 +152,19 @@ class TestBlockExponential:
     @given(_DOMAIN)
     def test_blocks_are_restrictions_of_the_generator(self, params):
         m = build_generator(params).m
-        for block, elements in (
-                (_coherence_generator(params), [(X1, X2), (X1, U)]),
-                (_population_generator(params),
-                 [(X1, X1), (X2, X2), (U, U), (X2, U), (U, X2)])):
-            idx = [i + 5 * j for i, j in elements]
-            assert np.allclose(block, m[np.ix_(idx, idx)], rtol=0, atol=1e-14)
+        coherence = [X1 + 5 * X2, X1 + 5 * U]
+        assert np.allclose(_coherence_generator(params),
+                           m[np.ix_(coherence, coherence)], rtol=0, atol=1e-14)
+        # the population block is the restriction to (X1X1, X2X2, uu, X2u,
+        # uX2) in the real basis (X1X1, X2X2, uu, X2u + uX2, i(X2u - uX2))
+        idx = [i + 5 * j for i, j in
+               [(X1, X1), (X2, X2), (U, U), (X2, U), (U, X2)]]
+        basis = np.eye(5, dtype=complex)
+        basis[3:, 3:] = [[1, 1], [1j, -1j]]
+        similar = basis @ m[np.ix_(idx, idx)] @ np.linalg.inv(basis)
+        block = _population_generator(params)
+        assert np.isrealobj(block)
+        assert np.allclose(block, similar, rtol=0, atol=1e-14)
 
     def test_tau_zero_is_identity(self):
         p = CascadeParams(delta_fs=3.0, rabi=9.0, detuning=17.0,
@@ -576,6 +584,13 @@ class TestTwoPhotonResponse:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="magic"):
             two_photon_response([CascadeParams()], method="magic")
+
+    @pytest.mark.parametrize("method", ["analytic", "numeric"])
+    @pytest.mark.parametrize("params", _mixed_family(5, n=4))
+    def test_one_point_batch_equals_point_list(self, params, method):
+        batch = CascadeBatch.broadcast(params)
+        assert np.array_equal(two_photon_response(batch, method),
+                              two_photon_response([params], method))
 
 
 class TestSpecialCases:

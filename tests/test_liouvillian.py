@@ -285,6 +285,16 @@ class TestEvolve:
         for tau, block in zip(taus, out):
             assert np.max(np.abs(block - expm(mat * tau) @ cols)) < 1e-13
 
+    def test_step_propagators_keep_a_real_block_real(self):
+        rng = np.random.default_rng(9)
+        mat = rng.normal(size=(5, 5)) - 3.0 * np.eye(5)
+        out = propagate_steps(mat, np.eye(5, 2), np.linspace(0.0, 2.0, 7))
+        assert out.dtype == np.float64
+        complex_out = propagate_steps(mat, np.eye(5, 2, dtype=complex),
+                                      np.linspace(0.0, 2.0, 7))
+        assert complex_out.dtype == np.complex128
+        assert np.max(np.abs(out - complex_out)) < 1e-13
+
     def test_grid_must_increase(self):
         gen = build_generator(CascadeParams())
         rho = DensityMatrix.pure(Level.TWO_X).rho

@@ -3,10 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cascadeg2 import (CascadeParams, DetectorSetting, degree_of_correlation,
-                       degree_of_correlation_instant, omega_pm, omega_star,
-                       polarization_rotation)
+from cascadeg2 import (CascadeBatch, CascadeParams, DetectorSetting,
+                       degree_of_correlation, degree_of_correlation_instant,
+                       omega_pm, omega_star, polarization_rotation)
+from cascadeg2.model import PARAM_FIELDS
 
 
 class TestOmegaStar:
@@ -33,6 +35,13 @@ class TestOmegaStar:
     def test_negative_splitting_rejected(self):
         with pytest.raises(ValueError):
             omega_star(-1.0, 0.0)
+
+    def test_elementwise_on_arrays(self):
+        delta_fs = np.linspace(0.0, 10.0, 21)
+        got = omega_star(delta_fs, 5.0 * delta_fs)
+        assert np.array_equal(got, [omega_star(x, 5.0 * x) for x in delta_fs])
+        with pytest.raises(ValueError):
+            omega_star(delta_fs, -2.0 * delta_fs)
 
 
 class TestOmegaPm:
@@ -126,6 +135,11 @@ class TestCascadeParams:
         with pytest.raises(ValueError):
             CascadeParams(delta_fs=float("nan"))
 
+    def test_non_number_rejected(self):
+        # numpy would read the string as 1.0; the field must be a number
+        with pytest.raises(TypeError):
+            CascadeParams(gamma3="1")
+
     def test_gamma_d_requires_symmetry(self):
         assert CascadeParams(gamma12=0.3, gamma21=0.3).gamma_d == 0.3
         with pytest.raises(ValueError):
@@ -143,3 +157,51 @@ class TestCascadeParams:
         changed = base.with_(delta_fs=5.0)
         assert changed.delta_fs == 5.0
         assert base.delta_fs == 0.0
+
+
+_BAD_VALUES = st.one_of(st.floats(max_value=-1e-300), st.just(math.inf),
+                        st.just(-math.inf), st.just(math.nan))
+
+
+class TestCascadeBatch:
+    def test_broadcast_sets_axes_and_keeps_the_base(self):
+        base = CascadeParams(gamma_u=0.01, delta_fs=5.0)
+        xs = np.linspace(0.0, 2.0, 5)
+        batch = CascadeBatch.broadcast(base, gamma12=xs, gamma21=xs)
+        assert len(batch) == 5
+        assert np.array_equal(batch.gamma12, xs)
+        assert np.array_equal(batch.gamma21, xs)
+        assert np.array_equal(batch.delta_fs, np.full(5, 5.0))
+        assert batch.point(3) == base.with_(gamma12=xs[3], gamma21=xs[3])
+
+    def test_broadcast_of_two_axes_follows_c_order(self):
+        batch = CascadeBatch.broadcast(CascadeParams(), rabi=[[1.0], [2.0]],
+                                       detuning=[3.0, 4.0, 5.0])
+        assert np.array_equal(batch.rabi, [1, 1, 1, 2, 2, 2])
+        assert np.array_equal(batch.detuning, [3, 4, 5, 3, 4, 5])
+
+    def test_stack_and_concatenate_keep_the_points(self):
+        points = [CascadeParams(rabi=float(k), detuning=-k) for k in range(4)]
+        batch = CascadeBatch.stack(points)
+        assert [batch.point(k) for k in range(4)] == points
+        joined = CascadeBatch.concatenate([CascadeBatch.stack(points[:1]),
+                                           CascadeBatch.stack(points[1:])])
+        assert np.array_equal(joined.table, batch.table)
+
+    def test_unknown_axis_rejected(self):
+        with pytest.raises(ValueError, match="gama_u"):
+            CascadeBatch.broadcast(CascadeParams(), gama_u=[0.0, 1.0])
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.sampled_from(PARAM_FIELDS), _BAD_VALUES,
+           st.integers(1, 6), st.data())
+    def test_validation_matches_cascade_params(self, name, bad, n, data):
+        if name in ("delta_fs", "detuning") and math.isfinite(bad):
+            bad = math.inf  # signed fields may be negative
+        with pytest.raises(ValueError) as single:
+            CascadeParams(**{name: bad})
+        axis = np.ones(n)
+        axis[data.draw(st.integers(0, n - 1))] = bad
+        with pytest.raises(ValueError) as batched:
+            CascadeBatch.broadcast(CascadeParams(), **{name: axis})
+        assert str(batched.value) == str(single.value)
