@@ -10,13 +10,12 @@ CHSH Bell observables across parameter sweeps.
 from .errors import DivergentAverageError, NumericError
 from .model import (CascadeBatch, CascadeParams, DetectorSetting, Level,
                     N_LEVELS, omega_pm, omega_star, polarization_rotation)
-from .liouvillian import (DensityMatrix, Liouvillian, build_generator, evolve,
-                          evolve_grid, unvectorize, vectorize)
-from .correlate import (CorrelationCurve, JumpOperator, PhotonStage,
-                        SpecialCase, SpecialCaseResult, correlation_curve,
-                        g2_analytic, g2_avg_analytic, g2_avg_numeric,
-                        g2_numeric, g2_numeric_grid, special_case,
-                        two_photon_response)
+from .liouvillian import (build_generator, evolve, evolve_grid, unvectorize,
+                          vectorize)
+from .correlate import (CorrelationCurve, SpecialCase, SpecialCaseResult,
+                        correlation_curve, g2_analytic, g2_avg_analytic,
+                        g2_avg_numeric, g2_numeric, g2_numeric_grid,
+                        special_case, two_photon_response)
 from .observables import (STANDARD_CHSH_ANGLES, TSIRELSON_BOUND, BellResult,
                           CorrelationDegree, bell_s_chsh, bell_s_from_response,
                           bell_s_shortcut, chsh_coefficient,
@@ -31,15 +30,11 @@ __all__ = [
     "CascadeParams",
     "CorrelationCurve",
     "CorrelationDegree",
-    "DensityMatrix",
     "DetectorSetting",
     "DivergentAverageError",
-    "JumpOperator",
     "Level",
-    "Liouvillian",
     "N_LEVELS",
     "NumericError",
-    "PhotonStage",
     "STANDARD_CHSH_ANGLES",
     "SpecialCase",
     "SpecialCaseResult",

@@ -140,13 +140,6 @@ def _layered_params(*layers: dict[str, float]) -> dict[str, float]:
     return values
 
 
-def _apply_param_overrides(params: CascadeParams,
-                           overrides: dict[str, float]) -> CascadeParams:
-    _check_param_keys(overrides, "override")
-    changes = _layered_params(overrides)
-    return params.with_(**changes) if changes else params
-
-
 def _figure_curves(fig_id: str):
     """Parameter sets for the predefined figure sweeps.
 
@@ -238,10 +231,13 @@ def _figure_plan(fig_id: str, overrides: dict[str, float] | None):
     evaluate turns the group's slice of the two-photon response into one
     value per swept value.  Bad input (an unknown figure or override, a bad
     step count or parameter) raises ValueError here, before anything is
-    evaluated.
+    evaluated.  An override of a field that a curve sweeps is refused, as
+    the sweep would overwrite it.
     """
     overrides = dict(overrides or {})
     steps = _steps_override(overrides)
+    _check_param_keys(overrides, "override")
+    changes = _layered_params(overrides)
     kind, curves = _figure_curves(fig_id)
     start, stop, default_steps, axis, swept = _FIGURE_AXES[kind]
     xs = RunConfig(start=start, stop=stop,
@@ -251,7 +247,12 @@ def _figure_plan(fig_id: str, overrides: dict[str, float] | None):
     metadata.append(("axis", axis))
     groups = []
     for label, params, *rest in curves:
-        params = _apply_param_overrides(params, overrides)
+        axes = rest[0](xs) if rest else {}
+        clash = sorted(changes.keys() & axes.keys())
+        if clash:
+            raise ValueError(f"curve {label} sweeps {', '.join(clash)}, "
+                             "which an override cannot set")
+        params = params.with_(**changes) if changes else params
         if swept is None:
             metadata.append((f"curve {label}", _params_summary(params)))
             groups.append((xs, CascadeBatch.stack([params]), [
@@ -259,8 +260,7 @@ def _figure_plan(fig_id: str, overrides: dict[str, float] | None):
         else:
             metadata.append((f"curve {label}", _params_summary(params)
                              + f" ({swept} swept)"))
-            (axes,) = rest
-            groups.append((xs, CascadeBatch.broadcast(params, **axes(xs)),
+            groups.append((xs, CascadeBatch.broadcast(params, **axes),
                            [(label, bell_s_from_response)]))
     return metadata, groups
 

@@ -25,15 +25,15 @@ Time-averaged correlations integrate the same quantities over tau in
 averages of the four population propagators and of the coherence kernel.
 ``two_photon_response`` computes them for a whole CascadeBatch of points,
 by either route as a Laplace transform at zero frequency: from the two
-blocks, built for the whole batch at once, or from the full generator,
-built once per point and restricted to the elements that the conditioned
-state reaches and the second detection sees.  The population blocks and the
-generator blocks go through one resolvent, ``_resolvent``: a stack of
-blocks M is refused with DivergentAverageError if a mode decays slower than
-the floor, else -M x = y0 is solved for the integral x of e^{M tau} y0.  The
-coherence average is the X1X2 entry of -C^{-1}, written out, and refused by
-the same floor on the eigenvalues of C that the average reaches: rho_X1X2
-alone without the drive, both with it.
+blocks, or from the full generator restricted to the elements that the
+conditioned state reaches and the second detection sees.  Both routes build
+their matrices for the whole batch at once, as stacks.  The population
+blocks and the generator blocks go through one resolvent, ``_resolvent``: a
+stack of blocks M is refused with DivergentAverageError if a mode decays
+slower than the floor, else -M x = y0 is solved for the integral x of
+e^{M tau} y0.  The coherence average is the X1X2 entry of -C^{-1}, written
+out, and refused by the same floor on the eigenvalues of C that the average
+reaches: rho_X1X2 alone without the drive, both with it.
 ``g2_avg_analytic`` and ``g2_avg_numeric`` are one-point calls of it.
 On a delay grid the full generator and the driven population block are
 propagated exactly by stepping with one matrix exponential per distinct
@@ -48,8 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentAverageError
-from .liouvillian import (Liouvillian, build_generator, evolve, evolve_grid,
-                          propagate_steps)
+from .liouvillian import build_generator, evolve, evolve_grid, propagate_steps
 from .model import (Level, N_LEVELS, CascadeBatch, CascadeParams,
                     DetectorSetting, omega_pm)
 
@@ -60,37 +59,6 @@ _SERIES_CUTOFF = 1e-4
 # A time average exists only if every mode of the sector it integrates
 # decays faster than this rate; both routes refuse at the same threshold.
 _DECAY_FLOOR = 1e-12
-
-
-class PhotonStage(enum.Enum):
-    FIRST = "first"
-    SECOND = "second"
-
-
-@dataclass(frozen=True)
-class JumpOperator:
-    """Polarization-projected lowering operator for one detection stage.
-
-    First photon:  cos(theta) |X1><2X| + e^{i phi} sin(theta) |X2><2X|
-    Second photon: cos(theta) |g><X1|  + e^{i phi} sin(theta) |g><X2|
-    """
-
-    op: np.ndarray
-    stage: PhotonStage
-
-    @classmethod
-    def first_photon(cls, det: DetectorSetting) -> "JumpOperator":
-        op = np.zeros((N_LEVELS, N_LEVELS), dtype=complex)
-        op[Level.X1, Level.TWO_X] = np.cos(det.theta)
-        op[Level.X2, Level.TWO_X] = np.exp(1j * det.phi) * np.sin(det.theta)
-        return cls(op, PhotonStage.FIRST)
-
-    @classmethod
-    def second_photon(cls, det: DetectorSetting) -> "JumpOperator":
-        op = np.zeros((N_LEVELS, N_LEVELS), dtype=complex)
-        op[Level.G, Level.X1] = np.cos(det.theta)
-        op[Level.G, Level.X2] = np.exp(1j * det.phi) * np.sin(det.theta)
-        return cls(op, PhotonStage.SECOND)
 
 
 @dataclass(frozen=True)
@@ -248,24 +216,35 @@ def g2_analytic(params: CascadeParams, det1: DetectorSetting,
     return float(value[0]) if scalar else value
 
 
+def _polarization_vector(det: DetectorSetting) -> np.ndarray:
+    """cos(theta) |X1> + e^{i phi} sin(theta) |X2>."""
+    v = np.zeros(N_LEVELS, dtype=complex)
+    v[Level.X1] = np.cos(det.theta)
+    v[Level.X2] = np.exp(1j * det.phi) * np.sin(det.theta)
+    return v
+
+
 def _conditioned_state(det1: DetectorSetting) -> np.ndarray:
-    """A |2X><2X| A^dag for the first-photon jump operator A."""
-    a = JumpOperator.first_photon(det1).op
-    rho = np.zeros((N_LEVELS, N_LEVELS), dtype=complex)
-    rho[Level.TWO_X, Level.TWO_X] = 1.0
-    return a @ rho @ a.conj().T
+    """A |2X><2X| A^dag for the first-photon jump operator
+    A = cos(theta) |X1><2X| + e^{i phi} sin(theta) |X2><2X|."""
+    a = _polarization_vector(det1)  # A |2X>
+    return np.outer(a, a.conj())
 
 
 def _detection_projector(det2: DetectorSetting) -> np.ndarray:
-    """B^dag B for the second-photon jump operator B."""
-    b = JumpOperator.second_photon(det2).op
-    return b.conj().T @ b
+    """B^dag B for the second-photon jump operator
+    B = cos(theta) |g><X1| + e^{i phi} sin(theta) |g><X2|."""
+    b = _polarization_vector(det2)  # <g| B, as a row
+    return np.outer(b.conj(), b)
 
 
 def g2_numeric_grid(params: CascadeParams, det1: DetectorSetting,
                     det2: DetectorSetting, taus,
-                    gen: Liouvillian | None = None) -> np.ndarray:
-    """Regression-theorem correlation on a strictly increasing tau grid."""
+                    gen: np.ndarray | None = None) -> np.ndarray:
+    """Regression-theorem correlation on a strictly increasing tau grid.
+
+    ``gen`` is the (25, 25) generator of ``params``, built if not given.
+    """
     taus = np.asarray(taus, dtype=float)
     if gen is None:
         gen = build_generator(params)
@@ -359,18 +338,18 @@ def _resolvent_response(params: CascadeBatch) -> np.ndarray:
 
     The integral of e^{M tau} y0 over [0, inf) is x with M_SS x = -y0_S; one
     solve per point takes y0 = |X1><X1|, |X2><X2| and |X1><X2|, whose
-    solutions hold the population slots and the coherence slot.  One
-    generator is built per point.
+    solutions hold the population slots and the coherence slot.  The
+    generators of all points are built as one stack.
     """
     response = np.empty((5, len(params)), dtype=complex)
+    gens = build_generator(params)
     driven = params.rabi != 0.0
     for mask, levels in ((~driven, (Level.X1, Level.X2)),
                          (driven, (Level.X1, Level.X2, Level.U))):
         if not mask.any():
             continue
         sector = _average_sector(levels)
-        m_ss = np.array([build_generator(params.point(k)).m[np.ix_(sector, sector)]
-                         for k in np.flatnonzero(mask)])
+        m_ss = gens[np.ix_(mask, sector, sector)]
         # sector positions of X1X1, X2X2 and X1X2 (X1 and X2 lead ``levels``)
         n = len(levels)
         x11, x22, x12 = 0, n + 1, n

@@ -13,6 +13,11 @@ the drive adds 20 off-diagonal entries.  rho_upper,upper feeds
 rho_lower,lower at rate r, and rho_ij decays at (out_i + out_j) / 2, out_k
 being the total rate out of level k.
 
+The generator is a plain complex array: ``build_generator`` fills one (25,
+25) matrix for a CascadeParams point, or a stack of shape (n, 25, 25) for
+the n points of a CascadeBatch, entry for entry the same.  ``evolve`` and
+``evolve_grid`` take one (25, 25) matrix.
+
 scipy is imported on first use: ``scipy.linalg`` by the first matrix
 exponential and ``scipy.integrate`` by the first ODE solve, so the closed-form
 time averages behind figures, degree, Bell and sweeps load numpy only.
@@ -20,12 +25,10 @@ time averages behind figures, degree, Bell and sweeps load numpy only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericError
-from .model import Level, N_LEVELS, CascadeParams
+from .model import Level, N_LEVELS, CascadeBatch, CascadeParams
 
 DIM = N_LEVELS * N_LEVELS
 
@@ -63,69 +66,9 @@ def unvectorize(vec: np.ndarray) -> np.ndarray:
     return vec.reshape((N_LEVELS, N_LEVELS), order="F")
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A 5x5 operator over the levels [2X, X1, X2, u, g].
-
-    Physical states are Hermitian, unit trace and positive semidefinite;
-    conditional operators fed through the regression pipeline are general
-    operators and carry no such constraints.
-    """
-
-    rho: np.ndarray
-
-    def __post_init__(self) -> None:
-        rho = np.asarray(self.rho, dtype=complex)
-        if rho.shape != (N_LEVELS, N_LEVELS):
-            raise ValueError(f"expected a {N_LEVELS}x{N_LEVELS} matrix, got {rho.shape}")
-        object.__setattr__(self, "rho", rho)
-
-    @classmethod
-    def pure(cls, level: Level) -> "DensityMatrix":
-        rho = np.zeros((N_LEVELS, N_LEVELS), dtype=complex)
-        rho[level, level] = 1.0
-        return cls(rho)
-
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.rho))
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T))[0])
-
-    def validate_physical(self, herm_tol: float = 1e-12, trace_tol: float = 1e-12,
-                          psd_tol: float = 1e-10) -> None:
-        """Raise ValueError unless Hermitian, unit-trace and PSD within tolerance."""
-        dev = np.max(np.abs(self.rho - self.rho.conj().T))
-        if dev > herm_tol:
-            raise ValueError(f"not Hermitian: max |rho - rho^dag| = {dev:.3e}")
-        tr_dev = abs(self.trace - 1.0)
-        if tr_dev > trace_tol:
-            raise ValueError(f"trace deviates from 1 by {tr_dev:.3e}")
-        if self.min_eigenvalue < -psd_tol:
-            raise ValueError(f"negative eigenvalue {self.min_eigenvalue:.3e}")
-
-
-@dataclass(frozen=True)
-class Liouvillian:
-    """Dense 25x25 generator acting on column-major vectorized operators."""
-
-    m: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.m, dtype=complex)
-        if m.shape != (DIM, DIM):
-            raise ValueError(f"expected a {DIM}x{DIM} matrix, got {m.shape}")
-        object.__setattr__(self, "m", m)
-
-    def apply(self, op: np.ndarray) -> np.ndarray:
-        """Return d(op)/dt as a 5x5 operator."""
-        return unvectorize(self.m @ vectorize(op))
-
-
-def _drive_pattern() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vec rows, columns and signs s of the entries i rabi s of -i[H, rho].
+def _drive_pattern() -> tuple[np.ndarray, np.ndarray]:
+    """Positions (row * DIM + column) and signs s of the entries i rabi s of
+    -i[H, rho] in the generator.
 
     They come from the drive H_ab = -rabi, (a, b) = (X2, u) and (u, X2):
     (H rho)_aj takes rho_bj and (rho H)_ib takes rho_ia, for every level i
@@ -137,45 +80,59 @@ def _drive_pattern() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rows += [a + N_LEVELS * levels, levels + N_LEVELS * b]
         cols += [b + N_LEVELS * levels, levels + N_LEVELS * a]
     signs = np.tile(np.repeat([1.0, -1.0], N_LEVELS), 2)
-    return np.concatenate(rows), np.concatenate(cols), signs
+    return np.concatenate(rows) * DIM + np.concatenate(cols), signs
 
 
-_DRIVE_ROWS, _DRIVE_COLS, _DRIVE_SIGNS = _drive_pattern()
+_DRIVE, _DRIVE_SIGNS = _drive_pattern()
+
+# (rate, upper, lower) of the seven jumps |lower><upper|
+_JUMPS = (
+    ("gamma1", Level.TWO_X, Level.X1),
+    ("gamma2", Level.TWO_X, Level.X2),
+    ("gamma3", Level.X1, Level.G),
+    ("gamma4", Level.X2, Level.G),
+    ("gamma_u", Level.X2, Level.U),
+    ("gamma21", Level.X1, Level.X2),
+    ("gamma12", Level.X2, Level.X1),
+)
 
 
-def build_generator(params: CascadeParams) -> Liouvillian:
-    """Assemble the Lindblad generator for the given cascade parameters."""
-    energy = np.zeros(N_LEVELS)
-    energy[Level.X1] = params.delta_fs
-    energy[Level.U] = -params.detuning
+def build_generator(params: CascadeParams | CascadeBatch) -> np.ndarray:
+    """The Lindblad generator of one parameter point, shape (25, 25), or of
+    each point of a CascadeBatch, shape (n, 25, 25)."""
+    p = params
+    lead = np.shape(p.rabi)
+    energy = np.zeros(lead + (N_LEVELS,))
+    energy[..., Level.X1] = p.delta_fs
+    energy[..., Level.U] = -p.detuning
+    # the total rate out of each level, its jumps summed in the order above
+    out = np.zeros(lead + (N_LEVELS,))
+    out[..., Level.TWO_X] = p.gamma1 + p.gamma2
+    out[..., Level.X1] = p.gamma3 + p.gamma21
+    out[..., Level.X2] = p.gamma4 + p.gamma_u + p.gamma12
 
-    jumps = (
-        (params.gamma1, Level.TWO_X, Level.X1),
-        (params.gamma2, Level.TWO_X, Level.X2),
-        (params.gamma3, Level.X1, Level.G),
-        (params.gamma4, Level.X2, Level.G),
-        (params.gamma_u, Level.X2, Level.U),
-        (params.gamma21, Level.X1, Level.X2),
-        (params.gamma12, Level.X2, Level.X1),
-    )
-
-    m = np.zeros((DIM, DIM), dtype=complex)
-    m[_DRIVE_ROWS, _DRIVE_COLS] = 1j * params.rabi * _DRIVE_SIGNS
-    out = np.zeros(N_LEVELS)
+    m = np.zeros(lead + (DIM, DIM), dtype=complex)
+    flat = m.reshape(lead + (DIM * DIM,))
+    flat[..., _DRIVE] = np.multiply.outer(1j * p.rabi, _DRIVE_SIGNS)
     # the population rho_kk sits at vec index k (N_LEVELS + 1)
-    for rate, upper, lower in jumps:
-        m[lower * (N_LEVELS + 1), upper * (N_LEVELS + 1)] += rate
-        out[upper] += rate
+    for name, upper, lower in _JUMPS:
+        m[..., lower * (N_LEVELS + 1), upper * (N_LEVELS + 1)] = getattr(p, name)
     # rho_ij rotates at -(E_i - E_j) and decays at (out_i + out_j) / 2; each
-    # outer product's [j, i] entry ravels to 5j + i, the vec index of rho_ij
-    m.flat[::DIM + 1] = (1j * np.subtract.outer(energy, energy)
-                         - 0.5 * np.add.outer(out, out)).ravel()
-    return Liouvillian(m)
+    # outer difference's [j, i] entry ravels to 5j + i, the vec index of rho_ij
+    flat[..., ::DIM + 1] = (
+        1j * (energy[..., :, None] - energy[..., None, :])
+        - 0.5 * (out[..., :, None] + out[..., None, :])).reshape(lead + (DIM,))
+    return m
+
+
+def _as_generator(gen) -> np.ndarray:
+    gen = np.asarray(gen, dtype=complex)
+    if gen.shape != (DIM, DIM):
+        raise ValueError(f"expected a {DIM}x{DIM} generator, got {gen.shape}")
+    return gen
 
 
 def _as_operator(x0) -> np.ndarray:
-    if isinstance(x0, DensityMatrix):
-        x0 = x0.rho
     x0 = np.asarray(x0, dtype=complex)
     if x0.shape != (N_LEVELS, N_LEVELS):
         raise ValueError(f"expected a {N_LEVELS}x{N_LEVELS} operator, got {x0.shape}")
@@ -222,25 +179,27 @@ def propagate_steps(m: np.ndarray, y0: np.ndarray, taus) -> np.ndarray:
     return out
 
 
-def evolve_grid(gen: Liouvillian, x0, taus) -> np.ndarray:
-    """Propagate x0 exactly to every time in ``taus``.
+def evolve_grid(gen: np.ndarray, x0, taus) -> np.ndarray:
+    """Propagate x0 exactly to every time in ``taus`` under the (25, 25)
+    generator ``gen``.
 
     ``taus`` must be finite, nonnegative and strictly increasing.  Returns an
     array of shape (len(taus), 5, 5).
     """
-    x0 = _as_operator(x0)
+    gen, x0 = _as_generator(gen), _as_operator(x0)
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError("taus must be a nonempty 1-d array")
     if not np.all(np.isfinite(taus)) or taus[0] < 0 or np.any(np.diff(taus) <= 0):
         raise ValueError("taus must be finite, nonnegative and strictly increasing")
-    vecs = propagate_steps(gen.m, vectorize(x0), taus)
+    vecs = propagate_steps(gen, vectorize(x0), taus)
     # row k holds vec(X_k) column-major, so the reshape yields X_k transposed
     return vecs.reshape(taus.size, N_LEVELS, N_LEVELS).transpose(0, 2, 1)
 
 
-def evolve(gen: Liouvillian, x0, tau: float, method: str = "ode") -> np.ndarray:
-    """Return exp(M tau) applied to the operator x0.
+def evolve(gen: np.ndarray, x0, tau: float, method: str = "ode") -> np.ndarray:
+    """Return exp(M tau) applied to the operator x0, M being the (25, 25)
+    generator ``gen``.
 
     method "ode" uses adaptive DOP853 integration at DEFAULT_RTOL and
     DEFAULT_ATOL, kept as an independent cross-check; method "expm" uses the
@@ -249,14 +208,14 @@ def evolve(gen: Liouvillian, x0, tau: float, method: str = "ode") -> np.ndarray:
     """
     if method not in ("ode", "expm"):
         raise ValueError(f"unknown method {method!r}, expected 'ode' or 'expm'")
-    x0 = _as_operator(x0)
+    gen, x0 = _as_generator(gen), _as_operator(x0)
     if not np.isfinite(tau) or tau < 0:
         raise ValueError(f"tau must be finite and >= 0, got {tau}")
     if tau == 0.0:
         return x0.copy()
     if method == "expm":
-        return unvectorize(propagate_steps(gen.m, vectorize(x0), [tau])[0])
-    sol = solve_ivp(lambda _t, y: gen.m @ y, (0.0, float(tau)), vectorize(x0),
+        return unvectorize(propagate_steps(gen, vectorize(x0), [tau])[0])
+    sol = solve_ivp(lambda _t, y: gen @ y, (0.0, float(tau)), vectorize(x0),
                     method="DOP853", rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL)
     if not sol.success or not np.all(np.isfinite(sol.y)):
         raise NumericError(f"ODE propagation failed: {sol.message}")

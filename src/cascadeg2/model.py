@@ -183,10 +183,6 @@ class CascadeBatch:
     def __len__(self) -> int:
         return self.table.shape[1]
 
-    def point(self, k: int) -> CascadeParams:
-        """Point k as CascadeParams."""
-        return CascadeParams(*self.table[:, k].tolist())
-
 
 for _row, _name in enumerate(PARAM_FIELDS):
     setattr(CascadeBatch, _name,

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,11 +11,12 @@ import numpy as np
 import pytest
 
 import cascadeg2
-from cascadeg2 import (CascadeParams, DetectorSetting, bell_s_shortcut,
-                       degree_of_correlation, g2_analytic, omega_star,
-                       two_photon_response)
-from cascadeg2.cli import (FIGURE_IDS, RunConfig, _figure_plan, load_config,
-                           main, run_figure, run_sweep)
+from cascadeg2 import (CascadeBatch, CascadeParams, DetectorSetting,
+                       bell_s_shortcut, degree_of_correlation, g2_analytic,
+                       omega_star, two_photon_response)
+from cascadeg2.cli import (FIGURE_IDS, RunConfig, _figure_plan,
+                           _parse_overrides, load_config, main, run_figure,
+                           run_sweep)
 from cascadeg2.liouvillian import build_generator
 from cascadeg2.verify import (check_oracle_equivalence, check_w_phase,
                               run_all_checks, summarize)
@@ -192,6 +194,16 @@ class TestFigures:
                              for x, v in zip(xs, evaluate(response))]
         assert run_figure(fig_id).rows == tuple(expected)
 
+    @pytest.mark.parametrize("fig_id", FIGURE_IDS)
+    def test_routes_agree_on_the_figure_batch(self, fig_id):
+        _, groups = _figure_plan(fig_id, {})
+        batch = CascadeBatch.concatenate([batch for _, batch, _ in groups])
+        analytic = two_photon_response(batch)
+        numeric = two_photon_response(batch, "numeric")
+        # relative to each point's largest slot
+        assert np.max(np.abs(numeric - analytic)
+                      / np.max(np.abs(analytic), axis=0)) <= 1e-12
+
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError):
             run_figure("9z", {})
@@ -214,6 +226,33 @@ class TestFigures:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith("cascadeg2: error: ")
+
+    @pytest.mark.parametrize("fig_id, override, fields, curve", [
+        ("6", "gamma_d=1", "gamma12, gamma21", "S[dfs0_no_field]"),
+        ("6", "gamma21=0.5", "gamma21", "S[dfs0_no_field]"),
+        ("5", "delta_fs=1", "delta_fs", "S[no_field]"),
+        ("5", "rabi=2", "rabi", "S[resonant]"),
+        ("5", "detuning=3", "detuning", "S[detuned]"),
+    ])
+    def test_override_of_a_swept_field_is_usage_error(self, capsys, fig_id,
+                                                      override, fields, curve):
+        message = f"curve {curve} sweeps {fields},"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_figure(fig_id, _parse_overrides([override]))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure", fig_id, "--override", override,
+                  "--override", "steps=3"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"cascadeg2: error: {message}")
+
+    @pytest.mark.parametrize("fig_id", ["5", "6"])
+    def test_override_of_an_unswept_field_applies(self, fig_id):
+        header = run_figure(fig_id, {"gamma_u": 0.0, "steps": 3}).metadata
+        curves = [value for key, value in header if key.startswith("curve ")]
+        assert len(curves) == 3
+        assert all(f"gamma_u={0.0:.11e}" in value for value in curves)
 
     @pytest.mark.parametrize("argv", [
         ["degree", "--theta", "nan"],

@@ -7,14 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from cascadeg2 import (CascadeBatch, CascadeParams, CorrelationCurve,
-                       DetectorSetting, DivergentAverageError, JumpOperator,
-                       Level, PhotonStage,
+                       DetectorSetting, DivergentAverageError, Level,
                        SpecialCase, TSIRELSON_BOUND, build_generator,
                        correlation_curve, degree_of_correlation, evolve,
                        g2_analytic, g2_avg_analytic, g2_avg_numeric,
                        g2_numeric, g2_numeric_grid, omega_pm, special_case,
                        two_photon_response)
 from cascadeg2.correlate import (_average_sector, _coherence_generator,
+                                 _conditioned_state, _detection_projector,
                                  _expm2, _population_generator)
 from cascadeg2.observables import (STANDARD_CHSH_ANGLES, bell_s_chsh,
                                    bell_s_shortcut)
@@ -53,25 +53,27 @@ _DOMAIN = st.one_of(_domain(), _domain((1e-8, 1e-5)))
 
 
 class TestJumpOperators:
+    # A = cos(theta) |X1><2X| + e^{i phi} sin(theta) |X2><2X| conditions the
+    # state on the first photon; B = cos(theta) |g><X1| + e^{i phi}
+    # sin(theta) |g><X2| detects the second
     def test_first_photon_structure(self):
-        det = DetectorSetting(0.3, 0.8)
-        jump = JumpOperator.first_photon(det)
-        assert jump.stage is PhotonStage.FIRST
-        assert jump.op[X1, UP] == pytest.approx(math.cos(0.3))
-        assert jump.op[X2, UP] == pytest.approx(np.exp(0.8j) * math.sin(0.3))
-        assert np.count_nonzero(jump.op) == 2
+        rho = _conditioned_state(DetectorSetting(0.3, 0.8))
+        assert rho[X1, X1] == pytest.approx(math.cos(0.3) ** 2)
+        assert rho[X2, X1] == pytest.approx(np.exp(0.8j) * math.sin(0.3)
+                                            * math.cos(0.3))
+        assert np.count_nonzero(rho) == 4
 
     def test_second_photon_structure(self):
-        det = DetectorSetting(1.1, -0.4)
-        jump = JumpOperator.second_photon(det)
-        assert jump.stage is PhotonStage.SECOND
-        assert jump.op[G, X1] == pytest.approx(math.cos(1.1))
-        assert jump.op[G, X2] == pytest.approx(np.exp(-0.4j) * math.sin(1.1))
+        proj = _detection_projector(DetectorSetting(1.1, -0.4))
+        assert proj[X1, X1] == pytest.approx(math.cos(1.1) ** 2)
+        assert proj[X1, X2] == pytest.approx(np.exp(-0.4j) * math.sin(1.1)
+                                             * math.cos(1.1))
+        assert np.count_nonzero(proj) == 4
 
     def test_normalized_projection(self):
-        for builder in (JumpOperator.first_photon, JumpOperator.second_photon):
-            op = builder(DetectorSetting(0.7, 0.2)).op
-            assert np.trace(op.conj().T @ op).real == pytest.approx(1.0)
+        det = DetectorSetting(0.7, 0.2)
+        assert np.trace(_conditioned_state(det)).real == pytest.approx(1.0)
+        assert np.trace(_detection_projector(det)).real == pytest.approx(1.0)
 
 
 def _paper_coefficients(p):
@@ -151,7 +153,7 @@ class TestBlockExponential:
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(_DOMAIN)
     def test_blocks_are_restrictions_of_the_generator(self, params):
-        m = build_generator(params).m
+        m = build_generator(params)
         coherence = [X1 + 5 * X2, X1 + 5 * U]
         assert np.allclose(_coherence_generator(params),
                            m[np.ix_(coherence, coherence)], rtol=0, atol=1e-14)
@@ -298,7 +300,6 @@ class TestAgainstClosedFormOracles:
         assert np.max(np.abs(g2_numeric_grid(params, D, D, taus) - expected)) < 1e-8
 
     def test_w_phase_slope(self):
-        from cascadeg2.correlate import _conditioned_state
         from cascadeg2 import build_generator, evolve_grid
         params = CascadeParams(delta_fs=5.0)
         gen = build_generator(params)
@@ -475,8 +476,24 @@ def _slowest_decay(params):
     """Decay rate of the slowest mode of the averaged generator sector."""
     levels = (X1, X2, U) if params.rabi else (X1, X2)
     sector = _average_sector(levels)
-    block = build_generator(params).m[np.ix_(sector, sector)]
+    block = build_generator(params)[np.ix_(sector, sector)]
     return -np.max(np.linalg.eigvals(block).real)
+
+
+def _mp_response(params):
+    """The five numbers from a 50-digit mpmath solve of the averaged sector
+    of the generator, shape (5, 1)."""
+    levels = (X1, X2, U) if params.rabi else (X1, X2)
+    sector = _average_sector(levels)
+    block = build_generator(params)[np.ix_(sector, sector)]
+    n = len(levels)
+    x11, x22, x12 = 0, n + 1, n
+    with mpmath.workdps(50):
+        inv = mpmath.inverse(-mpmath.matrix(
+            [[mpmath.mpc(complex(v)) for v in row] for row in block]))
+        slots = [inv[x11, x11], inv[x11, x22], inv[x22, x11], inv[x22, x22],
+                 inv[x12, x12]]
+        return np.array([[complex(v)] for v in slots])
 
 
 # undriven points with 1e-12 < gamma3 + gamma21 <= 2e-12
@@ -516,6 +533,17 @@ class TestTwoPhotonResponse:
         # 1e-4, and up to 3.2e-4 below it, where only refusal is compared.
         if analytic is not None and _slowest_decay(params) >= 1e-4:
             assert _relative_to_point_scale(numeric, analytic) <= 1e-9
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_domain())
+    def test_routes_match_high_precision_solve(self, params):
+        # the slow-mode band, where both routes lose accuracy, is out of scope
+        if _slowest_decay(params) < 1e-4:
+            return
+        reference = _mp_response(params)
+        for method in ("analytic", "numeric"):
+            got = two_photon_response([params], method)
+            assert _relative_to_point_scale(got, reference) <= 1e-11
 
     @pytest.mark.parametrize("params", _BAND)
     def test_undriven_band_answers_by_both_routes(self, params):

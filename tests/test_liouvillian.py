@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
-from cascadeg2 import (CascadeParams, DensityMatrix, Level, NumericError,
+from cascadeg2 import (CascadeBatch, CascadeParams, Level, NumericError,
                        build_generator, evolve, evolve_grid, unvectorize,
                        vectorize)
 from cascadeg2.liouvillian import propagate_steps
@@ -25,6 +25,17 @@ def _random_params(rng, full_range=True):
         gamma_u=rng.uniform(0, 1), gamma12=gd12, gamma21=gd21,
         delta_fs=rng.uniform(-10, 10), rabi=rng.uniform(0, 35),
         detuning=rng.uniform(-100, 100))
+
+
+def _pure(level):
+    rho = np.zeros((5, 5), dtype=complex)
+    rho[level, level] = 1.0
+    return rho
+
+
+def _apply(gen, op):
+    """d(op)/dt as a 5x5 operator."""
+    return unvectorize(gen @ vectorize(op))
 
 
 def _random_hermitian(rng):
@@ -125,7 +136,7 @@ class TestGeneratorCoefficients:
             params = _random_params(rng).with_(delta_fs=0.0)
             gen = build_generator(params)
             for element, expected in _expected_rows(params).items():
-                row = gen.m[_idx(element)].copy()
+                row = gen[_idx(element)].copy()
                 target = np.zeros(25, dtype=complex)
                 for col, coeff in expected.items():
                     target[_idx(col)] = coeff
@@ -138,13 +149,21 @@ class TestGeneratorCoefficients:
                            delta_fs=4.0, rabi=35.0, detuning=-100.0))
     def test_element_fill_matches_textbook_form(self, params):
         # all 625 entries, any splitting, zero and asymmetric rates
-        diff = build_generator(params).m - _textbook_generator(params)
+        diff = build_generator(params) - _textbook_generator(params)
         assert np.max(np.abs(diff)) <= 1e-15
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(_PARAMS, min_size=1, max_size=6))
+    def test_stack_equals_one_point_builds(self, points):
+        stack = build_generator(CascadeBatch.stack(points))
+        assert stack.shape == (len(points), 25, 25)
+        for gen, params in zip(stack, points):
+            assert gen.tobytes() == build_generator(params).tobytes()
 
     def test_splitting_enters_intermediate_coherences(self):
         base = CascadeParams(delta_fs=0.0, rabi=3.0, detuning=7.0)
         split = base.with_(delta_fs=4.0)
-        diff = build_generator(split).m - build_generator(base).m
+        diff = build_generator(split) - build_generator(base)
         assert diff[_idx((X1, X2)), _idx((X1, X2))] == pytest.approx(-4.0j)
         assert diff[_idx((X1, U)), _idx((X1, U))] == pytest.approx(-4.0j)
         assert diff[_idx((X2, X1)), _idx((X2, X1))] == pytest.approx(4.0j)
@@ -155,28 +174,28 @@ class TestGeneratorCoefficients:
 
     def test_frozen_dynamics(self):
         params = CascadeParams(gamma1=0, gamma2=0, gamma3=0, gamma4=0)
-        assert np.all(build_generator(params).m == 0.0)
+        assert np.all(build_generator(params) == 0.0)
 
     def test_trace_preservation(self):
         rng = np.random.default_rng(2)
         worst = 0.0
         for _ in range(1000):
             gen = build_generator(_random_params(rng))
-            worst = max(worst, abs(np.trace(gen.apply(_random_hermitian(rng)))))
+            worst = max(worst, abs(np.trace(_apply(gen, _random_hermitian(rng)))))
         assert worst <= 1e-12
 
     def test_hermiticity_preservation(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             gen = build_generator(_random_params(rng))
-            out = gen.apply(_random_hermitian(rng))
+            out = _apply(gen, _random_hermitian(rng))
             assert np.max(np.abs(out - out.conj().T)) <= 1e-12
 
 
 class TestEvolve:
     def test_identity_at_tau_zero(self):
         gen = build_generator(CascadeParams(delta_fs=3.0, rabi=2.0))
-        rho = DensityMatrix.pure(Level.TWO_X).rho
+        rho = _pure(UP)
         assert np.array_equal(evolve(gen, rho, 0.0), rho)
 
     def test_upper_level_decay_decouples(self):
@@ -186,7 +205,7 @@ class TestEvolve:
         for _ in range(3):
             params = _random_params(rng)
             gen = build_generator(params)
-            states = evolve_grid(gen, DensityMatrix.pure(Level.TWO_X).rho, taus)
+            states = evolve_grid(gen, _pure(UP), taus)
             pop = states[:, UP, UP].real
             assert np.max(np.abs(pop - np.exp(-params.gamma * taus))) < 1e-8
 
@@ -195,14 +214,14 @@ class TestEvolve:
         params = CascadeParams(gamma1=0, gamma2=0, gamma3=0, gamma4=0, rabi=1.0)
         gen = build_generator(params)
         taus = np.linspace(0.05, 6.0, 60)
-        states = evolve_grid(gen, DensityMatrix.pure(Level.X2).rho, taus)
+        states = evolve_grid(gen, _pure(X2), taus)
         pop = states[:, X2, X2].real
         assert np.max(np.abs(pop - np.cos(taus) ** 2)) < 1e-8
 
     def test_cascade_conservation(self):
         # everything ends in the ground level without drive or side channels
         gen = build_generator(CascadeParams())
-        final = evolve(gen, DensityMatrix.pure(Level.TWO_X).rho, 50.0)
+        final = evolve(gen, _pure(UP), 50.0)
         assert abs(final[G, G].real - 1.0) < 1e-8
 
     def test_ode_and_expm_agree(self):
@@ -219,7 +238,7 @@ class TestEvolve:
         rng = np.random.default_rng(6)
         for _ in range(4):
             gen = build_generator(_random_params(rng))
-            x0 = DensityMatrix.pure(Level.TWO_X).rho
+            x0 = _pure(UP)
             t1, t2 = rng.uniform(0.2, 3.0, size=2)
             via = evolve(gen, evolve(gen, x0, t1), t2)
             direct = evolve(gen, x0, t1 + t2)
@@ -230,7 +249,7 @@ class TestEvolve:
         taus = np.linspace(0.1, 20.0, 200)
         for _ in range(4):
             gen = build_generator(_random_params(rng))
-            states = evolve_grid(gen, DensityMatrix.pure(Level.TWO_X).rho, taus)
+            states = evolve_grid(gen, _pure(UP), taus)
             for state in states:
                 sym = 0.5 * (state + state.conj().T)
                 assert np.linalg.eigvalsh(sym)[0] > -1e-10
@@ -239,8 +258,10 @@ class TestEvolve:
         gen = build_generator(CascadeParams(delta_fs=5.0, rabi=8.0,
                                             detuning=12.0, gamma12=0.4,
                                             gamma21=0.4, gamma_u=0.01))
-        state = evolve(gen, DensityMatrix.pure(Level.TWO_X).rho, 1.7)
-        DensityMatrix(state).validate_physical()
+        state = evolve(gen, _pure(UP), 1.7)
+        assert np.max(np.abs(state - state.conj().T)) <= 1e-12
+        assert abs(np.trace(state) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(0.5 * (state + state.conj().T))[0] >= -1e-10
 
     def test_nonfinite_input_rejected(self):
         gen = build_generator(CascadeParams())
@@ -248,10 +269,18 @@ class TestEvolve:
         with pytest.raises(NumericError):
             evolve(gen, bad, 1.0)
 
+    def test_generator_shape_checked(self):
+        stack = build_generator(CascadeBatch.stack([CascadeParams()] * 2))
+        for bad in (stack, stack[0, :5, :5]):
+            with pytest.raises(ValueError, match="25x25 generator"):
+                evolve(bad, _pure(UP), 1.0)
+            with pytest.raises(ValueError, match="25x25 generator"):
+                evolve_grid(bad, _pure(UP), [0.0, 1.0])
+
     def test_negative_tau_rejected(self):
         gen = build_generator(CascadeParams())
         with pytest.raises(ValueError):
-            evolve(gen, DensityMatrix.pure(Level.TWO_X).rho, -1.0)
+            evolve(gen, _pure(UP), -1.0)
 
     def test_step_propagators_exact_on_uniform_grid(self, monkeypatch):
         # one exponential per distinct step; every point matches a direct
@@ -260,7 +289,7 @@ class TestEvolve:
         gen = build_generator(CascadeParams(delta_fs=3.0, rabi=7.0, detuning=11.0,
                                             gamma12=0.4, gamma21=0.4,
                                             gamma_u=0.01))
-        rho = DensityMatrix.pure(Level.TWO_X).rho
+        rho = _pure(UP)
         taus = np.linspace(0.0, 10.0, 100)
         calls = []
 
@@ -297,27 +326,7 @@ class TestEvolve:
 
     def test_grid_must_increase(self):
         gen = build_generator(CascadeParams())
-        rho = DensityMatrix.pure(Level.TWO_X).rho
+        rho = _pure(UP)
         with pytest.raises(ValueError):
             evolve_grid(gen, rho, np.array([0.0, 2.0, 1.0]))
 
-
-class TestDensityMatrix:
-    def test_pure_state_is_physical(self):
-        DensityMatrix.pure(Level.G).validate_physical()
-
-    def test_non_hermitian_rejected(self):
-        mat = np.zeros((5, 5), dtype=complex)
-        mat[0, 1] = 1.0
-        mat[0, 0] = 1.0
-        with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(mat).validate_physical()
-
-    def test_trace_deviation_rejected(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(0.5 * np.eye(5)).validate_physical()
-
-    def test_negative_eigenvalue_rejected(self):
-        mat = np.diag([0.5, 0.5, 0.25, 0.0, -0.25]).astype(complex)
-        with pytest.raises(ValueError, match="eigenvalue"):
-            DensityMatrix(mat).validate_physical()
