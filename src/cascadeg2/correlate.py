@@ -5,6 +5,8 @@ Two independent routes compute the same normalized correlation:
 * ``g2_numeric`` applies the quantum regression theorem over the full 25x25
   generator: G(tau) = 4 Tr[ B^dag B  e^{M tau}( A |2X><2X| A^dag ) ] with A
   and B the polarization-projected first- and second-photon jump operators.
+  ``g2_numeric_grid`` does the same on a delay grid, on the sector of the
+  generator that the conditioned state never leaves (``_average_sector``).
 
 * ``g2_analytic`` evaluates the same quantity from two hand-written blocks
   of the conditioned dynamics: the 2x2 cross-coherence block (rho_X1X2,
@@ -35,9 +37,10 @@ e^{M tau} y0.  The coherence average is the X1X2 entry of -C^{-1}, written
 out, and refused by the same floor on the eigenvalues of C that the average
 reaches: rho_X1X2 alone without the drive, both with it.
 ``g2_avg_analytic`` and ``g2_avg_numeric`` are one-point calls of it.
-On a delay grid the full generator and the driven population block are
-propagated exactly by stepping with one matrix exponential per distinct
-grid step.
+On a delay grid the averaged sector of the generator and the driven
+population block are propagated exactly by stepping, with one stacked numpy
+matrix exponential for all distinct grid steps.  scipy loads only for the
+DOP853 cross-check, ``g2_numeric(..., method="ode")``.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentAverageError
-from .liouvillian import build_generator, evolve, evolve_grid, propagate_steps
+from .liouvillian import (_as_generator, build_generator, check_tau_grid,
+                          evolve, propagate_steps, vectorize)
 from .model import (Level, N_LEVELS, CascadeBatch, CascadeParams,
                     DetectorSetting, omega_pm)
 
@@ -244,13 +248,19 @@ def g2_numeric_grid(params: CascadeParams, det1: DetectorSetting,
     """Regression-theorem correlation on a strictly increasing tau grid.
 
     ``gen`` is the (25, 25) generator of ``params``, built if not given.
+    The conditioned state is propagated exactly on the averaged sector of
+    ``gen`` (see :func:`_average_sector`), which it never leaves: a 4x4
+    block without the drive, 9x9 with it.
     """
-    taus = np.asarray(taus, dtype=float)
-    if gen is None:
-        gen = build_generator(params)
-    conditioned = evolve_grid(gen, _conditioned_state(det1), taus)
-    proj = _detection_projector(det2)
-    return 4.0 * np.real(np.einsum("ij,kji->k", proj, conditioned))
+    taus = check_tau_grid(taus)
+    gen = build_generator(params) if gen is None else _as_generator(gen)
+    sector = _average_sector(_DRIVEN_LEVELS if params.rabi != 0.0
+                             else _UNDRIVEN_LEVELS)
+    states = propagate_steps(gen[np.ix_(sector, sector)],
+                             vectorize(_conditioned_state(det1))[sector], taus)
+    # Tr[P X] = vec(P^T) . vec(X)
+    proj = vectorize(_detection_projector(det2).T)[sector]
+    return 4.0 * np.real(states @ proj)
 
 
 def g2_numeric(params: CascadeParams, det1: DetectorSetting,
@@ -321,6 +331,11 @@ def _closed_form_response(params: CascadeBatch) -> np.ndarray:
     return response
 
 
+# The averaged sector: both indices in these levels, X1 and X2 leading.
+_UNDRIVEN_LEVELS = (Level.X1, Level.X2)
+_DRIVEN_LEVELS = (Level.X1, Level.X2, Level.U)
+
+
 def _average_sector(levels) -> np.ndarray:
     """Vectorized indices of the elements with both indices in ``levels``.
 
@@ -328,7 +343,7 @@ def _average_sector(levels) -> np.ndarray:
     reads that block.  Elements with both indices in {X1, X2, u} evolve among
     themselves: they leak into g but are fed only from 2X, which stays empty.
     Without the drive u is a trap that never feeds back into {X1, X2}, so it
-    is left out too.
+    is left out too.  Propagating or averaging the sector alone is exact.
     """
     return np.array([i + N_LEVELS * j for j in levels for i in levels])
 
@@ -344,8 +359,7 @@ def _resolvent_response(params: CascadeBatch) -> np.ndarray:
     response = np.empty((5, len(params)), dtype=complex)
     gens = build_generator(params)
     driven = params.rabi != 0.0
-    for mask, levels in ((~driven, (Level.X1, Level.X2)),
-                         (driven, (Level.X1, Level.X2, Level.U))):
+    for mask, levels in ((~driven, _UNDRIVEN_LEVELS), (driven, _DRIVEN_LEVELS)):
         if not mask.any():
             continue
         sector = _average_sector(levels)

@@ -18,9 +18,10 @@ The generator is a plain complex array: ``build_generator`` fills one (25,
 the n points of a CascadeBatch, entry for entry the same.  ``evolve`` and
 ``evolve_grid`` take one (25, 25) matrix.
 
-scipy is imported on first use: ``scipy.linalg`` by the first matrix
-exponential and ``scipy.integrate`` by the first ODE solve, so the closed-form
-time averages behind figures, degree, Bell and sweeps load numpy only.
+Exact propagation goes through ``expm``, a numpy scaling-and-squaring Padé
+exponential that takes a whole stack of matrices at once.  scipy is imported
+only by ``evolve(method="ode")``, on its first DOP853 solve, the independent
+cross-check of that propagation; every other path loads numpy only.
 """
 
 from __future__ import annotations
@@ -38,10 +39,49 @@ DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 
 
-def expm(m: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm, imported on the first call."""
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm(m)
+# Coefficients b_0..b_13 of the [13/13] Padé approximant of exp, divided by
+# b_0 so that a zero matrix gives the identity exactly, and the largest
+# 1-norm theta_13 at which its backward error stays below the unit roundoff
+# of double precision (Higham 2005, Table 2.3).
+_PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """The matrix exponential of one square matrix or of each matrix of a
+    stack of shape (..., n, n).
+
+    Scaling and squaring with the [13/13] Padé approximant (Higham, SIAM J.
+    Matrix Anal. Appl. 26 (2005) 1179): each matrix is scaled by 2^-s into
+    the 1-norm ball of radius theta_13, the approximant is one stacked
+    solve, and each result is squared its own s times.  A real input gives
+    a real result.  The input must be finite.
+    """
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a, float), copy=False)
+    shape, n = a.shape, a.shape[-1]
+    a = a.reshape(-1, n, n)
+    # s = max(0, ceil(log2(|a|_1 / theta_13))), read off the binary exponent
+    mantissa, exponent = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)
+    s = np.maximum(0, exponent - (mantissa == 0.5))
+    a = a * np.exp2(-s)[:, None, None]
+    b, eye = _PADE13, np.eye(n)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(s.max(initial=0)):
+        square = s > k
+        part = r[square]
+        r[square] = part @ part
+    return r.reshape(shape)
 
 
 def solve_ivp(*args, **kwargs):
@@ -141,42 +181,46 @@ def _as_operator(x0) -> np.ndarray:
     return x0
 
 
-def _flush_subnormal(a: np.ndarray) -> np.ndarray:
-    """Zero the subnormal real and imaginary parts of ``a`` in place.
-
-    scipy's expm divides by differences of diagonal entries, which overflows
-    when one is subnormal; each dropped part is below 2.3e-308.
-    """
-    parts = a.view(a.real.dtype)  # real and imaginary parts side by side
-    parts[np.abs(parts) < np.finfo(parts.dtype).tiny] = 0.0
-    return a
-
-
 def propagate_steps(m: np.ndarray, y0: np.ndarray, taus) -> np.ndarray:
     """Return exp(m tau) @ y0 for every tau of a nondecreasing nonnegative grid.
 
     ``m`` is any square matrix and ``y0`` a vector or a block of columns.
-    The state is stepped from one grid point to the next with one matrix
-    exponential per distinct step value (matched exactly), so a uniform grid
-    costs a handful of exponentials and matrix products, with no
+    The state is stepped from one grid point to the next with the
+    propagator of its step; one stacked :func:`expm` call gives the
+    propagators of all distinct step values (matched exactly), so a uniform
+    grid costs one call and a matrix product per point, with no
     discretization error beyond round-off.  Returns an array of shape
     ``(len(taus),) + y0.shape`` and dtype ``result_type(m, y0)``, so a real
-    block steps in real arithmetic.
+    block steps in real arithmetic.  Raises NumericError if an input is not
+    finite or the propagation overflows.
     """
-    steps = np.diff(np.asarray(taus, dtype=float), prepend=0.0)
+    m, y0, taus = np.asarray(m), np.asarray(y0), np.asarray(taus, dtype=float)
+    if not all(np.all(np.isfinite(x)) for x in (m, y0, taus)):
+        raise NumericError("non-finite generator, state or delay")
+    steps = np.diff(taus, prepend=0.0)
     values, which = np.unique(steps, return_inverse=True)
-    # C order, so that the stack of every m * step views as real pairs
-    scaled = _flush_subnormal(values[:, None, None] * np.ascontiguousarray(m))
-    props = [expm(a) for a in scaled]
     dtype = np.result_type(m, y0)
-    out = np.empty((steps.size,) + np.shape(y0), dtype=dtype)
-    y = np.asarray(y0, dtype=dtype)
-    for k, idx in enumerate(which):
-        y = props[idx] @ y
-        out[k] = y
+    out = np.empty((steps.size,) + y0.shape, dtype=dtype)
+    y = y0.astype(dtype)
+    # an overflow surfaces as a non-finite entry, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        props = list(expm(values[:, None, None] * m))
+        for k, idx in enumerate(which.tolist()):
+            y = out[k] = props[idx] @ y
     if not np.all(np.isfinite(out)):
         raise NumericError("matrix-exponential propagation overflowed")
     return out
+
+
+def check_tau_grid(taus) -> np.ndarray:
+    """``taus`` as a float array, which must be a nonempty 1-d grid that is
+    finite, nonnegative and strictly increasing; else ValueError."""
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim != 1 or taus.size == 0:
+        raise ValueError("taus must be a nonempty 1-d array")
+    if not np.all(np.isfinite(taus)) or taus[0] < 0 or np.any(np.diff(taus) <= 0):
+        raise ValueError("taus must be finite, nonnegative and strictly increasing")
+    return taus
 
 
 def evolve_grid(gen: np.ndarray, x0, taus) -> np.ndarray:
@@ -186,12 +230,7 @@ def evolve_grid(gen: np.ndarray, x0, taus) -> np.ndarray:
     ``taus`` must be finite, nonnegative and strictly increasing.  Returns an
     array of shape (len(taus), 5, 5).
     """
-    gen, x0 = _as_generator(gen), _as_operator(x0)
-    taus = np.asarray(taus, dtype=float)
-    if taus.ndim != 1 or taus.size == 0:
-        raise ValueError("taus must be a nonempty 1-d array")
-    if not np.all(np.isfinite(taus)) or taus[0] < 0 or np.any(np.diff(taus) <= 0):
-        raise ValueError("taus must be finite, nonnegative and strictly increasing")
+    gen, x0, taus = _as_generator(gen), _as_operator(x0), check_tau_grid(taus)
     vecs = propagate_steps(gen, vectorize(x0), taus)
     # row k holds vec(X_k) column-major, so the reshape yields X_k transposed
     return vecs.reshape(taus.size, N_LEVELS, N_LEVELS).transpose(0, 2, 1)

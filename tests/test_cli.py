@@ -382,7 +382,8 @@ class TestCommands:
         assert out.endswith("\n")
 
     def test_closed_form_commands_leave_scipy_unloaded(self, tmp_path):
-        # a fresh interpreter, since this one has imported scipy already
+        # a fresh interpreter, since this one has imported scipy already;
+        # only the DOP853 solve at the end may load it
         child = f"""
 import json, sys
 import numpy as np
@@ -391,12 +392,16 @@ from cascadeg2 import CascadeParams, DetectorSetting, build_generator, evolve
 from cascadeg2 import g2_numeric_grid
 cli.main(["figure", "5", "--out", {str(tmp_path / "figure_5.csv")!r}])
 cli.main(["bell"])
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+cli.main(["correlate", "--rabi", "3", "--tau-max", "5", "--tau-steps", "20",
+          "--out", {str(tmp_path / "curve.csv")!r}])
 det = DetectorSetting(0.0)
 grid = g2_numeric_grid(CascadeParams(), det, det, np.linspace(0.0, 2.0, 5))
+driven = g2_numeric_grid(CascadeParams(rabi=3.0), det, det, np.linspace(0.0, 2.0, 5))
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 params = CascadeParams(rabi=1.0)
 state = evolve(build_generator(params), np.eye(5) / 5, 0.5, method="ode")
 print(json.dumps({{"loaded": loaded, "grid": grid.tolist(),
+                  "driven": driven.tolist(),
                   "trace": abs(np.trace(state) - 1.0)}}))
 """
         src = str(Path(cascadeg2.__file__).parents[1])
@@ -405,8 +410,10 @@ print(json.dumps({{"loaded": loaded, "grid": grid.tolist(),
         proc = subprocess.run([sys.executable, "-c", child], env=env, check=True,
                               capture_output=True, text=True, timeout=120)
         result = json.loads(proc.stdout.splitlines()[-1])
+        # the driven correlate curve and the driven grid need no scipy.linalg
         assert result["loaded"] == []
-        assert result["grid"][0] == pytest.approx(4.0) and np.all(np.isfinite(result["grid"]))
+        for grid in (result["grid"], result["driven"]):
+            assert grid[0] == pytest.approx(4.0) and np.all(np.isfinite(grid))
         assert result["trace"] < 1e-9
 
 

@@ -10,9 +10,9 @@ from cascadeg2 import (CascadeBatch, CascadeParams, CorrelationCurve,
                        DetectorSetting, DivergentAverageError, Level,
                        SpecialCase, TSIRELSON_BOUND, build_generator,
                        correlation_curve, degree_of_correlation, evolve,
-                       g2_analytic, g2_avg_analytic, g2_avg_numeric,
-                       g2_numeric, g2_numeric_grid, omega_pm, special_case,
-                       two_photon_response)
+                       evolve_grid, g2_analytic, g2_avg_analytic,
+                       g2_avg_numeric, g2_numeric, g2_numeric_grid, omega_pm,
+                       special_case, two_photon_response)
 from cascadeg2.correlate import (_average_sector, _coherence_generator,
                                  _conditioned_state, _detection_projector,
                                  _expm2, _population_generator)
@@ -271,6 +271,22 @@ class TestOracleEquivalence:
         self._check(params, DetectorSetting(0.35), DetectorSetting(1.25))
         self._check(params, H, D)
 
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(_DOMAIN, st.floats(0.0, math.pi), st.floats(0.0, math.pi),
+           st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
+    @example(CascadeParams(detuning=17.0, delta_fs=2.2250738585e-313, rabi=3.0),
+             0.4, 1.2, 0.7, -0.3)
+    def test_sector_grid_equals_full_generator(self, params, theta1, theta2,
+                                               phi1, phi2):
+        # the conditioned state never leaves the averaged sector, so the
+        # 4x4 or 9x9 propagation reads the same as the 25x25 one
+        det1, det2 = DetectorSetting(theta1, phi1), DetectorSetting(theta2, phi2)
+        taus = np.linspace(0.0, 10.0, 41)
+        full = evolve_grid(build_generator(params), _conditioned_state(det1), taus)
+        want = 4.0 * np.real(np.einsum("ij,kji->k", _detection_projector(det2), full))
+        got = g2_numeric_grid(params, det1, det2, taus)
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
+
     def test_nonfinite_delays_are_bad_input_on_both_routes(self):
         params = CascadeParams(delta_fs=2.0, rabi=3.0)
         for taus in ([0.0, math.nan, 1.0], [0.0, math.inf]):
@@ -300,7 +316,6 @@ class TestAgainstClosedFormOracles:
         assert np.max(np.abs(g2_numeric_grid(params, D, D, taus) - expected)) < 1e-8
 
     def test_w_phase_slope(self):
-        from cascadeg2 import build_generator, evolve_grid
         params = CascadeParams(delta_fs=5.0)
         gen = build_generator(params)
         taus = np.linspace(0.01, 2.0, 150)
@@ -557,8 +572,11 @@ class TestTwoPhotonResponse:
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(_DOMAIN, st.floats(0.0, math.pi), st.floats(0.0, math.pi),
            st.floats(-math.pi, math.pi))
-    # a subnormal splitting: scipy's expm overflows unless it is flushed to 0
+    # a subnormal splitting, undriven and driven: scipy's expm overflowed on
+    # the difference of two diagonal entries of the generator
     @example(CascadeParams(detuning=17.0, delta_fs=2.2250738585e-313), 0.0, 0.0, 0.0)
+    @example(CascadeParams(detuning=17.0, delta_fs=2.2250738585e-313, rabi=3.0),
+             0.0, 0.0, 0.0)
     def test_grid_and_observable_bounds(self, params, theta1, theta2, phi):
         taus = np.linspace(0.0, 10.0, 41)
         det1, det2 = DetectorSetting(theta1, phi), DetectorSetting(theta2)

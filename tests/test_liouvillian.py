@@ -1,11 +1,16 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
-from cascadeg2 import (CascadeBatch, CascadeParams, Level, NumericError,
-                       build_generator, evolve, evolve_grid, unvectorize,
-                       vectorize)
+from cascadeg2 import (CascadeBatch, CascadeParams, DetectorSetting, Level,
+                       NumericError, build_generator, evolve, evolve_grid,
+                       g2_numeric_grid, liouvillian, unvectorize, vectorize)
+from cascadeg2.correlate import (_DRIVEN_LEVELS, _UNDRIVEN_LEVELS,
+                                 _average_sector, _population_generator)
 from cascadeg2.liouvillian import propagate_steps
 
 UP, X1, X2, U, G = Level.TWO_X, Level.X1, Level.X2, Level.U, Level.G
@@ -107,6 +112,88 @@ _PARAMS = st.builds(
     gamma_u=st.floats(0.0, 1.0), gamma12=_RATE, gamma21=_RATE,
     delta_fs=st.floats(-10.0, 10.0), rabi=st.floats(0.0, 35.0),
     detuning=st.floats(-100.0, 100.0))
+
+
+def _blocks_times_tau(params, tau):
+    """The real population block and the averaged generator sector, times tau."""
+    levels = _DRIVEN_LEVELS if params.rabi != 0.0 else _UNDRIVEN_LEVELS
+    sector = _average_sector(levels)
+    return (_population_generator(params) * tau,
+            build_generator(params)[np.ix_(sector, sector)] * tau)
+
+
+def _mp_expm(a):
+    """e^a from a 30-digit mpmath exponential."""
+    with mpmath.workdps(30):
+        exp = mpmath.expm(mpmath.matrix(
+            [[mpmath.mpc(complex(x)) for x in row] for row in a]))
+        return np.array([[complex(exp[i, j]) for j in range(a.shape[1])]
+                         for i in range(a.shape[0])])
+
+
+def _deviation(got, want):
+    return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+
+
+_TAU = st.floats(0.0, 50.0)
+# the strongest drive and detuning at the longest delay
+_EXTREME = CascadeParams(delta_fs=10.0, rabi=35.0, detuning=-100.0,
+                         gamma12=2.0, gamma21=2.0, gamma_u=1.0)
+
+
+class TestMatrixExponential:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_PARAMS, _TAU)
+    @example(_EXTREME, 50.0)
+    def test_matches_scipy_on_blocks(self, params, tau):
+        # scipy itself is 1.2e-11 off the exact rotation by 1026 rad, where
+        # this exponential is 3e-14 off; see the 30-digit reference below
+        for a in _blocks_times_tau(params, tau):
+            got = liouvillian.expm(a)
+            assert got.dtype == a.dtype
+            assert _deviation(got, expm(a)) <= 1e-10
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(_PARAMS, _TAU)
+    @example(_EXTREME, 50.0)
+    @example(CascadeParams(detuning=17.0, delta_fs=2.2250738585e-313,
+                           rabi=3.0), 50.0)
+    def test_matches_high_precision_exponential(self, params, tau):
+        for a in _blocks_times_tau(params, tau):
+            assert _deviation(liouvillian.expm(a), _mp_expm(a)) <= 1e-12
+
+    def test_zero_matrix_gives_identity(self):
+        assert np.array_equal(liouvillian.expm(np.zeros((4, 4))), np.eye(4))
+        stack = liouvillian.expm(np.zeros((2, 3, 9, 9), dtype=complex))
+        assert stack.dtype == np.complex128
+        assert np.array_equal(stack, np.broadcast_to(np.eye(9), (2, 3, 9, 9)))
+
+    def test_one_matrix_and_a_real_stack(self):
+        rng = np.random.default_rng(10)
+        one = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        assert liouvillian.expm(one).shape == (5, 5)
+        assert _deviation(liouvillian.expm(one), expm(one)) <= 1e-13
+        # 1-norms from 1e-3 to 1e3, so each matrix takes its own squarings
+        stack = rng.normal(size=(7, 5, 5)) * np.logspace(-3, 2, 7)[:, None, None]
+        got = liouvillian.expm(stack)
+        assert got.dtype == np.float64 and got.shape == (7, 5, 5)
+        for a, e in zip(stack, got):
+            assert _deviation(e, expm(a)) <= 1e-11
+
+    @pytest.mark.parametrize("bad", ["m", "y0", "taus"])
+    def test_nonfinite_input_to_propagate_steps(self, bad):
+        args = {"m": -np.eye(3), "y0": np.ones(3), "taus": [0.0, 1.0]}
+        args[bad] = np.full(np.shape(args[bad]), np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite"):
+                propagate_steps(args["m"], args["y0"], args["taus"])
+
+    def test_overflow_refused_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="overflowed"):
+                propagate_steps(800.0 * np.eye(3), np.ones(3), [0.0, 1.0])
 
 
 class TestVectorization:
@@ -283,9 +370,8 @@ class TestEvolve:
             evolve(gen, _pure(UP), -1.0)
 
     def test_step_propagators_exact_on_uniform_grid(self, monkeypatch):
-        # one exponential per distinct step; every point matches a direct
-        # exponential to round-off
-        from cascadeg2 import liouvillian
+        # one stacked exponential call, one matrix per distinct step; every
+        # point matches a direct exponential to round-off
         gen = build_generator(CascadeParams(delta_fs=3.0, rabi=7.0, detuning=11.0,
                                             gamma12=0.4, gamma21=0.4,
                                             gamma_u=0.01))
@@ -299,7 +385,9 @@ class TestEvolve:
 
         monkeypatch.setattr(liouvillian, "expm", counted)
         states = evolve_grid(gen, rho, taus)
-        assert len(calls) == np.unique(np.diff(taus, prepend=0.0)).size <= 10
+        distinct = np.unique(np.diff(taus, prepend=0.0)).size
+        assert len(calls) == 1 and distinct <= 10
+        assert calls[0].shape == (distinct, 25, 25)
         monkeypatch.undo()
         for tau, state in zip(taus[::9], states[::9]):
             assert np.max(np.abs(state - evolve(gen, rho, tau, method="expm"))) < 1e-13
@@ -329,4 +417,15 @@ class TestEvolve:
         rho = _pure(UP)
         with pytest.raises(ValueError):
             evolve_grid(gen, rho, np.array([0.0, 2.0, 1.0]))
+
+    @pytest.mark.parametrize("taus", [
+        [], [[0.0, 1.0]], [-0.5, 1.0], [0.0, np.nan], [0.0, np.inf],
+        [0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
+    def test_bad_grids_rejected_by_both_grid_routes(self, taus):
+        params = CascadeParams(delta_fs=2.0, rabi=3.0)
+        det = DetectorSetting(0.3)
+        with pytest.raises(ValueError, match="taus"):
+            evolve_grid(build_generator(params), _pure(UP), taus)
+        with pytest.raises(ValueError, match="taus"):
+            g2_numeric_grid(params, det, det, taus)
 
