@@ -15,7 +15,7 @@ Two independent routes compute the same normalized correlation:
   coherence as a real pair, so the block is real).  One closed-form 2x2
   exponential, ``_expm2``, gives ``w`` and, with the drive off, the
   population propagators from the leading 2x2 rate block; the driven
-  population block is propagated exactly by real stepping.
+  population block is propagated exactly in real arithmetic along the grid.
 
 The normalization sets the dimensional emission prefactor to one and
 conditions on the emitter occupying |2X> at the first detection, so the
@@ -38,9 +38,11 @@ out, and refused by the same floor on the eigenvalues of C that the average
 reaches: rho_X1X2 alone without the drive, both with it.
 ``g2_avg_analytic`` and ``g2_avg_numeric`` are one-point calls of it.
 On a delay grid the averaged sector of the generator and the driven
-population block are propagated exactly by stepping, with one stacked numpy
-matrix exponential for all distinct grid steps.  scipy loads only for the
-DOP853 cross-check, ``g2_numeric(..., method="ode")``.
+population block are propagated exactly by ``propagate_steps``: a uniform
+grid of n delays is filled by doubling, ceil(log2 n) stacked products of
+the states with powers of the one-step propagator, any other grid by
+stepping; one stacked numpy matrix exponential serves either way.  scipy
+loads only for the DOP853 cross-check, ``g2_numeric(..., method="ode")``.
 """
 
 from __future__ import annotations
@@ -171,7 +173,8 @@ def _population_propagators(params: CascadeParams, taus: np.ndarray):
     if params.rabi == 0.0:
         cols = _expm2(m[:2, :2], taus)
     else:
-        # the first two columns of the propagator, stepped along the sorted grid
+        # the first two columns of the propagator on the sorted grid, filled
+        # by doubling when it is uniform and by stepping otherwise
         order = np.argsort(taus, kind="stable")
         cols = np.empty((taus.size, 5, 2))
         cols[order] = propagate_steps(m, np.eye(5, 2), taus[order])

@@ -22,6 +22,7 @@ from cascadeg2.verify import (check_oracle_equivalence, check_w_phase,
                               run_all_checks, summarize)
 
 DATA = Path(__file__).resolve().parent / "data"
+_CORRELATE = ["correlate", "--tau-max", "10", "--tau-steps", "300"]
 
 
 class TestRunConfig:
@@ -175,10 +176,15 @@ class TestFigures:
         (["figure", "6"], "figure_6.csv"),
         (["sweep", "--axis", "rabi", "--start", "0", "--stop", "10",
           "--steps", "21"], "sweep_rabi_0_10_21.csv"),
+        (_CORRELATE + ["--rabi", "3"], "correlate_rabi3_tau10_300.csv"),
+        (_CORRELATE + ["--rabi", "0"], "correlate_rabi0_tau10_300.csv"),
+        (_CORRELATE + ["--rabi", "3", "--method", "numeric"],
+         "correlate_rabi3_tau10_300_numeric.csv"),
     ])
     def test_output_matches_golden_csv(self, tmp_path, argv, golden):
         # captured before sweeps were batched, the default-resolution
-        # figures before parameter batches; output must not move a byte
+        # figures before parameter batches, the correlate curves before
+        # uniform grids were filled by doubling; output must not move a byte
         out = tmp_path / "out.csv"
         assert main(argv + ["--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / golden).read_bytes()

@@ -162,6 +162,17 @@ class TestMatrixExponential:
         for a in _blocks_times_tau(params, tau):
             assert _deviation(liouvillian.expm(a), _mp_expm(a)) <= 1e-12
 
+    @settings(derandomize=True, deadline=None, max_examples=8)
+    @given(_PARAMS)
+    @example(_EXTREME)
+    def test_doubling_matches_high_precision_at_grid_end(self, params):
+        # the last of 1000 delays over [0, 50] is reached through nine
+        # squarings of e^{M dt}; the whole propagator is pinned, so every y0
+        for m in _blocks_times_tau(params, 1.0):
+            y0 = np.eye(len(m))
+            last = propagate_steps(m, y0, np.linspace(0.0, 50.0, 1000))[-1]
+            assert _deviation(last, _mp_expm(m * 50.0) @ y0) <= 1e-12
+
     def test_zero_matrix_gives_identity(self):
         assert np.array_equal(liouvillian.expm(np.zeros((4, 4))), np.eye(4))
         stack = liouvillian.expm(np.zeros((2, 3, 9, 9), dtype=complex))
@@ -370,8 +381,9 @@ class TestEvolve:
             evolve(gen, _pure(UP), -1.0)
 
     def test_step_propagators_exact_on_uniform_grid(self, monkeypatch):
-        # one stacked exponential call, one matrix per distinct step; every
-        # point matches a direct exponential to round-off
+        # a uniform grid is filled by doubling: one stacked exponential call
+        # holding e^{M t0} and e^{M dt}; every point matches a direct
+        # exponential to round-off
         gen = build_generator(CascadeParams(delta_fs=3.0, rabi=7.0, detuning=11.0,
                                             gamma12=0.4, gamma21=0.4,
                                             gamma_u=0.01))
@@ -385,22 +397,36 @@ class TestEvolve:
 
         monkeypatch.setattr(liouvillian, "expm", counted)
         states = evolve_grid(gen, rho, taus)
-        distinct = np.unique(np.diff(taus, prepend=0.0)).size
-        assert len(calls) == 1 and distinct <= 10
-        assert calls[0].shape == (distinct, 25, 25)
+        assert len(calls) == 1
+        assert calls[0].shape == (2, 25, 25)
         monkeypatch.undo()
         for tau, state in zip(taus[::9], states[::9]):
             assert np.max(np.abs(state - evolve(gen, rho, tau, method="expm"))) < 1e-13
 
-    def test_step_propagators_accept_any_square_block(self):
+    def test_step_propagators_accept_any_square_block(self, monkeypatch):
         rng = np.random.default_rng(8)
         mat = rng.normal(size=(4, 4)) - 3.0 * np.eye(4)
         cols = np.eye(4, 2)
-        taus = np.array([0.0, 0.3, 0.3, 1.1, 2.6])
-        out = propagate_steps(mat, cols, taus)
-        assert out.shape == (5, 4, 2)
-        for tau, block in zip(taus, out):
-            assert np.max(np.abs(block - expm(mat * tau) @ cols)) < 1e-13
+        sizes = []
+
+        def counted(stack):
+            sizes.append(len(stack))
+            return expm(stack)
+
+        monkeypatch.setattr(liouvillian, "expm", counted)
+        # a repeated delay and a geometric grid are stepped, one matrix per
+        # distinct step; the last point of linspace(0, 7.3, 4) is 1 ulp off
+        # t0 + 3 dt, which still counts as uniform and is filled by doubling;
+        # one point needs no step propagator
+        for taus, matrices in (([0.0, 0.3, 0.3, 1.1, 2.6], 4),
+                               (np.geomspace(0.01, 5.0, 9), 9),
+                               (np.linspace(0.0, 7.3, 4), 2), ([2.6], 1)):
+            sizes.clear()
+            out = propagate_steps(mat, cols, taus)
+            assert sizes == [matrices]
+            assert out.shape == (len(taus), 4, 2)
+            for tau, block in zip(taus, out):
+                assert np.max(np.abs(block - expm(mat * tau) @ cols)) < 1e-13
 
     def test_step_propagators_keep_a_real_block_real(self):
         rng = np.random.default_rng(9)
@@ -411,6 +437,11 @@ class TestEvolve:
                                       np.linspace(0.0, 2.0, 7))
         assert complex_out.dtype == np.complex128
         assert np.max(np.abs(out - complex_out)) < 1e-13
+        # integer input is not truncated to an integer state
+        decay = propagate_steps(-np.eye(2, dtype=int), np.ones(2, dtype=int),
+                                [0.0, 1.0])
+        assert decay.dtype == np.float64
+        assert np.max(np.abs(decay[1] - np.exp(-1.0))) < 1e-15
 
     def test_grid_must_increase(self):
         gen = build_generator(CascadeParams())
