@@ -4,14 +4,15 @@ Output CSVs are deterministic: fixed 12-significant-digit scientific
 notation, LF line endings, and a comment header carrying the tool version
 and the full parameter set of every curve.
 
-Sweeps are evaluated in batches.  A sweep is planned as groups, one per
-curve, each holding its parameter points as one CascadeBatch: a Bell curve
-broadcasts its base point against the swept values, a degree curve is one
-point, since its parameters do not change along the basis angle.  The
-groups of a figure or sweep are joined into one batch and get one
+A figure or sweep is one array pass from plan to text.  Its plan holds
+every parameter point in one CascadeBatch: a Bell curve broadcasts its base
+point against the swept values, a degree curve is one point, since its
+parameters do not change along the basis angle.  The batch gets one
 two-photon response (:func:`~cascadeg2.correlate.two_photon_response`, one
-stacked solve for all points), which is sliced per curve; C or S then
-follows for the whole axis in a few array operations.
+stacked solve for all points), which a figure turns into a (label, swept
+value) table of C or S with one observable call, a sweep with one call per
+requested observable.  The rows are zipped from its
+columns, and the CSV is written by one format operation.
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,15 +76,27 @@ class SweepResult:
     rows: tuple[tuple[float, str, float], ...]
 
     def write_csv(self, stream) -> None:
-        for key, value in self.metadata:
-            stream.write(f"# {key} = {value}\n")
-        stream.write("x,observable,value\n")
-        for x, name, value in self.rows:
-            if "," in name:
-                raise ValueError(f"observable name {name!r} would break the CSV")
-            if not math.isfinite(value):
+        """Write the header and rows; refuse a name with a comma or a
+        non-finite value before writing anything."""
+        body = ""
+        if self.rows:
+            _, names, values = zip(*self.rows)
+            # the first bad row is refused, a bad name before a bad value
+            # in the same row
+            bad_names = [name for name in dict.fromkeys(names) if "," in name]
+            bad_name = min(map(names.index, bad_names), default=len(names))
+            bad_values = np.flatnonzero(~np.isfinite(values))
+            if bad_values.size and bad_values[0] < bad_name:
+                x, name, _ = self.rows[bad_values[0]]
                 raise ValueError(f"non-finite value for {name} at x={x}")
-            stream.write(f"{_fmt(x)},{name},{_fmt(value)}\n")
+            if bad_names:
+                raise ValueError(f"observable name {names[bad_name]!r} "
+                                 "would break the CSV")
+            # one format operation for every row; %.11e prints as _fmt does
+            body = ("%.11e,%s,%.11e\n" * len(self.rows)) % tuple(
+                itertools.chain.from_iterable(self.rows))
+        stream.write("".join(f"# {key} = {value}\n" for key, value in self.metadata)
+                     + "x,observable,value\n" + body)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -224,15 +239,31 @@ def _steps_override(overrides: dict[str, float]) -> int | None:
     return int(steps)
 
 
-def _figure_plan(fig_id: str, overrides: dict[str, float] | None):
-    """Metadata and evaluation groups of one predefined sweep.
+class _Plan(NamedTuple):
+    """What a figure or sweep evaluates, as ``_figure_plan`` and
+    ``_sweep_plan`` build it once they have validated the input.
 
-    A group is (swept values, parameter batch, [(label, evaluate)]): each
-    evaluate turns the group's slice of the two-photon response into one
-    value per swept value.  Bad input (an unknown figure or override, a bad
-    step count or parameter) raises ValueError here, before anything is
-    evaluated.  An override of a field that a curve sweeps is refused, as
-    the sweep would overwrite it.
+    ``evaluate`` turns the two-photon response of ``batch`` into one row of
+    values per label, one column per swept value.  The rows come in blocks
+    of ``width`` labels: a block's CSV rows follow ``xs``, its labels side by
+    side, and the blocks follow each other.
+    """
+
+    metadata: list[tuple[str, str]]
+    xs: np.ndarray
+    batch: CascadeBatch
+    evaluate: Callable[[np.ndarray], np.ndarray]
+    labels: tuple[str, ...]
+    width: int
+
+
+def _figure_plan(fig_id: str, overrides: dict[str, float] | None) -> _Plan:
+    """The plan of one predefined sweep, a block of one label per curve.
+
+    Bad input (an unknown figure or override, a bad step count or
+    parameter) raises ValueError here, before anything is evaluated.  An
+    override of a field that a curve sweeps is refused, as the sweep would
+    overwrite it.
     """
     overrides = dict(overrides or {})
     steps = _steps_override(overrides)
@@ -245,7 +276,7 @@ def _figure_plan(fig_id: str, overrides: dict[str, float] | None):
 
     metadata = _base_metadata(f"figure {fig_id}")
     metadata.append(("axis", axis))
-    groups = []
+    parts = []
     for label, params, *rest in curves:
         axes = rest[0](xs) if rest else {}
         clash = sorted(changes.keys() & axes.keys())
@@ -253,38 +284,41 @@ def _figure_plan(fig_id: str, overrides: dict[str, float] | None):
             raise ValueError(f"curve {label} sweeps {', '.join(clash)}, "
                              "which an override cannot set")
         params = params.with_(**changes) if changes else params
-        if swept is None:
-            metadata.append((f"curve {label}", _params_summary(params)))
-            groups.append((xs, CascadeBatch.stack([params]), [
-                (label, functools.partial(degree_from_response, theta=xs))]))
-        else:
-            metadata.append((f"curve {label}", _params_summary(params)
-                             + f" ({swept} swept)"))
-            groups.append((xs, CascadeBatch.broadcast(params, **axes),
-                           [(label, bell_s_from_response)]))
-    return metadata, groups
+        note = "" if swept is None else f" ({swept} swept)"
+        metadata.append((f"curve {label}", _params_summary(params) + note))
+        parts.append(params if swept is None
+                      else CascadeBatch.broadcast(params, **axes))
+    labels = tuple(label for label, *_ in curves)
+
+    if swept is None:
+        def evaluate(response):
+            return degree_from_response(response[:, :, None], theta=xs)
+
+        batch = CascadeBatch.stack(parts)
+    else:
+        def evaluate(response):
+            return bell_s_from_response(response).reshape(len(labels), -1)
+
+        batch = CascadeBatch.concatenate(parts)
+    return _Plan(metadata, xs, batch, evaluate, labels, width=1)
 
 
-def _evaluate(metadata, groups) -> SweepResult:
-    """One two-photon response for the points of every group, sliced per
-    group; rows follow the swept values, the columns of a group side by
-    side."""
-    batches = [batch for _, batch, _ in groups]
-    response = two_photon_response(CascadeBatch.concatenate(batches))
-    ends = np.cumsum([len(b) for b in batches])
-    parts = np.split(response, ends[:-1], axis=1)
+def _evaluate(plan: _Plan) -> SweepResult:
+    """One two-photon response and one observable call for the whole plan;
+    the rows are zipped from the columns of the values, block by block."""
+    values = plan.evaluate(two_photon_response(plan.batch))
+    width, n = plan.width, len(plan.xs)
+    xs = np.repeat(plan.xs, width).tolist()
     rows = []
-    for (xs, _, columns), part in zip(groups, parts):
-        values = [evaluate(part) for _, evaluate in columns]
-        rows += [(float(x), label, float(column[k]))
-                 for k, x in enumerate(xs)
-                 for (label, _), column in zip(columns, values)]
-    return SweepResult(metadata=tuple(metadata), rows=tuple(rows))
+    for k in range(0, len(plan.labels), width):
+        rows += zip(xs, plan.labels[k:k + width] * n,
+                    values[k:k + width].T.ravel().tolist())
+    return SweepResult(metadata=tuple(plan.metadata), rows=tuple(rows))
 
 
 def run_figure(fig_id: str, overrides: dict[str, float] | None = None) -> SweepResult:
     """Evaluate one predefined sweep and return its rows and metadata."""
-    return _evaluate(*_figure_plan(fig_id, overrides))
+    return _evaluate(_figure_plan(fig_id, overrides))
 
 
 SWEEP_AXES = ("delta_fs", "rabi", "detuning", "gamma_d", "gamma_u")
@@ -297,8 +331,8 @@ SWEEP_OBSERVABLES = tuple(_SWEEP_COLUMNS)
 
 
 def _sweep_plan(params: CascadeParams, axis: str, config: RunConfig,
-                observables):
-    """Metadata and the one evaluation group of a one-axis sweep."""
+                observables) -> _Plan:
+    """The plan of a one-axis sweep: one block holding every column."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown axis {axis!r}; expected one of {SWEEP_AXES}")
     if not observables:
@@ -315,14 +349,19 @@ def _sweep_plan(params: CascadeParams, axis: str, config: RunConfig,
 
     xs = config.grid()
     axes = {"gamma12": xs, "gamma21": xs} if axis == "gamma_d" else {axis: xs}
-    return metadata, [(xs, CascadeBatch.broadcast(params, **axes),
-                       [(name, _SWEEP_COLUMNS[name]) for name in observables])]
+    labels = tuple(observables)
+
+    def evaluate(response):
+        return np.array([_SWEEP_COLUMNS[name](response) for name in labels])
+
+    return _Plan(metadata, xs, CascadeBatch.broadcast(params, **axes),
+                 evaluate, labels, width=len(labels))
 
 
 def run_sweep(params: CascadeParams, axis: str, config: RunConfig,
               observables=SWEEP_OBSERVABLES) -> SweepResult:
     """Sweep one parameter axis and evaluate the requested observables."""
-    return _evaluate(*_sweep_plan(params, axis, config, observables))
+    return _evaluate(_sweep_plan(params, axis, config, observables))
 
 
 def _add_param_arguments(parser: argparse.ArgumentParser) -> None:
@@ -429,7 +468,7 @@ def main(argv=None) -> int:
     if args.command == "figure":
         with _usage_errors(parser):
             plan = _figure_plan(args.fig_id, _parse_overrides(args.override))
-        _write_result(_evaluate(*plan), args.out or f"figure_{args.fig_id}.csv")
+        _write_result(_evaluate(plan), args.out or f"figure_{args.fig_id}.csv")
         return 0
 
     if args.command == "degree":
@@ -476,7 +515,7 @@ def main(argv=None) -> int:
             config = RunConfig(start=args.start, stop=args.stop, steps=args.steps)
             plan = _sweep_plan(_resolve_params(args), args.axis, config,
                                observables)
-        _write_result(_evaluate(*plan), args.out)
+        _write_result(_evaluate(plan), args.out)
         return 0
 
     if args.command == "verify":

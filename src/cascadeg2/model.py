@@ -105,6 +105,7 @@ class CascadeParams:
 
 PARAM_FIELDS = tuple(f.name for f in fields(CascadeParams))
 _field_values = attrgetter(*PARAM_FIELDS)
+_FIELD_ROWS = {name: row for row, name in enumerate(PARAM_FIELDS)}
 
 # rows of the fields that may be negative; every other field is a rate or
 # the Rabi frequency, bounded below by zero
@@ -162,12 +163,15 @@ class CascadeBatch:
         The axis arrays broadcast against each other; the points follow
         their broadcast shape in C order.
         """
-        unknown = set(axes) - set(PARAM_FIELDS)
+        unknown = axes.keys() - _FIELD_ROWS.keys()
         if unknown:
             raise ValueError(f"unknown parameter {sorted(unknown)[0]!r}")
-        columns = np.broadcast_arrays(*(axes.get(name, value) for name, value
-                                        in zip(PARAM_FIELDS, _field_values(base))))
-        return cls([np.ravel(c) for c in columns])
+        shape = np.broadcast_shapes(*map(np.shape, axes.values()))
+        table = np.empty((len(PARAM_FIELDS), math.prod(shape)))
+        table[:] = np.array(_field_values(base))[:, None]
+        for name, axis in axes.items():
+            table[_FIELD_ROWS[name]] = np.broadcast_to(axis, shape).ravel()
+        return cls(table)
 
     @classmethod
     def stack(cls, points) -> "CascadeBatch":

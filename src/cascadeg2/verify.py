@@ -147,11 +147,12 @@ def check_positivity(builder: GeneratorBuilder = build_generator,
     rng = np.random.default_rng(8)
     rho0 = np.zeros((5, 5), dtype=complex)
     rho0[Level.TWO_X, Level.TWO_X] = 1.0
-    taus = np.linspace(0.0, 20.0, 201)[1:]
+    # the delays of a uniform grid from 0, so the grid is filled by doubling
+    taus = np.linspace(0.0, 20.0, 201)
     worst = 0.0
     for idx in range(5):
         gen = builder(_random_params(rng, idx))
-        states = evolve_grid(gen, rho0, taus)
+        states = evolve_grid(gen, rho0, taus)[1:]
         for state in states:
             worst = min(worst, float(np.linalg.eigvalsh(
                 0.5 * (state + state.conj().T))[0]))

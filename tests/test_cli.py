@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -12,9 +13,10 @@ import pytest
 
 import cascadeg2
 from cascadeg2 import (CascadeBatch, CascadeParams, DetectorSetting,
-                       bell_s_shortcut, degree_of_correlation, g2_analytic,
+                       bell_s_from_response, bell_s_shortcut,
+                       degree_from_response, degree_of_correlation, g2_analytic,
                        omega_star, two_photon_response)
-from cascadeg2.cli import (FIGURE_IDS, RunConfig, _figure_plan,
+from cascadeg2.cli import (FIGURE_IDS, RunConfig, SweepResult, _figure_plan,
                            _parse_overrides, load_config, main, run_figure,
                            run_sweep)
 from cascadeg2.liouvillian import build_generator
@@ -41,6 +43,60 @@ class TestRunConfig:
     def test_nonfinite_range_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             RunConfig(start=0.0, stop=math.inf, steps=5)
+
+
+class TestSweepResult:
+    @staticmethod
+    def _write(result):
+        buf = io.StringIO()
+        result.write_csv(buf)
+        return buf.getvalue()
+
+    @staticmethod
+    def _data_rows(text):
+        lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+        return lines[1:] if lines and lines[0] == "x,observable,value" else lines
+
+    def test_empty_rows_write_metadata_and_header_only(self):
+        result = SweepResult(metadata=(("tool", "t"), ("axis", "a")), rows=())
+        assert self._write(result) == "# tool = t\n# axis = a\nx,observable,value\n"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_value_refused_before_any_row(self, bad):
+        result = SweepResult(metadata=(("tool", "t"),),
+                             rows=((0.0, "a", 1.0), (0.5, "b", bad),
+                                   (1.0, "a", 2.0)))
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=r"non-finite value for b at x=0\.5"):
+            result.write_csv(buf)
+        assert self._data_rows(buf.getvalue()) == []
+
+    def test_name_with_comma_refused_before_any_row(self):
+        result = SweepResult(metadata=(), rows=((0.0, "a", 1.0),
+                                                (1.0, "c,d", 2.0)))
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=re.escape("'c,d' would break the CSV")):
+            result.write_csv(buf)
+        assert self._data_rows(buf.getvalue()) == []
+
+    @pytest.mark.parametrize("rows, message", [
+        (((0.0, "a", math.nan), (1.0, "c,d", 2.0)), "non-finite value for a"),
+        (((0.0, "c,d", 1.0), (1.0, "a", math.nan)), "'c,d' would break"),
+        (((0.0, "c,d", math.nan),), "'c,d' would break"),
+    ])
+    def test_first_bad_row_is_refused(self, rows, message):
+        # rows are checked in order, the name before the value of a row
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepResult(metadata=(), rows=rows).write_csv(io.StringIO())
+
+    def test_negative_zero_keeps_its_sign(self):
+        # x at -0.0 and 0.0 compare equal but print differently
+        result = SweepResult(metadata=(), rows=((-0.0, "a", 1.0),
+                                                (0.0, "a", -0.0)))
+        assert self._write(result) == (
+            "x,observable,value\n"
+            "-0.00000000000e+00,a,1.00000000000e+00\n"
+            "0.00000000000e+00,a,-0.00000000000e+00\n")
 
 
 class TestConfigFile:
@@ -133,7 +189,7 @@ class TestFigures:
         detuned = [v for x, label, v in result.rows if label == "S[detuned]"]
         assert all(v > 2.0 for v in detuned[1:])
 
-    @pytest.mark.parametrize("fig_id", ["5", "6", "3b"])
+    @pytest.mark.parametrize("fig_id", FIGURE_IDS)
     def test_batched_rows_match_scalar_calls(self, fig_id):
         # each row of a batched sweep equals the one-point library call
         base = CascadeParams(gamma_u=0.01)
@@ -149,17 +205,28 @@ class TestFigures:
                 delta_fs=5.0, detuning=25.0, rabi=omega_star(5.0, 25.0),
                 gamma12=x, gamma21=x),
         }
-        curves_3b = {
-            "C[dfs5_no_field]": base.with_(delta_fs=5.0),
+        dephased = base.with_(gamma12=1.0, gamma21=1.0)
+        curves = {
+            **{f"C[dfs{v:g}_no_field]": base.with_(delta_fs=v)
+               for v in (0.0, 1.0, 5.0, 10.0)},
             "C[dfs5_resonant]": base.with_(delta_fs=5.0, rabi=5.0),
             "C[dfs5_detuned]": base.with_(delta_fs=5.0, detuning=25.0,
                                           rabi=omega_star(5.0, 25.0)),
+            "C[dfs10_resonant]": base.with_(delta_fs=10.0, rabi=10.0),
+            "C[dfs10_detuned]": base.with_(delta_fs=10.0, detuning=100.0,
+                                           rabi=omega_star(10.0, 100.0)),
+            **{f"C[dfs0_gd1_rabi{v:g}]": dephased.with_(rabi=v)
+               for v in (0.0, 1.0, 3.0)},
+            "C[dfs5_gd1_no_field]": dephased.with_(delta_fs=5.0),
+            "C[dfs5_gd1_resonant]": dephased.with_(delta_fs=5.0, rabi=5.0),
+            "C[dfs5_gd1_detuned]": dephased.with_(
+                delta_fs=5.0, detuning=25.0, rabi=omega_star(5.0, 25.0)),
         }
         rows = run_figure(fig_id, {"steps": 11}).rows
-        assert len(rows) == 33
+        assert len(rows) == 11 * (4 if fig_id == "3a" else 3)
         for x, label, value in rows:
-            if fig_id == "3b":
-                expected = degree_of_correlation(curves_3b[label], x).value
+            if label in curves:
+                expected = degree_of_correlation(curves[label], x).value
             else:
                 expected = bell_s_shortcut(points[label](x)).s
             assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
@@ -191,19 +258,24 @@ class TestFigures:
 
     @pytest.mark.parametrize("fig_id", FIGURE_IDS)
     def test_one_response_per_figure_equals_per_curve_responses(self, fig_id):
-        _, groups = _figure_plan(fig_id, {})
+        plan = _figure_plan(fig_id, {})
+        # each curve's points are a contiguous run of the figure batch
+        size = len(plan.batch) // len(plan.labels)
         expected = []
-        for xs, batch, columns in groups:
-            response = two_photon_response(batch)
-            for label, evaluate in columns:
-                expected += [(float(x), label, float(v))
-                             for x, v in zip(xs, evaluate(response))]
+        for k, label in enumerate(plan.labels):
+            curve = CascadeBatch(plan.batch.table[:, k * size:(k + 1) * size])
+            response = two_photon_response(curve)
+            if fig_id in ("5", "6"):
+                values = bell_s_from_response(response)
+            else:
+                values = degree_from_response(response, theta=plan.xs)
+            expected += [(float(x), label, float(v))
+                         for x, v in zip(plan.xs, values)]
         assert run_figure(fig_id).rows == tuple(expected)
 
     @pytest.mark.parametrize("fig_id", FIGURE_IDS)
     def test_routes_agree_on_the_figure_batch(self, fig_id):
-        _, groups = _figure_plan(fig_id, {})
-        batch = CascadeBatch.concatenate([batch for _, batch, _ in groups])
+        batch = _figure_plan(fig_id, {}).batch
         analytic = two_photon_response(batch)
         numeric = two_photon_response(batch, "numeric")
         # relative to each point's largest slot
