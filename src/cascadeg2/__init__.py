@@ -9,18 +9,16 @@ CHSH Bell observables across parameter sweeps.
 
 from .errors import DivergentAverageError, NumericError
 from .model import (CascadeBatch, CascadeParams, DetectorSetting, Level,
-                    N_LEVELS, omega_pm, omega_star, polarization_rotation)
+                    N_LEVELS, omega_star)
 from .liouvillian import (build_generator, evolve, evolve_grid, unvectorize,
                           vectorize)
-from .correlate import (CorrelationCurve, SpecialCase, SpecialCaseResult,
-                        correlation_curve, g2_analytic, g2_avg_analytic,
-                        g2_avg_numeric, g2_numeric, g2_numeric_grid,
-                        special_case, two_photon_response)
+from .correlate import (CorrelationCurve, correlation_curve, g2_analytic,
+                        g2_avg_analytic, g2_avg_numeric, g2_numeric,
+                        g2_numeric_grid, two_photon_response)
 from .observables import (STANDARD_CHSH_ANGLES, TSIRELSON_BOUND, BellResult,
                           CorrelationDegree, bell_s_chsh, bell_s_from_response,
                           bell_s_shortcut, chsh_coefficient,
-                          degree_from_response, degree_of_correlation,
-                          degree_of_correlation_instant)
+                          degree_from_response, degree_of_correlation)
 
 __version__ = "0.1.0"
 
@@ -36,8 +34,6 @@ __all__ = [
     "N_LEVELS",
     "NumericError",
     "STANDARD_CHSH_ANGLES",
-    "SpecialCase",
-    "SpecialCaseResult",
     "TSIRELSON_BOUND",
     "bell_s_chsh",
     "bell_s_from_response",
@@ -47,7 +43,6 @@ __all__ = [
     "correlation_curve",
     "degree_from_response",
     "degree_of_correlation",
-    "degree_of_correlation_instant",
     "evolve",
     "evolve_grid",
     "g2_analytic",
@@ -55,10 +50,7 @@ __all__ = [
     "g2_avg_numeric",
     "g2_numeric",
     "g2_numeric_grid",
-    "omega_pm",
     "omega_star",
-    "polarization_rotation",
-    "special_case",
     "two_photon_response",
     "unvectorize",
     "vectorize",

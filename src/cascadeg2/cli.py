@@ -453,8 +453,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 @contextlib.contextmanager
 def _usage_errors(parser: argparse.ArgumentParser):
-    """Report bad input (an override, config file or parameter) as a one-line
-    usage error with exit status 2, as argparse does for bad flags."""
+    """Report bad input (an override, config file, parameter or option value)
+    as a one-line usage error with exit status 2, as argparse does for bad
+    flags."""
     try:
         yield
     except (ValueError, OSError) as exc:
@@ -519,6 +520,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "verify":
+        with _usage_errors(parser):
+            if not (math.isfinite(args.tol) and args.tol > 0):
+                raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
         results = run_all_checks(tol=args.tol, quick=args.quick)
         text, ok = summarize(results)
         print(text)

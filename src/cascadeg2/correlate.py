@@ -47,16 +47,14 @@ loads only for the DOP853 cross-check, ``g2_numeric(..., method="ode")``.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergentAverageError
 from .liouvillian import (_as_generator, build_generator, check_tau_grid,
-                          evolve, propagate_steps, vectorize)
-from .model import (Level, N_LEVELS, CascadeBatch, CascadeParams,
-                    DetectorSetting, omega_pm)
+                          evolve, evolve_grid, propagate_steps, vectorize)
+from .model import Level, N_LEVELS, CascadeBatch, CascadeParams, DetectorSetting
 
 # Below this argument size sinh(z)/z switches to a 3-term Taylor series to
 # avoid 0/0.
@@ -207,7 +205,11 @@ def _braces(response, theta1, theta2, phase=0.0):
 
 
 def _validate_taus(tau) -> tuple[np.ndarray, bool]:
+    """A delay or a 1-d array of delays, in any order, as a 1-d float array,
+    and whether it was a scalar; else ValueError."""
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    if taus.ndim != 1:
+        raise ValueError(f"tau must be a scalar or a 1-d array, got shape {taus.shape}")
     if np.any(taus < 0) or not np.all(np.isfinite(taus)):
         raise ValueError("tau must be finite and >= 0")
     return taus, np.ndim(tau) == 0
@@ -271,19 +273,28 @@ def g2_numeric(params: CascadeParams, det1: DetectorSetting,
     """Regression-theorem correlation at a single delay.
 
     method "ode" integrates adaptively (DOP853, see :func:`evolve`); method
-    "expm" takes one dense matrix exponential.
+    "expm" propagates exactly on a one-point grid (see :func:`evolve_grid`).
     """
+    if method not in ("ode", "expm"):
+        raise ValueError(f"unknown method {method!r}, expected 'ode' or 'expm'")
     taus, _ = _validate_taus(float(tau))
-    op = evolve(build_generator(params), _conditioned_state(det1), taus[0],
-                method=method)
+    gen, x0 = build_generator(params), _conditioned_state(det1)
+    if method == "ode":
+        op = evolve(gen, x0, taus[0])
+    else:
+        op = evolve_grid(gen, x0, taus)[0]
     return float(4.0 * np.real(np.trace(_detection_projector(det2) @ op)))
 
 
 def correlation_curve(params: CascadeParams, det1: DetectorSetting,
                       det2: DetectorSetting, taus,
                       method: str = "analytic") -> CorrelationCurve:
-    """Sample the correlation on a tau grid with the chosen route."""
-    taus = np.asarray(taus, dtype=float)
+    """Sample the correlation on a tau grid with the chosen route.
+
+    ``taus`` must be a nonempty, finite, nonnegative and strictly increasing
+    1-d grid; both routes refuse any other with the same ValueError.
+    """
+    taus = check_tau_grid(taus)
     if method == "analytic":
         values = g2_analytic(params, det1, det2, taus)
     elif method == "numeric":
@@ -418,88 +429,3 @@ def g2_avg_numeric(params: CascadeParams, det1: DetectorSetting,
     y0; see :func:`_resolvent_response`.  Exact up to round-off.
     """
     return _average(two_photon_response([params], method="numeric"), det1, det2)
-
-
-class SpecialCase(enum.Enum):
-    """Strong-drive and no-drive limiting regimes of the correlation."""
-
-    I = "I"      # no drive, no dephasing
-    II = "II"    # strong resonant drive
-    III = "III"  # strong far-detuned drive
-    IV = "IV"    # strong drive with dephasing
-
-
-@dataclass(frozen=True)
-class SpecialCaseResult:
-    """Value of a limiting-regime formula plus any regime-violation warnings."""
-
-    value: float | np.ndarray
-    warnings: tuple[str, ...]
-
-
-def special_case(case: SpecialCase, params: CascadeParams,
-                 det1: DetectorSetting, det2: DetectorSetting,
-                 tau) -> SpecialCaseResult:
-    """Evaluate the classic limiting-regime formulas.
-
-    These carry half the normalization of :func:`g2_analytic` (co-polarized
-    value 2 at tau = 0) and are approximations outside case I; use them as
-    regime oracles, not exact references.
-    """
-    taus, scalar = _validate_taus(tau)
-    p = params
-    g_level = 0.5 * (p.gamma3 + p.gamma4)
-    g_d = 0.5 * (p.gamma12 + p.gamma21)
-    rate_scale = max(p.gamma3, p.gamma4, p.gamma12, p.gamma21, p.gamma_u)
-
-    warnings: list[str] = []
-    if p.gamma3 != p.gamma4:
-        warnings.append("gamma3 != gamma4: formulas assume symmetric decay")
-    if det1.phi != 0.0 or det2.phi != 0.0:
-        warnings.append("phi1 = phi2 = 0 assumed; phases ignored")
-    if case is SpecialCase.I:
-        if p.rabi != 0 or p.detuning != 0:
-            warnings.append("case I assumes rabi = detuning = 0")
-        if g_d != 0:
-            warnings.append("case I assumes gamma_d = 0")
-    elif case is SpecialCase.II:
-        if p.detuning != 0 or g_d != 0:
-            warnings.append("case II assumes detuning = 0 and gamma_d = 0")
-        if p.rabi < 10 * rate_scale:
-            warnings.append("case II assumes rabi >> decay rates")
-    elif case is SpecialCase.III:
-        if g_d != 0:
-            warnings.append("case III assumes gamma_d = 0")
-        if p.detuning < p.rabi:
-            warnings.append("case III assumes detuning >= rabi")
-        if p.rabi < 10 * rate_scale:
-            warnings.append("case III assumes rabi >> decay rates")
-    elif case is SpecialCase.IV:
-        if min(p.rabi, p.detuning) < 10 * rate_scale:
-            warnings.append("case IV assumes rabi, detuning >> decay rates")
-    if case is not SpecialCase.I and p.gamma_u > 0.1 * g_level:
-        warnings.append("formulas neglect gamma_u (assumed << gamma)")
-
-    c1, c2, s1, s2 = _angle_weights(det1.theta, det2.theta)
-    env = np.exp(-g_level * taus)
-    if case is SpecialCase.I:
-        value = env * (1.0 + c1 * c2 + s1 * s2 * np.cos(p.delta_fs * taus))
-    elif case is SpecialCase.II:
-        beats = (np.cos((p.delta_fs + p.rabi) * taus)
-                 + np.cos((p.delta_fs - p.rabi) * taus))
-        value = env * (1.0 + c1 * c2
-                       + s1 * s2 * np.exp(g_level * taus / 4.0) * beats)
-    else:
-        om_plus, om_minus = omega_pm(p.rabi, p.detuning)
-        beats = (np.cos((p.delta_fs + om_plus) * taus)
-                 + np.cos((p.delta_fs - om_minus) * taus))
-        if case is SpecialCase.III:
-            value = env * (1.0 + c1 * c2
-                           + s1 * s2 * np.exp(g_level * taus / 4.0) * beats)
-        else:
-            value = env * (1.0 + c1 * c2 * np.exp(-2.0 * g_d * taus)
-                           + s1 * s2
-                           * np.exp((g_level - 3.0 * g_d) * taus / 4.0) * beats)
-    value = np.real(value)
-    return SpecialCaseResult(float(value[0]) if scalar else value,
-                             tuple(warnings))

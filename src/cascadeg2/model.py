@@ -1,4 +1,4 @@
-"""Parameters, unit conventions and polarization algebra for the driven cascade.
+"""Parameters, unit conventions and analyzer settings for the driven cascade.
 
 The system is a five-level radiative cascade: an upper level ``2X`` decays to
 two intermediate levels ``X1``/``X2`` (split by ``delta_fs``), which decay to
@@ -6,7 +6,7 @@ the ground level ``g``.  An auxiliary level ``u`` is coupled to ``X2`` by a
 classical drive of Rabi frequency ``rabi`` and detuning ``detuning``.
 
 All rates and frequencies are dimensionless, in units of the total upper-level
-radiative rate gamma = gamma1 + gamma2.  With the defaults gamma1 = gamma2 =
+radiative rate, the sum gamma1 + gamma2.  With the defaults gamma1 = gamma2 =
 1/2 and gamma3 = gamma4 = 1, the unit rate is also the radiative rate of each
 intermediate level, which is the normalization used for every swept quantity.
 
@@ -68,35 +68,6 @@ class CascadeParams:
         for value in values:
             math.isfinite(value)  # TypeError unless a real number, such as "1"
         _check_fields(np.array(values, dtype=float))
-
-    @property
-    def gamma(self) -> float:
-        """Total radiative decay of the upper level, gamma1 + gamma2."""
-        return self.gamma1 + self.gamma2
-
-    @property
-    def gamma_d(self) -> float:
-        """Common dephasing rate; defined only when gamma12 == gamma21."""
-        if self.gamma12 != self.gamma21:
-            raise ValueError("gamma_d is defined only for gamma12 == gamma21")
-        return self.gamma12
-
-    def _require_symmetric(self) -> None:
-        if self.gamma3 != self.gamma4 or self.gamma12 != self.gamma21:
-            raise ValueError(
-                "requires symmetric rates (gamma3 == gamma4, gamma12 == gamma21)")
-
-    @property
-    def big_gamma(self) -> float:
-        """Gamma = gamma + gamma_d + gamma_u/3 of the symmetric-rate model."""
-        self._require_symmetric()
-        return self.gamma3 + self.gamma12 + self.gamma_u / 3.0
-
-    @property
-    def big_gamma1(self) -> float:
-        """Gamma_1 = gamma + gamma_d + gamma_u of the symmetric-rate model."""
-        self._require_symmetric()
-        return self.gamma3 + self.gamma12 + self.gamma_u
 
     def with_(self, **changes) -> "CascadeParams":
         """Return a copy with the given fields replaced."""
@@ -199,8 +170,8 @@ del _row, _name
 class DetectorSetting:
     """Linear-polarization analyzer orientation (theta, phi), in radians.
 
-    The two analyzer unit vectors in the (H, V) component basis are the rows
-    of ``polarization_rotation(theta, phi)`` and are orthonormal.
+    The analyzer passes the polarization cos(theta) H + e^{i phi} sin(theta) V,
+    H and V being the photons of the X1 and X2 decay paths.
     """
 
     theta: float
@@ -212,50 +183,26 @@ class DetectorSetting:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
 
-    def unit_vectors(self) -> np.ndarray:
-        """Rows are the two analyzer polarization vectors in the (H, V) basis."""
-        return polarization_rotation(self.theta, self.phi)
-
-
-def polarization_rotation(theta: float, phi: float = 0.0) -> np.ndarray:
-    """Unitary mapping (H, V) components onto the rotated analyzer pair.
-
-    Returns [[cos(theta), e^{-i phi} sin(theta)],
-             [-e^{i phi} sin(theta), cos(theta)]].
-    """
-    ct, st = np.cos(theta), np.sin(theta)
-    return np.array(
-        [[ct, np.exp(-1j * phi) * st],
-         [-np.exp(1j * phi) * st, ct]],
-        dtype=complex,
-    )
-
-
-def omega_pm(rabi: float, detuning: float) -> tuple[float, float]:
-    """Generalized Rabi sidebands (Omega_plus, Omega_minus) of the driven pair.
-
-    Omega_pm = sqrt(detuning^2 + 4 rabi^2)/2 +- detuning/2.  They satisfy
-    Omega_plus + Omega_minus = sqrt(detuning^2 + 4 rabi^2) and
-    Omega_plus * Omega_minus = rabi^2.
-    """
-    if rabi < 0:
-        raise ValueError(f"rabi must be >= 0, got {rabi}")
-    half_split = 0.5 * math.hypot(detuning, 2.0 * rabi)
-    return half_split + 0.5 * detuning, half_split - 0.5 * detuning
-
 
 def omega_star(delta_fs: float | np.ndarray,
                detuning: float | np.ndarray) -> float | np.ndarray:
     """Drive amplitude that Stark-shifts the upper dressed state onto X1.
 
-    Solves Omega_minus(Omega, detuning) = delta_fs, giving
+    Solves Omega_minus = sqrt(detuning^2 + 4 Omega^2)/2 - detuning/2 =
+    delta_fs, the lower sideband of the driven X2-u pair, giving
     Omega* = sqrt(delta_fs^2 + delta_fs * detuning).  Element-wise on
-    arrays; scalars give a float.
+    arrays; scalars give a float.  Raises ValueError on a non-finite input
+    or when no real drive amplitude exists.
     """
     delta_fs = np.asarray(delta_fs, dtype=float)
+    detuning = np.asarray(detuning, dtype=float)
+    for name, value in (("delta_fs", delta_fs), ("detuning", detuning)):
+        bad = value[~np.isfinite(value)]
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {bad[0]}")
     if np.any(delta_fs < 0):
         raise ValueError(f"delta_fs must be >= 0, got {delta_fs.min()}")
-    radicand = delta_fs * delta_fs + delta_fs * np.asarray(detuning, dtype=float)
+    radicand = delta_fs * delta_fs + delta_fs * detuning
     if np.any(radicand < 0):
         raise ValueError(
             f"delta_fs^2 + delta_fs*detuning = {radicand.min()} < 0: no real "

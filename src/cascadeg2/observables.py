@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlate import _braces, g2_analytic, two_photon_response
-from .model import CascadeParams, DetectorSetting
+from .correlate import _braces, two_photon_response
+from .model import CascadeParams
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -104,18 +104,6 @@ def degree_of_correlation(params: CascadeParams, theta: float,
     _require_finite(theta)
     value = degree_from_response(two_photon_response([params], method), theta)
     return CorrelationDegree(value=float(value[0]), basis_angle=theta)
-
-
-def degree_of_correlation_instant(params: CascadeParams, theta: float,
-                                  tau: float) -> CorrelationDegree:
-    """Instantaneous-delay C(theta; tau), a diagnostic companion of the
-    time-averaged degree used by every swept observable."""
-    _require_finite(theta)
-    det_co = (DetectorSetting(theta), DetectorSetting(theta))
-    det_cross = (DetectorSetting(theta), DetectorSetting(theta + math.pi / 2.0))
-    co = g2_analytic(params, *det_co, tau)
-    cross = g2_analytic(params, *det_cross, tau)
-    return CorrelationDegree(value=(co - cross) / (co + cross), basis_angle=theta)
 
 
 def _require_finite(*angles: float) -> None:

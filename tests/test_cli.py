@@ -477,7 +477,7 @@ grid = g2_numeric_grid(CascadeParams(), det, det, np.linspace(0.0, 2.0, 5))
 driven = g2_numeric_grid(CascadeParams(rabi=3.0), det, det, np.linspace(0.0, 2.0, 5))
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 params = CascadeParams(rabi=1.0)
-state = evolve(build_generator(params), np.eye(5) / 5, 0.5, method="ode")
+state = evolve(build_generator(params), np.eye(5) / 5, 0.5)
 print(json.dumps({{"loaded": loaded, "grid": grid.tolist(),
                   "driven": driven.tolist(),
                   "trace": abs(np.trace(state) - 1.0)}}))
@@ -508,6 +508,16 @@ class TestVerify:
         for check in payload["checks"]:
             assert isinstance(check["seconds"], float)
             assert check["seconds"] >= 0.0
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tol):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--quick", "--tol", tol])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no check ran
+        assert captured.err.splitlines()[-1].startswith(
+            "cascadeg2: error: --tol must be finite and > 0")
 
     def test_tightened_tolerance_passes_at_exact_floor(self):
         # both routes are exact, so they agree to round-off

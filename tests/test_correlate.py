@@ -8,14 +8,14 @@ from scipy.integrate import quad
 
 from cascadeg2 import (CascadeBatch, CascadeParams, CorrelationCurve,
                        DetectorSetting, DivergentAverageError, Level,
-                       SpecialCase, TSIRELSON_BOUND, build_generator,
-                       correlation_curve, degree_of_correlation, evolve,
-                       evolve_grid, g2_analytic, g2_avg_analytic,
-                       g2_avg_numeric, g2_numeric, g2_numeric_grid, omega_pm,
-                       special_case, two_photon_response)
+                       TSIRELSON_BOUND, build_generator, correlation_curve,
+                       degree_of_correlation, evolve, evolve_grid, g2_analytic,
+                       g2_avg_analytic, g2_avg_numeric, g2_numeric,
+                       g2_numeric_grid, two_photon_response)
 from cascadeg2.correlate import (_average_sector, _coherence_generator,
                                  _conditioned_state, _detection_projector,
                                  _expm2, _population_generator)
+from cascadeg2.liouvillian import check_tau_grid
 from cascadeg2.observables import (STANDARD_CHSH_ANGLES, bell_s_chsh,
                                    bell_s_shortcut)
 from cascadeg2.verify import _random_params
@@ -294,9 +294,31 @@ class TestOracleEquivalence:
                 g2_numeric_grid(params, H, D, taus)
             with pytest.raises(ValueError, match="finite"):
                 g2_analytic(params, H, D, taus)
-        for method in ("expm", "ode"):
-            with pytest.raises(ValueError, match="finite"):
-                evolve(build_generator(params), np.eye(5), math.nan, method=method)
+        gen = build_generator(params)
+        with pytest.raises(ValueError, match="finite"):
+            evolve(gen, np.eye(5), math.nan)
+        with pytest.raises(ValueError, match="finite"):
+            evolve_grid(gen, np.eye(5), [math.nan])
+
+    def test_analytic_delays_in_any_order_but_one_dimension(self):
+        # unsorted and repeated delays are valid; a 2-d array is bad input
+        params = CascadeParams(delta_fs=2.0, rabi=3.0, detuning=5.0)
+        taus = [1.0, 0.0, 2.5, 1.0]
+        want = [g2_analytic(params, H, D, tau) for tau in taus]
+        assert np.max(np.abs(g2_analytic(params, H, D, taus) - want)) <= 1e-13
+        with pytest.raises(ValueError, match="1-d"):
+            g2_analytic(params, H, D, [[0.0, 1.0]])
+
+    def test_single_delay_methods(self):
+        # "expm" is the exact one-point grid, "ode" the DOP853 cross-check
+        params = CascadeParams(delta_fs=2.0, rabi=3.0, detuning=5.0,
+                               gamma12=0.3, gamma21=0.3)
+        for tau in (0.0, 0.7, 4.0):
+            grid = g2_numeric_grid(params, H, D, [tau])[0]
+            assert abs(g2_numeric(params, H, D, tau, method="expm") - grid) <= 1e-13
+            assert abs(g2_numeric(params, H, D, tau) - grid) <= 1e-8
+        with pytest.raises(ValueError, match="'magic'"):
+            g2_numeric(params, H, D, 1.0, method="magic")
 
 
 class TestAgainstClosedFormOracles:
@@ -640,59 +662,45 @@ class TestTwoPhotonResponse:
 
 
 class TestSpecialCases:
+    # closed forms that the analytic route must reproduce in limiting regimes
     def test_case_i_bridges_the_general_result(self):
+        # no drive, no dephasing: 2 e^{-tau}(1 + c1 c2 + s1 s2 cos(delta_fs tau))
         params = CascadeParams(delta_fs=5.0)
         taus = np.linspace(0.0, 6.0, 40)
         for det1, det2 in ((H, H), (D, D), (H, D), (DetectorSetting(0.3), V)):
-            result = special_case(SpecialCase.I, params, det1, det2, taus)
-            assert result.warnings == ()
-            assert np.max(np.abs(2.0 * result.value
-                                 - g2_analytic(params, det1, det2, taus))) < 1e-12
+            c1, c2 = math.cos(2.0 * det1.theta), math.cos(2.0 * det2.theta)
+            s1, s2 = math.sin(2.0 * det1.theta), math.sin(2.0 * det2.theta)
+            want = 2.0 * np.exp(-taus) * (1.0 + c1 * c2
+                                          + s1 * s2 * np.cos(5.0 * taus))
+            assert np.max(np.abs(want - g2_analytic(params, det1, det2, taus))) < 1e-12
 
     def test_case_i_example_value(self):
-        result = special_case(SpecialCase.I, CascadeParams(), D, D, 1.0)
-        assert result.value == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
+        assert g2_analytic(CascadeParams(), D, D, 1.0) == pytest.approx(
+            4.0 * math.exp(-1.0), rel=1e-12)
 
     def test_case_iv_rectilinear_bridge_without_drive(self):
         # the dephasing-regulated decay of the rectilinear term is exact
         params = CascadeParams(gamma12=0.4, gamma21=0.4)
         taus = np.linspace(0.0, 5.0, 30)
-        result = special_case(SpecialCase.IV, params, H, H, taus)
-        assert result.warnings  # drive regime deliberately violated
-        assert np.max(np.abs(2.0 * result.value
-                             - g2_analytic(params, H, H, taus))) < 1e-12
+        want = 2.0 * np.exp(-taus) * (1.0 + np.exp(-0.8 * taus))
+        assert np.max(np.abs(want - g2_analytic(params, H, H, taus))) < 1e-12
 
     def test_case_ii_beats_at_twice_the_rabi_frequency(self):
         om = 30.0
         params = CascadeParams(delta_fs=om, rabi=om)
         taus = np.linspace(0.0, 8.0, 4096)
-        for signal in (special_case(SpecialCase.II, params, D, D, taus).value,
-                       g2_analytic(params, D, D, taus)):
-            assert _dominant_frequency(signal, taus) == pytest.approx(
-                2.0 * om, abs=1.0)
+        signal = g2_analytic(params, D, D, taus)
+        assert _dominant_frequency(signal, taus) == pytest.approx(2.0 * om, abs=1.0)
 
     def test_case_iii_beats_at_generalized_rabi(self):
         om, delta = 20.0, 40.0
-        params = CascadeParams(delta_fs=omega_pm(om, delta)[1], rabi=om,
-                               detuning=delta)
         beat = math.hypot(delta, 2.0 * om)
+        # the lower sideband of the drive sits on the splitting
+        params = CascadeParams(delta_fs=(beat - delta) / 2.0, rabi=om,
+                               detuning=delta)
         taus = np.linspace(0.0, 8.0, 4096)
-        for signal in (special_case(SpecialCase.III, params, D, D, taus).value,
-                       g2_analytic(params, D, D, taus)):
-            assert _dominant_frequency(signal, taus) == pytest.approx(beat, abs=1.0)
-
-    def test_regime_warnings(self):
-        driven = CascadeParams(delta_fs=5.0, rabi=5.0, detuning=2.0,
-                               gamma12=0.5, gamma21=0.5)
-        result = special_case(SpecialCase.I, driven, D, D, 1.0)
-        assert any("rabi" in w for w in result.warnings)
-        assert any("gamma_d" in w for w in result.warnings)
-        weak = CascadeParams(rabi=2.0)
-        assert any(">>" in w for w in
-                   special_case(SpecialCase.II, weak, D, D, 1.0).warnings)
-        asym = CascadeParams(gamma3=1.2, gamma4=0.8)
-        assert any("gamma3" in w for w in
-                   special_case(SpecialCase.I, asym, D, D, 1.0).warnings)
+        signal = g2_analytic(params, D, D, taus)
+        assert _dominant_frequency(signal, taus) == pytest.approx(beat, abs=1.0)
 
 
 def _dominant_frequency(signal, taus, floor=10.0):
@@ -724,3 +732,14 @@ class TestCorrelationCurve:
         with pytest.raises(ValueError):
             correlation_curve(CascadeParams(), H, H, np.array([0.0, 1.0]),
                               method="magic")
+
+    @pytest.mark.parametrize("method", ["analytic", "numeric"])
+    @pytest.mark.parametrize("taus", [
+        [], [[0.0, 1.0]], [1.0, 0.5], [0.0, 0.0], [-1.0, 0.0], [0.0, math.nan],
+    ], ids=["empty", "2-d", "decreasing", "repeated", "negative", "nan"])
+    def test_bad_grids_refused_alike_by_both_routes(self, taus, method):
+        with pytest.raises(ValueError) as want:
+            check_tau_grid(taus)
+        with pytest.raises(ValueError) as got:
+            correlation_curve(CascadeParams(rabi=3.0), H, D, taus, method=method)
+        assert str(got.value) == str(want.value)

@@ -305,7 +305,8 @@ class TestEvolve:
             gen = build_generator(params)
             states = evolve_grid(gen, _pure(UP), taus)
             pop = states[:, UP, UP].real
-            assert np.max(np.abs(pop - np.exp(-params.gamma * taus))) < 1e-8
+            rate = params.gamma1 + params.gamma2
+            assert np.max(np.abs(pop - np.exp(-rate * taus))) < 1e-8
 
     def test_rabi_oscillation_oracle(self):
         # lossless driven pair: X2 population is cos^2(rabi * tau)
@@ -328,8 +329,7 @@ class TestEvolve:
             gen = build_generator(_random_params(rng))
             x0 = _random_hermitian(rng)
             tau = rng.uniform(0.2, 4.0)
-            diff = (evolve(gen, x0, tau, method="ode")
-                    - evolve(gen, x0, tau, method="expm"))
+            diff = evolve(gen, x0, tau) - evolve_grid(gen, x0, [tau])[0]
             assert np.max(np.abs(diff)) < 1e-8
 
     def test_semigroup_property(self):
@@ -401,7 +401,8 @@ class TestEvolve:
         assert calls[0].shape == (2, 25, 25)
         monkeypatch.undo()
         for tau, state in zip(taus[::9], states[::9]):
-            assert np.max(np.abs(state - evolve(gen, rho, tau, method="expm"))) < 1e-13
+            direct = evolve_grid(gen, rho, [tau])[0]
+            assert np.max(np.abs(state - direct)) < 1e-13
 
     def test_step_propagators_accept_any_square_block(self, monkeypatch):
         rng = np.random.default_rng(8)

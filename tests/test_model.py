@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cascadeg2 import (CascadeBatch, CascadeParams, DetectorSetting,
-                       degree_of_correlation, degree_of_correlation_instant,
-                       omega_pm, omega_star, polarization_rotation)
+                       degree_of_correlation, omega_star)
 from cascadeg2.model import PARAM_FIELDS
 
 
@@ -36,6 +35,15 @@ class TestOmegaStar:
         with pytest.raises(ValueError):
             omega_star(-1.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"delta_fs must be finite, got {bad}"):
+            omega_star(bad, 25.0)
+        with pytest.raises(ValueError, match=f"detuning must be finite, got {bad}"):
+            omega_star(5.0, bad)
+        with pytest.raises(ValueError, match="detuning must be finite"):
+            omega_star(np.array([1.0, 2.0]), np.array([3.0, bad]))
+
     def test_elementwise_on_arrays(self):
         delta_fs = np.linspace(0.0, 10.0, 21)
         got = omega_star(delta_fs, 5.0 * delta_fs)
@@ -45,65 +53,18 @@ class TestOmegaStar:
 
 
 class TestOmegaPm:
-    def test_resonant_reduces_to_rabi(self):
-        assert omega_pm(1.0, 0.0) == pytest.approx((1.0, 1.0), rel=1e-15)
-
-    def test_detuned_sidebands(self):
-        plus, minus = omega_pm(math.sqrt(150.0), 25.0)
-        assert plus == pytest.approx(30.0, rel=1e-13)
-        assert minus == pytest.approx(5.0, rel=1e-13)
-
-    def test_no_drive_bare_detuning(self):
-        assert omega_pm(0.0, 7.0) == pytest.approx((7.0, 0.0), abs=1e-15)
-
-    def test_negative_rabi_rejected(self):
-        with pytest.raises(ValueError):
-            omega_pm(-0.5, 0.0)
-
-    def test_sum_and_product_identities(self):
-        rng = np.random.default_rng(42)
-        for _ in range(1000):
-            rabi = rng.uniform(0.0, 50.0)
-            detuning = rng.uniform(-100.0, 100.0)
-            plus, minus = omega_pm(rabi, detuning)
-            total = math.sqrt(detuning ** 2 + 4.0 * rabi ** 2)
-            assert plus + minus == pytest.approx(total, rel=1e-12, abs=1e-12)
-            assert plus * minus == pytest.approx(rabi ** 2, rel=1e-12, abs=1e-12)
-
     def test_dressed_resonance_consistency(self):
         # the lower sideband of the starred drive equals the splitting
         rng = np.random.default_rng(43)
         for _ in range(1000):
             delta_fs = rng.uniform(0.0, 20.0)
             detuning = rng.uniform(0.0, 200.0)
-            _, minus = omega_pm(omega_star(delta_fs, detuning), detuning)
+            rabi = omega_star(delta_fs, detuning)
+            minus = 0.5 * math.hypot(detuning, 2.0 * rabi) - 0.5 * detuning
             assert minus == pytest.approx(delta_fs, rel=1e-12, abs=1e-12)
 
 
 class TestPolarizationRotation:
-    def test_identity_at_zero(self):
-        assert np.allclose(polarization_rotation(0.0, 0.0), np.eye(2))
-
-    def test_diagonal_basis(self):
-        expected = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
-        assert np.allclose(polarization_rotation(math.pi / 4.0, 0.0), expected)
-
-    def test_unitary_everywhere(self):
-        rng = np.random.default_rng(44)
-        for _ in range(200):
-            mat = polarization_rotation(rng.uniform(-np.pi, np.pi),
-                                        rng.uniform(-np.pi, np.pi))
-            dev = np.max(np.abs(mat @ mat.conj().T - np.eye(2)))
-            assert dev < 1e-14
-
-    def test_detector_vectors_orthonormal(self):
-        rng = np.random.default_rng(45)
-        for _ in range(50):
-            det = DetectorSetting(rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi))
-            vecs = det.unit_vectors()
-            gram = vecs @ vecs.conj().T
-            assert np.max(np.abs(gram - np.eye(2))) < 1e-14
-
     def test_nonfinite_angles_rejected(self):
         params = CascadeParams()
         for bad in (math.inf, -math.inf, math.nan):
@@ -115,14 +76,12 @@ class TestPolarizationRotation:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="must be finite"):
                     degree_of_correlation(params, bad)
-                with pytest.raises(ValueError, match="must be finite"):
-                    degree_of_correlation_instant(params, bad, 1.0)
 
 
 class TestCascadeParams:
     def test_defaults_are_unit_gamma(self):
         params = CascadeParams()
-        assert params.gamma == 1.0
+        assert params.gamma1 + params.gamma2 == 1.0
         assert params.gamma3 == params.gamma4 == 1.0
 
     def test_negative_rate_rejected(self):
@@ -139,18 +98,6 @@ class TestCascadeParams:
         # numpy would read the string as 1.0; the field must be a number
         with pytest.raises(TypeError):
             CascadeParams(gamma3="1")
-
-    def test_gamma_d_requires_symmetry(self):
-        assert CascadeParams(gamma12=0.3, gamma21=0.3).gamma_d == 0.3
-        with pytest.raises(ValueError):
-            _ = CascadeParams(gamma12=0.3, gamma21=0.4).gamma_d
-
-    def test_symmetric_rate_combinations(self):
-        params = CascadeParams(gamma12=0.5, gamma21=0.5, gamma_u=0.3)
-        assert params.big_gamma == pytest.approx(1.0 + 0.5 + 0.1)
-        assert params.big_gamma1 == pytest.approx(1.0 + 0.5 + 0.3)
-        with pytest.raises(ValueError):
-            _ = CascadeParams(gamma3=1.0, gamma4=2.0).big_gamma
 
     def test_with_returns_modified_copy(self):
         base = CascadeParams()

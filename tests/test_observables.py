@@ -6,8 +6,7 @@ import pytest
 from cascadeg2 import (STANDARD_CHSH_ANGLES, TSIRELSON_BOUND, BellResult,
                        CascadeParams, CorrelationDegree, bell_s_chsh,
                        bell_s_shortcut, chsh_coefficient,
-                       degree_of_correlation, degree_of_correlation_instant,
-                       omega_star)
+                       degree_of_correlation, omega_star)
 
 IDEAL = CascadeParams()
 
@@ -73,10 +72,6 @@ class TestDegreeOfCorrelation:
         ideal = degree_of_correlation(CascadeParams(), 0.3,
                                       method="numeric").value
         assert ideal == pytest.approx(1.0, abs=1e-8)
-
-    def test_instantaneous_diagnostic(self):
-        value = degree_of_correlation_instant(IDEAL, 0.3, 0.0).value
-        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_value_range_validated(self):
         with pytest.raises(ValueError):
