@@ -13,8 +13,9 @@ Two independent routes compute the same normalized correlation:
   rho_X1u), whose X1X2 entry of e^{C tau} is the coherence kernel ``w``, and
   the 5x5 population block (X1, X2, u populations plus the driven X2-u
   coherence as a real pair, so the block is real).  One closed-form 2x2
-  exponential, ``_expm2``, gives ``w`` and, with the drive off, the
-  population propagators from the leading 2x2 rate block; the driven
+  exponential, ``_expm2``, gives the population propagators from the
+  leading 2x2 rate block with the drive off; ``w`` is its X1X2 entry alone,
+  ``_coherence_kernel``, the same values bit for bit.  The driven
   population block is propagated exactly in real arithmetic along the grid.
 
 The normalization sets the dimensional emission prefactor to one and
@@ -39,10 +40,13 @@ reaches: rho_X1X2 alone without the drive, both with it.
 ``g2_avg_analytic`` and ``g2_avg_numeric`` are one-point calls of it.
 On a delay grid the averaged sector of the generator and the driven
 population block are propagated exactly by ``propagate_steps``: a uniform
-grid of n delays is filled by doubling, ceil(log2 n) stacked products of
-the states with powers of the one-step propagator, any other grid by
-stepping; one stacked numpy matrix exponential serves either way.  scipy
-loads only for the DOP853 cross-check, ``g2_numeric(..., method="ode")``.
+grid of n delays is filled by doubling, ceil(log2 n) products of the
+states with powers of the one-step propagator, any other grid by stepping;
+one numpy matrix exponential call serves either way, of the step alone on
+a uniform grid from 0.  ``correlation_curve`` checks its grid with
+``check_tau_grid`` before either route runs, so both refuse a bad grid
+alike.  scipy loads only for the DOP853 cross-check,
+``g2_numeric(..., method="ode")``.
 """
 
 from __future__ import annotations
@@ -67,20 +71,23 @@ _DECAY_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class CorrelationCurve:
-    """Sampled correlation G(tau) on an increasing nonnegative tau grid."""
+    """Sampled correlation G(tau) on a grid that :func:`check_tau_grid`
+    accepts; the values must be finite and at least -1e-12."""
 
     tau_grid: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        tau = np.asarray(self.tau_grid, dtype=float)
+        tau = check_tau_grid(self.tau_grid)
         val = np.asarray(self.values, dtype=float)
-        if tau.ndim != 1 or tau.shape != val.shape:
+        if tau.shape != val.shape:
             raise ValueError("tau_grid and values must be matching 1-d arrays")
-        if tau.size and (tau[0] < 0 or np.any(np.diff(tau) <= 0)):
-            raise ValueError("tau_grid must be nonnegative and strictly increasing")
-        if val.size and np.min(val) < -1e-12:
-            raise ValueError(f"negative coincidence rate {np.min(val):.3e}")
+        # a nan fails both comparisons
+        low = val.min()
+        if not (low >= -1e-12 and val.max() < np.inf):
+            if low < -1e-12:
+                raise ValueError(f"negative coincidence rate {low:.3e}")
+            raise ValueError("coincidence rates must be finite")
         object.__setattr__(self, "tau_grid", tau)
         object.__setattr__(self, "values", val)
 
@@ -118,6 +125,19 @@ def _expm2(m: np.ndarray, taus: np.ndarray) -> np.ndarray:
     eye = np.eye(2)
     return np.exp(s * t) * (np.cosh(h * t) * eye
                             + (m - s * eye) * t * _sinhc(h * t))
+
+
+def _coherence_kernel(c: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """The coherence kernel w(tau), the X1X2 entry of e^{c tau}, of one 2x2
+    coherence block c for every tau of a 1-d float array.
+
+    w = e^{s tau}[cosh(h tau) + (c00 - s) tau sinhc(h tau)]: the [0, 0]
+    entry of :func:`_expm2`, evaluated alone and in its operation order, so
+    bit for bit the same values.
+    """
+    s, h = _split(c)
+    ht = h * taus
+    return np.exp(s * taus) * (np.cosh(ht) + (c[0, 0] - s) * taus * _sinhc(ht))
 
 
 def _coherence_generator(params) -> np.ndarray:
@@ -170,9 +190,12 @@ def _population_propagators(params: CascadeParams, taus: np.ndarray):
     m = _population_generator(params)
     if params.rabi == 0.0:
         cols = _expm2(m[:2, :2], taus)
+    elif (taus[1:] >= taus[:-1]).all():
+        # the first two columns of the propagator, filled by doubling on a
+        # uniform grid and by stepping otherwise
+        cols = propagate_steps(m, np.eye(5, 2), taus)
     else:
-        # the first two columns of the propagator on the sorted grid, filled
-        # by doubling when it is uniform and by stepping otherwise
+        # an unsorted grid is propagated in sorted order
         order = np.argsort(taus, kind="stable")
         cols = np.empty((taus.size, 5, 2))
         cols[order] = propagate_steps(m, np.eye(5, 2), taus[order])
@@ -207,19 +230,23 @@ def _braces(response, theta1, theta2, phase=0.0):
 def _validate_taus(tau) -> tuple[np.ndarray, bool]:
     """A delay or a 1-d array of delays, in any order, as a 1-d float array,
     and whether it was a scalar; else ValueError."""
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if taus.ndim != 1:
+    taus = np.asarray(tau, dtype=float)
+    scalar = taus.ndim == 0
+    if scalar:
+        taus = taus.reshape(1)
+    elif taus.ndim != 1:
         raise ValueError(f"tau must be a scalar or a 1-d array, got shape {taus.shape}")
-    if np.any(taus < 0) or not np.all(np.isfinite(taus)):
+    # a nan fails both comparisons
+    if taus.size and not (taus.min() >= 0 and taus.max() < np.inf):
         raise ValueError("tau must be finite and >= 0")
-    return taus, np.ndim(tau) == 0
+    return taus, scalar
 
 
 def g2_analytic(params: CascadeParams, det1: DetectorSetting,
                 det2: DetectorSetting, tau):
     """Closed-form normalized correlation at delay tau (scalar or array)."""
     taus, scalar = _validate_taus(tau)
-    w = _expm2(_coherence_generator(params), taus)[:, 0, 0]
+    w = _coherence_kernel(_coherence_generator(params), taus)
     response = (*_population_propagators(params, taus), w)
     value = _braces(response, det1.theta, det2.theta, det1.phi + det2.phi)
     return float(value[0]) if scalar else value
@@ -302,7 +329,8 @@ def correlation_curve(params: CascadeParams, det1: DetectorSetting,
     else:
         raise ValueError(f"unknown method {method!r}")
     # wash out harmless negative round-off before the curve invariant check
-    values = np.where((values < 0) & (values > -1e-12), 0.0, values)
+    if values.min() < 0:
+        values = np.where((values < 0) & (values > -1e-12), 0.0, values)
     return CorrelationCurve(taus, values)
 
 

@@ -18,11 +18,13 @@ The generator is a plain complex array: ``build_generator`` fills one (25,
 the n points of a CascadeBatch, entry for entry the same.  ``evolve`` and
 ``evolve_grid`` take one (25, 25) matrix.
 
-Exact propagation, ``evolve_grid``, goes through ``expm``, a numpy
-scaling-and-squaring Padé exponential that takes a whole stack of matrices
-at once.  scipy is imported only by ``evolve``, on its first DOP853 solve,
-the independent cross-check of that propagation; every other path loads
-numpy only.
+Exact propagation, ``evolve_grid``, goes through ``propagate_steps`` and
+``expm``, a numpy scaling-and-squaring Padé exponential that takes a whole
+stack of matrices at once, its four polynomial pieces one coefficient
+product on the stacked powers.  A uniform grid from 0 costs one
+exponential, of the step.  scipy is imported only by ``evolve``, on its
+first DOP853 solve, the independent cross-check of that propagation; every
+other path loads numpy only.
 """
 
 from __future__ import annotations
@@ -49,6 +51,14 @@ _PADE13 = tuple(b / 64764752532480000.0 for b in (
     1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
 _THETA13 = 5.371920351148152
+# The approximant is r = (v - u)^-1 (v + u) with u = A (A^6 U1 + U2) and
+# v = A^6 V1 + V2; row k of this table holds the coefficients of piece k
+# of (U1, V1, U2, V2) on the powers (A^6, A^4, A^2, I).
+_PADE13_PIECES = np.array([
+    [_PADE13[13], _PADE13[11], _PADE13[9], 0.0],
+    [_PADE13[12], _PADE13[10], _PADE13[8], 0.0],
+    [_PADE13[7], _PADE13[5], _PADE13[3], _PADE13[1]],
+    [_PADE13[6], _PADE13[4], _PADE13[2], _PADE13[0]]])
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -57,31 +67,45 @@ def expm(a: np.ndarray) -> np.ndarray:
 
     Scaling and squaring with the [13/13] Padé approximant (Higham, SIAM J.
     Matrix Anal. Appl. 26 (2005) 1179): each matrix is scaled by 2^-s into
-    the 1-norm ball of radius theta_13, the approximant is one stacked
-    solve, and each result is squared its own s times.  A real input gives
-    a real result.  The input must be finite.
+    the 1-norm ball of radius theta_13; its powers (A^6, A^4, A^2, I) are
+    stacked, so the four polynomial pieces of the approximant are one
+    coefficient product and the approximant is one stacked solve.  Each
+    result is then squared its own s times, the whole stack at once when
+    every matrix takes the same s.  A real input gives a real result.  The
+    input must be finite.
     """
     a = np.asarray(a)
     a = a.astype(np.result_type(a, float), copy=False)
     shape, n = a.shape, a.shape[-1]
     a = a.reshape(-1, n, n)
+    k = len(a)
     # s = max(0, ceil(log2(|a|_1 / theta_13))), read off the binary exponent
     mantissa, exponent = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)
     s = np.maximum(0, exponent - (mantissa == 0.5))
-    a = a * np.exp2(-s)[:, None, None]
-    b, eye = _PADE13, np.eye(n)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    squarings = s.tolist()
+    top = max(squarings, default=0)
+    if top:
+        a = a * np.exp2(-s)[:, None, None]
+    # each power a contiguous stack, so the pieces are one matrix product
+    powers = np.empty((4, k, n, n), dtype=a.dtype)
+    a6, a4, a2 = powers[0], powers[1], powers[2]
+    powers[3] = np.eye(n)
+    np.matmul(a, a, out=a2)
+    np.matmul(a2, a2, out=a4)
+    np.matmul(a4, a2, out=a6)
+    pieces = (_PADE13_PIECES @ powers.reshape(4, -1)).reshape(4, k, n, n)
+    # (A^6 U1 + U2, A^6 V1 + V2), the second of which is v
+    uv = a6 @ pieces[:2] + pieces[2:]
+    u, v = a @ uv[0], uv[1]
     r = np.linalg.solve(v - u, v + u)
-    for k in range(s.max(initial=0)):
-        square = s > k
-        part = r[square]
-        r[square] = part @ part
+    if min(squarings, default=0) == top:
+        for _ in range(top):
+            r = r @ r
+    else:
+        for j in range(top):
+            square = s > j
+            part = r[square]
+            r[square] = part @ part
     return r.reshape(shape)
 
 
@@ -187,57 +211,69 @@ def propagate_steps(m: np.ndarray, y0: np.ndarray, taus) -> np.ndarray:
 
     ``m`` is any square matrix and ``y0`` a vector or a block of columns.
     A uniform grid of n points, ``t_k = t0 + k dt`` with ``dt = (t[-1] -
-    t[0]) / (n - 1)``, is filled by doubling: one stacked :func:`expm` call
-    gives ``e^{m t0}`` and ``P = e^{m dt}``, the first state is ``e^{m t0}
-    y0``, and each round sets states ``h .. 2h - 1`` to ``P^h`` times states
-    ``0 .. h - 1`` and squares ``P^h``, so ceil(log2 n) stacked products fill
-    the grid.  A grid counts as uniform when every ``t_k`` lies within one
-    spacing of ``t0 + k dt``, as every ``linspace`` grid does; treating
-    ``t_k`` as ``t0 + k dt`` moves a delay by at most about 2 ulp(tau), so a
-    state by at most about ``2 ulp(tau) |m|`` relative to its size.  Any
-    other grid (unsorted, repeated or non-uniform) is stepped from one
-    point to the next with the propagator of its step, all distinct step
-    values exponentiated in one stacked call.  Neither way adds
-    discretization error beyond round-off.  Returns an array of shape
-    ``(len(taus),) + y0.shape`` and dtype ``result_type(m, y0, float)``, so
-    a real block is propagated in real arithmetic.  Raises NumericError if an
-    input is not finite or the propagation overflows.
+    t[0]) / (n - 1)``, is filled by doubling.  On a grid from 0 the first
+    state is ``y0`` itself and one :func:`expm` gives ``P = e^{m dt}``;
+    otherwise one stacked call gives ``e^{m t0}`` and ``P``, and the first
+    state is ``e^{m t0} y0``.  Each round sets states ``h .. 2h - 1`` to
+    ``P^h`` times states ``0 .. h - 1`` and squares ``P^h``, so ceil(log2 n)
+    block products fill the grid.  A grid counts as uniform when every
+    ``t_k`` lies within one spacing of ``t0 + k dt``, as every ``linspace``
+    grid does; treating ``t_k`` as ``t0 + k dt`` moves a delay by at most
+    about 2 ulp(tau), so a state by at most about ``2 ulp(tau) |m|``
+    relative to its size.  Any other grid (unsorted, repeated or
+    non-uniform) is stepped from one point to the next with the propagator
+    of its step, all distinct step values exponentiated in one stacked
+    call.  Neither way adds discretization error beyond round-off.  Returns
+    an array of shape ``(len(taus),) + y0.shape`` and dtype
+    ``result_type(m, y0, float)``, so a real block is propagated in real
+    arithmetic.  Raises NumericError if an input is not finite or the
+    propagation overflows.
     """
     m, y0, taus = np.asarray(m), np.asarray(y0), np.asarray(taus, dtype=float)
-    if not all(np.all(np.isfinite(x)) for x in (m, y0, taus)):
+    if not all(np.isfinite(x).all() for x in (m, y0, taus)):
         raise NumericError("non-finite generator, state or delay")
     dtype, n = np.result_type(m, y0, float), taus.size
     # an overflow surfaces as a non-finite entry, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         dt = (taus[-1] - taus[0]) / max(n - 1, 1) if n else 0.0
-        uniform = n > 0 and np.all(
-            np.abs(taus - (taus[0] + np.arange(n) * dt)) <= np.abs(np.spacing(taus)))
+        uniform = n > 0 and (
+            np.abs(taus - (taus[0] + np.arange(n, dtype=float) * dt))
+            <= np.abs(np.spacing(taus))).all()
         if uniform:
             out = _fill_by_doubling(m, y0, taus[0], dt, n, dtype)
         else:
             out = _fill_by_stepping(m, y0, taus, dtype)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericError("matrix-exponential propagation overflowed")
     return out
 
 
 def _fill_by_doubling(m, y0, t0, dt, n, dtype):
-    """exp(m (t0 + k dt)) @ y0 for k < n, in ceil(log2 n) stacked products."""
-    # a one-point grid needs no step propagator
-    props = expm(np.array([t0, dt][:n])[:, None, None] * m)
-    start, power = props[0], props[-1]
+    """exp(m (t0 + k dt)) @ y0 for k < n, in ceil(log2 n) block products."""
     cols = y0.reshape(y0.shape[0], -1)
     width = cols.shape[1]
     # row block k holds state k transposed, so a round is one matrix product
     rows = np.empty((n * width, y0.shape[0]), dtype=dtype)
-    rows[:width] = (start @ cols).T
+    # a grid from 0 starts at y0 itself; a one-point grid needs no step
+    # propagator
+    if t0 == 0.0:
+        rows[:width] = cols.T
+        step = expm(dt * m) if n > 1 else None
+    else:
+        props = expm(np.array([t0, dt][:n])[:, None, None] * m)
+        rows[:width] = (props[0] @ cols).T
+        step = props[-1]
+    if n > 1:
+        # (P^h)^T, kept contiguous so each round is one 2-d product written
+        # into the rows; ndarray.dot costs less per call than matmul
+        power_t = np.ascontiguousarray(step.T)
     h = 1
     while h < n:
         k = min(h, n - h)
-        rows[h * width:(h + k) * width] = rows[:k * width] @ power.T
+        rows[:k * width].dot(power_t, out=rows[h * width:(h + k) * width])
         h *= 2
         if h < n:
-            power = power @ power
+            power_t = power_t.dot(power_t)
     return rows.reshape(n, width, -1).swapaxes(1, 2).reshape((n,) + y0.shape)
 
 

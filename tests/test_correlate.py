@@ -13,8 +13,9 @@ from cascadeg2 import (CascadeBatch, CascadeParams, CorrelationCurve,
                        g2_avg_analytic, g2_avg_numeric, g2_numeric,
                        g2_numeric_grid, two_photon_response)
 from cascadeg2.correlate import (_average_sector, _coherence_generator,
-                                 _conditioned_state, _detection_projector,
-                                 _expm2, _population_generator)
+                                 _coherence_kernel, _conditioned_state,
+                                 _detection_projector, _expm2,
+                                 _population_generator)
 from cascadeg2.liouvillian import check_tau_grid
 from cascadeg2.observables import (STANDARD_CHSH_ANGLES, bell_s_chsh,
                                    bell_s_shortcut)
@@ -50,6 +51,19 @@ def _domain(*tiny):
 
 # half the draws reach into the ill-conditioned band 1e-8..1e-5
 _DOMAIN = st.one_of(_domain(), _domain((1e-8, 1e-5)))
+
+
+def _near_exceptional_point(gamma4, gamma_u, gamma12, shift):
+    """A point within ``shift`` of the coherence exceptional point, detuning
+    0 and rabi = (gamma4 + gamma_u + gamma12) / 4, where h = 0; a shift of
+    1e-10 gives |h| of about 1e-5 at unit rates."""
+    return CascadeParams(gamma4=gamma4, gamma_u=gamma_u, gamma12=gamma12,
+                         rabi=(gamma4 + gamma_u + gamma12) / 4.0 + shift)
+
+
+_NEAR_EXCEPTIONAL_POINT = st.builds(
+    _near_exceptional_point, st.floats(0.1, 2.0), st.floats(0.0, 1.0),
+    st.floats(0.0, 2.0), _zero_or((-1e-8, 1e-8)))
 
 
 class TestJumpOperators:
@@ -193,6 +207,23 @@ class TestBlockExponential:
             want = _mp_expm(block, tau)
             assert np.max(np.abs(got - want)
                           / np.maximum(1.0, np.abs(want))) <= 1e-12
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.one_of(_DOMAIN, _NEAR_EXCEPTIONAL_POINT),
+           st.lists(st.floats(0.0, 10.0), min_size=1, max_size=40))
+    # h = 0 exactly (gamma3 = gamma21 = 0), and |h| = 1e-5 on either side
+    # of the exceptional point, where |h tau| crosses the 1e-4 series
+    # cutoff of sinhc at tau = 10
+    @example(CascadeParams(gamma3=0.0, gamma4=1.0, gamma12=0.5, gamma_u=0.5,
+                           rabi=0.5), [0.0, 3.0])
+    @example(CascadeParams(gamma4=1.0, gamma12=0.5, gamma_u=0.5,
+                           rabi=0.5 + 1e-10), [0.0, 9.6, 10.0, 9.99])
+    @example(CascadeParams(gamma4=1.0, gamma12=0.5, gamma_u=0.5,
+                           rabi=0.5 - 1e-10), [9.6, 10.0, 0.0])
+    def test_kernel_is_the_x1x2_entry_bit_for_bit(self, params, taus):
+        c, taus = _coherence_generator(params), np.array(taus)
+        assert np.array_equal(_coherence_kernel(c, taus),
+                              _expm2(c, taus)[:, 0, 0])
 
     def test_average_slots_match_laplace_solution_without_drive(self):
         p = CascadeParams(gamma3=1.4, gamma4=0.6, gamma12=0.5, gamma21=1.1,
@@ -727,6 +758,28 @@ class TestCorrelationCurve:
     def test_decreasing_grid_rejected(self):
         with pytest.raises(ValueError):
             CorrelationCurve(np.array([1.0, 0.5]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("taus, values, message", [
+        ([0.0, math.nan, 2.0], [1.0, math.nan, 1.0], "taus"),
+        ([0.0, math.inf], [1.0, 1.0], "taus"),
+        ([0.0, 1.0], [1.0, math.inf], "finite"),
+        ([0.0, 1.0], [math.nan, 1.0], "finite"),
+        ([0.0, 1.0], [1.0, -math.inf], "negative"),
+    ], ids=["nan-grid", "inf-grid", "inf-value", "nan-value", "-inf-value"])
+    def test_nonfinite_curve_rejected(self, taus, values, message):
+        with pytest.raises(ValueError, match=message):
+            CorrelationCurve(np.array(taus), np.array(values))
+
+    def test_curve_grid_follows_the_grid_rule(self):
+        # the curve's grid is refused exactly as check_tau_grid refuses it
+        for taus in ([], [[0.0, 1.0]], [-1.0, 0.0], [0.0, 0.0]):
+            with pytest.raises(ValueError) as want:
+                check_tau_grid(taus)
+            with pytest.raises(ValueError) as got:
+                CorrelationCurve(np.array(taus), np.ones(np.shape(taus)))
+            assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError, match="matching"):
+            CorrelationCurve(np.array([0.0, 1.0]), np.array([1.0]))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

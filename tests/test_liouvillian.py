@@ -381,9 +381,9 @@ class TestEvolve:
             evolve(gen, _pure(UP), -1.0)
 
     def test_step_propagators_exact_on_uniform_grid(self, monkeypatch):
-        # a uniform grid is filled by doubling: one stacked exponential call
-        # holding e^{M t0} and e^{M dt}; every point matches a direct
-        # exponential to round-off
+        # a uniform grid from 0 is filled by doubling: one exponential call,
+        # e^{M dt}, and the first state is rho itself; every point matches a
+        # direct exponential to round-off
         gen = build_generator(CascadeParams(delta_fs=3.0, rabi=7.0, detuning=11.0,
                                             gamma12=0.4, gamma21=0.4,
                                             gamma_u=0.01))
@@ -398,7 +398,8 @@ class TestEvolve:
         monkeypatch.setattr(liouvillian, "expm", counted)
         states = evolve_grid(gen, rho, taus)
         assert len(calls) == 1
-        assert calls[0].shape == (2, 25, 25)
+        assert calls[0].shape == (25, 25)
+        assert np.array_equal(states[0], rho)
         monkeypatch.undo()
         for tau, state in zip(taus[::9], states[::9]):
             direct = evolve_grid(gen, rho, [tau])[0]
@@ -411,23 +412,47 @@ class TestEvolve:
         sizes = []
 
         def counted(stack):
-            sizes.append(len(stack))
+            # the number of matrices, one for a single (4, 4) matrix
+            sizes.append(int(np.prod(np.shape(stack)[:-2])))
             return expm(stack)
 
         monkeypatch.setattr(liouvillian, "expm", counted)
         # a repeated delay and a geometric grid are stepped, one matrix per
         # distinct step; the last point of linspace(0, 7.3, 4) is 1 ulp off
-        # t0 + 3 dt, which still counts as uniform and is filled by doubling;
-        # one point needs no step propagator
+        # t0 + 3 dt, which still counts as uniform and is filled by doubling
+        # from 0, with e^{M dt} alone; one point needs no step propagator
         for taus, matrices in (([0.0, 0.3, 0.3, 1.1, 2.6], 4),
                                (np.geomspace(0.01, 5.0, 9), 9),
-                               (np.linspace(0.0, 7.3, 4), 2), ([2.6], 1)):
+                               (np.linspace(0.0, 7.3, 4), 1), ([2.6], 1)):
             sizes.clear()
             out = propagate_steps(mat, cols, taus)
             assert sizes == [matrices]
             assert out.shape == (len(taus), 4, 2)
             for tau, block in zip(taus, out):
                 assert np.max(np.abs(block - expm(mat * tau) @ cols)) < 1e-13
+
+    def test_uniform_grid_from_zero_starts_at_y0(self, monkeypatch):
+        # from 0 the one exponential is e^{M dt}, a single matrix, and the
+        # first state is y0 itself; from t0 > 0 one stacked call of two
+        rng = np.random.default_rng(11)
+        mat = rng.normal(size=(5, 5)) - 3.0 * np.eye(5)
+        y0 = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+        shapes = []
+
+        def counted(stack):
+            shapes.append(np.shape(stack))
+            return expm(stack)
+
+        monkeypatch.setattr(liouvillian, "expm", counted)
+        for t0, want in ((0.0, [(5, 5)]), (0.5, [(2, 5, 5)])):
+            shapes.clear()
+            taus = np.linspace(t0, t0 + 3.0, 17)
+            out = propagate_steps(mat, y0, taus)
+            assert shapes == want
+            if t0 == 0.0:
+                assert np.array_equal(out[0], y0)
+            for tau, block in zip(taus, out):
+                assert np.max(np.abs(block - expm(mat * tau) @ y0)) < 1e-13
 
     def test_step_propagators_keep_a_real_block_real(self):
         rng = np.random.default_rng(9)

@@ -51,8 +51,6 @@ class TestOmegaStar:
         with pytest.raises(ValueError):
             omega_star(delta_fs, -2.0 * delta_fs)
 
-
-class TestOmegaPm:
     def test_dressed_resonance_consistency(self):
         # the lower sideband of the starred drive equals the splitting
         rng = np.random.default_rng(43)
@@ -64,7 +62,7 @@ class TestOmegaPm:
             assert minus == pytest.approx(delta_fs, rel=1e-12, abs=1e-12)
 
 
-class TestPolarizationRotation:
+class TestDetectorSetting:
     def test_nonfinite_angles_rejected(self):
         params = CascadeParams()
         for bad in (math.inf, -math.inf, math.nan):
