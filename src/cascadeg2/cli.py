@@ -11,8 +11,9 @@ parameters do not change along the basis angle.  The batch gets one
 two-photon response (:func:`~cascadeg2.correlate.two_photon_response`, one
 stacked solve for all points), which a figure turns into a (label, swept
 value) table of C or S with one observable call, a sweep with one call per
-requested observable.  The rows are zipped from its
-columns, and the CSV is written by one format operation.
+requested observable.  A :class:`SweepResult` keeps that table as columns:
+the CSV formats each swept value once and every value by one format
+operation, and ``rows`` derives the row tuples from the columns.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import sys
@@ -68,33 +68,87 @@ class RunConfig:
         return np.linspace(self.start, self.stop, self.steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Rows of (swept value, observable name, value) plus metadata header."""
+    """A table of observable values over one swept grid, plus a metadata
+    header.
+
+    ``values[i, j]`` is the value of ``labels[i]`` at ``xs[j]``.  The CSV
+    rows (swept value, observable name, value) come in blocks of ``width``
+    labels: a block's rows follow ``xs``, its labels side by side, and the
+    blocks follow each other.
+    """
 
     metadata: tuple[tuple[str, str], ...]
-    rows: tuple[tuple[float, str, float], ...]
+    xs: np.ndarray
+    labels: tuple[str, ...]
+    values: np.ndarray
+    width: int = 1
+
+    def _in_row_order(self) -> np.ndarray:
+        """The values as one flat array, one per CSV row."""
+        w, n = self.width, len(self.xs)
+        return self.values.reshape(len(self.labels) // w, w, n).transpose(
+            0, 2, 1).ravel()
+
+    @property
+    def rows(self) -> tuple[tuple[float, str, float], ...]:
+        """The CSV rows as (swept value, observable name, value) tuples."""
+        w, n = self.width, len(self.xs)
+        xs = np.repeat(self.xs, w).tolist()
+        rows = []
+        for k in range(0, len(self.labels), w):
+            rows += zip(xs, self.labels[k:k + w] * n,
+                        self.values[k:k + w].T.ravel().tolist())
+        return tuple(rows)
+
+    def _label_of(self, row: int) -> str:
+        return self.labels[row // (self.width * len(self.xs)) * self.width
+                           + row % self.width]
+
+    def _template(self) -> str:
+        """The data lines, a %.11e field for each value.
+
+        Each swept value is formatted once.  A block of labels with cells
+        c_1 .. c_w (the label and a value field) has, for each x, the row
+        group x c_1 x c_2 .. x c_w: the groups x c_1 x .. c_{w-1} x joined by
+        c_w.  With one label per block a group is x alone.
+        """
+        w = self.width
+        x_text = ("%.11e " * len(self.xs) % tuple(self.xs.tolist())).split()
+        cells = [f",{name.replace('%', '%%')},%.11e\n" for name in self.labels]
+        lines = []
+        for k in range(0, len(cells), w):
+            inner = ["", *cells[k:k + w - 1], ""]
+            groups = x_text if w == 1 else [x.join(inner) for x in x_text]
+            lines += (cells[k + w - 1].join(groups), cells[k + w - 1])
+        return "".join(lines)
 
     def write_csv(self, stream) -> None:
         """Write the header and rows; refuse a name with a comma or a
-        non-finite value before writing anything."""
+        non-finite value before writing anything.
+
+        The values are formatted by one operation, in the template of
+        :meth:`_template`.
+        """
+        w, n = self.width, len(self.xs)
+        flat = self._in_row_order()
         body = ""
-        if self.rows:
-            _, names, values = zip(*self.rows)
+        if flat.size:
             # the first bad row is refused, a bad name before a bad value
-            # in the same row
-            bad_names = [name for name in dict.fromkeys(names) if "," in name]
-            bad_name = min(map(names.index, bad_names), default=len(names))
-            bad_values = np.flatnonzero(~np.isfinite(values))
+            # in the same row; labels[i] first shows at row (i - i % w) n + i % w
+            bad_name = min(((i - i % w) * n + i % w
+                            for i, name in enumerate(self.labels) if "," in name),
+                           default=flat.size)
+            bad_values = np.flatnonzero(~np.isfinite(flat))
             if bad_values.size and bad_values[0] < bad_name:
-                x, name, _ = self.rows[bad_values[0]]
-                raise ValueError(f"non-finite value for {name} at x={x}")
-            if bad_names:
-                raise ValueError(f"observable name {names[bad_name]!r} "
+                row = bad_values[0]
+                raise ValueError(f"non-finite value for {self._label_of(row)} "
+                                 f"at x={float(self.xs[row // w % n])}")
+            if bad_name < flat.size:
+                raise ValueError(f"observable name {self._label_of(bad_name)!r} "
                                  "would break the CSV")
-            # one format operation for every row; %.11e prints as _fmt does
-            body = ("%.11e,%s,%.11e\n" * len(self.rows)) % tuple(
-                itertools.chain.from_iterable(self.rows))
+            body = self._template() % tuple(flat.tolist())
         stream.write("".join(f"# {key} = {value}\n" for key, value in self.metadata)
                      + "x,observable,value\n" + body)
 
@@ -304,16 +358,11 @@ def _figure_plan(fig_id: str, overrides: dict[str, float] | None) -> _Plan:
 
 
 def _evaluate(plan: _Plan) -> SweepResult:
-    """One two-photon response and one observable call for the whole plan;
-    the rows are zipped from the columns of the values, block by block."""
-    values = plan.evaluate(two_photon_response(plan.batch))
-    width, n = plan.width, len(plan.xs)
-    xs = np.repeat(plan.xs, width).tolist()
-    rows = []
-    for k in range(0, len(plan.labels), width):
-        rows += zip(xs, plan.labels[k:k + width] * n,
-                    values[k:k + width].T.ravel().tolist())
-    return SweepResult(metadata=tuple(plan.metadata), rows=tuple(rows))
+    """One two-photon response and one observable call for the whole plan."""
+    return SweepResult(metadata=tuple(plan.metadata), xs=plan.xs,
+                       labels=plan.labels,
+                       values=plan.evaluate(two_photon_response(plan.batch)),
+                       width=plan.width)
 
 
 def run_figure(fig_id: str, overrides: dict[str, float] | None = None) -> SweepResult:
@@ -505,9 +554,9 @@ def main(argv=None) -> int:
                                    f"theta2={_fmt(args.theta2)} "
                                    f"phi1={_fmt(args.phi1)} "
                                    f"phi2={_fmt(args.phi2)}"))
-        rows = tuple((float(t), f"g2[{args.method}]", float(v))
-                     for t, v in zip(curve.tau_grid, curve.values))
-        _write_result(SweepResult(metadata=tuple(metadata), rows=rows), args.out)
+        _write_result(SweepResult(metadata=tuple(metadata), xs=curve.tau_grid,
+                                  labels=(f"g2[{args.method}]",),
+                                  values=curve.values[None, :]), args.out)
         return 0
 
     if args.command == "sweep":

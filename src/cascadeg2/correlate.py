@@ -34,9 +34,13 @@ their matrices for the whole batch at once, as stacks.  The population
 blocks and the generator blocks go through one resolvent, ``_resolvent``: a
 stack of blocks M is refused with DivergentAverageError if a mode decays
 slower than the floor, else -M x = y0 is solved for the integral x of
-e^{M tau} y0.  The coherence average is the X1X2 entry of -C^{-1}, written
-out, and refused by the same floor on the eigenvalues of C that the average
-reaches: rho_X1X2 alone without the drive, both with it.
+e^{M tau} y0.  The slowest rate of a 2x2 block, the undriven population
+block, is s + |h| from ``_split``; larger blocks take it from their
+eigenvalues.  The coherence average is the X1X2 entry of -C^{-1}, written
+out, and refused by the same floor on the rates of C that the average
+reaches: rho_X1X2 alone without the drive, both with it, by the same
+s + |h| rule.  The population slots enter the angular combinations by their
+real parts, so degrees, Bell parameters and G(tau) are real arithmetic.
 ``g2_avg_analytic`` and ``g2_avg_numeric`` are one-point calls of it.
 On a delay grid the averaged sector of the generator and the driven
 population block are propagated exactly by ``propagate_steps``: a uniform
@@ -110,6 +114,13 @@ def _split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = np.sqrt(0.25 * (m[..., 0, 0] - m[..., 1, 1]) ** 2
                 + m[..., 0, 1] * m[..., 1, 0] + 0j)
     return s, h
+
+
+def _slowest_rate(m: np.ndarray) -> np.ndarray:
+    """Real part of the slowest-decaying eigenvalue, s + h or s - h, of
+    each 2x2 block."""
+    s, h = _split(m)
+    return s.real + np.abs(h.real)
 
 
 def _expm2(m: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -220,11 +231,14 @@ def _braces(response, theta1, theta2, phase=0.0):
     broadcast against each other.
     """
     p11, p12, p21, p22, w = response
+    # the real parts alone: the coefficients are real, so the real part of
+    # the sum is the sum of the real parts, bit for bit
+    p11, p12, p21, p22 = np.real(p11), np.real(p12), np.real(p21), np.real(p22)
     c1, c2, s1, s2 = _angle_weights(theta1, theta2)
     wterm = 2.0 * np.real(np.exp(-1j * phase) * w)
-    return np.real((1 + c1) * (1 + c2) * p11 + (1 - c1) * (1 + c2) * p12
-                   + (1 + c1) * (1 - c2) * p21 + (1 - c1) * (1 - c2) * p22
-                   + s1 * s2 * wterm)
+    return ((1 + c1) * (1 + c2) * p11 + (1 - c1) * (1 + c2) * p12
+            + (1 + c1) * (1 - c2) * p21 + (1 - c1) * (1 - c2) * p22
+            + s1 * s2 * wterm)
 
 
 def _validate_taus(tau) -> tuple[np.ndarray, bool]:
@@ -341,8 +355,14 @@ def _resolvent(blocks: np.ndarray, rhs: np.ndarray, sector: str) -> np.ndarray:
     Every population and generator block is solved here.  An integral exists
     only if every mode of M decays faster than the refusal floor; otherwise,
     or if the solve fails, raise DivergentAverageError naming the sector.
+    The slowest mode of a 2x2 block is read from :func:`_split`, of a larger
+    one from its eigenvalues.
     """
-    if np.max(np.linalg.eigvals(blocks).real) >= -_DECAY_FLOOR:
+    if blocks.shape[-1] == 2:
+        slowest = _slowest_rate(blocks)
+    else:
+        slowest = np.linalg.eigvals(blocks).real
+    if np.max(slowest) >= -_DECAY_FLOOR:
         raise DivergentAverageError(f"{sector} has a non-decaying mode")
     try:
         return np.linalg.solve(-blocks, rhs)
@@ -354,8 +374,7 @@ def _closed_form_response(params: CascadeBatch) -> np.ndarray:
     c = _coherence_generator(params)
     driven = params.rabi != 0.0
     # without the drive rho_X1X2 evolves alone; with it, both modes count
-    s, h = _split(c)
-    slowest = np.where(driven, s.real + np.abs(h.real), c[:, 0, 0].real)
+    slowest = np.where(driven, _slowest_rate(c), c[:, 0, 0].real)
     if np.any(slowest >= -_DECAY_FLOOR):
         raise DivergentAverageError("coherence sector has a non-decaying mode")
     m = _population_generator(params)

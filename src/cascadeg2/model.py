@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from operator import attrgetter, ge
 
 import numpy as np
 
@@ -65,9 +65,11 @@ class CascadeParams:
 
     def __post_init__(self) -> None:
         values = _field_values(self)
-        for value in values:
-            math.isfinite(value)  # TypeError unless a real number, such as "1"
-        _check_fields(np.array(values, dtype=float))
+        # TypeError unless each is a real number (not "1"); a valid point
+        # passes the bounds of _check_fields here, any other is refused there
+        finite = [math.isfinite(value) for value in values]
+        if not (all(finite) and all(map(ge, values, _LOWER_BOUNDS))):
+            _check_fields(np.array(values, dtype=float))
 
     def with_(self, **changes) -> "CascadeParams":
         """Return a copy with the given fields replaced."""
@@ -82,6 +84,7 @@ _FIELD_ROWS = {name: row for row, name in enumerate(PARAM_FIELDS)}
 # the Rabi frequency, bounded below by zero
 _SIGNED = np.isin(PARAM_FIELDS, ("delta_fs", "detuning"))
 _LOWER = np.where(_SIGNED, -np.inf, 0.0)[:, None]
+_LOWER_BOUNDS = tuple(_LOWER[:, 0].tolist())
 
 
 def _check_fields(table: np.ndarray) -> None:

@@ -58,45 +58,88 @@ class TestSweepResult:
         return lines[1:] if lines and lines[0] == "x,observable,value" else lines
 
     def test_empty_rows_write_metadata_and_header_only(self):
-        result = SweepResult(metadata=(("tool", "t"), ("axis", "a")), rows=())
+        result = SweepResult(metadata=(("tool", "t"), ("axis", "a")),
+                             xs=np.array([]), labels=(), values=np.empty((0, 0)))
         assert self._write(result) == "# tool = t\n# axis = a\nx,observable,value\n"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_value_refused_before_any_row(self, bad):
-        result = SweepResult(metadata=(("tool", "t"),),
-                             rows=((0.0, "a", 1.0), (0.5, "b", bad),
-                                   (1.0, "a", 2.0)))
+        # rows (0, a), (0, b), (0.5, a), (0.5, b), ...: b at 0.5 is the first bad
+        result = SweepResult(metadata=(("tool", "t"),), xs=np.array([0.0, 0.5, 1.0]),
+                             labels=("a", "b"),
+                             values=np.array([[1.0, 1.0, 2.0], [1.0, bad, bad]]),
+                             width=2)
         buf = io.StringIO()
         with pytest.raises(ValueError, match=r"non-finite value for b at x=0\.5"):
             result.write_csv(buf)
         assert self._data_rows(buf.getvalue()) == []
 
     def test_name_with_comma_refused_before_any_row(self):
-        result = SweepResult(metadata=(), rows=((0.0, "a", 1.0),
-                                                (1.0, "c,d", 2.0)))
+        result = SweepResult(metadata=(), xs=np.array([0.0, 1.0]),
+                             labels=("a", "c,d"),
+                             values=np.array([[1.0, 1.0], [2.0, 2.0]]))
         buf = io.StringIO()
         with pytest.raises(ValueError, match=re.escape("'c,d' would break the CSV")):
             result.write_csv(buf)
         assert self._data_rows(buf.getvalue()) == []
 
     @pytest.mark.parametrize("rows, message", [
-        (((0.0, "a", math.nan), (1.0, "c,d", 2.0)), "non-finite value for a"),
-        (((0.0, "c,d", 1.0), (1.0, "a", math.nan)), "'c,d' would break"),
-        (((0.0, "c,d", math.nan),), "'c,d' would break"),
+        # each case is (labels, values, width) for the rows in its comment;
+        # rows (0, a), (1, a), (0, c,d), (1, c,d)
+        ((("a", "c,d"), [[math.nan, 1.0], [2.0, 2.0]], 1), "non-finite value for a"),
+        # rows (0, c,d), (0, a), (1, c,d), (1, a)
+        ((("c,d", "a"), [[1.0, 1.0], [2.0, math.nan]], 2), "'c,d' would break"),
+        # rows (0, a), (0, c,d), ...: the name and value of one row are bad
+        ((("a", "c,d"), [[1.0, 1.0], [math.nan, 2.0]], 2), "'c,d' would break"),
     ])
     def test_first_bad_row_is_refused(self, rows, message):
         # rows are checked in order, the name before the value of a row
+        labels, values, width = rows
+        result = SweepResult(metadata=(), xs=np.array([0.0, 1.0]), labels=labels,
+                             values=np.array(values), width=width)
         with pytest.raises(ValueError, match=re.escape(message)):
-            SweepResult(metadata=(), rows=rows).write_csv(io.StringIO())
+            result.write_csv(io.StringIO())
 
     def test_negative_zero_keeps_its_sign(self):
         # x at -0.0 and 0.0 compare equal but print differently
-        result = SweepResult(metadata=(), rows=((-0.0, "a", 1.0),
-                                                (0.0, "a", -0.0)))
+        result = SweepResult(metadata=(), xs=np.array([-0.0, 0.0]), labels=("a",),
+                             values=np.array([[1.0, -0.0]]))
         assert self._write(result) == (
             "x,observable,value\n"
             "-0.00000000000e+00,a,1.00000000000e+00\n"
             "0.00000000000e+00,a,-0.00000000000e+00\n")
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_negative_zero_grid_prints_on_every_curve(self, width):
+        result = SweepResult(metadata=(), xs=np.array([-0.0, 0.0]),
+                             labels=("a", "b"),
+                             values=np.array([[1.0, 2.0], [3.0, 4.0]]), width=width)
+        lines = self._data_rows(self._write(result))
+        assert sorted(line.split(",")[0] for line in lines) == (
+            ["-0.00000000000e+00"] * 2 + ["0.00000000000e+00"] * 2)
+        assert [tuple(line.split(",")[:2]) for line in lines] == [
+            (f"{x:.11e}", name) for x, name, _ in result.rows]
+
+    def test_labels_print_literally(self):
+        labels = ("C[50%]", "S{x}", "%s%.11e{}", "%%")
+        result = SweepResult(metadata=(), xs=np.array([0.0, 0.25]), labels=labels,
+                             values=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0],
+                                              [7.0, 8.0]]))
+        lines = self._data_rows(self._write(result))
+        assert [line.split(",")[1] for line in lines] == [
+            name for name in labels for _ in range(2)]
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_rows_follow_the_written_lines(self, width):
+        # blocks of width labels; within a block x by x, labels side by side
+        rng = np.random.default_rng(5)
+        xs, labels = rng.normal(size=4), ("a", "b", "c", "d", "e", "f")
+        result = SweepResult(metadata=(), xs=xs, labels=labels,
+                             values=rng.normal(size=(6, 4)), width=width)
+        assert self._data_rows(self._write(result)) == [
+            f"{x:.11e},{name},{value:.11e}" for x, name, value in result.rows]
+        first_block = [name for _, name, _ in result.rows[:4 * width]]
+        assert first_block == list(labels[:width]) * 4
 
 
 class TestConfigFile:
@@ -247,11 +290,18 @@ class TestFigures:
         (_CORRELATE + ["--rabi", "0"], "correlate_rabi0_tau10_300.csv"),
         (_CORRELATE + ["--rabi", "3", "--method", "numeric"],
          "correlate_rabi3_tau10_300_numeric.csv"),
+        (["figure", "3a"], "figure_3a.csv"),
+        (["figure", "3b"], "figure_3b.csv"),
+        (["figure", "3c"], "figure_3c.csv"),
+        (["figure", "4a"], "figure_4a.csv"),
+        (["figure", "4b"], "figure_4b.csv"),
     ])
     def test_output_matches_golden_csv(self, tmp_path, argv, golden):
-        # captured before sweeps were batched, the default-resolution
-        # figures before parameter batches, the correlate curves before
-        # uniform grids were filled by doubling; output must not move a byte
+        # captured before sweeps were batched, figures 5 and 6 at default
+        # resolution before parameter batches, the correlate curves before
+        # uniform grids were filled by doubling, the default-resolution
+        # degree figures before the CSV was written from the value columns;
+        # output must not move a byte
         out = tmp_path / "out.csv"
         assert main(argv + ["--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / golden).read_bytes()

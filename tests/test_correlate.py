@@ -12,10 +12,11 @@ from cascadeg2 import (CascadeBatch, CascadeParams, CorrelationCurve,
                        degree_of_correlation, evolve, evolve_grid, g2_analytic,
                        g2_avg_analytic, g2_avg_numeric, g2_numeric,
                        g2_numeric_grid, two_photon_response)
-from cascadeg2.correlate import (_average_sector, _coherence_generator,
-                                 _coherence_kernel, _conditioned_state,
-                                 _detection_projector, _expm2,
-                                 _population_generator)
+from cascadeg2.correlate import (_DECAY_FLOOR, _average_sector, _braces,
+                                 _coherence_generator, _coherence_kernel,
+                                 _conditioned_state, _detection_projector,
+                                 _expm2, _population_generator, _resolvent,
+                                 _slowest_rate)
 from cascadeg2.liouvillian import check_tau_grid
 from cascadeg2.observables import (STANDARD_CHSH_ANGLES, bell_s_chsh,
                                    bell_s_shortcut)
@@ -690,6 +691,100 @@ class TestTwoPhotonResponse:
         batch = CascadeBatch.broadcast(params)
         assert np.array_equal(two_photon_response(batch, method),
                               two_photon_response([params], method))
+
+
+def _complex_braces(response, theta1, theta2, phase):
+    """_braces with the population slots kept complex to the end."""
+    p11, p12, p21, p22, w = response
+    c1, c2 = np.cos(2.0 * theta1), np.cos(2.0 * theta2)
+    s1, s2 = np.sin(2.0 * theta1), np.sin(2.0 * theta2)
+    wterm = 2.0 * np.real(np.exp(-1j * phase) * w)
+    return np.real((1 + c1) * (1 + c2) * p11 + (1 - c1) * (1 + c2) * p12
+                   + (1 + c1) * (1 - c2) * p21 + (1 - c1) * (1 - c2) * p22
+                   + s1 * s2 * wterm)
+
+
+_ANGLE = st.floats(-2.0 * math.pi, 2.0 * math.pi)
+
+
+class TestBraces:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_DOMAIN, _ANGLE, _ANGLE, _ANGLE,
+           st.one_of(st.floats(-1.0, -1e-3), st.floats(1e-3, 1.0)))
+    def test_real_population_slots_change_no_bit(self, params, theta1, theta2,
+                                                 phase, imag):
+        # numeric responses carry round-off imaginary parts in the
+        # population slots; larger ones are added on top
+        response = _response_or_refusal(params, "numeric")
+        if response is None:
+            return
+        response = response.copy()
+        response[:4] += 1j * imag * np.abs(response[:4])
+        assert np.any(response[:4].imag != 0)
+        got = _braces(response, theta1, theta2, phase)
+        assert np.array_equal(got, _complex_braces(response, theta1, theta2,
+                                                   phase))
+        assert got.dtype == np.float64
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(_DOMAIN, _ANGLE, _ANGLE, _ANGLE)
+    def test_undriven_delay_grid_slots_change_no_bit(self, params, theta1,
+                                                     theta2, phase):
+        # without the drive g2_analytic's population slots come complex
+        # from _expm2 (with it they are real already)
+        params = params.with_(rabi=0.0)
+        taus = np.linspace(0.0, 8.0, 17)
+        props = _expm2(_population_generator(params)[:2, :2], taus)
+        slots = (props[:, 0, 0], props[:, 0, 1], props[:, 1, 0], props[:, 1, 1],
+                 _coherence_kernel(_coherence_generator(params), taus))
+        got = g2_analytic(params, DetectorSetting(theta1, phase),
+                          DetectorSetting(theta2), taus)
+        assert np.array_equal(got, _complex_braces(slots, theta1, theta2, phase))
+
+
+# undriven rates: zero, near the refusal floor, or up to 1e3
+_RATE = st.one_of(st.just(0.0), st.floats(1e-14, 1e-10), st.floats(0.0, 1e3))
+
+
+def _rate_block(params):
+    """The 2x2 rate block of an undriven population sector."""
+    return _population_generator(params)[:2, :2]
+
+
+class TestClosedFormRefusal:
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(st.builds(CascadeParams, gamma3=_RATE, gamma4=_RATE, gamma_u=_RATE,
+                     gamma12=_RATE, gamma21=_RATE))
+    @example(CascadeParams(gamma1=0, gamma2=0, gamma3=0, gamma4=0))
+    @example(_BAND[0])
+    @example(_BAND[1])
+    # gamma3 = gamma4 = 0 with dephasing: a mode that never decays
+    @example(CascadeParams(gamma3=0.0, gamma4=0.0, gamma12=1.0, gamma21=1.0))
+    @example(CascadeParams(gamma3=0.0, gamma4=0.0, gamma12=1e3, gamma21=0.3))
+    @example(CascadeParams(gamma3=0.0, gamma4=0.0, gamma12=0.7, gamma21=1e3,
+                           gamma_u=1e-3))
+    # within round-off of the floor the two disagree: the slowest rate is
+    # -9.834e-13 exactly, eigvals has it, s + |h| reads -1.023e-12
+    @example(CascadeParams(gamma3=9.83413876e-13, gamma4=623.082976))
+    def test_refusal_matches_eigenvalues(self, params):
+        block = _rate_block(params)
+        closed = float(_slowest_rate(block))
+        lapack = np.max(np.linalg.eigvals(block).real)
+        # both carry round-off of order eps times the largest rate: 200000
+        # draws aimed at the floor found at most 2.24 eps apart; rates so
+        # small that their squares underflow add 1e-30 at most
+        bound = 4.0 * np.finfo(float).eps * np.max(np.abs(block)) + 1e-30
+        assert abs(closed - lapack) <= bound
+        try:
+            _resolvent(block[None], np.eye(2), "population sector")
+            refused = False
+        except DivergentAverageError:
+            refused = True
+        assert refused == (closed >= -_DECAY_FLOOR)
+        # the decisions differ only where LAPACK's own rate is within its
+        # round-off of the floor
+        if abs(lapack + _DECAY_FLOOR) > bound:
+            assert refused == (lapack >= -_DECAY_FLOOR)
 
 
 class TestSpecialCases:
