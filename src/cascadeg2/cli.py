@@ -502,9 +502,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 @contextlib.contextmanager
 def _usage_errors(parser: argparse.ArgumentParser):
-    """Report bad input (an override, config file, parameter or option value)
-    as a one-line usage error with exit status 2, as argparse does for bad
-    flags."""
+    """Report bad input (an override, config file, parameter or option value,
+    or a parameter point whose time average diverges) as a one-line usage
+    error with exit status 2, as argparse does for bad flags."""
     try:
         yield
     except (ValueError, OSError) as exc:
@@ -517,15 +517,15 @@ def main(argv=None) -> int:
 
     if args.command == "figure":
         with _usage_errors(parser):
-            plan = _figure_plan(args.fig_id, _parse_overrides(args.override))
-        _write_result(_evaluate(plan), args.out or f"figure_{args.fig_id}.csv")
+            result = run_figure(args.fig_id, _parse_overrides(args.override))
+        _write_result(result, args.out or f"figure_{args.fig_id}.csv")
         return 0
 
     if args.command == "degree":
         with _usage_errors(parser):
             params = _resolve_params(args)
             _require_finite(args.theta)
-        degree = degree_of_correlation(params, args.theta)
+            degree = degree_of_correlation(params, args.theta)
         print(f"C(theta={_fmt(args.theta)}) = {_fmt(degree.value)}")
         return 0
 
@@ -533,10 +533,10 @@ def main(argv=None) -> int:
         with _usage_errors(parser):
             params = _resolve_params(args)
             _require_finite(*(args.angles or ()))
-        if args.angles is None:
-            result = bell_s_shortcut(params)
-        else:
-            result = bell_s_chsh(params, *args.angles)
+            if args.angles is None:
+                result = bell_s_shortcut(params)
+            else:
+                result = bell_s_chsh(params, *args.angles)
         print(f"S = {_fmt(result.s)}  violated = {result.violated}")
         return 0
 
@@ -563,9 +563,9 @@ def main(argv=None) -> int:
         observables = tuple(s.strip() for s in args.observables.split(",") if s.strip())
         with _usage_errors(parser):
             config = RunConfig(start=args.start, stop=args.stop, steps=args.steps)
-            plan = _sweep_plan(_resolve_params(args), args.axis, config,
+            result = run_sweep(_resolve_params(args), args.axis, config,
                                observables)
-        _write_result(_evaluate(plan), args.out)
+        _write_result(result, args.out)
         return 0
 
     if args.command == "verify":

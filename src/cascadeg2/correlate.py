@@ -31,16 +31,23 @@ by either route as a Laplace transform at zero frequency: from the two
 blocks, or from the full generator restricted to the elements that the
 conditioned state reaches and the second detection sees.  Both routes build
 their matrices for the whole batch at once, as stacks.  The population
-blocks and the generator blocks go through one resolvent, ``_resolvent``: a
-stack of blocks M is refused with DivergentAverageError if a mode decays
-slower than the floor, else -M x = y0 is solved for the integral x of
-e^{M tau} y0.  The slowest rate of a 2x2 block, the undriven population
-block, is s + |h| from ``_split``; larger blocks take it from their
-eigenvalues.  The coherence average is the X1X2 entry of -C^{-1}, written
-out, and refused by the same floor on the rates of C that the average
-reaches: rho_X1X2 alone without the drive, both with it, by the same
-s + |h| rule.  The population slots enter the angular combinations by their
-real parts, so degrees, Bell parameters and G(tau) are real arithmetic.
+blocks and the generator blocks go through one resolvent, ``_resolvent``,
+with one refusal rule and no eigenvalues: a stack of blocks M is refused
+with DivergentAverageError if a mode decays slower than the floor, else
+-M x = y0 is solved for the integral x of e^{M tau} y0.  Each block
+generates a positive semigroup on a known cone: the orthant for the
+undriven 2x2 rate block, R+ x PSD(2) for the driven 5x5 population block,
+PSD(2) or PSD(3) for the 4x4 or 9x9 generator sector.  So, by the cone
+version of the M-matrix theorem (Schneider and Vidyasagar, SIAM J. Numer.
+Anal. 7 (1970) 508), every mode decays faster than the floor exactly when
+-(M + floor I) u = y has its solution u inside the cone for y the cone's
+unit, and one backward-stable solve decides.  The coherence average is the
+X1X2 entry of -C^{-1}, written out, and needs no refusal of its own: the
+slowest mode of a positive semigroup has a positive semidefinite
+eigenvector, which has no coherence entries, so the coherence modes decay
+at least as fast as the slowest population mode.  The population slots
+enter the angular combinations by their real parts, so degrees, Bell
+parameters and G(tau) are real arithmetic.
 ``g2_avg_analytic`` and ``g2_avg_numeric`` are one-point calls of it.
 On a delay grid the averaged sector of the generator and the driven
 population block are propagated exactly by ``propagate_steps``: a uniform
@@ -55,7 +62,9 @@ alike.  scipy loads only for the DOP853 cross-check,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -114,13 +123,6 @@ def _split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = np.sqrt(0.25 * (m[..., 0, 0] - m[..., 1, 1]) ** 2
                 + m[..., 0, 1] * m[..., 1, 0] + 0j)
     return s, h
-
-
-def _slowest_rate(m: np.ndarray) -> np.ndarray:
-    """Real part of the slowest-decaying eigenvalue, s + h or s - h, of
-    each 2x2 block."""
-    s, h = _split(m)
-    return s.real + np.abs(h.real)
 
 
 def _expm2(m: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -348,45 +350,109 @@ def correlation_curve(params: CascadeParams, det1: DetectorSetting,
     return CorrelationCurve(taus, values)
 
 
-def _resolvent(blocks: np.ndarray, rhs: np.ndarray, sector: str) -> np.ndarray:
+def _orthant(x: np.ndarray) -> bool:
+    """Whether every vector of the stack x is inside the positive orthant,
+    and finite."""
+    return bool(np.all((x > 0) & (x < np.inf)))
+
+
+def _population_cone(x: np.ndarray) -> bool:
+    """Whether every vector of the stack x is inside R+ x PSD(2), in the real
+    basis of :func:`_population_generator`: x0 > 0 and the {X2, u} block
+    [[x1, (x3 - i x4)/2], [(x3 + i x4)/2, x2]] positive definite.
+
+    Each vector is scaled to a largest entry of 1 first, so no square
+    overflows.
+    """
+    scale = np.max(np.abs(x), axis=-1, keepdims=True)
+    if not np.all(np.isfinite(scale) & (scale > 0)):
+        return False
+    x0, x1, x2, x3, x4 = (x / scale).T
+    return bool(np.all((x0 > 0) & (x1 > 0)
+                       & (4.0 * x1 * x2 > x3 * x3 + x4 * x4)))
+
+
+def _density_cone(x: np.ndarray) -> bool:
+    """Whether every vector of the stack x is a vectorized positive definite
+    operator: the Hermitian part of unvec(x) has positive leading minors,
+    which its Cholesky factorization tests."""
+    n = math.isqrt(x.shape[-1])
+    # the rows of unvec(x)^T; its Hermitian part has the same leading minors
+    op = x.reshape(-1, n, n)
+    if not np.all(np.isfinite(op)):
+        return False
+    try:
+        np.linalg.cholesky(0.5 * (op + op.conj().swapaxes(-1, -2)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+class _Cone(NamedTuple):
+    """A proper cone that the semigroup of a block maps into itself, as an
+    interior point and an interior test of a stack of vectors."""
+
+    unit: np.ndarray
+    contains: Callable[[np.ndarray], bool]
+
+
+# the undriven 2x2 rate block; the driven 5x5 population block; the
+# averaged generator sectors without and with the drive
+_RATE_CONE = _Cone(np.ones(2), _orthant)
+_POPULATION_CONE = _Cone(np.array([1.0, 1.0, 1.0, 0.0, 0.0]),
+                         _population_cone)
+_DENSITY_CONES = {n: _Cone(np.eye(n).ravel(), _density_cone) for n in (2, 3)}
+
+
+def _resolvent(blocks: np.ndarray, rhs: np.ndarray, sector: str,
+               cone: _Cone) -> np.ndarray:
     """The integrals over tau in [0, inf) of e^{M tau} rhs for a stack of
     blocks M: the solutions x of -M x = rhs.
 
     Every population and generator block is solved here.  An integral exists
-    only if every mode of M decays faster than the refusal floor; otherwise,
-    or if the solve fails, raise DivergentAverageError naming the sector.
-    The slowest mode of a 2x2 block is read from :func:`_split`, of a larger
-    one from its eigenvalues.
+    only if every mode of M decays faster than the refusal floor, that is if
+    M + floor I is stable.  Each block generates a positive semigroup on a
+    proper cone, ``cone``, and such a block is stable exactly when
+    -(M + floor I) u = y has its solution u inside the cone for y inside it
+    (Schneider and Vidyasagar, SIAM J. Numer. Anal. 7 (1970) 508): then u
+    is the integral of e^{(M + floor I) tau} y.  So the stack is refused
+    with DivergentAverageError naming the sector if that solve, with y the
+    cone's unit, is singular or leaves the cone for any block.  The cones
+    are the orthant for the undriven 2x2 rate block, R+ x PSD(2) for the
+    driven 5x5 population block, and PSD(2) or PSD(3) for the averaged
+    4x4 or 9x9 sector of the generator.
     """
-    if blocks.shape[-1] == 2:
-        slowest = _slowest_rate(blocks)
-    else:
-        slowest = np.linalg.eigvals(blocks).real
-    if np.max(slowest) >= -_DECAY_FLOOR:
-        raise DivergentAverageError(f"{sector} has a non-decaying mode")
+    shifted = blocks + _DECAY_FLOOR * np.eye(blocks.shape[-1])
+    try:
+        inside = cone.contains(np.linalg.solve(-shifted, cone.unit))
+    except np.linalg.LinAlgError:
+        inside = False
+    if not inside:
+        raise DivergentAverageError(
+            f"time average diverges: the {sector} has a mode decaying "
+            f"slower than {_DECAY_FLOOR:g}")
     try:
         return np.linalg.solve(-blocks, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DivergentAverageError(str(exc)) from None
+    except np.linalg.LinAlgError:
+        raise DivergentAverageError(f"time average diverges: the {sector} "
+                                    "is singular") from None
 
 
 def _closed_form_response(params: CascadeBatch) -> np.ndarray:
-    c = _coherence_generator(params)
-    driven = params.rabi != 0.0
-    # without the drive rho_X1X2 evolves alone; with it, both modes count
-    slowest = np.where(driven, _slowest_rate(c), c[:, 0, 0].real)
-    if np.any(slowest >= -_DECAY_FLOOR):
-        raise DivergentAverageError("coherence sector has a non-decaying mode")
     m = _population_generator(params)
+    driven = params.rabi != 0.0
     response = np.empty((5, len(params)), dtype=complex)
     # undriven points average their 2x2 rate block, driven points the 5x5
     # block; the X1 and X2 rows of the first two columns are the slots
-    for mask, size in ((~driven, 2), (driven, 5)):
+    for mask, size, cone in ((~driven, 2, _RATE_CONE),
+                             (driven, 5, _POPULATION_CONE)):
         if mask.any():
             cols = _resolvent(m[mask, :size, :size], np.eye(size, 2),
-                              "population sector")
+                              "population block", cone)
             response[:4, mask] = cols[:, :2].transpose(1, 2, 0).reshape(4, -1)
-    # avg_w is the X1X2 entry of -c^{-1}
+    # avg_w is the X1X2 entry of -c^{-1}; the coherence modes decay at least
+    # as fast as the slowest population mode, so they need no refusal
+    c = _coherence_generator(params)
     det = c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]
     response[4] = -c[:, 1, 1] / det
     return response
@@ -429,7 +495,8 @@ def _resolvent_response(params: CascadeBatch) -> np.ndarray:
         n = len(levels)
         x11, x22, x12 = 0, n + 1, n
         x = _resolvent(m_ss, np.eye(n * n)[:, [x11, x22, x12]],
-                       "the averaged sector of the generator")
+                       "averaged sector of the generator",
+                       _DENSITY_CONES[n])
         response[:, mask] = (x[:, x11, 0], x[:, x11, 1], x[:, x22, 0],
                              x[:, x22, 1], x[:, x12, 2])
     return response

@@ -1,7 +1,11 @@
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import cascadeg2
+from cascadeg2 import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +36,30 @@ def test_readme_library_example_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {})
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "False" and "violated=True" in out[3]
+
+
+def _readme_commands():
+    """The argument lists of the ``cascadeg2`` lines in the README's sh
+    blocks, continuation lines joined and comments dropped."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"),
+                        flags=re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = (shlex.split(line, comments=True) for line in lines)
+    return [argv[1:] for argv in commands if argv[:1] == ["cascadeg2"]]
+
+
+_README_COMMANDS = _readme_commands()
+
+
+def test_readme_command_examples_are_found():
+    assert [argv[0] for argv in _README_COMMANDS] == [
+        "figure", "figure", "degree", "bell", "bell", "correlate", "sweep",
+        "verify", "verify"]
+
+
+# verify has a CI step of its own
+@pytest.mark.parametrize("argv", [argv for argv in _README_COMMANDS
+                                  if argv[0] != "verify"], ids=" ".join)
+def test_readme_command_example_runs(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0

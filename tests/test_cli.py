@@ -501,6 +501,27 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("cascadeg2: error: no observables")
 
+    @pytest.mark.parametrize("argv", [
+        ["degree", "--theta", "0", "--gamma1", "0", "--gamma2", "0",
+         "--gamma3", "0", "--gamma4", "0"],
+        ["bell", "--gamma4", "0", "--rabi", "5", "--gamma-u", "0"],
+        ["figure", "3a", "--override", "gamma3=0", "--override", "gamma21=0"],
+        # the undriven point rabi = 0 of the sweep diverges
+        ["sweep", "--axis", "rabi", "--start", "0", "--stop", "5",
+         "--steps", "3", "--gamma4", "0", "--gamma-u", "0", "--out", "s.csv"],
+    ], ids=["degree", "bell", "figure", "sweep"])
+    def test_divergent_average_is_usage_error(self, tmp_path, monkeypatch,
+                                              capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].startswith(
+            "cascadeg2: error: time average diverges: ")
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
     def test_sweep_command_to_stdout(self, capsys):
         assert main(["sweep", "--axis", "delta_fs", "--start", "0",
                      "--stop", "2", "--steps", "2", "--observables", "c_h",
