@@ -8,8 +8,8 @@ A figure or sweep is one array pass from plan to text.  Its plan holds
 every parameter point in one CascadeBatch: a Bell curve broadcasts its base
 point against the swept values, a degree curve is one point, since its
 parameters do not change along the basis angle.  The batch gets one
-two-photon response (:func:`~cascadeg2.correlate.two_photon_response`, one
-stacked solve for all points), which a figure turns into a (label, swept
+two-photon response (:func:`~cascadeg2.correlate.two_photon_response`,
+written out for all points at once), which a figure turns into a (label, swept
 value) table of C or S with one observable call, a sweep with one call per
 requested observable.  A :class:`SweepResult` keeps that table as columns:
 the CSV formats each swept value once and every value by one format

@@ -30,19 +30,27 @@ averages of the four population propagators and of the coherence kernel.
 by either route as a Laplace transform at zero frequency: from the two
 blocks, or from the full generator restricted to the elements that the
 conditioned state reaches and the second detection sees.  Both routes build
-their matrices for the whole batch at once, as stacks.  The population
-blocks and the generator blocks go through one resolvent, ``_resolvent``,
-with one refusal rule and no eigenvalues: a stack of blocks M is refused
-with DivergentAverageError if a mode decays slower than the floor, else
--M x = y0 is solved for the integral x of e^{M tau} y0.  Each block
-generates a positive semigroup on a known cone: the orthant for the
-undriven 2x2 rate block, R+ x PSD(2) for the driven 5x5 population block,
-PSD(2) or PSD(3) for the 4x4 or 9x9 generator sector.  So, by the cone
-version of the M-matrix theorem (Schneider and Vidyasagar, SIAM J. Numer.
-Anal. 7 (1970) 508), every mode decays faster than the floor exactly when
--(M + floor I) u = y has its solution u inside the cone for y the cone's
-unit, and one backward-stable solve decides.  The coherence average is the
-X1X2 entry of -C^{-1}, written out, and needs no refusal of its own: the
+their matrices for the whole batch at once, as stacks.  The full-generator
+route solves -M x = y0 for the integral x of e^{M tau} y0, one stacked
+LAPACK solve on its 4x4 or 9x9 sectors (``_resolvent``); it is the
+independent cross-check.  The closed form solves nothing for its averages.
+The averaged populations do not depend on the drive: u has no decay of its
+own, so with the drive on all that X2 sends to u comes back, and
+integrating dP1/dt and d(P2 + Pu)/dt over [0, inf) gives a 2x2 rate system
+whose inverse is written out.  The field acts through the coherence average
+alone, the X1X2 entry of -C^{-1}, also written out.  Every block of either
+route is refused by one rule, ``_refuse_divergent``, with no eigenvalues:
+a stack of blocks M is refused with DivergentAverageError if a mode decays
+slower than the floor.  Each block generates a positive semigroup on a
+known cone: the orthant for the undriven 2x2 rate block, R+ x PSD(2) for
+the driven 5x5 population block, PSD(2) or PSD(3) for the 4x4 or 9x9
+generator sector.  So, by the cone version of the M-matrix theorem
+(Schneider and Vidyasagar, SIAM J. Numer. Anal. 7 (1970) 508), every mode
+decays faster than the floor exactly when -(M + floor I) u = y has its
+solution u inside the cone for y the cone's unit, and one backward-stable
+solve decides: the explicit inverse of the 2x2 rate block, LAPACK for the
+others.  The closed form's only LAPACK call is thus the refusal of its
+driven 5x5 blocks.  The coherence average needs no refusal of its own: the
 slowest mode of a positive semigroup has a positive semidefinite
 eigenvector, which has no coherence entries, so the coherence modes decay
 at least as fast as the slowest population mode.  The population slots
@@ -54,14 +62,15 @@ population block are propagated exactly by ``propagate_steps``: a uniform
 grid of n delays is filled by doubling, ceil(log2 n) products of the
 states with powers of the one-step propagator, any other grid by stepping;
 one numpy matrix exponential call serves either way, of the step alone on
-a uniform grid from 0.  ``correlation_curve`` checks its grid with
-``check_tau_grid`` before either route runs, so both refuse a bad grid
-alike.  scipy loads only for the DOP853 cross-check,
-``g2_numeric(..., method="ode")``.
+a uniform grid from 0.  ``correlation_curve`` checks its grid once, with
+``check_tau_grid``, before either route runs, so both refuse a bad grid
+alike; neither route nor the curve checks it again.  scipy loads only for
+the DOP853 cross-check, ``g2_numeric(..., method="ode")``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -91,8 +100,19 @@ class CorrelationCurve:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        tau = check_tau_grid(self.tau_grid)
-        val = np.asarray(self.values, dtype=float)
+        self._accept(check_tau_grid(self.tau_grid), self.values)
+
+    @classmethod
+    def _on_checked_grid(cls, tau: np.ndarray, values) -> "CorrelationCurve":
+        """The curve of ``values`` on a grid that :func:`check_tau_grid` has
+        already returned: only the values are checked."""
+        curve = object.__new__(cls)
+        curve._accept(tau, values)
+        return curve
+
+    def _accept(self, tau: np.ndarray, values) -> None:
+        """Check ``values`` against the accepted grid ``tau``; store both."""
+        val = np.asarray(values, dtype=float)
         if tau.shape != val.shape:
             raise ValueError("tau_grid and values must be matching 1-d arrays")
         # a nan fails both comparisons
@@ -258,13 +278,19 @@ def _validate_taus(tau) -> tuple[np.ndarray, bool]:
     return taus, scalar
 
 
+def _g2_closed_form(params: CascadeParams, det1: DetectorSetting,
+                    det2: DetectorSetting, taus: np.ndarray) -> np.ndarray:
+    """:func:`g2_analytic` on a 1-d float array of delays, unchecked."""
+    w = _coherence_kernel(_coherence_generator(params), taus)
+    response = (*_population_propagators(params, taus), w)
+    return _braces(response, det1.theta, det2.theta, det1.phi + det2.phi)
+
+
 def g2_analytic(params: CascadeParams, det1: DetectorSetting,
                 det2: DetectorSetting, tau):
     """Closed-form normalized correlation at delay tau (scalar or array)."""
     taus, scalar = _validate_taus(tau)
-    w = _coherence_kernel(_coherence_generator(params), taus)
-    response = (*_population_propagators(params, taus), w)
-    value = _braces(response, det1.theta, det2.theta, det1.phi + det2.phi)
+    value = _g2_closed_form(params, det1, det2, taus)
     return float(value[0]) if scalar else value
 
 
@@ -302,6 +328,13 @@ def g2_numeric_grid(params: CascadeParams, det1: DetectorSetting,
     """
     taus = check_tau_grid(taus)
     gen = build_generator(params) if gen is None else _as_generator(gen)
+    return _g2_sector_grid(params, det1, det2, taus, gen)
+
+
+def _g2_sector_grid(params: CascadeParams, det1: DetectorSetting,
+                    det2: DetectorSetting, taus: np.ndarray,
+                    gen: np.ndarray) -> np.ndarray:
+    """:func:`g2_numeric_grid` on an accepted grid and a (25, 25) generator."""
     sector = _average_sector(_DRIVEN_LEVELS if params.rabi != 0.0
                              else _UNDRIVEN_LEVELS)
     states = propagate_steps(gen[np.ix_(sector, sector)],
@@ -338,16 +371,18 @@ def correlation_curve(params: CascadeParams, det1: DetectorSetting,
     1-d grid; both routes refuse any other with the same ValueError.
     """
     taus = check_tau_grid(taus)
+    # the one grid check: the routes and the curve take the grid as it is
     if method == "analytic":
-        values = g2_analytic(params, det1, det2, taus)
+        values = _g2_closed_form(params, det1, det2, taus)
     elif method == "numeric":
-        values = g2_numeric_grid(params, det1, det2, taus)
+        values = _g2_sector_grid(params, det1, det2, taus,
+                                 build_generator(params))
     else:
         raise ValueError(f"unknown method {method!r}")
-    # wash out harmless negative round-off before the curve invariant check
+    # wash out harmless negative round-off before the curve's value check
     if values.min() < 0:
         values = np.where((values < 0) & (values > -1e-12), 0.0, values)
-    return CorrelationCurve(taus, values)
+    return CorrelationCurve._on_checked_grid(taus, values)
 
 
 def _orthant(x: np.ndarray) -> bool:
@@ -364,7 +399,9 @@ def _population_cone(x: np.ndarray) -> bool:
     Each vector is scaled to a largest entry of 1 first, so no square
     overflows.
     """
-    scale = np.max(np.abs(x), axis=-1, keepdims=True)
+    # the largest entries column by column: a reduction along the short last
+    # axis costs several times more
+    scale = functools.reduce(np.maximum, np.abs(x).T)[:, None]
     if not np.all(np.isfinite(scale) & (scale > 0)):
         return False
     x0, x1, x2, x3, x4 = (x / scale).T
@@ -388,49 +425,92 @@ def _density_cone(x: np.ndarray) -> bool:
     return True
 
 
+# A point whose entries sum to 2^_TOP_EXPONENT or more in magnitude is
+# scaled down before products of its entries are formed, so that no product
+# of two entries, nor a sum of a few, overflows.
+_TOP_EXPONENT = 500
+
+
+def _down_scale(top: np.ndarray) -> np.ndarray:
+    """The power of two 2^-k, k >= 0, that brings each entry of ``top``, a
+    sum of magnitudes per point, below 2^500; 1 where it is below already.
+
+    Multiplying by a power of two is exact, so whatever is homogeneous in the
+    scaled entries keeps every bit, and a point whose entries sum to less
+    than about 3e150 is not scaled at all.
+    """
+    return np.ldexp(1.0, np.minimum(_TOP_EXPONENT - np.frexp(top)[1], 0))
+
+
+def _solve2(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Positive multiples of the solutions x of a x = y for a stack of 2x2
+    blocks a, from the explicit inverse [[a11, -a01], [-a10, a00]] / det.
+
+    Each block is scaled by :func:`_down_scale` first, so its determinant
+    does not overflow; a singular block gives inf or nan entries.
+    """
+    f = a.reshape(len(a), 4)
+    a00, a01, a10, a11 = f.T * _down_scale(np.abs(f) @ np.ones(4))
+    x = np.array([a11 * y[0] - a01 * y[1], a00 * y[1] - a10 * y[0]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (x / (a00 * a11 - a01 * a10)).T
+
+
 class _Cone(NamedTuple):
     """A proper cone that the semigroup of a block maps into itself, as an
-    interior point and an interior test of a stack of vectors."""
+    interior point, an interior test of a stack of vectors and the solve
+    that the refusal runs with it."""
 
     unit: np.ndarray
     contains: Callable[[np.ndarray], bool]
+    solve: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.linalg.solve
 
 
 # the undriven 2x2 rate block; the driven 5x5 population block; the
 # averaged generator sectors without and with the drive
-_RATE_CONE = _Cone(np.ones(2), _orthant)
+_RATE_CONE = _Cone(np.ones(2), _orthant, _solve2)
 _POPULATION_CONE = _Cone(np.array([1.0, 1.0, 1.0, 0.0, 0.0]),
                          _population_cone)
 _DENSITY_CONES = {n: _Cone(np.eye(n).ravel(), _density_cone) for n in (2, 3)}
 
 
-def _resolvent(blocks: np.ndarray, rhs: np.ndarray, sector: str,
-               cone: _Cone) -> np.ndarray:
-    """The integrals over tau in [0, inf) of e^{M tau} rhs for a stack of
-    blocks M: the solutions x of -M x = rhs.
+def _refuse_divergent(blocks: np.ndarray, sector: str, cone: _Cone) -> None:
+    """Raise DivergentAverageError, naming ``sector``, unless every mode of
+    every block M of the stack decays faster than the refusal floor.
 
-    Every population and generator block is solved here.  An integral exists
-    only if every mode of M decays faster than the refusal floor, that is if
-    M + floor I is stable.  Each block generates a positive semigroup on a
-    proper cone, ``cone``, and such a block is stable exactly when
-    -(M + floor I) u = y has its solution u inside the cone for y inside it
-    (Schneider and Vidyasagar, SIAM J. Numer. Anal. 7 (1970) 508): then u
-    is the integral of e^{(M + floor I) tau} y.  So the stack is refused
-    with DivergentAverageError naming the sector if that solve, with y the
-    cone's unit, is singular or leaves the cone for any block.  The cones
-    are the orthant for the undriven 2x2 rate block, R+ x PSD(2) for the
-    driven 5x5 population block, and PSD(2) or PSD(3) for the averaged
-    4x4 or 9x9 sector of the generator.
+    The integral over tau in [0, inf) of e^{M tau} exists only if M + floor I
+    is stable.  Each block generates a positive semigroup on a proper cone,
+    ``cone``, and such a block is stable exactly when -(M + floor I) u = y
+    has its solution u inside the cone for y inside it (Schneider and
+    Vidyasagar, SIAM J. Numer. Anal. 7 (1970) 508): then u is the integral
+    of e^{(M + floor I) tau} y.  So the stack is refused if that solve, with
+    y the cone's unit, is singular or leaves the cone for any block.  The
+    cones are the orthant for the undriven 2x2 rate block, whose solve is
+    its explicit inverse, R+ x PSD(2) for the driven 5x5 population block,
+    and PSD(2) or PSD(3) for the averaged 4x4 or 9x9 sector of the
+    generator, which LAPACK solves.
     """
     shifted = blocks + _DECAY_FLOOR * np.eye(blocks.shape[-1])
     try:
-        inside = cone.contains(np.linalg.solve(-shifted, cone.unit))
+        inside = cone.contains(cone.solve(-shifted, cone.unit))
     except np.linalg.LinAlgError:
         inside = False
     if not inside:
         raise DivergentAverageError(
             f"time average diverges: the {sector} has a mode decaying "
             f"slower than {_DECAY_FLOOR:g}")
+
+
+def _resolvent(blocks: np.ndarray, rhs: np.ndarray, sector: str,
+               cone: _Cone) -> np.ndarray:
+    """The integrals over tau in [0, inf) of e^{M tau} rhs for a stack of
+    generator sectors M: the solutions x of -M x = rhs, one stacked LAPACK
+    solve, after :func:`_refuse_divergent`.
+
+    Only the full-generator route solves for its averages; the closed form
+    runs the refusal alone and writes its slots out.
+    """
+    _refuse_divergent(blocks, sector, cone)
     try:
         return np.linalg.solve(-blocks, rhs)
     except np.linalg.LinAlgError:
@@ -439,23 +519,41 @@ def _resolvent(blocks: np.ndarray, rhs: np.ndarray, sector: str,
 
 
 def _closed_form_response(params: CascadeBatch) -> np.ndarray:
+    """The response from the two blocks, with no solve for the averages.
+
+    Undriven points are refused on their 2x2 rate block, driven points on
+    their 5x5 population block.  The drive leaves the averaged populations
+    alone: u has no decay of its own, so what X2 sends to u comes back when
+    driven, and integrating dP1/dt and d(P2 + Pu)/dt over [0, inf) gives the
+    2x2 rate system with X2 leaving at x2_out = gamma4 (driven) or gamma4 +
+    gamma_u (undriven).  Its inverse is (P11, P12, P21, P22) = (a2,
+    gamma12, gamma21, a1) / D with a1 = gamma3 + gamma21, a2 = x2_out +
+    gamma12 and D = gamma3 a2 + gamma21 x2_out, a sum of products of
+    nonnegative rates that cannot cancel and is positive wherever the
+    refusal answers.  The field acts through avg_w alone, the X1X2 entry of
+    -c^{-1}.  Rates and coherence blocks are scaled by :func:`_down_scale`
+    before either determinant is formed.
+    """
     m = _population_generator(params)
     driven = params.rabi != 0.0
-    response = np.empty((5, len(params)), dtype=complex)
-    # undriven points average their 2x2 rate block, driven points the 5x5
-    # block; the X1 and X2 rows of the first two columns are the slots
     for mask, size, cone in ((~driven, 2, _RATE_CONE),
                              (driven, 5, _POPULATION_CONE)):
         if mask.any():
-            cols = _resolvent(m[mask, :size, :size], np.eye(size, 2),
-                              "population block", cone)
-            response[:4, mask] = cols[:, :2].transpose(1, 2, 0).reshape(4, -1)
-    # avg_w is the X1X2 entry of -c^{-1}; the coherence modes decay at least
-    # as fast as the slowest population mode, so they need no refusal
+            _refuse_divergent(m[mask, :size, :size], "population block", cone)
+    p = params
+    x2_out = np.where(driven, p.gamma4, p.gamma4 + p.gamma_u)
+    a1, a2 = p.gamma3 + p.gamma21, x2_out + p.gamma12
     c = _coherence_generator(params)
+    scale, c_scale = _down_scale(np.array([
+        a1 + a2, np.abs(c.view(float)).reshape(len(c), 8) @ np.ones(8)]))
+    # the numerators and D, scaled by scale and scale^2
+    num = np.array([a2, p.gamma12, p.gamma21, a1]) * scale
+    d = (p.gamma3 * scale) * num[0] + num[2] * (x2_out * scale)
+    # the coherence modes decay at least as fast as the slowest population
+    # mode, so avg_w needs no refusal of its own
+    c = c * c_scale[:, None, None]
     det = c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]
-    response[4] = -c[:, 1, 1] / det
-    return response
+    return np.array([*(num / d * scale), -c[:, 1, 1] / det * c_scale])
 
 
 # The averaged sector: both indices in these levels, X1 and X2 leading.

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -17,7 +18,7 @@ from cascadeg2.correlate import (_DECAY_FLOOR, _DENSITY_CONES,
                                  _braces, _coherence_generator,
                                  _coherence_kernel, _conditioned_state,
                                  _detection_projector, _expm2,
-                                 _population_generator, _resolvent)
+                                 _population_generator, _refuse_divergent)
 from cascadeg2.liouvillian import check_tau_grid
 from cascadeg2.observables import (STANDARD_CHSH_ANGLES, bell_s_chsh,
                                    bell_s_shortcut)
@@ -568,6 +569,50 @@ def _mp_response(params):
         return np.array([[complex(v)] for v in slots])
 
 
+def _rate_system_slots(params):
+    """(P11, P12, P21, P22) from the 2x2 rate system of the averaged
+    populations, shape (4, 1): X2 leaves at gamma4 when driven, since the
+    drive returns all of u, and at gamma4 + gamma_u when undriven."""
+    p = params
+    x2_out = p.gamma4 if p.rabi else p.gamma4 + p.gamma_u
+    a1, a2 = p.gamma3 + p.gamma21, x2_out + p.gamma12
+    d = p.gamma3 * a2 + p.gamma21 * x2_out
+    return np.array([[a2], [p.gamma12], [p.gamma21], [a1]]) / d
+
+
+def _mp_block_response(params):
+    """The five numbers from 50-digit inverses of the 5x5 population block
+    and the 2x2 coherence block, assembled at 50 digits from the exact
+    parameters, so that no rounded sum of rates enters; shape (5, 1)."""
+    p = params
+    with mpmath.workdps(50):
+        g3, g4, gu, g12, g21, rabi, detuning, dfs = map(mpmath.mpf, (
+            p.gamma3, p.gamma4, p.gamma_u, p.gamma12, p.gamma21, p.rabi,
+            p.detuning, p.delta_fs))
+        a1, a2 = g3 + g21, g4 + gu + g12
+        m = mpmath.zeros(5)
+        m[0, 0], m[0, 1], m[1, 0], m[1, 1], m[2, 1] = -a1, g12, g21, -a2, gu
+        m[3, 3] = m[4, 4] = -a2 / 2
+        m[3, 4], m[4, 3] = -detuning, detuning
+        m[1, 4], m[2, 4], m[4, 1], m[4, 2] = -rabi, rabi, 2 * rabi, -2 * rabi
+        inv = mpmath.inverse(-m)
+        c00 = -(a1 + a2) / 2 - 1j * dfs
+        c11 = -a1 / 2 - 1j * (dfs + detuning)
+        slots = [inv[0, 0], inv[0, 1], inv[1, 0], inv[1, 1],
+                 -c11 / (c00 * c11 + rabi ** 2)]
+        return np.array([[complex(v)] for v in slots])
+
+
+# a weak drive far off resonance: ill-conditioned driven 5x5 population
+# blocks, which LAPACK solved up to 6e-12 of the point's scale off
+_FAR_DETUNED = st.builds(
+    CascadeParams, gamma3=st.floats(1e-3, 2.0), gamma4=st.floats(1e-3, 2.0),
+    gamma12=st.floats(1e-3, 2.0), gamma21=st.floats(1e-3, 2.0),
+    gamma_u=st.floats(0.0, 1.0), rabi=st.floats(0.5, 1.5),
+    detuning=st.one_of(st.floats(-100.0, -70.0), st.floats(70.0, 100.0)),
+    delta_fs=st.floats(-10.0, 10.0))
+
+
 # undriven points with 1e-12 < gamma3 + gamma21 <= 2e-12
 _BAND = [CascadeParams(gamma3=1.5e-12, gamma4=1.0),
          CascadeParams(gamma3=1.5e-12, gamma4=1.0, delta_fs=3.0, detuning=-3.0)]
@@ -616,6 +661,44 @@ class TestTwoPhotonResponse:
         for method in ("analytic", "numeric"):
             got = two_photon_response([params], method)
             assert _relative_to_point_scale(got, reference) <= 1e-11
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(_FAR_DETUNED)
+    def test_closed_form_slots_match_high_precision_solve(self, params):
+        # at most 1.7 eps over 1500 draws: the slots are written out
+        got = two_photon_response([params])
+        assert (_relative_to_point_scale(got, _mp_block_response(params))
+                <= 4.0 * np.finfo(float).eps)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_DOMAIN, st.floats(0.1, 35.0), st.floats(-100.0, 100.0))
+    def test_averaged_populations_do_not_depend_on_the_drive(self, params,
+                                                             rabi, detuning):
+        # the full-generator route knows nothing of the rate system, whose
+        # slots hold neither rabi nor detuning.  Its solve is off by up to
+        # eps cond(sector) (0.29 of it at most on 2324 answered draws), so
+        # the bound is 1e-12 up to a condition number of about 4500.
+        for point in (params.with_(rabi=rabi),
+                      params.with_(rabi=rabi, detuning=detuning)):
+            got = _response_or_refusal(point, "numeric")
+            if got is not None:
+                cond = np.linalg.cond(_sector_block(point))
+                assert (_relative_to_point_scale(got[:4], _rate_system_slots(point))
+                        <= max(1e-12, np.finfo(float).eps * cond))
+
+    @pytest.mark.parametrize("rate", [1e200, 1e300])
+    @pytest.mark.parametrize("rabi", [0.0, 1.0], ids=["undriven", "driven"])
+    def test_routes_agree_at_huge_rates(self, rate, rabi):
+        # products of two such rates overflow unless the blocks are scaled
+        params = CascadeParams(gamma4=rate, gamma21=rate, rabi=rabi * rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            analytic = two_photon_response([params])
+            numeric = two_photon_response([params], method="numeric")
+            degrees = [degree_of_correlation(params, 0.3, method).value
+                       for method in ("analytic", "numeric")]
+        assert _relative_to_point_scale(analytic, numeric) <= 1e-12
+        assert degrees[0] == pytest.approx(degrees[1], rel=1e-12)
 
     @pytest.mark.parametrize("params", _BAND)
     def test_undriven_band_answers_by_both_routes(self, params):
@@ -764,7 +847,7 @@ def _averaged_blocks(params):
 
 def _refused(block, cone):
     try:
-        _resolvent(block[None], np.eye(len(block), 2), "block", cone)
+        _refuse_divergent(block[None], "block", cone)
     except DivergentAverageError:
         return True
     return False
