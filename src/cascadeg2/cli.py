@@ -34,6 +34,7 @@ from . import __version__
 from .model import (PARAM_FIELDS, CascadeBatch, CascadeParams, DetectorSetting,
                     omega_star)
 from .correlate import correlation_curve, two_photon_response
+from .errors import NumericError
 from .observables import (_require_finite, bell_s_chsh, bell_s_from_response,
                           bell_s_shortcut, degree_from_response, degree_of_correlation)
 from .verify import run_all_checks, summarize
@@ -503,11 +504,12 @@ def _build_parser() -> argparse.ArgumentParser:
 @contextlib.contextmanager
 def _usage_errors(parser: argparse.ArgumentParser):
     """Report bad input (an override, config file, parameter or option value,
-    or a parameter point whose time average diverges) as a one-line usage
-    error with exit status 2, as argparse does for bad flags."""
+    a parameter point whose time average diverges, or one whose propagation
+    overflows) as a one-line usage error with exit status 2, as argparse
+    does for bad flags."""
     try:
         yield
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NumericError) as exc:
         parser.error(str(exc))
 
 
@@ -547,7 +549,8 @@ def main(argv=None) -> int:
                              steps=args.tau_steps).grid()
             det1 = DetectorSetting(args.theta1, args.phi1)
             det2 = DetectorSetting(args.theta2, args.phi2)
-        curve = correlation_curve(params, det1, det2, taus, method=args.method)
+            curve = correlation_curve(params, det1, det2, taus,
+                                      method=args.method)
         metadata = _base_metadata("correlate")
         metadata.append(("params", _params_summary(params)))
         metadata.append(("angles", f"theta1={_fmt(args.theta1)} "

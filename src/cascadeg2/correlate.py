@@ -12,11 +12,13 @@ Two independent routes compute the same normalized correlation:
   of the conditioned dynamics: the 2x2 cross-coherence block (rho_X1X2,
   rho_X1u), whose X1X2 entry of e^{C tau} is the coherence kernel ``w``, and
   the 5x5 population block (X1, X2, u populations plus the driven X2-u
-  coherence as a real pair, so the block is real).  One closed-form 2x2
-  exponential, ``_expm2``, gives the population propagators from the
-  leading 2x2 rate block with the drive off; ``w`` is its X1X2 entry alone,
-  ``_coherence_kernel``, the same values bit for bit.  The driven
-  population block is propagated exactly in real arithmetic along the grid.
+  coherence as a real pair, so the block is real).  One closed form,
+  ``_exp_entries``, gives the requested entries of e^{m tau} of a 2x2
+  block m without overflow at any delay: ``w`` is the X1X2 entry of the
+  coherence block, and with the drive off the four population propagators
+  are the entries of the leading 2x2 rate block, in real arithmetic.  The
+  driven population block is propagated exactly in real arithmetic along
+  the grid.
 
 The normalization sets the dimensional emission prefactor to one and
 conditions on the emitter occupying |2X> at the first detection, so the
@@ -60,12 +62,13 @@ parameters and G(tau) are real arithmetic.
 On a delay grid the averaged sector of the generator and the driven
 population block are propagated exactly by ``propagate_steps``: a uniform
 grid of n delays is filled by doubling, ceil(log2 n) products of the
-states with powers of the one-step propagator, any other grid by stepping;
-one numpy matrix exponential call serves either way, of the step alone on
-a uniform grid from 0.  ``correlation_curve`` checks its grid once, with
-``check_tau_grid``, before either route runs, so both refuse a bad grid
-alike; neither route nor the curve checks it again.  scipy loads only for
-the DOP853 cross-check, ``g2_numeric(..., method="ode")``.
+states with powers of the one-step propagator, any other grid, in any
+order, by one exponential per delay; one numpy matrix exponential call
+serves either way, of the step alone on a uniform grid from 0.
+``correlation_curve`` checks its grid once, with ``check_tau_grid``,
+before either route runs, so both refuse a bad grid alike; neither route
+nor the curve checks it again.  scipy loads only for the DOP853
+cross-check, ``g2_numeric(..., method="ode")``.
 """
 
 from __future__ import annotations
@@ -77,14 +80,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DivergentAverageError
+from .errors import DivergentAverageError, NumericError
 from .liouvillian import (_as_generator, build_generator, check_tau_grid,
                           evolve, evolve_grid, propagate_steps, vectorize)
 from .model import Level, N_LEVELS, CascadeBatch, CascadeParams, DetectorSetting
-
-# Below this argument size sinh(z)/z switches to a 3-term Taylor series to
-# avoid 0/0.
-_SERIES_CUTOFF = 1e-4
 
 # A time average exists only if every mode of the sector it integrates
 # decays faster than this rate; both routes refuse at the same threshold.
@@ -125,52 +124,38 @@ class CorrelationCurve:
         object.__setattr__(self, "values", val)
 
 
-def _sinhc(z: np.ndarray) -> np.ndarray:
-    """sinh(z)/z with a series limit near z = 0."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < _SERIES_CUTOFF
-    safe = np.where(small, 1.0, z)
-    z2 = z * z
-    return np.where(small, 1.0 + z2 / 6.0 + z2 * z2 / 120.0, np.sinh(safe) / safe)
+def _exp_entries(m: np.ndarray, taus: np.ndarray, *entries) -> tuple:
+    """The ``entries``, (i, j) index pairs, of e^{m tau} of one 2x2 block m,
+    each as an array over a 1-d float array of delays.
 
-
-def _split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Half trace s and a root h of ((m00 - m11)/2)^2 + m01 m10 of 2x2 blocks.
-
-    The eigenvalues of each block are s + h and s - h.
+    With s the half trace and h the principal root (Re h >= 0) of
+    ((m00 - m11)/2)^2 + m01 m10, the eigenvalues are s +- h and
+    e^{m tau} = E I + (m - s I) F, where E = e^{s tau} cosh(h tau) and
+    F = e^{s tau} sinh(h tau)/h.  Written with g = e^{(s + h) tau} and
+    x = expm1(-2 h tau), E = g (1 + x/2) and F = -g x/(2h), F = g tau at
+    h = 0: on a block whose modes do not grow no factor exceeds 1 in size,
+    so nothing overflows at long delays, and expm1 keeps F exact near the
+    exceptional point h = 0.  Where |s + h| < |s - h| the sum s + h
+    cancels, and an error in it grows with tau in g, so g takes the slower
+    eigenvalue as det(m) / (s - h) there.  A real block with real h, such
+    as the rate block, gives real entries.
     """
-    s = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
-    h = np.sqrt(0.25 * (m[..., 0, 0] - m[..., 1, 1]) ** 2
-                + m[..., 0, 1] * m[..., 1, 0] + 0j)
-    return s, h
-
-
-def _expm2(m: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """e^{m tau} of one 2x2 block m for every tau, shape (len(taus), 2, 2).
-
-    e^{m tau} = e^{s tau} [cosh(h tau) I + (m - s I) tau sinhc(h tau)], with
-    s and h from :func:`_split`.  Both factors are even in h, so the branch of
-    its square root does not matter, and the series limit of sinhc covers
-    the exceptional point h = 0.
-    """
-    s, h = _split(m)
-    t = np.asarray(taus, dtype=float)[:, None, None]
-    eye = np.eye(2)
-    return np.exp(s * t) * (np.cosh(h * t) * eye
-                            + (m - s * eye) * t * _sinhc(h * t))
-
-
-def _coherence_kernel(c: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """The coherence kernel w(tau), the X1X2 entry of e^{c tau}, of one 2x2
-    coherence block c for every tau of a 1-d float array.
-
-    w = e^{s tau}[cosh(h tau) + (c00 - s) tau sinhc(h tau)]: the [0, 0]
-    entry of :func:`_expm2`, evaluated alone and in its operation order, so
-    bit for bit the same values.
-    """
-    s, h = _split(c)
-    ht = h * taus
-    return np.exp(s * taus) * (np.cosh(ht) + (c[0, 0] - s) * taus * _sinhc(ht))
+    s = 0.5 * (m[0, 0] + m[1, 1])
+    h2 = 0.25 * (m[0, 0] - m[1, 1]) ** 2 + m[0, 1] * m[1, 0]
+    # a real block keeps a real root where it has one
+    h = np.sqrt(h2 if h2.real >= 0 else h2 + 0j)
+    if abs(s - h) > abs(s + h):
+        slow = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) / (s - h)
+    else:
+        slow = s + h
+    g = np.exp(slow * taus)
+    if h == 0:
+        e, f = g, g * taus
+    else:
+        x = np.expm1(-2.0 * h * taus)
+        e, f = g * (1.0 + 0.5 * x), g * x / (-2.0 * h)
+    return tuple(e + (m[i, i] - s) * f if i == j else m[i, j] * f
+                 for i, j in entries)
 
 
 def _coherence_generator(params) -> np.ndarray:
@@ -222,16 +207,9 @@ def _population_propagators(params: CascadeParams, taus: np.ndarray):
     """Exact population propagators (P11, P12, P21, P22) on the tau grid."""
     m = _population_generator(params)
     if params.rabi == 0.0:
-        cols = _expm2(m[:2, :2], taus)
-    elif (taus[1:] >= taus[:-1]).all():
-        # the first two columns of the propagator, filled by doubling on a
-        # uniform grid and by stepping otherwise
-        cols = propagate_steps(m, np.eye(5, 2), taus)
-    else:
-        # an unsorted grid is propagated in sorted order
-        order = np.argsort(taus, kind="stable")
-        cols = np.empty((taus.size, 5, 2))
-        cols[order] = propagate_steps(m, np.eye(5, 2), taus[order])
+        return _exp_entries(m[:2, :2], taus, (0, 0), (0, 1), (1, 0), (1, 1))
+    # the first two columns of the propagator
+    cols = propagate_steps(m, np.eye(5, 2), taus)
     return cols[:, 0, 0], cols[:, 0, 1], cols[:, 1, 0], cols[:, 1, 1]
 
 
@@ -281,14 +259,23 @@ def _validate_taus(tau) -> tuple[np.ndarray, bool]:
 def _g2_closed_form(params: CascadeParams, det1: DetectorSetting,
                     det2: DetectorSetting, taus: np.ndarray) -> np.ndarray:
     """:func:`g2_analytic` on a 1-d float array of delays, unchecked."""
-    w = _coherence_kernel(_coherence_generator(params), taus)
-    response = (*_population_propagators(params, taus), w)
-    return _braces(response, det1.theta, det2.theta, det1.phi + det2.phi)
+    # an overflow surfaces as a non-finite value, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, = _exp_entries(_coherence_generator(params), taus, (0, 0))
+        response = (*_population_propagators(params, taus), w)
+        values = _braces(response, det1.theta, det2.theta,
+                         det1.phi + det2.phi)
+    if not np.isfinite(values).all():
+        raise NumericError("closed-form exponential overflowed")
+    return values
 
 
 def g2_analytic(params: CascadeParams, det1: DetectorSetting,
                 det2: DetectorSetting, tau):
-    """Closed-form normalized correlation at delay tau (scalar or array)."""
+    """Closed-form normalized correlation at delay tau (scalar or array).
+
+    Raises NumericError if the exponential of a block overflows.
+    """
     taus, scalar = _validate_taus(tau)
     value = _g2_closed_form(params, det1, det2, taus)
     return float(value[0]) if scalar else value
@@ -595,8 +582,11 @@ def _resolvent_response(params: CascadeBatch) -> np.ndarray:
         x = _resolvent(m_ss, np.eye(n * n)[:, [x11, x22, x12]],
                        "averaged sector of the generator",
                        _DENSITY_CONES[n])
-        response[:, mask] = (x[:, x11, 0], x[:, x11, 1], x[:, x22, 0],
-                             x[:, x22, 1], x[:, x12, 2])
+        # the population slots are diagonal entries of Hermitian solutions:
+        # real, up to round-off in their imaginary parts, which is dropped
+        response[:, mask] = (x[:, x11, 0].real, x[:, x11, 1].real,
+                             x[:, x22, 0].real, x[:, x22, 1].real,
+                             x[:, x12, 2])
     return response
 
 

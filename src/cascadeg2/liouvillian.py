@@ -211,23 +211,23 @@ def propagate_steps(m: np.ndarray, y0: np.ndarray, taus) -> np.ndarray:
 
     ``m`` is any square matrix and ``y0`` a vector or a block of columns.
     A uniform grid of n points, ``t_k = t0 + k dt`` with ``dt = (t[-1] -
-    t[0]) / (n - 1)``, is filled by doubling.  On a grid from 0 the first
-    state is ``y0`` itself and one :func:`expm` gives ``P = e^{m dt}``;
-    otherwise one stacked call gives ``e^{m t0}`` and ``P``, and the first
-    state is ``e^{m t0} y0``.  Each round sets states ``h .. 2h - 1`` to
-    ``P^h`` times states ``0 .. h - 1`` and squares ``P^h``, so ceil(log2 n)
-    block products fill the grid.  A grid counts as uniform when every
-    ``t_k`` lies within one spacing of ``t0 + k dt``, as every ``linspace``
-    grid does; treating ``t_k`` as ``t0 + k dt`` moves a delay by at most
-    about 2 ulp(tau), so a state by at most about ``2 ulp(tau) |m|``
-    relative to its size.  Any other grid (unsorted, repeated or
-    non-uniform) is stepped from one point to the next with the propagator
-    of its step, all distinct step values exponentiated in one stacked
-    call.  Neither way adds discretization error beyond round-off.  Returns
-    an array of shape ``(len(taus),) + y0.shape`` and dtype
-    ``result_type(m, y0, float)``, so a real block is propagated in real
-    arithmetic.  Raises NumericError if an input is not finite or the
-    propagation overflows.
+    t[0]) / (n - 1) >= 0``, is filled by doubling.  On a grid from 0 the
+    first state is ``y0`` itself and one :func:`expm` gives ``P = e^{m
+    dt}``; otherwise one stacked call gives ``e^{m t0}`` and ``P``, and the
+    first state is ``e^{m t0} y0``.  Each round sets states ``h .. 2h - 1``
+    to ``P^h`` times states ``0 .. h - 1`` and squares ``P^h``, so
+    ceil(log2 n) block products fill the grid.  A grid counts as uniform
+    when every ``t_k`` lies within one spacing of ``t0 + k dt``, as every
+    increasing ``linspace`` grid does; treating ``t_k`` as ``t0 + k dt``
+    moves a delay by at most about 2 ulp(tau), so a state by at most about
+    ``2 ulp(tau) |m|`` relative to its size.  Any other grid (unsorted,
+    decreasing or non-uniform) takes one exponential per delay, ``e^{m
+    tau} y0``, all of them in one stacked call, so no state is carried from
+    one delay to the next and the order of the delays does not matter.
+    Neither way adds discretization error beyond round-off.  Returns an
+    array of shape ``(len(taus),) + y0.shape`` and dtype ``result_type(m,
+    y0, float)``, so a real block is propagated in real arithmetic.  Raises
+    NumericError if an input is not finite or the propagation overflows.
     """
     m, y0, taus = np.asarray(m), np.asarray(y0), np.asarray(taus, dtype=float)
     if not all(np.isfinite(x).all() for x in (m, y0, taus)):
@@ -236,13 +236,13 @@ def propagate_steps(m: np.ndarray, y0: np.ndarray, taus) -> np.ndarray:
     # an overflow surfaces as a non-finite entry, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         dt = (taus[-1] - taus[0]) / max(n - 1, 1) if n else 0.0
-        uniform = n > 0 and (
+        uniform = n > 0 and dt >= 0 and (
             np.abs(taus - (taus[0] + np.arange(n, dtype=float) * dt))
             <= np.abs(np.spacing(taus))).all()
         if uniform:
             out = _fill_by_doubling(m, y0, taus[0], dt, n, dtype)
         else:
-            out = _fill_by_stepping(m, y0, taus, dtype)
+            out = expm(taus[:, None, None] * m) @ y0
     if not np.isfinite(out).all():
         raise NumericError("matrix-exponential propagation overflowed")
     return out
@@ -275,18 +275,6 @@ def _fill_by_doubling(m, y0, t0, dt, n, dtype):
         if h < n:
             power_t = power_t.dot(power_t)
     return rows.reshape(n, width, -1).swapaxes(1, 2).reshape((n,) + y0.shape)
-
-
-def _fill_by_stepping(m, y0, taus, dtype):
-    """exp(m tau) @ y0 on any grid, one propagator product per point."""
-    steps = np.diff(taus, prepend=0.0)
-    values, which = np.unique(steps, return_inverse=True)
-    out = np.empty((steps.size,) + y0.shape, dtype=dtype)
-    y = y0.astype(dtype)
-    props = list(expm(values[:, None, None] * m))
-    for k, idx in enumerate(which.tolist()):
-        y = out[k] = props[idx] @ y
-    return out
 
 
 def check_tau_grid(taus) -> np.ndarray:

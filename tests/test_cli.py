@@ -465,6 +465,32 @@ class TestCommands:
             assert float(x) == pytest.approx(tau)
             assert float(val) == pytest.approx(value, abs=1e-12)
 
+    @pytest.mark.parametrize("method", ["analytic", "numeric"])
+    def test_correlate_overflow_is_usage_error(self, tmp_path, capsys, method):
+        out_path = tmp_path / "curve.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["correlate", "--tau-max", "1", "--tau-steps", "3",
+                  "--rabi", "1e200", "--method", method,
+                  "--out", str(out_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            "cascadeg2: error: closed-form exponential overflowed"
+            if method == "analytic"
+            else "cascadeg2: error: matrix-exponential propagation overflowed")
+        assert not out_path.exists()
+
+    def test_correlate_at_long_delays(self, tmp_path):
+        out_path = tmp_path / "curve.csv"
+        assert main(["correlate", "--gamma3", "1e-3", "--gamma4", "10",
+                     "--gamma-u", "0", "--tau-max", "200", "--tau-steps",
+                     "300", "--out", str(out_path)]) == 0
+        rows = [ln.split(",") for ln in out_path.read_text().splitlines()
+                if ln and not ln.startswith("#")][1:]
+        assert len(rows) == 300
+        assert all(math.isfinite(float(value)) for _, _, value in rows)
+
     @pytest.mark.parametrize("argv, config, gamma12", [
         # within one layer an explicit gamma12 beats gamma_d in either order
         (["figure", "4a", "--override", "gamma12=0.3",

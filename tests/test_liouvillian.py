@@ -417,12 +417,15 @@ class TestEvolve:
             return expm(stack)
 
         monkeypatch.setattr(liouvillian, "expm", counted)
-        # a repeated delay and a geometric grid are stepped, one matrix per
-        # distinct step; the last point of linspace(0, 7.3, 4) is 1 ulp off
-        # t0 + 3 dt, which still counts as uniform and is filled by doubling
-        # from 0, with e^{M dt} alone; one point needs no step propagator
-        for taus, matrices in (([0.0, 0.3, 0.3, 1.1, 2.6], 4),
+        # a repeated delay, a geometric, a decreasing and a shuffled grid
+        # take one matrix per delay, all in one stacked call; the last point
+        # of linspace(0, 7.3, 4) is 1 ulp off t0 + 3 dt, which still counts
+        # as uniform and is filled by doubling from 0, with e^{M dt} alone;
+        # one point needs no step propagator
+        for taus, matrices in (([0.0, 0.3, 0.3, 1.1, 2.6], 5),
                                (np.geomspace(0.01, 5.0, 9), 9),
+                               (np.linspace(7.3, 0.0, 6), 6),
+                               (rng.permutation(np.linspace(0.0, 7.3, 8)), 8),
                                (np.linspace(0.0, 7.3, 4), 1), ([2.6], 1)):
             sizes.clear()
             out = propagate_steps(mat, cols, taus)
