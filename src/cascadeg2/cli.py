@@ -35,8 +35,8 @@ from .model import (PARAM_FIELDS, CascadeBatch, CascadeParams, DetectorSetting,
                     omega_star)
 from .correlate import correlation_curve, two_photon_response
 from .errors import NumericError
-from .observables import (_require_finite, bell_s_chsh, bell_s_from_response,
-                          bell_s_shortcut, degree_from_response, degree_of_correlation)
+from .observables import (bell_s_chsh, bell_s_from_response, bell_s_shortcut,
+                          degree_from_response, degree_of_correlation)
 from .verify import run_all_checks, summarize
 
 # The model proper has gamma_u = 0; swept figures keep a small nonzero decay
@@ -526,7 +526,6 @@ def main(argv=None) -> int:
     if args.command == "degree":
         with _usage_errors(parser):
             params = _resolve_params(args)
-            _require_finite(args.theta)
             degree = degree_of_correlation(params, args.theta)
         print(f"C(theta={_fmt(args.theta)}) = {_fmt(degree.value)}")
         return 0
@@ -534,7 +533,6 @@ def main(argv=None) -> int:
     if args.command == "bell":
         with _usage_errors(parser):
             params = _resolve_params(args)
-            _require_finite(*(args.angles or ()))
             if args.angles is None:
                 result = bell_s_shortcut(params)
             else:

@@ -50,10 +50,9 @@ generator sector.  So, by the cone version of the M-matrix theorem
 (Schneider and Vidyasagar, SIAM J. Numer. Anal. 7 (1970) 508), every mode
 decays faster than the floor exactly when -(M + floor I) u = y has its
 solution u inside the cone for y the cone's unit, and one backward-stable
-solve decides: the explicit inverse of the 2x2 rate block, LAPACK for the
-others.  The closed form's only LAPACK call is thus the refusal of its
-driven 5x5 blocks.  The coherence average needs no refusal of its own: the
-slowest mode of a positive semigroup has a positive semidefinite
+stacked LAPACK solve decides for every block.  The closed form calls LAPACK
+for its refusals alone.  The coherence average needs no refusal of its
+own: the slowest mode of a positive semigroup has a positive semidefinite
 eigenvector, which has no coherence entries, so the coherence modes decay
 at least as fast as the slowest population mode.  The population slots
 enter the angular combinations by their real parts, so degrees, Bell
@@ -429,33 +428,17 @@ def _down_scale(top: np.ndarray) -> np.ndarray:
     return np.ldexp(1.0, np.minimum(_TOP_EXPONENT - np.frexp(top)[1], 0))
 
 
-def _solve2(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Positive multiples of the solutions x of a x = y for a stack of 2x2
-    blocks a, from the explicit inverse [[a11, -a01], [-a10, a00]] / det.
-
-    Each block is scaled by :func:`_down_scale` first, so its determinant
-    does not overflow; a singular block gives inf or nan entries.
-    """
-    f = a.reshape(len(a), 4)
-    a00, a01, a10, a11 = f.T * _down_scale(np.abs(f) @ np.ones(4))
-    x = np.array([a11 * y[0] - a01 * y[1], a00 * y[1] - a10 * y[0]])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (x / (a00 * a11 - a01 * a10)).T
-
-
 class _Cone(NamedTuple):
     """A proper cone that the semigroup of a block maps into itself, as an
-    interior point, an interior test of a stack of vectors and the solve
-    that the refusal runs with it."""
+    interior point and an interior test of a stack of vectors."""
 
     unit: np.ndarray
     contains: Callable[[np.ndarray], bool]
-    solve: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.linalg.solve
 
 
 # the undriven 2x2 rate block; the driven 5x5 population block; the
 # averaged generator sectors without and with the drive
-_RATE_CONE = _Cone(np.ones(2), _orthant, _solve2)
+_RATE_CONE = _Cone(np.ones(2), _orthant)
 _POPULATION_CONE = _Cone(np.array([1.0, 1.0, 1.0, 0.0, 0.0]),
                          _population_cone)
 _DENSITY_CONES = {n: _Cone(np.eye(n).ravel(), _density_cone) for n in (2, 3)}
@@ -471,15 +454,15 @@ def _refuse_divergent(blocks: np.ndarray, sector: str, cone: _Cone) -> None:
     has its solution u inside the cone for y inside it (Schneider and
     Vidyasagar, SIAM J. Numer. Anal. 7 (1970) 508): then u is the integral
     of e^{(M + floor I) tau} y.  So the stack is refused if that solve, with
-    y the cone's unit, is singular or leaves the cone for any block.  The
-    cones are the orthant for the undriven 2x2 rate block, whose solve is
-    its explicit inverse, R+ x PSD(2) for the driven 5x5 population block,
-    and PSD(2) or PSD(3) for the averaged 4x4 or 9x9 sector of the
-    generator, which LAPACK solves.
+    y the cone's unit, is singular or leaves the cone for any block; one
+    stacked LAPACK solve serves every block.  The cones are the orthant for
+    the undriven 2x2 rate block, R+ x PSD(2) for the driven 5x5 population
+    block, and PSD(2) or PSD(3) for the averaged 4x4 or 9x9 sector of the
+    generator.
     """
     shifted = blocks + _DECAY_FLOOR * np.eye(blocks.shape[-1])
     try:
-        inside = cone.contains(cone.solve(-shifted, cone.unit))
+        inside = cone.contains(np.linalg.solve(-shifted, cone.unit))
     except np.linalg.LinAlgError:
         inside = False
     if not inside:

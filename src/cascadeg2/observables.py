@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlate import _braces, two_photon_response
+from .correlate import _angle_weights, _braces, two_photon_response
 from .model import CascadeParams
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -64,8 +64,11 @@ def _check_degrees(values: np.ndarray) -> None:
 
 
 def _check_bell(values: np.ndarray) -> None:
-    outside = values[np.abs(values) > TSIRELSON_BOUND + 1e-6]
+    # a nan fails the comparison
+    outside = values[~(np.abs(values) <= TSIRELSON_BOUND + 1e-6)]
     if outside.size:
+        if not np.isfinite(outside[0]):
+            raise ValueError(f"S = {outside[0]} is not finite")
         raise ValueError(f"|S| = {abs(outside[0])} exceeds the Tsirelson bound")
 
 
@@ -75,6 +78,11 @@ def degree_from_response(response: np.ndarray, theta) -> np.ndarray:
     ``theta`` is an angle or an array of angles that broadcasts against the
     points; raises ValueError if any |C| exceeds 1.
     """
+    # C keeps its coincidence form.  Written out, C = (b c + d c^2 + e s^2)
+    # / (k + a c) with c, s = cos, sin 2 theta, k, d and e as in _chsh, a =
+    # P11 - P12 + P21 - P22 and b = P11 + P12 - P21 - P22; but k + a c
+    # cancels near an analyzer eigenbasis when one decay path dominates,
+    # while co + cross adds two nonnegative coincidences
     co = _braces(response, theta, theta)
     cross = _braces(response, theta, theta + math.pi / 2.0)
     values = (co - cross) / (co + cross)
@@ -112,14 +120,19 @@ def _require_finite(*angles: float) -> None:
 
 
 def _chsh(response: np.ndarray, alpha, beta) -> np.ndarray:
-    """E(alpha, beta) of each point; the angles may be arrays."""
-    half_pi = math.pi / 2.0
-    g_pp = _braces(response, alpha, beta)
-    g_po = _braces(response, alpha, beta + half_pi)
-    g_op = _braces(response, alpha + half_pi, beta)
-    g_oo = _braces(response, alpha + half_pi, beta + half_pi)
-    total = g_pp + g_po + g_op + g_oo
-    return (g_pp + g_oo - g_po - g_op) / total
+    """E(alpha, beta) of each point; the angles may be arrays.
+
+    In the four coincidences at (alpha, beta), (alpha, beta + pi/2),
+    (alpha + pi/2, beta) and (alpha + pi/2, beta + pi/2) a quarter turn
+    flips the signs of ci = cos 2 angle_i and si = sin 2 angle_i, so their
+    total is 4 k with k = P11 + P12 + P21 + P22, and E = (d c1 c2 + e s1 s2)
+    / k with d = P11 - P12 - P21 + P22 and e = 2 Re avg_w.
+    """
+    p11, p12, p21, p22 = np.real(response[:4])
+    c1, c2, s1, s2 = _angle_weights(alpha, beta)
+    d = p11 - p12 - p21 + p22
+    e = 2.0 * np.real(response[4])
+    return (d * c1 * c2 + e * s1 * s2) / (p11 + p12 + p21 + p22)
 
 
 def chsh_coefficient(params: CascadeParams, alpha: float, beta: float,

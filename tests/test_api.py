@@ -1,3 +1,6 @@
+import importlib
+import inspect
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -63,3 +66,38 @@ def test_readme_command_examples_are_found():
 def test_readme_command_example_runs(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 0
+
+
+# :func:`name`, :meth:`name` and :class:`name` in the package's docstrings
+_CROSS_REFERENCE = re.compile(r":(?:func|meth|class):`~?([\w.]+)`")
+
+
+def _resolves(module, target: str) -> bool:
+    """Whether ``target`` names an attribute of ``module``, an attribute of a
+    class defined there, or, as a dotted ``cascadeg2.`` path, anything."""
+    if target.startswith("cascadeg2."):
+        try:
+            pkgutil.resolve_name(target)
+        except (ImportError, AttributeError):
+            return False
+        return True
+    classes = [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+               if cls.__module__ == module.__name__]
+    return any(hasattr(owner, target) for owner in (module, *classes))
+
+
+def test_docstring_cross_references_resolve():
+    package = Path(cascadeg2.__file__).parent
+    stale, found = [], 0
+    for source in sorted(package.glob("*.py")):
+        name = "" if source.stem == "__init__" else f".{source.stem}"
+        module = importlib.import_module(f"cascadeg2{name}")
+        for target in _CROSS_REFERENCE.findall(source.read_text(encoding="utf-8")):
+            found += 1
+            if not _resolves(module, target):
+                stale.append(f"{source.name}: {target}")
+    assert found >= 20 and not stale
+    # names deleted from the code do not resolve
+    correlate = importlib.import_module("cascadeg2.correlate")
+    assert not _resolves(correlate, "_expm2")
+    assert not _resolves(correlate, "cascadeg2.correlate._sinhc")

@@ -20,7 +20,7 @@ from cascadeg2.correlate import (_DECAY_FLOOR, _DENSITY_CONES,
                                  _exp_entries, _population_generator,
                                  _population_propagators, _refuse_divergent)
 from cascadeg2.liouvillian import check_tau_grid
-from cascadeg2.observables import (STANDARD_CHSH_ANGLES, bell_s_chsh,
+from cascadeg2.observables import (STANDARD_CHSH_ANGLES, _chsh, bell_s_chsh,
                                    bell_s_shortcut)
 from cascadeg2.verify import _random_params
 
@@ -841,6 +841,25 @@ class TestBraces:
         assert np.array_equal(got, _complex_braces(response, theta1, theta2,
                                                    phase))
         assert got.dtype == np.float64
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_DOMAIN, _ANGLE, _ANGLE)
+    def test_chsh_is_its_four_coincidence_definition(self, params, alpha,
+                                                     beta):
+        # E = (g_pp + g_oo - g_po - g_op) / (g_pp + g_po + g_op + g_oo) at
+        # asymmetric rates and any angles, on both routes; |E| <= 1, so the
+        # bound is absolute
+        quarter = math.pi / 2.0
+        for method in ("analytic", "numeric"):
+            response = _response_or_refusal(params, method)
+            if response is None:
+                continue
+            g_pp = _braces(response, alpha, beta)
+            g_po = _braces(response, alpha, beta + quarter)
+            g_op = _braces(response, alpha + quarter, beta)
+            g_oo = _braces(response, alpha + quarter, beta + quarter)
+            want = (g_pp + g_oo - g_po - g_op) / (g_pp + g_po + g_op + g_oo)
+            assert np.abs(_chsh(response, alpha, beta) - want).max() <= 1e-14
 
     @settings(derandomize=True, deadline=None, max_examples=50)
     @given(_DOMAIN)

@@ -147,3 +147,8 @@ class TestBell:
     def test_bound_validated_on_construction(self):
         with pytest.raises(ValueError):
             BellResult(s=3.0, violated=True, settings=STANDARD_CHSH_ANGLES)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_s_refused_on_construction(self, s):
+        with pytest.raises(ValueError, match="not finite"):
+            BellResult(s=s, violated=False, settings=(0.0, 0.0, 0.0, 0.0))
