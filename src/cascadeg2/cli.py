@@ -5,8 +5,9 @@ notation, LF line endings, and a comment header carrying the tool version
 and the full parameter set of every curve.
 
 A figure or sweep is one array pass from plan to text.  Its plan holds
-every parameter point in one CascadeBatch: a Bell curve broadcasts its base
-point against the swept values, a degree curve is one point, since its
+every parameter point in one CascadeBatch, validated once: a figure fills
+one table curve by curve, a Bell curve with its base point broadcast
+against the swept values, a degree curve with one point, since its
 parameters do not change along the basis angle.  The batch gets one
 two-photon response (:func:`~cascadeg2.correlate.two_photon_response`,
 written out for all points at once), which a figure turns into a (label, swept
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .model import (PARAM_FIELDS, CascadeBatch, CascadeParams, DetectorSetting,
-                    omega_star)
+                    _field_values, omega_star)
 from .correlate import correlation_curve, two_photon_response
 from .errors import NumericError
 from .observables import (bell_s_chsh, bell_s_from_response, bell_s_shortcut,
@@ -158,9 +159,12 @@ class SweepResult:
             self.write_csv(fh)
 
 
+_PARAMS_TEMPLATE = " ".join(f"{name}=%.11e" for name in PARAM_FIELDS)
+
+
 def _params_summary(params: CascadeParams) -> str:
-    return " ".join(f"{name}={_fmt(getattr(params, name))}"
-                    for name in PARAM_FIELDS)
+    """Every field as name=value, formatted as by :func:`_fmt`."""
+    return _PARAMS_TEMPLATE % _field_values(params)
 
 
 def _key_value(text: str, where: str) -> tuple[str, float]:
@@ -331,8 +335,10 @@ def _figure_plan(fig_id: str, overrides: dict[str, float] | None) -> _Plan:
 
     metadata = _base_metadata(f"figure {fig_id}")
     metadata.append(("axis", axis))
-    parts = []
-    for label, params, *rest in curves:
+    # the points, curve by curve: one per curve, or one per swept value
+    table = np.empty((len(PARAM_FIELDS), len(curves),
+                      1 if swept is None else len(xs)))
+    for k, (label, params, *rest) in enumerate(curves):
         axes = rest[0](xs) if rest else {}
         clash = sorted(changes.keys() & axes.keys())
         if clash:
@@ -341,20 +347,18 @@ def _figure_plan(fig_id: str, overrides: dict[str, float] | None) -> _Plan:
         params = params.with_(**changes) if changes else params
         note = "" if swept is None else f" ({swept} swept)"
         metadata.append((f"curve {label}", _params_summary(params) + note))
-        parts.append(params if swept is None
-                      else CascadeBatch.broadcast(params, **axes))
+        table[:, k] = np.array(_field_values(params))[:, None]
+        for name, values in axes.items():
+            table[PARAM_FIELDS.index(name), k] = values
+    batch = CascadeBatch(table.reshape(len(PARAM_FIELDS), -1))
     labels = tuple(label for label, *_ in curves)
 
     if swept is None:
         def evaluate(response):
             return degree_from_response(response[:, :, None], theta=xs)
-
-        batch = CascadeBatch.stack(parts)
     else:
         def evaluate(response):
             return bell_s_from_response(response).reshape(len(labels), -1)
-
-        batch = CascadeBatch.concatenate(parts)
     return _Plan(metadata, xs, batch, evaluate, labels, width=1)
 
 

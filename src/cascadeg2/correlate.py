@@ -39,8 +39,9 @@ independent cross-check.  The closed form solves nothing for its averages.
 The averaged populations do not depend on the drive: u has no decay of its
 own, so with the drive on all that X2 sends to u comes back, and
 integrating dP1/dt and d(P2 + Pu)/dt over [0, inf) gives a 2x2 rate system
-whose inverse is written out.  The field acts through the coherence average
-alone, the X1X2 entry of -C^{-1}, also written out.  Every block of either
+whose inverse is written out as ratios of rates.  The field acts through
+the coherence average alone, the X1X2 entry of -C^{-1}, written out as
+1/z, where Im z is the Stark-shifted splitting.  Every block of either
 route is refused by one rule, ``_refuse_divergent``, with no eigenvalues:
 a stack of blocks M is refused with DivergentAverageError if a mode decays
 slower than the floor.  Each block generates a positive semigroup on a
@@ -72,7 +73,6 @@ cross-check, ``g2_numeric(..., method="ode")``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -380,19 +380,19 @@ def _orthant(x: np.ndarray) -> bool:
 def _population_cone(x: np.ndarray) -> bool:
     """Whether every vector of the stack x is inside R+ x PSD(2), in the real
     basis of :func:`_population_generator`: x0 > 0 and the {X2, u} block
-    [[x1, (x3 - i x4)/2], [(x3 + i x4)/2, x2]] positive definite.
+    [[x1, (x3 - i x4)/2], [(x3 + i x4)/2, x2]] positive definite, that is
+    x1 > 0 and hypot(x3, x4) < 2 sqrt(x1) sqrt(x2).
 
-    Each vector is scaled to a largest entry of 1 first, so no square
-    overflows.
+    No square of an entry is formed, so the test holds at any finite scale;
+    a stack with a non-finite entry is refused.
     """
-    # the largest entries column by column: a reduction along the short last
-    # axis costs several times more
-    scale = functools.reduce(np.maximum, np.abs(x).T)[:, None]
-    if not np.all(np.isfinite(scale) & (scale > 0)):
+    if not np.isfinite(x).all():
         return False
-    x0, x1, x2, x3, x4 = (x / scale).T
-    return bool(np.all((x0 > 0) & (x1 > 0)
-                       & (4.0 * x1 * x2 > x3 * x3 + x4 * x4)))
+    x0, x1, x2, x3, x4 = x.T
+    # a negative x1 or x2 has no root, and its nan fails the comparison
+    with np.errstate(invalid="ignore"):
+        return bool(np.all((x0 > 0) & (x1 > 0) & (
+            np.hypot(x3, x4) < 2.0 * np.sqrt(x1) * np.sqrt(x2))))
 
 
 def _density_cone(x: np.ndarray) -> bool:
@@ -409,23 +409,6 @@ def _density_cone(x: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-# A point whose entries sum to 2^_TOP_EXPONENT or more in magnitude is
-# scaled down before products of its entries are formed, so that no product
-# of two entries, nor a sum of a few, overflows.
-_TOP_EXPONENT = 500
-
-
-def _down_scale(top: np.ndarray) -> np.ndarray:
-    """The power of two 2^-k, k >= 0, that brings each entry of ``top``, a
-    sum of magnitudes per point, below 2^500; 1 where it is below already.
-
-    Multiplying by a power of two is exact, so whatever is homogeneous in the
-    scaled entries keeps every bit, and a point whose entries sum to less
-    than about 3e150 is not scaled at all.
-    """
-    return np.ldexp(1.0, np.minimum(_TOP_EXPONENT - np.frexp(top)[1], 0))
 
 
 class _Cone(NamedTuple):
@@ -496,13 +479,15 @@ def _closed_form_response(params: CascadeBatch) -> np.ndarray:
     alone: u has no decay of its own, so what X2 sends to u comes back when
     driven, and integrating dP1/dt and d(P2 + Pu)/dt over [0, inf) gives the
     2x2 rate system with X2 leaving at x2_out = gamma4 (driven) or gamma4 +
-    gamma_u (undriven).  Its inverse is (P11, P12, P21, P22) = (a2,
-    gamma12, gamma21, a1) / D with a1 = gamma3 + gamma21, a2 = x2_out +
-    gamma12 and D = gamma3 a2 + gamma21 x2_out, a sum of products of
-    nonnegative rates that cannot cancel and is positive wherever the
-    refusal answers.  The field acts through avg_w alone, the X1X2 entry of
-    -c^{-1}.  Rates and coherence blocks are scaled by :func:`_down_scale`
-    before either determinant is formed.
+    gamma_u (undriven).  With a1 = gamma3 + gamma21 and a2 = x2_out +
+    gamma12, its inverse is P11 = 1/(gamma3 + gamma21 (x2_out/a2)), P22 =
+    1/(a2 (gamma3/a1) + x2_out (gamma21/a1)), P12 = (gamma12/a2) P11 and
+    P21 = (gamma21/a1) P22: ratios of rates at most 1 over sums of
+    nonnegative terms, so no product of two rates overflows and nothing
+    cancels.  The field acts through avg_w alone, the X1X2 entry of -c^{-1}
+    for the coherence block c: 1/z with z = a/2 + i delta_fs + rabi^2 /
+    (a1/2 + i (delta_fs + detuning)), a = a1 + gamma4 + gamma_u + gamma12.
+    Im z is the Stark-shifted splitting, Re z - a/2 the width the drive adds.
     """
     m = _population_generator(params)
     driven = params.rabi != 0.0
@@ -513,17 +498,14 @@ def _closed_form_response(params: CascadeBatch) -> np.ndarray:
     p = params
     x2_out = np.where(driven, p.gamma4, p.gamma4 + p.gamma_u)
     a1, a2 = p.gamma3 + p.gamma21, x2_out + p.gamma12
-    c = _coherence_generator(params)
-    scale, c_scale = _down_scale(np.array([
-        a1 + a2, np.abs(c.view(float)).reshape(len(c), 8) @ np.ones(8)]))
-    # the numerators and D, scaled by scale and scale^2
-    num = np.array([a2, p.gamma12, p.gamma21, a1]) * scale
-    d = (p.gamma3 * scale) * num[0] + num[2] * (x2_out * scale)
+    p11 = 1.0 / (p.gamma3 + p.gamma21 * (x2_out / a2))
+    p22 = 1.0 / (a2 * (p.gamma3 / a1) + x2_out * (p.gamma21 / a1))
     # the coherence modes decay at least as fast as the slowest population
     # mode, so avg_w needs no refusal of its own
-    c = c * c_scale[:, None, None]
-    det = c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]
-    return np.array([*(num / d * scale), -c[:, 1, 1] / det * c_scale])
+    z = (0.5 * (a1 + (p.gamma4 + p.gamma_u + p.gamma12)) + 1j * p.delta_fs
+         + p.rabi * (p.rabi / (0.5 * a1 + 1j * (p.delta_fs + p.detuning))))
+    return np.array([p11, p.gamma12 / a2 * p11, p.gamma21 / a1 * p22, p22,
+                     1.0 / z])
 
 
 # The averaged sector: both indices in these levels, X1 and X2 leading.

@@ -113,10 +113,10 @@ class CascadeBatch:
     array of shape (n,).
 
     Build a batch by broadcasting a base point against axis arrays
-    (:meth:`broadcast`), by stacking points (:meth:`stack`) or by joining
-    batches (:meth:`concatenate`).  It is validated once, on construction,
-    by the rule of CascadeParams, and read-only after.  ``table`` holds the
-    fields as rows, in the order of PARAM_FIELDS.
+    (:meth:`broadcast`), by stacking points (:meth:`stack`) or from a table
+    of the fields as rows, in the order of PARAM_FIELDS, one column per
+    point.  It is validated once, on construction, by the rule of
+    CascadeParams, and read-only after; ``table`` holds that table.
     """
 
     __slots__ = ("table",)
@@ -153,11 +153,6 @@ class CascadeBatch:
         return cls(np.array([_field_values(p) for p in points],
                             dtype=float).reshape(-1, len(PARAM_FIELDS)).T)
 
-    @classmethod
-    def concatenate(cls, batches) -> "CascadeBatch":
-        """One batch holding the points of each batch in turn."""
-        return cls(np.concatenate([b.table for b in batches], axis=1))
-
     def __len__(self) -> int:
         return self.table.shape[1]
 
@@ -193,9 +188,13 @@ def omega_star(delta_fs: float | np.ndarray,
 
     Solves Omega_minus = sqrt(detuning^2 + 4 Omega^2)/2 - detuning/2 =
     delta_fs, the lower sideband of the driven X2-u pair, giving
-    Omega* = sqrt(delta_fs^2 + delta_fs * detuning).  Element-wise on
-    arrays; scalars give a float.  Raises ValueError on a non-finite input
-    or when no real drive amplitude exists.
+    Omega* = sqrt(delta_fs^2 + delta_fs * detuning).  The sideband leaves
+    out the decay width, so the shift holds only up to it: the splitting
+    Im z of :func:`~cascadeg2.correlate._closed_form_response` vanishes at
+    rabi^2 = delta_fs ((a1/2)^2 + y^2) / y, a1 = gamma3 + gamma21, y =
+    delta_fs + detuning.  Element-wise on arrays; scalars give a float.
+    Raises ValueError on a non-finite input or when no real drive amplitude
+    exists.
     """
     delta_fs = np.asarray(delta_fs, dtype=float)
     detuning = np.asarray(detuning, dtype=float)

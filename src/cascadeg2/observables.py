@@ -10,8 +10,9 @@ population averages and one coherence average
 (:func:`~cascadeg2.correlate.two_photon_response`).  Each observable computes
 that response once and evaluates all its analyzer pairs on it.
 ``degree_from_response`` and ``bell_s_from_response`` evaluate a stacked
-response of many points, and arrays of angles, at once; sweeps use them to
-evaluate a whole axis in a few array operations.
+response of many points, and arrays of angles, at once, with one
+coincidence call on the stacked analyzer pairs; sweeps use them to evaluate
+a whole axis in a few array operations.
 """
 
 from __future__ import annotations
@@ -82,21 +83,30 @@ def degree_from_response(response: np.ndarray, theta) -> np.ndarray:
     # / (k + a c) with c, s = cos, sin 2 theta, k, d and e as in _chsh, a =
     # P11 - P12 + P21 - P22 and b = P11 + P12 - P21 - P22; but k + a c
     # cancels near an analyzer eigenbasis when one decay path dominates,
-    # while co + cross adds two nonnegative coincidences
-    co = _braces(response, theta, theta)
-    cross = _braces(response, theta, theta + math.pi / 2.0)
+    # while co + cross adds two nonnegative coincidences.  One _braces call
+    # on the pairs (theta, theta) and (theta, theta + pi/2), stacked along a
+    # new leading axis (theta first padded to the slots' rank), gives both,
+    # bit for bit as a call per pair
+    theta = np.reshape(theta, (1,) * (np.ndim(response) - 1 - np.ndim(theta))
+                       + np.shape(theta))
+    co, cross = _braces(response, np.array([theta, theta]),
+                        np.array([theta, theta + math.pi / 2.0]))
     values = (co - cross) / (co + cross)
     _check_degrees(values)
     return values
 
 
+# the basis angles of C_H and C_D, against a (5, n) response
+_BELL_BASES = np.array([[0.0], [math.pi / 4.0]])
+
+
 def bell_s_from_response(response: np.ndarray) -> np.ndarray:
     """Shortcut S = sqrt(2)(C_H + C_D) of each point of a two-photon response.
 
-    Raises ValueError if any |S| exceeds the Tsirelson bound.
+    Raises ValueError if any |C| exceeds 1 or any |S| the Tsirelson bound.
     """
-    s = math.sqrt(2.0) * (degree_from_response(response, 0.0)
-                          + degree_from_response(response, math.pi / 4.0))
+    c_h, c_d = degree_from_response(response, _BELL_BASES)
+    s = math.sqrt(2.0) * (c_h + c_d)
     _check_bell(s)
     return s
 

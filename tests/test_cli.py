@@ -16,9 +16,9 @@ from cascadeg2 import (CascadeBatch, CascadeParams, DetectorSetting,
                        bell_s_from_response, bell_s_shortcut,
                        degree_from_response, degree_of_correlation, g2_analytic,
                        omega_star, two_photon_response)
-from cascadeg2.cli import (FIGURE_IDS, RunConfig, SweepResult, _figure_plan,
-                           _parse_overrides, load_config, main, run_figure,
-                           run_sweep)
+from cascadeg2.cli import (FIGURE_IDS, RunConfig, SweepResult, _figure_curves,
+                           _figure_plan, _parse_overrides, load_config, main,
+                           run_figure, run_sweep)
 from cascadeg2.liouvillian import build_generator
 from cascadeg2.verify import (check_oracle_equivalence, check_w_phase,
                               run_all_checks, summarize)
@@ -322,6 +322,19 @@ class TestFigures:
             expected += [(float(x), label, float(v))
                          for x, v in zip(plan.xs, values)]
         assert run_figure(fig_id).rows == tuple(expected)
+
+    @pytest.mark.parametrize("fig_id", ["5", "6"])
+    def test_bell_figure_batch_is_its_curves_broadcast(self, fig_id):
+        # the one table of a Bell figure holds, curve by curve, the points
+        # of the curve's base point broadcast against its swept fields
+        plan = _figure_plan(fig_id, {"steps": 11, "gamma3": 1.5})
+        _, curves = _figure_curves(fig_id)
+        n = len(plan.xs)
+        for k, (label, base, axes) in enumerate(curves):
+            curve = CascadeBatch.broadcast(base.with_(gamma3=1.5),
+                                           **axes(plan.xs))
+            assert np.array_equal(plan.batch.table[:, k * n:(k + 1) * n],
+                                  curve.table)
 
     @pytest.mark.parametrize("fig_id", FIGURE_IDS)
     def test_routes_agree_on_the_figure_batch(self, fig_id):

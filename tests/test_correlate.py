@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -17,11 +18,13 @@ from cascadeg2.correlate import (_DECAY_FLOOR, _DENSITY_CONES,
                                  _POPULATION_CONE, _RATE_CONE, _average_sector,
                                  _braces, _coherence_generator,
                                  _conditioned_state, _detection_projector,
-                                 _exp_entries, _population_generator,
+                                 _exp_entries, _population_cone,
+                                 _population_generator,
                                  _population_propagators, _refuse_divergent)
 from cascadeg2.liouvillian import check_tau_grid
 from cascadeg2.observables import (STANDARD_CHSH_ANGLES, _chsh, bell_s_chsh,
-                                   bell_s_shortcut)
+                                   bell_s_from_response, bell_s_shortcut,
+                                   degree_from_response)
 from cascadeg2.verify import _random_params
 
 UP, X1, X2, U, G = Level.TWO_X, Level.X1, Level.X2, Level.U, Level.G
@@ -823,6 +826,24 @@ def _complex_braces(response, theta1, theta2, phase):
 _ANGLE = st.floats(-2.0 * math.pi, 2.0 * math.pi)
 
 
+def _degree_per_pair(response, theta):
+    """C(theta) from a _braces call per analyzer pair, as the fused
+    degree_from_response was first written."""
+    co = _braces(response, theta, theta)
+    cross = _braces(response, theta, theta + math.pi / 2.0)
+    return (co - cross) / (co + cross)
+
+
+def _assert_degrees_equal(response, theta, want):
+    """degree_from_response gives ``want`` bit for bit, or refuses it as
+    outside [-1, 1]."""
+    if np.all(np.abs(want) <= 1.0 + 1e-9):
+        assert np.array_equal(degree_from_response(response, theta), want)
+    else:
+        with pytest.raises(ValueError, match="outside"):
+            degree_from_response(response, theta)
+
+
 class TestBraces:
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(_DOMAIN, _ANGLE, _ANGLE, _ANGLE,
@@ -860,6 +881,32 @@ class TestBraces:
             g_oo = _braces(response, alpha + quarter, beta + quarter)
             want = (g_pp + g_oo - g_po - g_op) / (g_pp + g_po + g_op + g_oo)
             assert np.abs(_chsh(response, alpha, beta) - want).max() <= 1e-14
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.lists(_DOMAIN, min_size=1, max_size=5), _ANGLE)
+    def test_fused_observables_equal_a_braces_call_per_pair(self, points,
+                                                            theta):
+        # one _braces call on the stacked analyzer pairs gives, bit for
+        # bit, the C and S of a call per pair: a scalar angle on the points,
+        # the figures' (5, c, 1) response on 91 angles, and each point as a
+        # one-point batch
+        grid = np.linspace(0.0, math.pi / 2.0, 91)
+        for method in ("analytic", "numeric"):
+            try:
+                response = two_photon_response(points, method)
+            except DivergentAverageError:
+                continue
+            cases = [(response, theta), (response[:, :, None], grid),
+                     *((response[:, k:k + 1], theta)
+                       for k in range(len(points)))]
+            for slots, angle in cases:
+                _assert_degrees_equal(slots, angle,
+                                      _degree_per_pair(slots, angle))
+            c_h = _degree_per_pair(response, 0.0)
+            c_d = _degree_per_pair(response, math.pi / 4.0)
+            want = math.sqrt(2.0) * (c_h + c_d)
+            if np.all(np.abs([c_h, c_d]) <= 1.0 + 1e-9):
+                assert np.array_equal(bell_s_from_response(response), want)
 
     @settings(derandomize=True, deadline=None, max_examples=50)
     @given(_DOMAIN)
@@ -916,6 +963,78 @@ def _near_floor_points(seed, n, driven):
         gamma12=rng.choice([0.0, rng.uniform(0.0, 1e3)]),
         gamma21=rng.choice([0.0, rng.uniform(0.0, 1e-12)]),
         rabi=rng.uniform(0.1, 35.0) if driven else 0.0) for _ in range(n)]
+
+
+def _scaled_quadratic_form(x):
+    """The population-cone test as first written: each vector scaled to a
+    largest entry of 1, then x0 > 0, x1 > 0 and 4 x1 x2 > x3^2 + x4^2."""
+    scale = np.max(np.abs(x), axis=-1, keepdims=True)
+    if not np.all(np.isfinite(scale) & (scale > 0)):
+        return False
+    x0, x1, x2, x3, x4 = (x / scale).T
+    return bool(np.all((x0 > 0) & (x1 > 0)
+                       & (4.0 * x1 * x2 > x3 * x3 + x4 * x4)))
+
+
+def _exact_margin(x):
+    """4 x1 x2 - x3^2 - x4^2 in exact rationals, over their sum of
+    magnitudes."""
+    x1, x2, x3, x4 = map(Fraction, x[1:].tolist())
+    return (4 * x1 * x2 - x3 * x3 - x4 * x4) / (4 * abs(x1 * x2)
+                                                + x3 * x3 + x4 * x4)
+
+
+_SIGNED_MANTISSA = st.one_of(st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3))
+# a vector near the cone's boundary: off-diagonal of t times 2 sqrt(x1 x2)
+_POPULATION_VECTOR = st.builds(
+    lambda x0, x1, x2, t, phi: np.array([x0, x1, x2,
+                                         t * 2.0 * math.sqrt(abs(x1 * x2))
+                                         * math.cos(phi),
+                                         t * 2.0 * math.sqrt(abs(x1 * x2))
+                                         * math.sin(phi)]),
+    _SIGNED_MANTISSA, _SIGNED_MANTISSA, _SIGNED_MANTISSA,
+    st.floats(0.0, 2.0), st.floats(-math.pi, math.pi))
+
+
+class TestPopulationCone:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(_POPULATION_VECTOR, min_size=1, max_size=4),
+           st.integers(-300, 300))
+    def test_agrees_with_the_scaled_quadratic_form(self, vectors, exponent):
+        # entries from about 1e-303 to 1e303, within 1e6 of each other in
+        # a vector, so that the scaled squares stay exact enough; vectors
+        # within round-off of the boundary may be decided either way
+        x = np.array(vectors) * 10.0 ** exponent
+        if any(abs(_exact_margin(v)) < 1e-9 for v in x):
+            return
+        assert _population_cone(x) == _scaled_quadratic_form(x)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.floats(-300.0, 300.0), min_size=5, max_size=5),
+           st.lists(st.booleans(), min_size=5, max_size=5))
+    def test_exact_at_any_scale(self, exponents, negative):
+        # independent entries from 1e-300 to 1e300, where the scaled squares
+        # underflow: the test is the exact one off the boundary
+        x = np.where(negative, -1.0, 1.0) * 10.0 ** np.array(exponents)
+        margin = _exact_margin(x)
+        if abs(margin) < 1e-9:
+            return
+        assert _population_cone(x[None]) == bool(x[0] > 0 and x[1] > 0
+                                                 and margin > 0)
+
+    @pytest.mark.parametrize("entry, value", [
+        (0, np.inf), (1, np.inf), (2, np.inf), (3, -np.inf), (0, np.nan),
+        (1, np.nan), (2, np.nan), (4, np.nan), (1, 0.0), (2, -1.0),
+        (2, -1e-300), (1, -1.0), (0, 0.0)])
+    def test_refuses_non_finite_and_boundary_vectors(self, entry, value):
+        inside = np.array([[1.0, 2.0, 3.0, 0.5, -0.5], [1e-300, 1e300, 1.0,
+                                                        1e100, 1e100]])
+        assert _population_cone(inside)
+        bad = inside[0].copy()
+        bad[entry] = value
+        # alone, and in a stack whose other vectors are inside
+        assert not _population_cone(bad[None])
+        assert not _population_cone(np.vstack([inside, bad]))
 
 
 class TestRefusalRule:

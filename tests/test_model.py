@@ -131,13 +131,13 @@ class TestCascadeBatch:
         assert np.array_equal(batch.rabi, [1, 1, 1, 2, 2, 2])
         assert np.array_equal(batch.detuning, [3, 4, 5, 3, 4, 5])
 
-    def test_stack_and_concatenate_keep_the_points(self):
+    def test_stack_and_table_keep_the_points(self):
         points = [CascadeParams(rabi=float(k), detuning=-k) for k in range(4)]
         batch = CascadeBatch.stack(points)
         assert np.array_equal(batch.table.T, [_row(p) for p in points])
-        joined = CascadeBatch.concatenate([CascadeBatch.stack(points[:1]),
-                                           CascadeBatch.stack(points[1:])])
-        assert np.array_equal(joined.table, batch.table)
+        # a table of the fields as rows, one column per point
+        table = np.array([_row(p) for p in points]).T
+        assert np.array_equal(CascadeBatch(table).table, batch.table)
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="gama_u"):
