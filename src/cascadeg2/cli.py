@@ -5,16 +5,19 @@ notation, LF line endings, and a comment header carrying the tool version
 and the full parameter set of every curve.
 
 A figure or sweep is one array pass from plan to text.  Its plan holds
-every parameter point in one CascadeBatch, validated once: a figure fills
-one table curve by curve, a Bell curve with its base point broadcast
-against the swept values, a degree curve with one point, since its
-parameters do not change along the basis angle.  The batch gets one
-two-photon response (:func:`~cascadeg2.correlate.two_photon_response`,
-written out for all points at once), which a figure turns into a (label, swept
-value) table of C or S with one observable call, a sweep with one call per
-requested observable.  A :class:`SweepResult` keeps that table as columns:
-the CSV formats each swept value once and every value by one format
-operation, and ``rows`` derives the row tuples from the columns.
+every parameter point in one CascadeBatch, validated once.  The seven
+figures are one table of data, ``_FIGURES``: per curve a label, the fields
+it fixes and the fields its swept value sets.  A figure's plan fills one
+array of points from it, per Bell curve one point per swept value, per
+degree curve one point, since its parameters do not change along the basis
+angle, and formats every curve's header line with one format operation.
+The batch gets one two-photon response
+(:func:`~cascadeg2.correlate.two_photon_response`, written out for all
+points at once), which a figure turns into a (label, swept value) table of
+C or S with one observable call, a sweep with one call per requested
+observable.  A :class:`SweepResult` keeps that table as columns: the CSV
+formats each swept value once and every value by one format operation,
+and ``rows`` derives the row tuples from the columns.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .model import (PARAM_FIELDS, CascadeBatch, CascadeParams, DetectorSetting,
-                    _field_values, omega_star)
+from .model import (_FIELD_ROWS, PARAM_FIELDS, CascadeBatch, CascadeParams,
+                    DetectorSetting, _field_values, omega_star)
 from .correlate import correlation_curve, two_photon_response
 from .errors import NumericError
 from .observables import (bell_s_chsh, bell_s_from_response, bell_s_shortcut,
@@ -214,70 +217,55 @@ def _layered_params(*layers: dict[str, float]) -> dict[str, float]:
     return values
 
 
-def _figure_curves(fig_id: str):
-    """Parameter sets for the predefined figure sweeps.
+def _detuned(delta_fs: float, factor: float = 5.0) -> dict[str, float]:
+    """The fixed fields of a detuned curve: the drive condition rabi =
+    omega_star(delta_fs, detuning), the detuning in the 5 x delta_fs regime
+    of the split-doublet sweep (10 x for the delta_fs = 10 panel)."""
+    detuning = factor * delta_fs
+    return {"delta_fs": delta_fs, "detuning": detuning,
+            "rabi": omega_star(delta_fs, detuning)}
 
-    The drive condition of the detuned curves is rabi = omega_star(delta_fs,
-    detuning); detunings follow the 5 x delta_fs regime of the split-doublet
-    sweep (10 x for the delta_fs = 10 panel).
-    """
-    base = CascadeParams(gamma_u=CLI_DEFAULT_GAMMA_U)
 
-    def detuned(dfs: float, factor: float = 5.0) -> CascadeParams:
-        delta = factor * dfs
-        return base.with_(delta_fs=dfs, detuning=delta,
-                          rabi=omega_star(dfs, delta))
-
-    if fig_id == "3a":
-        return "degree", [(f"C[dfs{v:g}_no_field]", base.with_(delta_fs=v))
-                          for v in (0.0, 1.0, 5.0, 10.0)]
-    if fig_id == "3b":
-        return "degree", [
-            ("C[dfs5_no_field]", base.with_(delta_fs=5.0)),
-            ("C[dfs5_resonant]", base.with_(delta_fs=5.0, rabi=5.0)),
-            ("C[dfs5_detuned]", detuned(5.0)),
-        ]
-    if fig_id == "3c":
-        return "degree", [
-            ("C[dfs10_no_field]", base.with_(delta_fs=10.0)),
-            ("C[dfs10_resonant]", base.with_(delta_fs=10.0, rabi=10.0)),
-            ("C[dfs10_detuned]", detuned(10.0, factor=10.0)),
-        ]
-    if fig_id == "4a":
-        dephased = base.with_(gamma12=1.0, gamma21=1.0)
-        return "degree", [
-            (f"C[dfs0_gd1_rabi{v:g}]", dephased.with_(rabi=v))
-            for v in (0.0, 1.0, 3.0)
-        ]
-    if fig_id == "4b":
-        dephased = base.with_(delta_fs=5.0, gamma12=1.0, gamma21=1.0)
-        return "degree", [
-            ("C[dfs5_gd1_no_field]", dephased),
-            ("C[dfs5_gd1_resonant]", dephased.with_(rabi=5.0)),
-            ("C[dfs5_gd1_detuned]",
-             dephased.with_(detuning=25.0, rabi=omega_star(5.0, 25.0))),
-        ]
-    # Bell curves also say which fields the swept values x set.
-    if fig_id == "5":
-        return "bell_vs_delta_fs", [
-            ("S[no_field]", base, lambda x: {"delta_fs": x}),
-            ("S[resonant]", base, lambda x: {"delta_fs": x, "rabi": x}),
-            ("S[detuned]", base,
-             lambda x: {"delta_fs": x, "detuning": 5.0 * x,
-                        "rabi": omega_star(x, 5.0 * x)}),
-        ]
-    if fig_id == "6":
-        def dephased(x):
-            return {"gamma12": x, "gamma21": x}
-
-        return "bell_vs_gamma_d", [
-            ("S[dfs0_no_field]", base, dephased),
-            ("S[dfs5_no_field]", base.with_(delta_fs=5.0), dephased),
-            ("S[dfs5_detuned]",
-             base.with_(delta_fs=5.0, detuning=25.0, rabi=omega_star(5.0, 25.0)),
-             dephased),
-        ]
-    raise ValueError(f"unknown figure id {fig_id!r}; expected one of {FIGURE_IDS}")
+_DEPHASED = {"gamma12": 1.0, "gamma21": 1.0}
+_GAMMA_D_SWEPT = {"gamma12": 1.0, "gamma21": 1.0}
+# The seven figures as data: figure id -> (kind, curves), the kind naming
+# its _FIGURE_AXES entry.  A curve is (label, fixed fields, swept fields) on
+# the point CascadeParams(gamma_u=CLI_DEFAULT_GAMMA_U).  A swept field is
+# x times a factor, x the swept value, or omega_star: rabi =
+# omega_star(delta_fs, detuning) of the curve's swept values.
+_FIGURES = {
+    "3a": ("degree", [(f"C[dfs{v:g}_no_field]", {"delta_fs": v}, {})
+                      for v in (0.0, 1.0, 5.0, 10.0)]),
+    "3b": ("degree", [
+        ("C[dfs5_no_field]", {"delta_fs": 5.0}, {}),
+        ("C[dfs5_resonant]", {"delta_fs": 5.0, "rabi": 5.0}, {}),
+        ("C[dfs5_detuned]", _detuned(5.0), {}),
+    ]),
+    "3c": ("degree", [
+        ("C[dfs10_no_field]", {"delta_fs": 10.0}, {}),
+        ("C[dfs10_resonant]", {"delta_fs": 10.0, "rabi": 10.0}, {}),
+        ("C[dfs10_detuned]", _detuned(10.0, factor=10.0), {}),
+    ]),
+    "4a": ("degree", [(f"C[dfs0_gd1_rabi{v:g}]", {**_DEPHASED, "rabi": v}, {})
+                      for v in (0.0, 1.0, 3.0)]),
+    "4b": ("degree", [
+        ("C[dfs5_gd1_no_field]", {**_DEPHASED, "delta_fs": 5.0}, {}),
+        ("C[dfs5_gd1_resonant]", {**_DEPHASED, "delta_fs": 5.0, "rabi": 5.0}, {}),
+        ("C[dfs5_gd1_detuned]", {**_DEPHASED, **_detuned(5.0)}, {}),
+    ]),
+    "5": ("bell_vs_delta_fs", [
+        ("S[no_field]", {}, {"delta_fs": 1.0}),
+        ("S[resonant]", {}, {"delta_fs": 1.0, "rabi": 1.0}),
+        ("S[detuned]", {}, {"delta_fs": 1.0, "detuning": 5.0, "rabi": omega_star}),
+    ]),
+    "6": ("bell_vs_gamma_d", [
+        ("S[dfs0_no_field]", {}, _GAMMA_D_SWEPT),
+        ("S[dfs5_no_field]", {"delta_fs": 5.0}, _GAMMA_D_SWEPT),
+        ("S[dfs5_detuned]", _detuned(5.0), _GAMMA_D_SWEPT),
+    ]),
+}
+# the point every figure curve starts from, one value per field
+_FIGURE_POINT = np.array(_field_values(CascadeParams(gamma_u=CLI_DEFAULT_GAMMA_U)))
 
 
 # Figure kind -> (start, stop, default steps, axis header, swept parameter).
@@ -319,39 +307,56 @@ class _Plan(NamedTuple):
 def _figure_plan(fig_id: str, overrides: dict[str, float] | None) -> _Plan:
     """The plan of one predefined sweep, a block of one label per curve.
 
-    Bad input (an unknown figure or override, a bad step count or
-    parameter) raises ValueError here, before anything is evaluated.  An
-    override of a field that a curve sweeps is refused, as the sweep would
-    overwrite it.
+    One (fields, curves, points) table holds every point: the figure's
+    default point, each curve's fixed fields, the overrides, then the swept
+    rows.  A curve's header line is its point before the swept rows.  Bad
+    input (an unknown figure or override, a bad step count or parameter)
+    raises ValueError here, before anything is evaluated.  An override of
+    a field that a curve sweeps is refused, as the sweep would overwrite it.
     """
     overrides = dict(overrides or {})
     steps = _steps_override(overrides)
     _check_param_keys(overrides, "override")
     changes = _layered_params(overrides)
-    kind, curves = _figure_curves(fig_id)
+    if fig_id not in _FIGURES:
+        raise ValueError(f"unknown figure id {fig_id!r}; expected one of {FIGURE_IDS}")
+    kind, curves = _FIGURES[fig_id]
+    labels = tuple(label for label, *_ in curves)
     start, stop, default_steps, axis, swept = _FIGURE_AXES[kind]
     xs = RunConfig(start=start, stop=stop,
                    steps=default_steps if steps is None else steps).grid()
-
-    metadata = _base_metadata(f"figure {fig_id}")
-    metadata.append(("axis", axis))
-    # the points, curve by curve: one per curve, or one per swept value
-    table = np.empty((len(PARAM_FIELDS), len(curves),
-                      1 if swept is None else len(xs)))
-    for k, (label, params, *rest) in enumerate(curves):
-        axes = rest[0](xs) if rest else {}
-        clash = sorted(changes.keys() & axes.keys())
+    for label, _, sweeps in curves:
+        clash = sorted(changes.keys() & sweeps.keys())
         if clash:
             raise ValueError(f"curve {label} sweeps {', '.join(clash)}, "
                              "which an override cannot set")
-        params = params.with_(**changes) if changes else params
-        note = "" if swept is None else f" ({swept} swept)"
-        metadata.append((f"curve {label}", _params_summary(params) + note))
-        table[:, k] = np.array(_field_values(params))[:, None]
-        for name, values in axes.items():
-            table[PARAM_FIELDS.index(name), k] = values
+
+    table = np.empty((len(PARAM_FIELDS), len(curves),
+                      1 if swept is None else len(xs)))
+    points = table[:, :, 0]
+    points[:] = _FIGURE_POINT[:, None]
+    for k, (_, fixed, _) in enumerate(curves):
+        for name, value in fixed.items():
+            points[_FIELD_ROWS[name], k] = value
+    for name, value in changes.items():
+        points[_FIELD_ROWS[name]] = value
+    note = "" if swept is None else f" ({swept} swept)"
+    summaries = (f"{_PARAMS_TEMPLATE}{note}\n" * len(curves)
+                 % tuple(points.T.ravel().tolist())).splitlines()
+    metadata = _base_metadata(f"figure {fig_id}")
+    metadata.append(("axis", axis))
+    metadata += ((f"curve {label}", summary)
+                 for label, summary in zip(labels, summaries))
+    if swept is not None:
+        table[:] = points[:, :, None]
+        for k, (_, _, sweeps) in enumerate(curves):
+            rows = table[:, k]
+            for name, factor in sweeps.items():
+                rows[_FIELD_ROWS[name]] = (
+                    omega_star(rows[_FIELD_ROWS["delta_fs"]],
+                               rows[_FIELD_ROWS["detuning"]])
+                    if factor is omega_star else factor * xs)
     batch = CascadeBatch(table.reshape(len(PARAM_FIELDS), -1))
-    labels = tuple(label for label, *_ in curves)
 
     if swept is None:
         def evaluate(response):
@@ -508,9 +513,9 @@ def _build_parser() -> argparse.ArgumentParser:
 @contextlib.contextmanager
 def _usage_errors(parser: argparse.ArgumentParser):
     """Report bad input (an override, config file, parameter or option value,
-    a parameter point whose time average diverges, or one whose propagation
-    overflows) as a one-line usage error with exit status 2, as argparse
-    does for bad flags."""
+    an output path that cannot be written, a parameter point whose time
+    average diverges, or one whose propagation overflows) as a one-line
+    usage error with exit status 2, as argparse does for bad flags."""
     try:
         yield
     except (ValueError, OSError, NumericError) as exc:
@@ -524,7 +529,7 @@ def main(argv=None) -> int:
     if args.command == "figure":
         with _usage_errors(parser):
             result = run_figure(args.fig_id, _parse_overrides(args.override))
-        _write_result(result, args.out or f"figure_{args.fig_id}.csv")
+            _write_result(result, args.out or f"figure_{args.fig_id}.csv")
         return 0
 
     if args.command == "degree":
@@ -553,15 +558,16 @@ def main(argv=None) -> int:
             det2 = DetectorSetting(args.theta2, args.phi2)
             curve = correlation_curve(params, det1, det2, taus,
                                       method=args.method)
-        metadata = _base_metadata("correlate")
-        metadata.append(("params", _params_summary(params)))
-        metadata.append(("angles", f"theta1={_fmt(args.theta1)} "
-                                   f"theta2={_fmt(args.theta2)} "
-                                   f"phi1={_fmt(args.phi1)} "
-                                   f"phi2={_fmt(args.phi2)}"))
-        _write_result(SweepResult(metadata=tuple(metadata), xs=curve.tau_grid,
-                                  labels=(f"g2[{args.method}]",),
-                                  values=curve.values[None, :]), args.out)
+            metadata = _base_metadata("correlate")
+            metadata.append(("params", _params_summary(params)))
+            metadata.append(("angles", f"theta1={_fmt(args.theta1)} "
+                                       f"theta2={_fmt(args.theta2)} "
+                                       f"phi1={_fmt(args.phi1)} "
+                                       f"phi2={_fmt(args.phi2)}"))
+            _write_result(SweepResult(metadata=tuple(metadata),
+                                      xs=curve.tau_grid,
+                                      labels=(f"g2[{args.method}]",),
+                                      values=curve.values[None, :]), args.out)
         return 0
 
     if args.command == "sweep":
@@ -570,7 +576,7 @@ def main(argv=None) -> int:
             config = RunConfig(start=args.start, stop=args.stop, steps=args.steps)
             result = run_sweep(_resolve_params(args), args.axis, config,
                                observables)
-        _write_result(result, args.out)
+            _write_result(result, args.out)
         return 0
 
     if args.command == "verify":
@@ -584,7 +590,8 @@ def main(argv=None) -> int:
             report = {"version": __version__, "tol": args.tol,
                       "passed": ok,
                       "checks": [dataclasses.asdict(r) for r in results]}
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            with _usage_errors(parser), open(args.out, "w", encoding="utf-8",
+                                             newline="\n") as fh:
                 json.dump(report, fh, indent=2)
                 fh.write("\n")
         return 0 if ok else 1

@@ -168,7 +168,8 @@ def _coherence_generator(params) -> np.ndarray:
     alpha1 = p.gamma3 + p.gamma21
     alpha2 = p.gamma4 + p.gamma_u + p.gamma12
     m = np.zeros(np.shape(alpha1) + (2, 2), dtype=complex)
-    m[..., 0, 0] = -(0.5 * (alpha1 + alpha2) + 1j * p.delta_fs)
+    # halved before the sum, which rates near the float maximum would overflow
+    m[..., 0, 0] = -(0.5 * alpha1 + 0.5 * alpha2 + 1j * p.delta_fs)
     m[..., 1, 1] = -(0.5 * alpha1 + 1j * (p.delta_fs + p.detuning))
     m[..., 0, 1] = m[..., 1, 0] = -1j * p.rabi
     return m
@@ -501,8 +502,9 @@ def _closed_form_response(params: CascadeBatch) -> np.ndarray:
     p11 = 1.0 / (p.gamma3 + p.gamma21 * (x2_out / a2))
     p22 = 1.0 / (a2 * (p.gamma3 / a1) + x2_out * (p.gamma21 / a1))
     # the coherence modes decay at least as fast as the slowest population
-    # mode, so avg_w needs no refusal of its own
-    z = (0.5 * (a1 + (p.gamma4 + p.gamma_u + p.gamma12)) + 1j * p.delta_fs
+    # mode, so avg_w needs no refusal of its own; the rates are halved
+    # before the sum, which rates near the float maximum would overflow
+    z = (0.5 * a1 + 0.5 * (p.gamma4 + p.gamma_u + p.gamma12) + 1j * p.delta_fs
          + p.rabi * (p.rabi / (0.5 * a1 + 1j * (p.delta_fs + p.detuning))))
     return np.array([p11, p.gamma12 / a2 * p11, p.gamma21 / a1 * p22, p22,
                      1.0 / z])

@@ -182,11 +182,13 @@ def build_generator(params: CascadeParams | CascadeBatch) -> np.ndarray:
     # the population rho_kk sits at vec index k (N_LEVELS + 1)
     for name, upper, lower in _JUMPS:
         m[..., lower * (N_LEVELS + 1), upper * (N_LEVELS + 1)] = getattr(p, name)
-    # rho_ij rotates at -(E_i - E_j) and decays at (out_i + out_j) / 2; each
+    # rho_ij rotates at -(E_i - E_j) and decays at out_i/2 + out_j/2, halved
+    # before the sum, which rates near the float maximum would overflow; each
     # outer difference's [j, i] entry ravels to 5j + i, the vec index of rho_ij
+    half = 0.5 * out
     flat[..., ::DIM + 1] = (
         1j * (energy[..., :, None] - energy[..., None, :])
-        - 0.5 * (out[..., :, None] + out[..., None, :])).reshape(lead + (DIM,))
+        - (half[..., :, None] + half[..., None, :])).reshape(lead + (DIM,))
     return m
 
 

@@ -16,15 +16,65 @@ from cascadeg2 import (CascadeBatch, CascadeParams, DetectorSetting,
                        bell_s_from_response, bell_s_shortcut,
                        degree_from_response, degree_of_correlation, g2_analytic,
                        omega_star, two_photon_response)
-from cascadeg2.cli import (FIGURE_IDS, RunConfig, SweepResult, _figure_curves,
-                           _figure_plan, _parse_overrides, load_config, main,
-                           run_figure, run_sweep)
+from cascadeg2.cli import (FIGURE_IDS, RunConfig, SweepResult, _figure_plan,
+                           _parse_overrides, load_config, main, run_figure,
+                           run_sweep)
 from cascadeg2.liouvillian import build_generator
+from cascadeg2.model import PARAM_FIELDS
 from cascadeg2.verify import (check_oracle_equivalence, check_w_phase,
                               run_all_checks, summarize)
 
 DATA = Path(__file__).resolve().parent / "data"
 _CORRELATE = ["correlate", "--tau-max", "10", "--tau-steps", "300"]
+
+_BASE = CascadeParams(gamma_u=0.01)
+_DEPHASED = _BASE.with_(gamma12=1.0, gamma21=1.0)
+
+
+def _dephasing(x):
+    return {"gamma12": x, "gamma21": x}
+
+
+# The seven figures, stated apart from cli: a degree curve is one point, a
+# Bell curve a base point and the fields that the swept value x sets.
+_FIGURES = {
+    "3a": {f"C[dfs{v:g}_no_field]": _BASE.with_(delta_fs=v)
+           for v in (0.0, 1.0, 5.0, 10.0)},
+    "3b": {
+        "C[dfs5_no_field]": _BASE.with_(delta_fs=5.0),
+        "C[dfs5_resonant]": _BASE.with_(delta_fs=5.0, rabi=5.0),
+        "C[dfs5_detuned]": _BASE.with_(delta_fs=5.0, detuning=25.0,
+                                       rabi=omega_star(5.0, 25.0)),
+    },
+    "3c": {
+        "C[dfs10_no_field]": _BASE.with_(delta_fs=10.0),
+        "C[dfs10_resonant]": _BASE.with_(delta_fs=10.0, rabi=10.0),
+        "C[dfs10_detuned]": _BASE.with_(delta_fs=10.0, detuning=100.0,
+                                        rabi=omega_star(10.0, 100.0)),
+    },
+    "4a": {f"C[dfs0_gd1_rabi{v:g}]": _DEPHASED.with_(rabi=v)
+           for v in (0.0, 1.0, 3.0)},
+    "4b": {
+        "C[dfs5_gd1_no_field]": _DEPHASED.with_(delta_fs=5.0),
+        "C[dfs5_gd1_resonant]": _DEPHASED.with_(delta_fs=5.0, rabi=5.0),
+        "C[dfs5_gd1_detuned]": _DEPHASED.with_(delta_fs=5.0, detuning=25.0,
+                                               rabi=omega_star(5.0, 25.0)),
+    },
+    "5": {
+        "S[no_field]": (_BASE, lambda x: {"delta_fs": x}),
+        "S[resonant]": (_BASE, lambda x: {"delta_fs": x, "rabi": x}),
+        "S[detuned]": (_BASE, lambda x: {"delta_fs": x, "detuning": 5.0 * x,
+                                         "rabi": omega_star(x, 5.0 * x)}),
+    },
+    "6": {
+        "S[dfs0_no_field]": (_BASE, _dephasing),
+        "S[dfs5_no_field]": (_BASE.with_(delta_fs=5.0), _dephasing),
+        "S[dfs5_detuned]": (_BASE.with_(delta_fs=5.0, detuning=25.0,
+                                        rabi=omega_star(5.0, 25.0)), _dephasing),
+    },
+}
+# the swept parameter of each Bell figure
+_SWEPT = {"5": "delta_fs", "6": "gamma_d"}
 
 
 class TestRunConfig:
@@ -235,43 +285,15 @@ class TestFigures:
     @pytest.mark.parametrize("fig_id", FIGURE_IDS)
     def test_batched_rows_match_scalar_calls(self, fig_id):
         # each row of a batched sweep equals the one-point library call
-        base = CascadeParams(gamma_u=0.01)
-        points = {
-            "S[no_field]": lambda x: base.with_(delta_fs=x),
-            "S[resonant]": lambda x: base.with_(delta_fs=x, rabi=x),
-            "S[detuned]": lambda x: base.with_(delta_fs=x, detuning=5.0 * x,
-                                               rabi=omega_star(x, 5.0 * x)),
-            "S[dfs0_no_field]": lambda x: base.with_(gamma12=x, gamma21=x),
-            "S[dfs5_no_field]": lambda x: base.with_(
-                delta_fs=5.0, gamma12=x, gamma21=x),
-            "S[dfs5_detuned]": lambda x: base.with_(
-                delta_fs=5.0, detuning=25.0, rabi=omega_star(5.0, 25.0),
-                gamma12=x, gamma21=x),
-        }
-        dephased = base.with_(gamma12=1.0, gamma21=1.0)
-        curves = {
-            **{f"C[dfs{v:g}_no_field]": base.with_(delta_fs=v)
-               for v in (0.0, 1.0, 5.0, 10.0)},
-            "C[dfs5_resonant]": base.with_(delta_fs=5.0, rabi=5.0),
-            "C[dfs5_detuned]": base.with_(delta_fs=5.0, detuning=25.0,
-                                          rabi=omega_star(5.0, 25.0)),
-            "C[dfs10_resonant]": base.with_(delta_fs=10.0, rabi=10.0),
-            "C[dfs10_detuned]": base.with_(delta_fs=10.0, detuning=100.0,
-                                           rabi=omega_star(10.0, 100.0)),
-            **{f"C[dfs0_gd1_rabi{v:g}]": dephased.with_(rabi=v)
-               for v in (0.0, 1.0, 3.0)},
-            "C[dfs5_gd1_no_field]": dephased.with_(delta_fs=5.0),
-            "C[dfs5_gd1_resonant]": dephased.with_(delta_fs=5.0, rabi=5.0),
-            "C[dfs5_gd1_detuned]": dephased.with_(
-                delta_fs=5.0, detuning=25.0, rabi=omega_star(5.0, 25.0)),
-        }
+        curves = _FIGURES[fig_id]
         rows = run_figure(fig_id, {"steps": 11}).rows
-        assert len(rows) == 11 * (4 if fig_id == "3a" else 3)
+        assert len(rows) == 11 * len(curves)
         for x, label, value in rows:
-            if label in curves:
-                expected = degree_of_correlation(curves[label], x).value
+            if fig_id in _SWEPT:
+                base, axes = curves[label]
+                expected = bell_s_shortcut(base.with_(**axes(x))).s
             else:
-                expected = bell_s_shortcut(points[label](x)).s
+                expected = degree_of_correlation(curves[label], x).value
             assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("argv, golden", [
@@ -323,18 +345,37 @@ class TestFigures:
                          for x, v in zip(plan.xs, values)]
         assert run_figure(fig_id).rows == tuple(expected)
 
-    @pytest.mark.parametrize("fig_id", ["5", "6"])
-    def test_bell_figure_batch_is_its_curves_broadcast(self, fig_id):
-        # the one table of a Bell figure holds, curve by curve, the points
-        # of the curve's base point broadcast against its swept fields
-        plan = _figure_plan(fig_id, {"steps": 11, "gamma3": 1.5})
-        _, curves = _figure_curves(fig_id)
-        n = len(plan.xs)
-        for k, (label, base, axes) in enumerate(curves):
-            curve = CascadeBatch.broadcast(base.with_(gamma3=1.5),
-                                           **axes(plan.xs))
+    @pytest.mark.parametrize("fig_id, overrides", [
+        *(pytest.param(fig_id, {}, id=f"{fig_id}-default")
+          for fig_id in FIGURE_IDS),
+        *(pytest.param(fig_id, {"steps": 11, "gamma3": 1.5},
+                       id=f"{fig_id}-steps11-gamma3") for fig_id in FIGURE_IDS),
+        # an override outranks a curve's own values, and a detuned curve
+        # keeps the rabi = omega_star of its own delta_fs and detuning
+        *(pytest.param(fig_id, {"detuning": 30.0}, id=f"{fig_id}-detuning30")
+          for fig_id in ("3b", "3c", "4b")),
+    ])
+    def test_figure_plan_matches_independent_reference(self, fig_id, overrides):
+        # the one table of a figure holds, curve by curve, the curve's point
+        # with the overrides, broadcast against its swept fields; the curve's
+        # header line is that point before the sweep
+        plan = _figure_plan(fig_id, overrides)
+        changes = {k: v for k, v in overrides.items() if k != "steps"}
+        curves = _FIGURES[fig_id]
+        assert plan.labels == tuple(curves)
+        swept = _SWEPT.get(fig_id)
+        n = len(plan.xs) if swept else 1
+        note = f" ({swept} swept)" if swept else ""
+        header = dict(plan.metadata)
+        for k, (label, curve) in enumerate(curves.items()):
+            base, axes = curve if swept else (curve, lambda x: {})
+            point = base.with_(**changes)
+            expected = CascadeBatch.broadcast(point, **axes(plan.xs))
             assert np.array_equal(plan.batch.table[:, k * n:(k + 1) * n],
-                                  curve.table)
+                                  expected.table)
+            assert header[f"curve {label}"] == " ".join(
+                f"{name}={getattr(point, name):.11e}" for name in PARAM_FIELDS
+            ) + note
 
     @pytest.mark.parametrize("fig_id", FIGURE_IDS)
     def test_routes_agree_on_the_figure_batch(self, fig_id):
@@ -560,6 +601,23 @@ class TestCommands:
         assert captured.err.splitlines()[-1].startswith(
             "cascadeg2: error: time average diverges: ")
         assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "3a", "--override", "steps=3"],
+        ["correlate", "--tau-max", "1", "--tau-steps", "3"],
+        ["sweep", "--axis", "rabi", "--start", "0", "--stop", "1", "--steps", "2"],
+        ["verify", "--quick"],
+    ], ids=["figure", "correlate", "sweep", "verify"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "out.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("cascadeg2: error: ")
+        assert str(out) in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_command_to_stdout(self, capsys):
         assert main(["sweep", "--axis", "delta_fs", "--start", "0",

@@ -719,13 +719,28 @@ class TestTwoPhotonResponse:
                 assert (_relative_to_point_scale(got[:4], _rate_system_slots(point))
                         <= max(1e-12, np.finfo(float).eps * cond))
 
-    @pytest.mark.parametrize("rate", [1e200, 1e300])
-    @pytest.mark.parametrize("rabi", [0.0, 1.0], ids=["undriven", "driven"])
-    def test_routes_agree_at_huge_rates(self, rate, rabi):
+    @pytest.mark.parametrize("params, refused", [
         # products of two such rates overflow unless the blocks are scaled
-        params = CascadeParams(gamma4=rate, gamma21=rate, rabi=rabi * rate)
+        *(pytest.param(CascadeParams(gamma4=rate, gamma21=rate, rabi=rabi * rate),
+                       False, id=f"{name}-{rate:g}")
+          for rate in (1e200, 1e300)
+          for name, rabi in (("undriven", 0.0), ("driven", 1.0))),
+        # near the float maximum so do sums of two of them unless each is
+        # halved first; a unit drive leaves u a mode decaying at about
+        # 1 / rate, slower than the floor, so both routes refuse it
+        *(pytest.param(CascadeParams(gamma4=rate, gamma21=rate, gamma12=rate,
+                                     rabi=rabi), rabi > 0.0, id=f"{name}-{rate:g}")
+          for rate in (5e307, 8e307)
+          for name, rabi in (("undriven", 0.0), ("driven", 1.0))),
+    ])
+    def test_routes_agree_at_huge_rates(self, params, refused):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            if refused:
+                for method in ("analytic", "numeric"):
+                    with pytest.raises(DivergentAverageError):
+                        two_photon_response([params], method)
+                return
             analytic = two_photon_response([params])
             numeric = two_photon_response([params], method="numeric")
             degrees = [degree_of_correlation(params, 0.3, method).value
