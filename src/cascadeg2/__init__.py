@@ -15,19 +15,16 @@ from .liouvillian import (build_generator, evolve, evolve_grid, unvectorize,
 from .correlate import (CorrelationCurve, correlation_curve, g2_analytic,
                         g2_avg_analytic, g2_avg_numeric, g2_numeric,
                         g2_numeric_grid, two_photon_response)
-from .observables import (STANDARD_CHSH_ANGLES, TSIRELSON_BOUND, BellResult,
-                          CorrelationDegree, bell_s_chsh, bell_s_from_response,
-                          bell_s_shortcut, chsh_coefficient,
-                          degree_from_response, degree_of_correlation)
+from .observables import (STANDARD_CHSH_ANGLES, TSIRELSON_BOUND,
+                          bell_s_chsh_from_response, bell_s_from_response,
+                          chsh_from_response, degree_from_response)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BellResult",
     "CascadeBatch",
     "CascadeParams",
     "CorrelationCurve",
-    "CorrelationDegree",
     "DetectorSetting",
     "DivergentAverageError",
     "Level",
@@ -35,14 +32,12 @@ __all__ = [
     "NumericError",
     "STANDARD_CHSH_ANGLES",
     "TSIRELSON_BOUND",
-    "bell_s_chsh",
+    "bell_s_chsh_from_response",
     "bell_s_from_response",
-    "bell_s_shortcut",
     "build_generator",
-    "chsh_coefficient",
+    "chsh_from_response",
     "correlation_curve",
     "degree_from_response",
-    "degree_of_correlation",
     "evolve",
     "evolve_grid",
     "g2_analytic",

@@ -17,7 +17,8 @@ points at once), which a figure turns into a (label, swept value) table of
 C or S with one observable call, a sweep with one call per requested
 observable.  A :class:`SweepResult` keeps that table as columns: the CSV
 formats each swept value once and every value by one format operation,
-and ``rows`` derives the row tuples from the columns.
+and ``rows`` derives the row tuples from the columns.  The ``degree`` and
+``bell`` commands evaluate the observables on a one-point response.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .model import (_FIELD_ROWS, PARAM_FIELDS, CascadeBatch, CascadeParams,
                     DetectorSetting, _field_values, omega_star)
 from .correlate import correlation_curve, two_photon_response
 from .errors import NumericError
-from .observables import (bell_s_chsh, bell_s_from_response, bell_s_shortcut,
-                          degree_from_response, degree_of_correlation)
+from .observables import (bell_s_chsh_from_response, bell_s_from_response,
+                          degree_from_response)
 from .verify import run_all_checks, summarize
 
 # The model proper has gamma_u = 0; swept figures keep a small nonzero decay
@@ -534,19 +535,19 @@ def main(argv=None) -> int:
 
     if args.command == "degree":
         with _usage_errors(parser):
-            params = _resolve_params(args)
-            degree = degree_of_correlation(params, args.theta)
-        print(f"C(theta={_fmt(args.theta)}) = {_fmt(degree.value)}")
+            response = two_photon_response([_resolve_params(args)])
+            (degree,) = degree_from_response(response, args.theta)
+        print(f"C(theta={_fmt(args.theta)}) = {_fmt(degree)}")
         return 0
 
     if args.command == "bell":
         with _usage_errors(parser):
-            params = _resolve_params(args)
+            response = two_photon_response([_resolve_params(args)])
             if args.angles is None:
-                result = bell_s_shortcut(params)
+                (s,) = bell_s_from_response(response)
             else:
-                result = bell_s_chsh(params, *args.angles)
-        print(f"S = {_fmt(result.s)}  violated = {result.violated}")
+                (s,) = bell_s_chsh_from_response(response, *args.angles)
+        print(f"S = {_fmt(s)}  violated = {s > 2.0}")
         return 0
 
     if args.command == "correlate":

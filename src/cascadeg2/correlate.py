@@ -58,7 +58,9 @@ eigenvector, which has no coherence entries, so the coherence modes decay
 at least as fast as the slowest population mode.  The population slots
 enter the angular combinations by their real parts, so degrees, Bell
 parameters and G(tau) are real arithmetic.
-``g2_avg_analytic`` and ``g2_avg_numeric`` are one-point calls of it.
+``g2_avg_analytic`` and ``g2_avg_numeric`` are one-point calls of it; they
+stay beside the batch surface of :mod:`cascadeg2.observables` because the
+benchmark calls them.
 On a delay grid the averaged sector of the generator and the driven
 population block are propagated exactly by ``propagate_steps``: a uniform
 grid of n delays is filled by doubling, ceil(log2 n) products of the
@@ -502,12 +504,15 @@ def _closed_form_response(params: CascadeBatch) -> np.ndarray:
     p11 = 1.0 / (p.gamma3 + p.gamma21 * (x2_out / a2))
     p22 = 1.0 / (a2 * (p.gamma3 / a1) + x2_out * (p.gamma21 / a1))
     # the coherence modes decay at least as fast as the slowest population
-    # mode, so avg_w needs no refusal of its own; the rates are halved
-    # before the sum, which rates near the float maximum would overflow
-    z = (0.5 * a1 + 0.5 * (p.gamma4 + p.gamma_u + p.gamma12) + 1j * p.delta_fs
-         + p.rabi * (p.rabi / (0.5 * a1 + 1j * (p.delta_fs + p.detuning))))
+    # mode, so avg_w needs no refusal of its own.  It is 0.5 / (z/2): every
+    # term of z is halved before the sum, which rates and drives near the
+    # float maximum would overflow, and exactly, so avg_w keeps the bits of
+    # 1/z
+    half_z = (0.25 * a1 + 0.25 * (p.gamma4 + p.gamma_u + p.gamma12)
+              + 0.5j * p.delta_fs
+              + p.rabi * (0.5 * p.rabi / (0.5 * a1 + 1j * (p.delta_fs + p.detuning))))
     return np.array([p11, p.gamma12 / a2 * p11, p.gamma21 / a1 * p22, p22,
-                     1.0 / z])
+                     0.5 / half_z])
 
 
 # The averaged sector: both indices in these levels, X1 and X2 leading.

@@ -14,14 +14,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .correlate import (g2_analytic, g2_avg_analytic, g2_avg_numeric,
-                        g2_numeric_grid, _conditioned_state)
+from .correlate import (_braces, _conditioned_state, g2_analytic,
+                        g2_numeric_grid, two_photon_response)
 from .liouvillian import (build_generator, evolve, evolve_grid, unvectorize,
                           vectorize)
 from .model import CascadeParams, DetectorSetting, Level
-from .observables import (STANDARD_CHSH_ANGLES, TSIRELSON_BOUND, bell_s_chsh,
-                          bell_s_shortcut, chsh_coefficient,
-                          degree_of_correlation)
+from .observables import (STANDARD_CHSH_ANGLES, TSIRELSON_BOUND,
+                          bell_s_chsh_from_response, bell_s_from_response,
+                          chsh_from_response, degree_from_response)
 
 # builds the (25, 25) generator of one parameter point
 GeneratorBuilder = Callable[[CascadeParams], np.ndarray]
@@ -249,14 +249,14 @@ def check_oracle_equivalence(builder: GeneratorBuilder = build_generator,
 def check_average_cross_oracle(n_sets: int = 10, tol: float = 1e-6,
                                seed: int = 31) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    points, angles = [], []
     for idx in range(n_sets):
-        params = _random_params(rng, idx)
-        det1 = DetectorSetting(rng.uniform(0, np.pi))
-        det2 = DetectorSetting(rng.uniform(0, np.pi))
-        ana = g2_avg_analytic(params, det1, det2)
-        num = g2_avg_numeric(params, det1, det2)
-        worst = max(worst, abs(num - ana) / max(1e-30, abs(ana)))
+        points.append(_random_params(rng, idx))
+        angles.append(rng.uniform(0, np.pi, size=2))
+    theta1, theta2 = np.transpose(angles)
+    ana = _braces(two_photon_response(points), theta1, theta2)
+    num = _braces(two_photon_response(points, "numeric"), theta1, theta2)
+    worst = float(np.max(np.abs(num - ana) / np.maximum(1e-30, np.abs(ana))))
     return _result("average_cross_oracle", worst <= tol,
                    f"max relative deviation {worst:.2e} over {n_sets} sets")
 
@@ -265,18 +265,15 @@ def check_structural_identity(tol: float = 1e-9) -> CheckResult:
     """Averaged coincidences fit 1 + C_H c1 c2 + C_D s1 s2 exactly."""
     params = CascadeParams(delta_fs=3.7, rabi=8.0, detuning=14.0,
                            gamma12=0.35, gamma21=0.35)
+    response = two_photon_response([params])
     thetas = np.linspace(0.0, np.pi, 10, endpoint=False)
-    rows, rhs = [], []
-    for th1 in thetas:
-        for th2 in thetas:
-            rows.append([1.0, np.cos(2 * th1) * np.cos(2 * th2),
-                         np.sin(2 * th1) * np.sin(2 * th2)])
-            rhs.append(g2_avg_analytic(params, DetectorSetting(th1),
-                                       DetectorSetting(th2)))
-    coeffs, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(rhs), rcond=None)
-    residual = np.max(np.abs(np.asarray(rows) @ coeffs - rhs)) / coeffs[0]
-    c_h = degree_of_correlation(params, 0.0).value
-    c_d = degree_of_correlation(params, np.pi / 4.0).value
+    th1, th2 = np.repeat(thetas, 10), np.tile(thetas, 10)
+    rows = np.column_stack([np.ones_like(th1), np.cos(2 * th1) * np.cos(2 * th2),
+                            np.sin(2 * th1) * np.sin(2 * th2)])
+    rhs = _braces(response, th1, th2)
+    coeffs, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+    residual = np.max(np.abs(rows @ coeffs - rhs)) / coeffs[0]
+    c_h, c_d = degree_from_response(response, np.array([0.0, np.pi / 4.0]))
     coeff_dev = max(abs(coeffs[1] / coeffs[0] - c_h),
                     abs(coeffs[2] / coeffs[0] - c_d))
     ok = residual <= tol and coeff_dev <= tol
@@ -287,24 +284,24 @@ def check_structural_identity(tol: float = 1e-9) -> CheckResult:
 
 def check_bell_bridge(tol: float = 1e-9) -> CheckResult:
     rng = np.random.default_rng(14)
-    worst_bridge = 0.0
-    worst_e = 0.0
+    points, angles = [], []
     for _ in range(5):
         gd = rng.uniform(0, 1.5)
-        params = CascadeParams(delta_fs=rng.uniform(0, 8),
-                               rabi=rng.uniform(0, 20),
-                               detuning=rng.uniform(0, 60),
-                               gamma12=gd, gamma21=gd)
-        shortcut = bell_s_shortcut(params).s
-        chsh = bell_s_chsh(params, *STANDARD_CHSH_ANGLES).s
-        worst_bridge = max(worst_bridge, abs(shortcut - chsh))
-        c_h = degree_of_correlation(params, 0.0).value
-        c_d = degree_of_correlation(params, np.pi / 4.0).value
-        alpha, beta = rng.uniform(0, np.pi, size=2)
-        e_val = chsh_coefficient(params, alpha, beta)
-        e_pred = (c_h * np.cos(2 * alpha) * np.cos(2 * beta)
-                  + c_d * np.sin(2 * alpha) * np.sin(2 * beta))
-        worst_e = max(worst_e, abs(e_val - e_pred))
+        points.append(CascadeParams(delta_fs=rng.uniform(0, 8),
+                                    rabi=rng.uniform(0, 20),
+                                    detuning=rng.uniform(0, 60),
+                                    gamma12=gd, gamma21=gd))
+        angles.append(rng.uniform(0, np.pi, size=2))
+    alpha, beta = np.transpose(angles)
+    response = two_photon_response(points)
+    shortcut = bell_s_from_response(response)
+    chsh = bell_s_chsh_from_response(response, *STANDARD_CHSH_ANGLES)
+    worst_bridge = float(np.max(np.abs(shortcut - chsh)))
+    c_h, c_d = degree_from_response(response, np.array([[0.0], [np.pi / 4.0]]))
+    e_val = chsh_from_response(response, alpha, beta)
+    e_pred = (c_h * np.cos(2 * alpha) * np.cos(2 * beta)
+              + c_d * np.sin(2 * alpha) * np.sin(2 * beta))
+    worst_e = float(np.max(np.abs(e_val - e_pred)))
     ok = worst_bridge <= tol and worst_e <= tol
     return _result("bell_bridge", ok,
                    f"shortcut vs CHSH deviation {worst_bridge:.2e}, "
@@ -313,10 +310,8 @@ def check_bell_bridge(tol: float = 1e-9) -> CheckResult:
 
 def check_tsirelson(tol: float = 1e-6) -> CheckResult:
     rng = np.random.default_rng(15)
-    worst = 0.0
-    for idx in range(10):
-        params = _random_params(rng, idx)
-        worst = max(worst, abs(bell_s_shortcut(params).s))
+    points = [_random_params(rng, idx) for idx in range(10)]
+    worst = float(np.max(np.abs(bell_s_from_response(two_photon_response(points)))))
     return _result("tsirelson_bound", worst <= TSIRELSON_BOUND + tol,
                    f"max |S| {worst:.6f} vs bound {TSIRELSON_BOUND:.6f}")
 

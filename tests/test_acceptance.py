@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from cascadeg2 import (CascadeParams, DetectorSetting, bell_s_chsh,
-                       bell_s_shortcut, degree_of_correlation, g2_analytic,
-                       g2_avg_analytic, g2_numeric_grid, omega_star,
+from cascadeg2 import (CascadeParams, DetectorSetting,
+                       bell_s_chsh_from_response, bell_s_from_response,
+                       degree_from_response, g2_analytic, g2_avg_analytic,
+                       g2_numeric_grid, omega_star, two_photon_response,
                        STANDARD_CHSH_ANGLES)
 from cascadeg2.verify import (check_generator_restriction,
                               check_hermiticity_preservation,
@@ -25,6 +26,16 @@ ROOT2 = math.sqrt(2.0)
 
 def _announce(num: int, message: str) -> None:
     print(f"ACCEPTANCE {num:2d} PASS: {message}")
+
+
+def _degree(points, theta):
+    """C(theta) of each point."""
+    return degree_from_response(two_photon_response(points), theta)
+
+
+def _bell(points):
+    """The shortcut S of each point."""
+    return bell_s_from_response(two_photon_response(points))
 
 
 def test_criterion_01_oracle_equivalence():
@@ -53,21 +64,20 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_ideal_entanglement():
     ideal = CascadeParams()
-    for theta in np.linspace(0.0, np.pi / 2.0, 19):
-        assert degree_of_correlation(ideal, float(theta)).value == pytest.approx(
-            1.0, abs=1e-9)
-    s = bell_s_shortcut(ideal).s
+    values = _degree([ideal], np.linspace(0.0, np.pi / 2.0, 19))
+    assert values == pytest.approx(np.ones(19), abs=1e-9)
+    (s,) = _bell([ideal])
     assert s == pytest.approx(2.0 * ROOT2, abs=1e-6)
     _announce(2, f"ideal cascade: C(theta) = 1 within 1e-9 and "
                  f"S = {s:.8f} = 2*sqrt(2) within 1e-6")
 
 
 def test_criterion_03_splitting_degradation_law():
-    for delta_fs in (0.0, 1.0, 2.0, 5.0, 10.0):
-        value = degree_of_correlation(CascadeParams(delta_fs=delta_fs),
-                                      math.pi / 4.0).value
-        assert value == pytest.approx(1.0 / (1.0 + delta_fs ** 2), abs=1e-8)
-    c5 = degree_of_correlation(CascadeParams(delta_fs=5.0), math.pi / 4.0).value
+    delta_fs = np.array([0.0, 1.0, 2.0, 5.0, 10.0])
+    values = _degree([CascadeParams(delta_fs=d) for d in delta_fs],
+                     math.pi / 4.0)
+    assert values == pytest.approx(1.0 / (1.0 + delta_fs ** 2), abs=1e-8)
+    (c5,) = _degree([CascadeParams(delta_fs=5.0)], math.pi / 4.0)
     assert c5 == pytest.approx(1.0 / 26.0, abs=1e-8)
     _announce(3, "C_D = gamma^2/(gamma^2 + delta_fs^2) within 1e-8 for "
                  "delta_fs in {0, 1, 2, 5, 10}; C_D(5) = 1/26")
@@ -75,7 +85,7 @@ def test_criterion_03_splitting_degradation_law():
 
 def test_criterion_04_bell_crossing():
     crossing = brentq(
-        lambda d: bell_s_shortcut(CascadeParams(delta_fs=d)).s - 2.0,
+        lambda d: _bell([CascadeParams(delta_fs=d)])[0] - 2.0,
         0.8, 1.6, xtol=1e-10)
     expected = math.sqrt((2.0 - ROOT2) / (ROOT2 - 1.0))  # = 2**(1/4)
     assert crossing == pytest.approx(expected, abs=1e-3)
@@ -85,7 +95,7 @@ def test_criterion_04_bell_crossing():
 
 
 def test_criterion_05_large_splitting_plateau():
-    s = bell_s_shortcut(CascadeParams(delta_fs=10.0)).s
+    (s,) = _bell([CascadeParams(delta_fs=10.0)])
     derived = ROOT2 * (1.0 + 1.0 / 101.0)
     assert s == pytest.approx(derived, abs=1e-6)
     assert abs(s - 1.5) <= 0.1  # published plateau, figure-reading tolerance
@@ -99,11 +109,10 @@ DETUNED_CD = 0.9230951254141031
 
 
 def test_criterion_06_field_revival():
-    resonant = degree_of_correlation(
-        CascadeParams(delta_fs=5.0, rabi=5.0), math.pi / 4.0).value
-    detuned = degree_of_correlation(
-        CascadeParams(delta_fs=5.0, detuning=25.0, rabi=omega_star(5.0, 25.0)),
-        math.pi / 4.0).value
+    resonant, detuned = _degree(
+        [CascadeParams(delta_fs=5.0, rabi=5.0),
+         CascadeParams(delta_fs=5.0, detuning=25.0, rabi=omega_star(5.0, 25.0))],
+        math.pi / 4.0)
     assert 0.65 <= resonant <= 0.90
     assert detuned >= 0.90
     assert resonant == pytest.approx(RESONANT_CD, abs=1e-12)
@@ -114,13 +123,13 @@ def test_criterion_06_field_revival():
 
 def test_criterion_07_dephasing_compensation():
     dephased = CascadeParams(gamma12=1.0, gamma21=1.0)
-    c_h = degree_of_correlation(dephased, 0.0).value
+    (c_h,) = _degree([dephased], 0.0)
     assert c_h == pytest.approx(1.0 / 3.0, abs=1e-8)
     thetas = np.linspace(0.0, np.pi / 2.0, 31)
 
     def spread(params):
-        values = [degree_of_correlation(params, float(t)).value for t in thetas]
-        return max(values) - min(values)
+        values = _degree([params], thetas)
+        return values.max() - values.min()
 
     off = spread(dephased)
     on = spread(dephased.with_(rabi=1.0))
@@ -131,15 +140,10 @@ def test_criterion_07_dephasing_compensation():
 
 def test_criterion_08_bell_revival():
     grid = np.concatenate(([0.01], np.linspace(0.5, 10.0, 20)))
-    detuned_values = []
-    resonant_values = []
-    for delta_fs in grid:
-        delta = 5.0 * delta_fs
-        detuned = CascadeParams(delta_fs=delta_fs, detuning=delta,
-                                rabi=omega_star(delta_fs, delta))
-        detuned_values.append(bell_s_shortcut(detuned).s)
-        resonant = CascadeParams(delta_fs=delta_fs, rabi=delta_fs)
-        resonant_values.append(bell_s_shortcut(resonant).s)
+    detuned_values = _bell([CascadeParams(delta_fs=d, detuning=5.0 * d,
+                                          rabi=omega_star(d, 5.0 * d))
+                            for d in grid])
+    resonant_values = _bell([CascadeParams(delta_fs=d, rabi=d) for d in grid])
     assert all(s > 2.0 for s in detuned_values)
     assert all(s >= 2.0 for s in resonant_values)
     plateau = resonant_values[-1]
@@ -153,16 +157,14 @@ def test_criterion_09_dephasing_limit_on_bell():
     grid = np.linspace(0.0, 1.5, 31)
     driven = CascadeParams(delta_fs=5.0, detuning=25.0,
                            rabi=omega_star(5.0, 25.0))
-    s_driven = [bell_s_shortcut(driven.with_(gamma12=float(g),
-                                             gamma21=float(g))).s
-                for g in grid]
+    s_driven = _bell([driven.with_(gamma12=float(g), gamma21=float(g))
+                      for g in grid])
     assert s_driven[0] > 2.0
     crossings = [g for g, s in zip(grid, s_driven) if s < 2.0]
     assert crossings and crossings[0] < 1.0
     undriven = CascadeParams(delta_fs=5.0)
-    s_undriven = [bell_s_shortcut(undriven.with_(gamma12=float(g),
-                                                 gamma21=float(g))).s
-                  for g in grid]
+    s_undriven = _bell([undriven.with_(gamma12=float(g), gamma21=float(g))
+                        for g in grid])
     assert all(s < 2.0 for s in s_undriven)
     _announce(9, f"detuned field at delta_fs = 5: S crosses 2 near gamma_d = "
                  f"{crossings[0]:.3f} < 1; no field: S < 2 for all gamma_d")
@@ -183,8 +185,9 @@ def test_criterion_10_structural_identity():
     coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     residual = np.max(np.abs(design @ coeffs - rhs)) / coeffs[0]
     assert residual < 1e-9
-    shortcut = bell_s_shortcut(params).s
-    chsh = bell_s_chsh(params, *STANDARD_CHSH_ANGLES).s
+    response = two_photon_response([params])
+    (shortcut,) = bell_s_from_response(response)
+    (chsh,) = bell_s_chsh_from_response(response, *STANDARD_CHSH_ANGLES)
     assert shortcut == pytest.approx(chsh, abs=1e-9)
     _announce(10, f"averaged coincidences fit 1 + C_H c1c2 + C_D s1s2 with "
                   f"residual {residual:.2e}; shortcut = CHSH within 1e-9")

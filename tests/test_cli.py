@@ -13,8 +13,7 @@ import pytest
 
 import cascadeg2
 from cascadeg2 import (CascadeBatch, CascadeParams, DetectorSetting,
-                       bell_s_from_response, bell_s_shortcut,
-                       degree_from_response, degree_of_correlation, g2_analytic,
+                       bell_s_from_response, degree_from_response, g2_analytic,
                        omega_star, two_photon_response)
 from cascadeg2.cli import (FIGURE_IDS, RunConfig, SweepResult, _figure_plan,
                            _parse_overrides, load_config, main, run_figure,
@@ -267,7 +266,8 @@ class TestFigures:
         rows = {(label, round(x, 12)): value for x, label, value in result.rows}
         detuned = CascadeParams(delta_fs=5.0, detuning=25.0,
                                 rabi=math.sqrt(150.0))
-        expected = degree_of_correlation(detuned, math.pi / 4.0).value
+        (expected,) = degree_from_response(two_photon_response([detuned]),
+                                           math.pi / 4.0)
         key = ("C[dfs5_detuned]", round(math.pi / 4.0, 12))
         assert rows[key] == pytest.approx(expected, rel=1e-12)
 
@@ -291,9 +291,11 @@ class TestFigures:
         for x, label, value in rows:
             if fig_id in _SWEPT:
                 base, axes = curves[label]
-                expected = bell_s_shortcut(base.with_(**axes(x))).s
+                (expected,) = bell_s_from_response(
+                    two_photon_response([base.with_(**axes(x))]))
             else:
-                expected = degree_of_correlation(curves[label], x).value
+                (expected,) = degree_from_response(
+                    two_photon_response([curves[label]]), x)
             assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("argv, golden", [
@@ -487,10 +489,23 @@ class TestCommands:
                      "12.247448713915889", "--detuning", "25",
                      "--gamma-u", "0"]) == 0
         out = capsys.readouterr().out
-        assert "violated = True" in out
-        expected = bell_s_shortcut(CascadeParams(
-            delta_fs=5.0, rabi=12.247448713915889, detuning=25.0)).s
+        assert out == "S = 2.71966720809e+00  violated = True\n"
+        (expected,) = bell_s_from_response(two_photon_response([CascadeParams(
+            delta_fs=5.0, rabi=12.247448713915889, detuning=25.0)]))
         assert float(out.split("=")[1].split()[0]) == pytest.approx(expected)
+
+    # the README's degree and bell lines, and their output, byte for byte
+    @pytest.mark.parametrize("argv, stdout", [
+        ("degree --theta 0.785398 --delta-fs 5 --gamma-u 0",
+         "C(theta=7.85398000000e-01) = 3.84615384616e-02\n"),
+        ("bell --delta-fs 5 --rabi 12.2474487 --detuning 25",
+         "S = 2.71366961038e+00  violated = True\n"),
+        ("bell --angles 0 0.785398 0.392699 1.178097 --delta-fs 2",
+         "S = 1.69931289295e+00  violated = False\n"),
+    ])
+    def test_readme_observable_command_stdout(self, capsys, argv, stdout):
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out == stdout
 
     def test_bell_with_explicit_angles(self, capsys):
         assert main(["bell", "--gamma-u", "0", "--angles", "0",

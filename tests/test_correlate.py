@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from cascadeg2 import (CascadeBatch, CascadeParams, CorrelationCurve,
                        DetectorSetting, DivergentAverageError, Level,
                        TSIRELSON_BOUND, build_generator, correlation_curve,
-                       degree_of_correlation, evolve, evolve_grid, g2_analytic,
+                       evolve, evolve_grid, g2_analytic,
                        g2_avg_analytic, g2_avg_numeric, g2_numeric,
                        g2_numeric_grid, two_photon_response)
 from cascadeg2.correlate import (_DECAY_FLOOR, _DENSITY_CONES,
@@ -22,8 +22,9 @@ from cascadeg2.correlate import (_DECAY_FLOOR, _DENSITY_CONES,
                                  _population_generator,
                                  _population_propagators, _refuse_divergent)
 from cascadeg2.liouvillian import check_tau_grid
-from cascadeg2.observables import (STANDARD_CHSH_ANGLES, _chsh, bell_s_chsh,
-                                   bell_s_from_response, bell_s_shortcut,
+from cascadeg2.observables import (STANDARD_CHSH_ANGLES,
+                                   bell_s_chsh_from_response,
+                                   bell_s_from_response, chsh_from_response,
                                    degree_from_response)
 from cascadeg2.verify import _random_params
 
@@ -732,6 +733,12 @@ class TestTwoPhotonResponse:
                                      rabi=rabi), rabi > 0.0, id=f"{name}-{rate:g}")
           for rate in (5e307, 8e307)
           for name, rabi in (("undriven", 0.0), ("driven", 1.0))),
+        # so does z, whose terms are halved before the sum, at a drive as
+        # large as the rates
+        *(pytest.param(CascadeParams(gamma4=8e307, gamma21=8e307,
+                                     gamma12=gamma12, rabi=8e307),
+                       False, id=f"driven-8e+307-gamma12-{gamma12:g}")
+          for gamma12 in (8e307, 0.0)),
     ])
     def test_routes_agree_at_huge_rates(self, params, refused):
         with warnings.catch_warnings():
@@ -743,8 +750,8 @@ class TestTwoPhotonResponse:
                 return
             analytic = two_photon_response([params])
             numeric = two_photon_response([params], method="numeric")
-            degrees = [degree_of_correlation(params, 0.3, method).value
-                       for method in ("analytic", "numeric")]
+            degrees = [degree_from_response(response, 0.3)[0]
+                       for response in (analytic, numeric)]
         assert _relative_to_point_scale(analytic, numeric) <= 1e-12
         assert degrees[0] == pytest.approx(degrees[1], rel=1e-12)
 
@@ -775,8 +782,10 @@ class TestTwoPhotonResponse:
         assert min(analytic.min(), numeric.min()) >= -1e-12
         if _slowest_decay(params) >= 1e-4:
             for method in ("analytic", "numeric"):
-                c = degree_of_correlation(params, theta1, method).value
-                s = bell_s_chsh(params, *STANDARD_CHSH_ANGLES, method=method).s
+                response = two_photon_response([params], method)
+                (c,) = degree_from_response(response, theta1)
+                (s,) = bell_s_chsh_from_response(response,
+                                                 *STANDARD_CHSH_ANGLES)
                 assert abs(c) <= 1.0 and abs(s) <= TSIRELSON_BOUND
 
     @pytest.mark.parametrize("method", ["analytic", "numeric"])
@@ -794,9 +803,10 @@ class TestTwoPhotonResponse:
         assert any(p.rabi == 0.0 for p in symmetric)
         for params in symmetric:
             for method in ("analytic", "numeric"):
-                chsh = bell_s_chsh(params, *STANDARD_CHSH_ANGLES, method=method)
-                shortcut = bell_s_shortcut(params, method=method)
-                assert chsh.s == pytest.approx(shortcut.s, rel=1e-12)
+                response = two_photon_response([params], method)
+                chsh = bell_s_chsh_from_response(response, *STANDARD_CHSH_ANGLES)
+                shortcut = bell_s_from_response(response)
+                assert chsh == pytest.approx(shortcut, rel=1e-12)
 
     @pytest.mark.parametrize("divergent", [
         CascadeParams(gamma4=0.0, rabi=5.0),
@@ -895,7 +905,8 @@ class TestBraces:
             g_op = _braces(response, alpha + quarter, beta)
             g_oo = _braces(response, alpha + quarter, beta + quarter)
             want = (g_pp + g_oo - g_po - g_op) / (g_pp + g_po + g_op + g_oo)
-            assert np.abs(_chsh(response, alpha, beta) - want).max() <= 1e-14
+            got = chsh_from_response(response, alpha, beta)
+            assert np.abs(got - want).max() <= 1e-14
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(st.lists(_DOMAIN, min_size=1, max_size=5), _ANGLE)
@@ -1089,6 +1100,14 @@ class TestRefusalRule:
         for block, cone in _averaged_blocks(params):
             assert _mp_slowest_rate(block) >= -_DECAY_FLOOR
             assert _refused(block, cone)
+
+    def test_infinite_solve_is_refused(self):
+        # a planted Metzler block whose refusal solve overflows: u = (inf,
+        # 1.1e11) is positive, but its first entry is no float, so the
+        # orthant test refuses the block rather than answer inf
+        block = np.array([[-1e-11, 1e300], [0.0, -1e-11]])
+        with pytest.raises(DivergentAverageError):
+            _refuse_divergent(block[None], "rate block", _RATE_CONE)
 
     @pytest.mark.parametrize("driven, n", [(False, 1500), (True, 1000)])
     def test_routes_refuse_alike_near_the_floor(self, driven, n):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cascadeg2 import (CascadeBatch, CascadeParams, DetectorSetting,
-                       degree_of_correlation, omega_star)
+                       degree_from_response, omega_star, two_photon_response)
 from cascadeg2.model import PARAM_FIELDS
 
 
@@ -64,7 +64,7 @@ class TestOmegaStar:
 
 class TestDetectorSetting:
     def test_nonfinite_angles_rejected(self):
-        params = CascadeParams()
+        response = two_photon_response([CascadeParams()])
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="theta"):
                 DetectorSetting(bad)
@@ -73,7 +73,7 @@ class TestDetectorSetting:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="must be finite"):
-                    degree_of_correlation(params, bad)
+                    degree_from_response(response, bad)
 
 
 class TestCascadeParams:
