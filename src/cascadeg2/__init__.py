@@ -12,9 +12,10 @@ from .model import (CascadeBatch, CascadeParams, DetectorSetting, Level,
                     N_LEVELS, omega_star)
 from .liouvillian import (build_generator, evolve, evolve_grid, unvectorize,
                           vectorize)
-from .correlate import (CorrelationCurve, correlation_curve, g2_analytic,
-                        g2_avg_analytic, g2_avg_numeric, g2_numeric,
-                        g2_numeric_grid, two_photon_response)
+from .correlate import (CorrelationCurve, TwoPhotonResponse,
+                        correlation_curve, g2_analytic, g2_avg_analytic,
+                        g2_avg_numeric, g2_numeric, g2_numeric_grid,
+                        two_photon_response)
 from .observables import (STANDARD_CHSH_ANGLES, TSIRELSON_BOUND,
                           bell_s_chsh_from_response, bell_s_from_response,
                           chsh_from_response, degree_from_response)
@@ -32,6 +33,7 @@ __all__ = [
     "NumericError",
     "STANDARD_CHSH_ANGLES",
     "TSIRELSON_BOUND",
+    "TwoPhotonResponse",
     "bell_s_chsh_from_response",
     "bell_s_from_response",
     "build_generator",

@@ -29,6 +29,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -38,7 +39,8 @@ import numpy as np
 from . import __version__
 from .model import (_FIELD_ROWS, PARAM_FIELDS, CascadeBatch, CascadeParams,
                     DetectorSetting, _field_values, omega_star)
-from .correlate import correlation_curve, two_photon_response
+from .correlate import (TwoPhotonResponse, correlation_curve,
+                        two_photon_response)
 from .errors import NumericError
 from .observables import (bell_s_chsh_from_response, bell_s_from_response,
                           degree_from_response)
@@ -65,6 +67,9 @@ class RunConfig:
     steps: int
 
     def __post_init__(self) -> None:
+        # np.linspace takes an integral count only
+        if not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if not -math.inf < self.start < self.stop < math.inf:
@@ -300,7 +305,7 @@ class _Plan(NamedTuple):
     metadata: list[tuple[str, str]]
     xs: np.ndarray
     batch: CascadeBatch
-    evaluate: Callable[[np.ndarray], np.ndarray]
+    evaluate: Callable[[TwoPhotonResponse], np.ndarray]
     labels: tuple[str, ...]
     width: int
 
@@ -361,7 +366,7 @@ def _figure_plan(fig_id: str, overrides: dict[str, float] | None) -> _Plan:
 
     if swept is None:
         def evaluate(response):
-            return degree_from_response(response[:, :, None], theta=xs)
+            return degree_from_response(response, theta=xs[:, None]).T
     else:
         def evaluate(response):
             return bell_s_from_response(response).reshape(len(labels), -1)

@@ -24,13 +24,13 @@ The normalization sets the dimensional emission prefactor to one and
 conditions on the emitter occupying |2X> at the first detection, so the
 co-polarized correlation at tau = 0 equals 4 for every analyzer angle.
 
-Time-averaged correlations integrate the same quantities over tau in
-[0, infinity).  Every averaged coincidence is one bilinear form in
-(cos 2theta_i, sin 2theta_i) of five numbers per parameter point: the
-averages of the four population propagators and of the coherence kernel.
-``two_photon_response`` computes them for a whole CascadeBatch of points,
-by either route as a Laplace transform at zero frequency: from the two
-blocks, or from the full generator restricted to the elements that the
+Every coincidence, at a delay or averaged, is one bilinear form in
+(cos 2theta_i, sin 2theta_i) of a ``TwoPhotonResponse``: the four
+population propagators and the coherence kernel of each point, on a delay
+grid or integrated over tau in [0, infinity); that type states the slots.
+``two_photon_response`` computes the averages for a whole CascadeBatch of
+points, by either route as a Laplace transform at zero frequency: from the
+two blocks, or from the full generator restricted to the elements that the
 conditioned state reaches and the second detection sees.  Both routes build
 their matrices for the whole batch at once, as stacks.  The full-generator
 route solves -M x = y0 for the integral x of e^{M tau} y0, one stacked
@@ -56,8 +56,8 @@ for its refusals alone.  The coherence average needs no refusal of its
 own: the slowest mode of a positive semigroup has a positive semidefinite
 eigenvector, which has no coherence entries, so the coherence modes decay
 at least as fast as the slowest population mode.  The population slots
-enter the angular combinations by their real parts, so degrees, Bell
-parameters and G(tau) are real arithmetic.
+are real on both routes, so degrees, Bell parameters and G(tau) are real
+arithmetic.
 ``g2_avg_analytic`` and ``g2_avg_numeric`` are one-point calls of it; they
 stay beside the batch surface of :mod:`cascadeg2.observables` because the
 benchmark calls them.
@@ -206,7 +206,8 @@ def _population_generator(params) -> np.ndarray:
 
 
 def _population_propagators(params: CascadeParams, taus: np.ndarray):
-    """Exact population propagators (P11, P12, P21, P22) on the tau grid."""
+    """Exact population propagators on the tau grid, in the field order of
+    :class:`TwoPhotonResponse`."""
     m = _population_generator(params)
     if params.rabi == 0.0:
         return _exp_entries(m[:2, :2], taus, (0, 0), (0, 1), (1, 0), (1, 1))
@@ -221,25 +222,46 @@ def _angle_weights(theta1, theta2):
     return c1, c2, s1, s2
 
 
-def _braces(response, theta1, theta2, phase=0.0):
-    """Angular combination of the four population slots and the coherence slot.
+class TwoPhotonResponse(NamedTuple):
+    """The two-photon response of a batch of parameter points: four
+    population slots and the coherence slot, each an array of the same
+    shape, one entry per point (and per delay on a grid).
 
-    ``response`` is (P11, P12, P21, P22, w): propagators on a delay grid, or
-    their time averages from :func:`two_photon_response`.  Equals f1 + f2 +
-    g1 + g2 + (c1 + c2)(f1 - g1) + (c1 - c2)(g2 - f2) + c1 c2 (f1 + g1 - f2 -
-    g2) + s1 s2 * 2 Re[e^{-i phase} w], with ci = cos(2 theta_i), si =
-    sin(2 theta_i), phase = phi1 + phi2 (the e^{+i phi} jump convention) and
-    the slot mapping f1, f2, g2, g1 = P11, P12, P21, P22.  Slots and angles
-    broadcast against each other.
+    ``p11``, ``p12``, ``p21`` and ``p22`` are float arrays: Pij is the
+    population propagator from the intermediate level Xj, which the first
+    photon's emission ends in, to Xi, which the second photon is emitted
+    from, so P12 runs X2 -> X1 and P21 X1 -> X2.  ``w`` is a complex array:
+    the coherence kernel, the X1X2 entry of e^{C tau} for the coherence
+    block C of :func:`_coherence_generator`.  On a delay grid the slots are
+    their values at each delay; from :func:`two_photon_response` they are
+    their integrals over tau in [0, inf).  In the basis {HH, HV, VH, VV} of
+    the two photons' linear polarizations, first photon first, the slots
+    are the unnormalized X-state with diagonal (P11, P21, P12, P22) and
+    rho_HH,VV = conj(w); :func:`_braces` is 4 Tr[rho (Pi1 x Pi2)] for
+    analyzer projectors Pi1 and Pi2.  The slots broadcast against angles of
+    any shape.
     """
-    p11, p12, p21, p22, w = response
-    # the real parts alone: the coefficients are real, so the real part of
-    # the sum is the sum of the real parts, bit for bit
-    p11, p12, p21, p22 = np.real(p11), np.real(p12), np.real(p21), np.real(p22)
+
+    p11: np.ndarray
+    p12: np.ndarray
+    p21: np.ndarray
+    p22: np.ndarray
+    w: np.ndarray
+
+
+def _braces(response: TwoPhotonResponse, theta1, theta2, phase=0.0):
+    """The coincidence of a two-photon response at analyzer angles theta1
+    and theta2 and phase = phi1 + phi2 (the e^{+i phi} jump convention):
+    each population slot Pij weighted by (1 + c1) for j = 1 or (1 - c1)
+    for j = 2, times (1 + c2) for i = 1 or (1 - c2) for i = 2, plus s1 s2 *
+    2 Re[e^{-i phase} w], with ci = cos(2 theta_i) and si = sin(2 theta_i).
+    Slots and angles broadcast against each other.
+    """
+    r = response
     c1, c2, s1, s2 = _angle_weights(theta1, theta2)
-    wterm = 2.0 * np.real(np.exp(-1j * phase) * w)
-    return ((1 + c1) * (1 + c2) * p11 + (1 - c1) * (1 + c2) * p12
-            + (1 + c1) * (1 - c2) * p21 + (1 - c1) * (1 - c2) * p22
+    wterm = 2.0 * np.real(np.exp(-1j * phase) * r.w)
+    return ((1 + c1) * (1 + c2) * r.p11 + (1 - c1) * (1 + c2) * r.p12
+            + (1 + c1) * (1 - c2) * r.p21 + (1 - c1) * (1 - c2) * r.p22
             + s1 * s2 * wterm)
 
 
@@ -258,15 +280,21 @@ def _validate_taus(tau) -> tuple[np.ndarray, bool]:
     return taus, scalar
 
 
+def _delay_response(params: CascadeParams,
+                    taus: np.ndarray) -> TwoPhotonResponse:
+    """The two-photon response at each delay of a 1-d float array: the
+    population propagators and the coherence kernel, unchecked."""
+    w, = _exp_entries(_coherence_generator(params), taus, (0, 0))
+    return TwoPhotonResponse(*_population_propagators(params, taus), w)
+
+
 def _g2_closed_form(params: CascadeParams, det1: DetectorSetting,
                     det2: DetectorSetting, taus: np.ndarray) -> np.ndarray:
     """:func:`g2_analytic` on a 1-d float array of delays, unchecked."""
     # an overflow surfaces as a non-finite value, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        w, = _exp_entries(_coherence_generator(params), taus, (0, 0))
-        response = (*_population_propagators(params, taus), w)
-        values = _braces(response, det1.theta, det2.theta,
-                         det1.phi + det2.phi)
+        values = _braces(_delay_response(params, taus), det1.theta,
+                         det2.theta, det1.phi + det2.phi)
     if not np.isfinite(values).all():
         raise NumericError("closed-form exponential overflowed")
     return values
@@ -474,7 +502,7 @@ def _resolvent(blocks: np.ndarray, rhs: np.ndarray, sector: str,
                                     "is singular") from None
 
 
-def _closed_form_response(params: CascadeBatch) -> np.ndarray:
+def _closed_form_response(params: CascadeBatch) -> TwoPhotonResponse:
     """The response from the two blocks, with no solve for the averages.
 
     Undriven points are refused on their 2x2 rate block, driven points on
@@ -511,8 +539,9 @@ def _closed_form_response(params: CascadeBatch) -> np.ndarray:
     half_z = (0.25 * a1 + 0.25 * (p.gamma4 + p.gamma_u + p.gamma12)
               + 0.5j * p.delta_fs
               + p.rabi * (0.5 * p.rabi / (0.5 * a1 + 1j * (p.delta_fs + p.detuning))))
-    return np.array([p11, p.gamma12 / a2 * p11, p.gamma21 / a1 * p22, p22,
-                     0.5 / half_z])
+    return TwoPhotonResponse(p11=p11, p12=p.gamma12 / a2 * p11,
+                             p21=p.gamma21 / a1 * p22, p22=p22,
+                             w=0.5 / half_z)
 
 
 # The averaged sector: both indices in these levels, X1 and X2 leading.
@@ -532,7 +561,7 @@ def _average_sector(levels) -> np.ndarray:
     return np.array([i + N_LEVELS * j for j in levels for i in levels])
 
 
-def _resolvent_response(params: CascadeBatch) -> np.ndarray:
+def _resolvent_response(params: CascadeBatch) -> TwoPhotonResponse:
     """The response from the full generator, restricted to the averaged sector.
 
     The integral of e^{M tau} y0 over [0, inf) is x with M_SS x = -y0_S; one
@@ -540,7 +569,8 @@ def _resolvent_response(params: CascadeBatch) -> np.ndarray:
     solutions hold the population slots and the coherence slot.  The
     generators of all points are built as one stack.
     """
-    response = np.empty((5, len(params)), dtype=complex)
+    populations = np.empty((4, len(params)))
+    w = np.empty(len(params), dtype=complex)
     gens = build_generator(params)
     driven = params.rabi != 0.0
     for mask, levels in ((~driven, _UNDRIVEN_LEVELS), (driven, _DRIVEN_LEVELS)):
@@ -556,22 +586,22 @@ def _resolvent_response(params: CascadeBatch) -> np.ndarray:
                        _DENSITY_CONES[n])
         # the population slots are diagonal entries of Hermitian solutions:
         # real, up to round-off in their imaginary parts, which is dropped
-        response[:, mask] = (x[:, x11, 0].real, x[:, x11, 1].real,
-                             x[:, x22, 0].real, x[:, x22, 1].real,
-                             x[:, x12, 2])
-    return response
+        populations[:, mask] = (x[:, x11, 0].real, x[:, x11, 1].real,
+                                x[:, x22, 0].real, x[:, x22, 1].real)
+        w[mask] = x[:, x12, 2]
+    return TwoPhotonResponse(*populations, w)
 
 
-def two_photon_response(points, method: str = "analytic") -> np.ndarray:
+def two_photon_response(points, method: str = "analytic") -> TwoPhotonResponse:
     """Time-averaged two-photon response of each of n parameter points.
 
     ``points`` is a CascadeBatch, or a sequence of CascadeParams, which is
-    stacked into one.  Returns a (5, n) complex array, rows (P11, P12, P21,
-    P22, avg_w): the integrals over tau in [0, inf) of the population
-    propagators X1 -> X1, X2 -> X1, X1 -> X2, X2 -> X2 and of the coherence
-    kernel w.  Every averaged coincidence is :func:`_braces` of it.  method
-    "analytic" uses the coherence and population blocks, "numeric" the
-    resolvent of the full generator.  Raises DivergentAverageError if any
+    stacked into one.  Returns a :class:`TwoPhotonResponse` whose slots are
+    arrays of shape (n,): the integrals over tau in [0, inf) of the
+    population propagators and of the coherence kernel.  Every averaged
+    coincidence is :func:`_braces` of it.  method "analytic" uses the
+    coherence and population blocks, "numeric" the resolvent of the full
+    generator.  Raises DivergentAverageError if any
     point has a mode decaying slower than the refusal floor.
     """
     if method not in ("analytic", "numeric"):
@@ -583,7 +613,7 @@ def two_photon_response(points, method: str = "analytic") -> np.ndarray:
     return _resolvent_response(points)
 
 
-def _average(response: np.ndarray, det1: DetectorSetting,
+def _average(response: TwoPhotonResponse, det1: DetectorSetting,
              det2: DetectorSetting) -> float:
     return float(_braces(response, det1.theta, det2.theta,
                          det1.phi + det2.phi)[0])

@@ -5,9 +5,9 @@ correlation normalization cancels.  Analyzer phases are zero throughout
 (linear polarization bases).
 
 Every averaged coincidence is a bilinear form in (cos 2theta_i,
-sin 2theta_i) of one two-photon response per parameter point: four
-population averages and one coherence average
-(:func:`~cascadeg2.correlate.two_photon_response`).  The observables are
+sin 2theta_i) of the time-averaged two-photon response of the points, a
+:class:`~cascadeg2.correlate.TwoPhotonResponse` from
+:func:`~cascadeg2.correlate.two_photon_response`.  The observables are
 functions of that response, of any batch of points and of arrays of angles
 that broadcast against the points: C(theta) (``degree_from_response``), E
 (``chsh_from_response``), the four-setting CHSH S
@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .correlate import _angle_weights, _braces
+from .correlate import TwoPhotonResponse, _angle_weights, _braces
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -56,7 +56,7 @@ def _check_bell(values: np.ndarray) -> None:
         raise ValueError(f"|S| = {abs(outside[0])} exceeds the Tsirelson bound")
 
 
-def degree_from_response(response: np.ndarray, theta) -> np.ndarray:
+def degree_from_response(response: TwoPhotonResponse, theta) -> np.ndarray:
     """Degree of correlation C(theta) of each point of a two-photon response.
 
     C = (co - cross) / (co + cross) from the averaged coincidences at
@@ -74,7 +74,7 @@ def degree_from_response(response: np.ndarray, theta) -> np.ndarray:
     # One _braces call on the pairs (theta, theta) and (theta, theta +
     # pi/2), stacked along a new leading axis (theta first padded to the
     # slots' rank), gives both, bit for bit as a call per pair
-    theta = np.reshape(theta, (1,) * (np.ndim(response) - 1 - np.ndim(theta))
+    theta = np.reshape(theta, (1,) * (np.ndim(response.p11) - np.ndim(theta))
                        + np.shape(theta))
     co, cross = _braces(response, np.array([theta, theta]),
                         np.array([theta, theta + math.pi / 2.0]))
@@ -83,11 +83,11 @@ def degree_from_response(response: np.ndarray, theta) -> np.ndarray:
     return values
 
 
-# the basis angles of C_H and C_D, against a (5, n) response
+# the basis angles of C_H and C_D, one row each against the points
 _BELL_BASES = np.array([[0.0], [math.pi / 4.0]])
 
 
-def bell_s_from_response(response: np.ndarray) -> np.ndarray:
+def bell_s_from_response(response: TwoPhotonResponse) -> np.ndarray:
     """Shortcut S = sqrt(2)(C_H + C_D) of each point of a two-photon response.
 
     It equals :func:`bell_s_chsh_from_response` at STANDARD_CHSH_ANGLES for
@@ -100,7 +100,8 @@ def bell_s_from_response(response: np.ndarray) -> np.ndarray:
     return s
 
 
-def chsh_from_response(response: np.ndarray, alpha, beta) -> np.ndarray:
+def chsh_from_response(response: TwoPhotonResponse, alpha,
+                       beta) -> np.ndarray:
     """Correlation coefficient E(alpha, beta) of each point of a two-photon
     response; the angles may be arrays that broadcast against the points.
 
@@ -108,18 +109,18 @@ def chsh_from_response(response: np.ndarray, alpha, beta) -> np.ndarray:
     (alpha + pi/2, beta) and (alpha + pi/2, beta + pi/2) a quarter turn
     flips the signs of ci = cos 2 angle_i and si = sin 2 angle_i, so their
     total is 4 k with k = P11 + P12 + P21 + P22, and E = (d c1 c2 + e s1 s2)
-    / k with d = P11 - P12 - P21 + P22 and e = 2 Re avg_w.  Raises
-    ValueError if an angle is not finite.
+    / k with d = P11 - P12 - P21 + P22 and e = 2 Re w.  Raises ValueError
+    if an angle is not finite.
     """
     _check_angles(alpha, beta)
-    p11, p12, p21, p22 = np.real(response[:4])
+    r = response
     c1, c2, s1, s2 = _angle_weights(alpha, beta)
-    d = p11 - p12 - p21 + p22
-    e = 2.0 * np.real(response[4])
-    return (d * c1 * c2 + e * s1 * s2) / (p11 + p12 + p21 + p22)
+    d = r.p11 - r.p12 - r.p21 + r.p22
+    e = 2.0 * np.real(r.w)
+    return (d * c1 * c2 + e * s1 * s2) / (r.p11 + r.p12 + r.p21 + r.p22)
 
 
-def bell_s_chsh_from_response(response: np.ndarray, a1, a2, b1,
+def bell_s_chsh_from_response(response: TwoPhotonResponse, a1, a2, b1,
                               b2) -> np.ndarray:
     """CHSH parameter S = E(a1,b1) - E(a1,b2) + E(a2,b1) + E(a2,b2) of each
     point of a two-photon response; the angles may be arrays that broadcast

@@ -15,17 +15,17 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 PUBLIC_NAMES = {
     "CascadeBatch", "CascadeParams", "CorrelationCurve", "DetectorSetting",
     "DivergentAverageError", "Level", "N_LEVELS", "NumericError",
-    "STANDARD_CHSH_ANGLES", "TSIRELSON_BOUND", "bell_s_chsh_from_response",
-    "bell_s_from_response", "build_generator", "chsh_from_response",
-    "correlation_curve", "degree_from_response", "evolve", "evolve_grid",
-    "g2_analytic", "g2_avg_analytic", "g2_avg_numeric", "g2_numeric",
-    "g2_numeric_grid", "omega_star", "two_photon_response", "unvectorize",
-    "vectorize", "__version__",
+    "STANDARD_CHSH_ANGLES", "TSIRELSON_BOUND", "TwoPhotonResponse",
+    "bell_s_chsh_from_response", "bell_s_from_response", "build_generator",
+    "chsh_from_response", "correlation_curve", "degree_from_response",
+    "evolve", "evolve_grid", "g2_analytic", "g2_avg_analytic",
+    "g2_avg_numeric", "g2_numeric", "g2_numeric_grid", "omega_star",
+    "two_photon_response", "unvectorize", "vectorize", "__version__",
 }
 
 
 def test_exported_names_are_pinned_and_resolve():
-    assert len(cascadeg2.__all__) == len(PUBLIC_NAMES) == 28
+    assert len(cascadeg2.__all__) == len(PUBLIC_NAMES) == 29
     assert set(cascadeg2.__all__) == PUBLIC_NAMES
     for name in cascadeg2.__all__:
         assert getattr(cascadeg2, name) is not None

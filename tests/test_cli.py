@@ -85,6 +85,12 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(start=0.0, stop=1.0, steps=1)
 
+    @pytest.mark.parametrize("steps", [2.5, 3.0])
+    def test_non_integer_steps_rejected(self, steps):
+        # refused on construction, not later by np.linspace in grid()
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            RunConfig(start=0.0, stop=1.0, steps=steps)
+
     def test_reversed_range_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(start=2.0, stop=1.0, steps=5)
@@ -385,8 +391,9 @@ class TestFigures:
         analytic = two_photon_response(batch)
         numeric = two_photon_response(batch, "numeric")
         # relative to each point's largest slot
-        assert np.max(np.abs(numeric - analytic)
-                      / np.max(np.abs(analytic), axis=0)) <= 1e-12
+        scale = np.max([np.abs(slot) for slot in analytic], axis=0)
+        assert max(np.max(np.abs(n - a) / scale)
+                   for n, a in zip(numeric, analytic)) <= 1e-12
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError):

@@ -10,16 +10,16 @@ from scipy.integrate import quad
 
 from cascadeg2 import (CascadeBatch, CascadeParams, CorrelationCurve,
                        DetectorSetting, DivergentAverageError, Level,
-                       TSIRELSON_BOUND, build_generator, correlation_curve,
-                       evolve, evolve_grid, g2_analytic,
+                       TSIRELSON_BOUND, TwoPhotonResponse, build_generator,
+                       correlation_curve, evolve, evolve_grid, g2_analytic,
                        g2_avg_analytic, g2_avg_numeric, g2_numeric,
                        g2_numeric_grid, two_photon_response)
 from cascadeg2.correlate import (_DECAY_FLOOR, _DENSITY_CONES,
                                  _POPULATION_CONE, _RATE_CONE, _average_sector,
                                  _braces, _coherence_generator,
-                                 _conditioned_state, _detection_projector,
-                                 _exp_entries, _population_cone,
-                                 _population_generator,
+                                 _conditioned_state, _delay_response,
+                                 _detection_projector, _exp_entries,
+                                 _population_cone, _population_generator,
                                  _population_propagators, _refuse_divergent)
 from cascadeg2.liouvillian import check_tau_grid
 from cascadeg2.observables import (STANDARD_CHSH_ANGLES,
@@ -245,16 +245,16 @@ class TestBlockExponential:
     def test_average_slots_match_laplace_solution_without_drive(self):
         p = CascadeParams(gamma3=1.4, gamma4=0.6, gamma12=0.5, gamma21=1.1,
                           gamma_u=0.2)
-        slots = two_photon_response([p])[:4, 0]
+        slots = _populations(two_photon_response([p]))
         for slot, paper in zip(slots, _paper_average_slots(p)):
-            assert complex(slot) == pytest.approx(paper, rel=1e-12)
+            assert complex(slot[0]) == pytest.approx(paper, rel=1e-12)
 
     def test_average_slots_survive_drive_when_u_channel_closed(self):
         # branching ratios are insensitive to coherent X2-u cycling
         p = CascadeParams(gamma12=0.5, gamma21=0.5, rabi=20.0, detuning=30.0)
-        slots = two_photon_response([p])[:4, 0]
+        slots = _populations(two_photon_response([p]))
         for slot, paper in zip(slots, _paper_average_slots(p)):
-            assert complex(slot) == pytest.approx(paper, rel=1e-12)
+            assert complex(slot[0]) == pytest.approx(paper, rel=1e-12)
 
 
 class TestTauZero:
@@ -565,9 +565,21 @@ def _asymmetric_family(seed, n=12):
             for idx in range(n)]
 
 
+def _populations(response):
+    """The four population slots of a response, as (P11, P12, P21, P22)."""
+    return response.p11, response.p12, response.p21, response.p22
+
+
 def _relative_to_point_scale(got, want):
-    """Largest deviation per point, relative to that point's largest slot."""
-    return np.max(np.abs(got - want) / np.max(np.abs(want), axis=0))
+    """Largest deviation per point, relative to that point's largest slot;
+    ``got`` and ``want`` are responses, or the same slots of two."""
+    scale = np.max([np.abs(slot) for slot in want], axis=0)
+    return max(np.max(np.abs(g - w) / scale) for g, w in zip(got, want))
+
+
+def _map_slots(function, response):
+    """The response with ``function`` applied to each slot."""
+    return TwoPhotonResponse(*map(function, response))
 
 
 def _response_or_refusal(params, method):
@@ -590,17 +602,17 @@ def _slowest_decay(params):
 
 
 def _mp_response(params):
-    """The five numbers from a 50-digit mpmath solve of the averaged sector
-    of the generator, shape (5, 1)."""
+    """The one-point response from a 50-digit mpmath solve of the averaged
+    sector of the generator."""
     block = _sector_block(params)
     n = 3 if params.rabi else 2
     x11, x22, x12 = 0, n + 1, n
     with mpmath.workdps(50):
         inv = mpmath.inverse(-mpmath.matrix(
             [[mpmath.mpc(complex(v)) for v in row] for row in block]))
-        slots = [inv[x11, x11], inv[x11, x22], inv[x22, x11], inv[x22, x22],
-                 inv[x12, x12]]
-        return np.array([[complex(v)] for v in slots])
+        return _map_slots(lambda v: np.array([complex(v)]), TwoPhotonResponse(
+            p11=inv[x11, x11], p12=inv[x11, x22], p21=inv[x22, x11],
+            p22=inv[x22, x22], w=inv[x12, x12]))
 
 
 def _rate_system_slots(params):
@@ -615,9 +627,9 @@ def _rate_system_slots(params):
 
 
 def _mp_block_response(params):
-    """The five numbers from 50-digit inverses of the 5x5 population block
-    and the 2x2 coherence block, assembled at 50 digits from the exact
-    parameters, so that no rounded sum of rates enters; shape (5, 1)."""
+    """The one-point response from 50-digit inverses of the 5x5 population
+    block and the 2x2 coherence block, assembled at 50 digits from the exact
+    parameters, so that no rounded sum of rates enters."""
     p = params
     with mpmath.workdps(50):
         g3, g4, gu, g12, g21, rabi, detuning, dfs = map(mpmath.mpf, (
@@ -632,9 +644,9 @@ def _mp_block_response(params):
         inv = mpmath.inverse(-m)
         c00 = -(a1 + a2) / 2 - 1j * dfs
         c11 = -a1 / 2 - 1j * (dfs + detuning)
-        slots = [inv[0, 0], inv[0, 1], inv[1, 0], inv[1, 1],
-                 -c11 / (c00 * c11 + rabi ** 2)]
-        return np.array([[complex(v)] for v in slots])
+        return _map_slots(lambda v: np.array([complex(v)]), TwoPhotonResponse(
+            p11=inv[0, 0], p12=inv[0, 1], p21=inv[1, 0], p22=inv[1, 1],
+            w=-c11 / (c00 * c11 + rabi ** 2)))
 
 
 # a weak drive far off resonance: ill-conditioned driven 5x5 population
@@ -660,7 +672,8 @@ class TestTwoPhotonResponse:
     def test_routes_agree_on_mixed_batches(self, points):
         analytic = two_photon_response(points)
         numeric = two_photon_response(points, method="numeric")
-        assert analytic.shape == numeric.shape == (5, len(points))
+        assert all(slot.shape == (len(points),)
+                   for slot in (*analytic, *numeric))
         assert _relative_to_point_scale(numeric, analytic) <= 1e-12
 
     @settings(derandomize=True, deadline=None, max_examples=200)
@@ -717,7 +730,8 @@ class TestTwoPhotonResponse:
             got = _response_or_refusal(point, "numeric")
             if got is not None:
                 cond = np.linalg.cond(_sector_block(point))
-                assert (_relative_to_point_scale(got[:4], _rate_system_slots(point))
+                assert (_relative_to_point_scale(_populations(got),
+                                                 _rate_system_slots(point))
                         <= max(1e-12, np.finfo(float).eps * cond))
 
     @pytest.mark.parametrize("params, refused", [
@@ -760,8 +774,8 @@ class TestTwoPhotonResponse:
         # the X1-u coherence is slower than the floor here, but an undriven
         # average never reaches it; the point's largest slot is 6.7e11, so
         # the coherence slot is compared on its own scale
-        analytic = two_photon_response([params])[4, 0]
-        numeric = two_photon_response([params], method="numeric")[4, 0]
+        analytic = two_photon_response([params]).w[0]
+        numeric = two_photon_response([params], method="numeric").w[0]
         assert abs(analytic - numeric) <= 1e-12 * abs(numeric)
 
     @settings(derandomize=True, deadline=None, max_examples=100)
@@ -792,8 +806,8 @@ class TestTwoPhotonResponse:
     def test_batch_equals_one_point_calls(self, method):
         points = _mixed_family(7, n=9)
         batch = two_photon_response(points, method)
-        single = np.column_stack([two_photon_response([p], method)[:, 0]
-                                  for p in points])
+        single = [two_photon_response([p], method) for p in points]
+        single = TwoPhotonResponse(*map(np.concatenate, zip(*single)))
         assert _relative_to_point_scale(batch, single) <= 1e-14
 
     def test_chsh_at_standard_angles_equals_shortcut(self):
@@ -833,19 +847,40 @@ class TestTwoPhotonResponse:
     @pytest.mark.parametrize("params", _mixed_family(5, n=4))
     def test_one_point_batch_equals_point_list(self, params, method):
         batch = CascadeBatch.broadcast(params)
-        assert np.array_equal(two_photon_response(batch, method),
-                              two_photon_response([params], method))
+        for got, want in zip(two_photon_response(batch, method),
+                             two_photon_response([params], method)):
+            assert np.array_equal(got, want)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_DOMAIN)
+    def test_population_slots_are_float64_and_w_complex128(self, params):
+        for method in ("analytic", "numeric"):
+            response = _response_or_refusal(params, method)
+            if response is None:
+                continue
+            assert [slot.dtype for slot in _populations(response)] == [
+                np.float64] * 4
+            assert response.w.dtype == np.complex128
 
 
-def _complex_braces(response, theta1, theta2, phase):
-    """_braces with the population slots kept complex to the end."""
-    p11, p12, p21, p22, w = response
-    c1, c2 = np.cos(2.0 * theta1), np.cos(2.0 * theta2)
-    s1, s2 = np.sin(2.0 * theta1), np.sin(2.0 * theta2)
-    wterm = 2.0 * np.real(np.exp(-1j * phase) * w)
-    return np.real((1 + c1) * (1 + c2) * p11 + (1 - c1) * (1 + c2) * p12
-                   + (1 + c1) * (1 - c2) * p21 + (1 - c1) * (1 - c2) * p22
-                   + s1 * s2 * wterm)
+def _x_state(response):
+    """The unnormalized two-photon state of a response in the basis {HH, HV,
+    VH, VV}, first photon first: the diagonal holds the population slots in
+    the order (P11, P21, P12, P22) and rho_HH,VV = conj(w).  Shape
+    ``response.p11.shape + (4, 4)``."""
+    r = response
+    rho = np.zeros(np.shape(r.p11) + (4, 4), dtype=complex)
+    for k, slot in enumerate((r.p11, r.p21, r.p12, r.p22)):
+        rho[..., k, k] = slot
+    rho[..., 0, 3] = np.conj(r.w)
+    rho[..., 3, 0] = r.w
+    return rho
+
+
+def _analyzer(theta, phi):
+    """The projector onto cos(theta) |H> + e^{i phi} sin(theta) |V>."""
+    v = np.array([np.cos(theta), np.exp(1j * phi) * np.sin(theta)])
+    return np.outer(v, v.conj())
 
 
 _ANGLE = st.floats(-2.0 * math.pi, 2.0 * math.pi)
@@ -871,22 +906,25 @@ def _assert_degrees_equal(response, theta, want):
 
 class TestBraces:
     @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(_DOMAIN, _ANGLE, _ANGLE, _ANGLE,
-           st.one_of(st.floats(-1.0, -1e-3), st.floats(1e-3, 1.0)))
-    def test_real_population_slots_change_no_bit(self, params, theta1, theta2,
-                                                 phase, imag):
-        # imaginary parts are added to the population slots, which both
-        # routes return real
-        response = _response_or_refusal(params, "numeric")
-        if response is None:
-            return
-        response = response.copy()
-        response[:4] += 1j * imag * np.abs(response[:4])
-        assert np.any(response[:4].imag != 0)
-        got = _braces(response, theta1, theta2, phase)
-        assert np.array_equal(got, _complex_braces(response, theta1, theta2,
-                                                   phase))
-        assert got.dtype == np.float64
+    @given(_DOMAIN, _ANGLE, _ANGLE, _ANGLE, _ANGLE)
+    def test_braces_is_the_x_state_coincidence(self, params, theta1, theta2,
+                                               phi1, phi2):
+        # 4 Tr[rho (Pi1 x Pi2)] of the X-state the slots stand for, on the
+        # averages of both routes and on the delay-grid slots of the
+        # closed-form kernel; the coincidence is at most 4 Tr rho
+        projector = np.kron(_analyzer(theta1, phi1), _analyzer(theta2, phi2))
+        responses = [_response_or_refusal(params, method)
+                     for method in ("analytic", "numeric")]
+        taus = np.linspace(0.0, 8.0, 17)
+        responses.append(_delay_response(params, taus))
+        for response in responses:
+            if response is None:
+                continue
+            rho = _x_state(response)
+            want = 4.0 * np.einsum("...ij,ji->...", rho, projector).real
+            got = _braces(response, theta1, theta2, phi1 + phi2)
+            scale = 4.0 * np.trace(rho, axis1=-2, axis2=-1).real
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(_DOMAIN, _ANGLE, _ANGLE)
@@ -914,7 +952,8 @@ class TestBraces:
                                                             theta):
         # one _braces call on the stacked analyzer pairs gives, bit for
         # bit, the C and S of a call per pair: a scalar angle on the points,
-        # the figures' (5, c, 1) response on 91 angles, and each point as a
+        # 91 angles against the points as the figures take them, the same
+        # with the slots given a trailing axis, and each point as a
         # one-point batch
         grid = np.linspace(0.0, math.pi / 2.0, 91)
         for method in ("analytic", "numeric"):
@@ -922,9 +961,10 @@ class TestBraces:
                 response = two_photon_response(points, method)
             except DivergentAverageError:
                 continue
-            cases = [(response, theta), (response[:, :, None], grid),
-                     *((response[:, k:k + 1], theta)
-                       for k in range(len(points)))]
+            cases = [(response, theta), (response, grid[:, None]),
+                     (_map_slots(lambda slot: slot[:, None], response), grid),
+                     *((_map_slots(lambda slot: slot[k:k + 1], response),
+                        theta) for k in range(len(points)))]
             for slots, angle in cases:
                 _assert_degrees_equal(slots, angle,
                                       _degree_per_pair(slots, angle))

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from cascadeg2 import (STANDARD_CHSH_ANGLES, TSIRELSON_BOUND, CascadeParams,
-                       bell_s_chsh_from_response, bell_s_from_response,
-                       chsh_from_response, degree_from_response, omega_star,
-                       two_photon_response)
+                       TwoPhotonResponse, bell_s_chsh_from_response,
+                       bell_s_from_response, chsh_from_response,
+                       degree_from_response, omega_star, two_photon_response)
 
 IDEAL = CascadeParams()
 
 
 def _one_point(p11, p12, p21, p22, avg_w):
     """A planted one-point response."""
-    return np.array([[p11], [p12], [p21], [p22], [avg_w]])
+    return TwoPhotonResponse(p11=np.array([p11]), p12=np.array([p12]),
+                             p21=np.array([p21]), p22=np.array([p22]),
+                             w=np.array([avg_w], dtype=complex))
 
 
 def _symmetric(rng):
