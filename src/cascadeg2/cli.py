@@ -15,10 +15,13 @@ The batch gets one two-photon response
 (:func:`~cascadeg2.correlate.two_photon_response`, written out for all
 points at once), which a figure turns into a (label, swept value) table of
 C or S with one observable call, a sweep with one call per requested
-observable.  A :class:`SweepResult` keeps that table as columns: the CSV
-formats each swept value once and every value by one format operation,
-and ``rows`` derives the row tuples from the columns.  The ``degree`` and
-``bell`` commands evaluate the observables on a one-point response.
+observable.  A :class:`SweepResult` keeps that table in the order of its
+CSV rows: its values have the shape (blocks, swept values, labels per
+block), a figure one block per curve, a sweep one block of every column.
+The CSV formats each swept value once and every value by one format
+operation, and ``rows`` zips the swept values, names and values.  The
+``degree`` and ``bell`` commands evaluate the observables on a one-point
+response.
 """
 
 from __future__ import annotations
@@ -84,38 +87,26 @@ class SweepResult:
     """A table of observable values over one swept grid, plus a metadata
     header.
 
-    ``values[i, j]`` is the value of ``labels[i]`` at ``xs[j]``.  The CSV
-    rows (swept value, observable name, value) come in blocks of ``width``
-    labels: a block's rows follow ``xs``, its labels side by side, and the
-    blocks follow each other.
+    ``values`` has shape (blocks, len(xs), w), w labels per block:
+    ``values[b, j, k]`` is the value of ``labels[b * w + k]`` at ``xs[j]``,
+    the labels listed block after block.  The CSV rows (swept value,
+    observable name, value) are the values in C order.
     """
 
     metadata: tuple[tuple[str, str], ...]
     xs: np.ndarray
     labels: tuple[str, ...]
     values: np.ndarray
-    width: int = 1
-
-    def _in_row_order(self) -> np.ndarray:
-        """The values as one flat array, one per CSV row."""
-        w, n = self.width, len(self.xs)
-        return self.values.reshape(len(self.labels) // w, w, n).transpose(
-            0, 2, 1).ravel()
 
     @property
     def rows(self) -> tuple[tuple[float, str, float], ...]:
         """The CSV rows as (swept value, observable name, value) tuples."""
-        w, n = self.width, len(self.xs)
+        _, n, w = self.values.shape
         xs = np.repeat(self.xs, w).tolist()
         rows = []
-        for k in range(0, len(self.labels), w):
-            rows += zip(xs, self.labels[k:k + w] * n,
-                        self.values[k:k + w].T.ravel().tolist())
+        for k, block in zip(range(0, len(self.labels), w), self.values):
+            rows += zip(xs, self.labels[k:k + w] * n, block.ravel().tolist())
         return tuple(rows)
-
-    def _label_of(self, row: int) -> str:
-        return self.labels[row // (self.width * len(self.xs)) * self.width
-                           + row % self.width]
 
     def _template(self) -> str:
         """The data lines, a %.11e field for each value.
@@ -125,7 +116,7 @@ class SweepResult:
         group x c_1 x c_2 .. x c_w: the groups x c_1 x .. c_{w-1} x joined by
         c_w.  With one label per block a group is x alone.
         """
-        w = self.width
+        w = self.values.shape[2]
         x_text = ("%.11e " * len(self.xs) % tuple(self.xs.tolist())).split()
         cells = [f",{name.replace('%', '%%')},%.11e\n" for name in self.labels]
         lines = []
@@ -142,24 +133,22 @@ class SweepResult:
         The values are formatted by one operation, in the template of
         :meth:`_template`.
         """
-        w, n = self.width, len(self.xs)
-        flat = self._in_row_order()
         body = ""
-        if flat.size:
+        if self.values.size:
             # the first bad row is refused, a bad name before a bad value
-            # in the same row; labels[i] first shows at row (i - i % w) n + i % w
-            bad_name = min(((i - i % w) * n + i % w
-                            for i, name in enumerate(self.labels) if "," in name),
-                           default=flat.size)
-            bad_values = np.flatnonzero(~np.isfinite(flat))
-            if bad_values.size and bad_values[0] < bad_name:
-                row = bad_values[0]
-                raise ValueError(f"non-finite value for {self._label_of(row)} "
-                                 f"at x={float(self.xs[row // w % n])}")
-            if bad_name < flat.size:
-                raise ValueError(f"observable name {self._label_of(bad_name)!r} "
-                                 "would break the CSV")
-            body = self._template() % tuple(flat.tolist())
+            # in the same row
+            blocks, _, w = self.values.shape
+            comma = np.array(["," in name for name in self.labels])
+            bad = np.flatnonzero(comma.reshape(blocks, 1, w)
+                                 | ~np.isfinite(self.values))
+            if bad.size:
+                b, j, k = np.unravel_index(bad[0], self.values.shape)
+                label = self.labels[b * w + k]
+                if "," in label:
+                    raise ValueError(f"observable name {label!r} would break the CSV")
+                raise ValueError(f"non-finite value for {label} "
+                                 f"at x={float(self.xs[j])}")
+            body = self._template() % tuple(self.values.ravel().tolist())
         stream.write("".join(f"# {key} = {value}\n" for key, value in self.metadata)
                      + "x,observable,value\n" + body)
 
@@ -296,10 +285,9 @@ class _Plan(NamedTuple):
     """What a figure or sweep evaluates, as ``_figure_plan`` and
     ``_sweep_plan`` build it once they have validated the input.
 
-    ``evaluate`` turns the two-photon response of ``batch`` into one row of
-    values per label, one column per swept value.  The rows come in blocks
-    of ``width`` labels: a block's CSV rows follow ``xs``, its labels side by
-    side, and the blocks follow each other.
+    ``evaluate`` turns the two-photon response of ``batch`` into the
+    values of a :class:`SweepResult`, shape (blocks, len(xs), labels per
+    block), whose C order is the order of the CSV rows.
     """
 
     metadata: list[tuple[str, str]]
@@ -307,11 +295,10 @@ class _Plan(NamedTuple):
     batch: CascadeBatch
     evaluate: Callable[[TwoPhotonResponse], np.ndarray]
     labels: tuple[str, ...]
-    width: int
 
 
 def _figure_plan(fig_id: str, overrides: dict[str, float] | None) -> _Plan:
-    """The plan of one predefined sweep, a block of one label per curve.
+    """The plan of one predefined sweep, one block of one label per curve.
 
     One (fields, curves, points) table holds every point: the figure's
     default point, each curve's fixed fields, the overrides, then the swept
@@ -366,19 +353,18 @@ def _figure_plan(fig_id: str, overrides: dict[str, float] | None) -> _Plan:
 
     if swept is None:
         def evaluate(response):
-            return degree_from_response(response, theta=xs[:, None]).T
+            return degree_from_response(response, theta=xs[:, None]).T[..., None]
     else:
         def evaluate(response):
-            return bell_s_from_response(response).reshape(len(labels), -1)
-    return _Plan(metadata, xs, batch, evaluate, labels, width=1)
+            return bell_s_from_response(response).reshape(len(labels), -1, 1)
+    return _Plan(metadata, xs, batch, evaluate, labels)
 
 
 def _evaluate(plan: _Plan) -> SweepResult:
     """One two-photon response and one observable call for the whole plan."""
     return SweepResult(metadata=tuple(plan.metadata), xs=plan.xs,
                        labels=plan.labels,
-                       values=plan.evaluate(two_photon_response(plan.batch)),
-                       width=plan.width)
+                       values=plan.evaluate(two_photon_response(plan.batch)))
 
 
 def run_figure(fig_id: str, overrides: dict[str, float] | None = None) -> SweepResult:
@@ -417,10 +403,11 @@ def _sweep_plan(params: CascadeParams, axis: str, config: RunConfig,
     labels = tuple(observables)
 
     def evaluate(response):
-        return np.array([_SWEEP_COLUMNS[name](response) for name in labels])
+        return np.stack([_SWEEP_COLUMNS[name](response) for name in labels],
+                        axis=-1)[None]
 
     return _Plan(metadata, xs, CascadeBatch.broadcast(params, **axes),
-                 evaluate, labels, width=len(labels))
+                 evaluate, labels)
 
 
 def run_sweep(params: CascadeParams, axis: str, config: RunConfig,
@@ -501,8 +488,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--start", type=float, required=True)
     p_sweep.add_argument("--stop", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--observables", type=str, default="c_h,c_d,s",
-                         help="comma list from c_h, c_d, s")
+    p_sweep.add_argument("--observables", type=str,
+                         default=",".join(SWEEP_OBSERVABLES),
+                         help=f"comma list from {', '.join(SWEEP_OBSERVABLES)}")
     p_sweep.add_argument("--out", type=str, default=None)
     _add_param_arguments(p_sweep)
 
@@ -573,7 +561,7 @@ def main(argv=None) -> int:
             _write_result(SweepResult(metadata=tuple(metadata),
                                       xs=curve.tau_grid,
                                       labels=(f"g2[{args.method}]",),
-                                      values=curve.values[None, :]), args.out)
+                                      values=curve.values[None, :, None]), args.out)
         return 0
 
     if args.command == "sweep":

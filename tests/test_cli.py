@@ -112,9 +112,15 @@ class TestSweepResult:
         lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
         return lines[1:] if lines and lines[0] == "x,observable,value" else lines
 
+    @staticmethod
+    def _blocks(table, w):
+        """A (label, x) table as (blocks, x, w) values, w labels per block."""
+        table = np.asarray(table, dtype=float)
+        return table.reshape(-1, w, table.shape[1]).transpose(0, 2, 1)
+
     def test_empty_rows_write_metadata_and_header_only(self):
         result = SweepResult(metadata=(("tool", "t"), ("axis", "a")),
-                             xs=np.array([]), labels=(), values=np.empty((0, 0)))
+                             xs=np.array([]), labels=(), values=np.empty((0, 0, 1)))
         assert self._write(result) == "# tool = t\n# axis = a\nx,observable,value\n"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -122,8 +128,7 @@ class TestSweepResult:
         # rows (0, a), (0, b), (0.5, a), (0.5, b), ...: b at 0.5 is the first bad
         result = SweepResult(metadata=(("tool", "t"),), xs=np.array([0.0, 0.5, 1.0]),
                              labels=("a", "b"),
-                             values=np.array([[1.0, 1.0, 2.0], [1.0, bad, bad]]),
-                             width=2)
+                             values=self._blocks([[1.0, 1.0, 2.0], [1.0, bad, bad]], 2))
         buf = io.StringIO()
         with pytest.raises(ValueError, match=r"non-finite value for b at x=0\.5"):
             result.write_csv(buf)
@@ -132,14 +137,15 @@ class TestSweepResult:
     def test_name_with_comma_refused_before_any_row(self):
         result = SweepResult(metadata=(), xs=np.array([0.0, 1.0]),
                              labels=("a", "c,d"),
-                             values=np.array([[1.0, 1.0], [2.0, 2.0]]))
+                             values=self._blocks([[1.0, 1.0], [2.0, 2.0]], 1))
         buf = io.StringIO()
         with pytest.raises(ValueError, match=re.escape("'c,d' would break the CSV")):
             result.write_csv(buf)
         assert self._data_rows(buf.getvalue()) == []
 
     @pytest.mark.parametrize("rows, message", [
-        # each case is (labels, values, width) for the rows in its comment;
+        # each case is (labels, values, w) for the rows in its comment, the
+        # values a (label, x) table in blocks of w labels;
         # rows (0, a), (1, a), (0, c,d), (1, c,d)
         ((("a", "c,d"), [[math.nan, 1.0], [2.0, 2.0]], 1), "non-finite value for a"),
         # rows (0, c,d), (0, a), (1, c,d), (1, a)
@@ -149,26 +155,26 @@ class TestSweepResult:
     ])
     def test_first_bad_row_is_refused(self, rows, message):
         # rows are checked in order, the name before the value of a row
-        labels, values, width = rows
+        labels, values, w = rows
         result = SweepResult(metadata=(), xs=np.array([0.0, 1.0]), labels=labels,
-                             values=np.array(values), width=width)
+                             values=self._blocks(values, w))
         with pytest.raises(ValueError, match=re.escape(message)):
             result.write_csv(io.StringIO())
 
     def test_negative_zero_keeps_its_sign(self):
         # x at -0.0 and 0.0 compare equal but print differently
         result = SweepResult(metadata=(), xs=np.array([-0.0, 0.0]), labels=("a",),
-                             values=np.array([[1.0, -0.0]]))
+                             values=np.array([[[1.0], [-0.0]]]))
         assert self._write(result) == (
             "x,observable,value\n"
             "-0.00000000000e+00,a,1.00000000000e+00\n"
             "0.00000000000e+00,a,-0.00000000000e+00\n")
 
-    @pytest.mark.parametrize("width", [1, 2])
-    def test_negative_zero_grid_prints_on_every_curve(self, width):
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_negative_zero_grid_prints_on_every_curve(self, w):
         result = SweepResult(metadata=(), xs=np.array([-0.0, 0.0]),
                              labels=("a", "b"),
-                             values=np.array([[1.0, 2.0], [3.0, 4.0]]), width=width)
+                             values=self._blocks([[1.0, 2.0], [3.0, 4.0]], w))
         lines = self._data_rows(self._write(result))
         assert sorted(line.split(",")[0] for line in lines) == (
             ["-0.00000000000e+00"] * 2 + ["0.00000000000e+00"] * 2)
@@ -178,23 +184,25 @@ class TestSweepResult:
     def test_labels_print_literally(self):
         labels = ("C[50%]", "S{x}", "%s%.11e{}", "%%")
         result = SweepResult(metadata=(), xs=np.array([0.0, 0.25]), labels=labels,
-                             values=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0],
-                                              [7.0, 8.0]]))
+                             values=self._blocks([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0],
+                                                  [7.0, 8.0]], 1))
         lines = self._data_rows(self._write(result))
         assert [line.split(",")[1] for line in lines] == [
             name for name in labels for _ in range(2)]
 
-    @pytest.mark.parametrize("width", [1, 3])
-    def test_rows_follow_the_written_lines(self, width):
-        # blocks of width labels; within a block x by x, labels side by side
+    @pytest.mark.parametrize("w", [1, 3])
+    def test_rows_follow_the_written_lines(self, w):
+        # blocks of w labels; within a block x by x, labels side by side
         rng = np.random.default_rng(5)
         xs, labels = rng.normal(size=4), ("a", "b", "c", "d", "e", "f")
         result = SweepResult(metadata=(), xs=xs, labels=labels,
-                             values=rng.normal(size=(6, 4)), width=width)
+                             values=self._blocks(rng.normal(size=(6, 4)), w))
         assert self._data_rows(self._write(result)) == [
             f"{x:.11e},{name},{value:.11e}" for x, name, value in result.rows]
-        first_block = [name for _, name, _ in result.rows[:4 * width]]
-        assert first_block == list(labels[:width]) * 4
+        first_block = [name for _, name, _ in result.rows[:4 * w]]
+        assert first_block == list(labels[:w]) * 4
+        # the rows are the values in C order
+        assert [value for _, _, value in result.rows] == result.values.ravel().tolist()
 
 
 class TestConfigFile:
@@ -325,13 +333,20 @@ class TestFigures:
         (["figure", "3c"], "figure_3c.csv"),
         (["figure", "4a"], "figure_4a.csv"),
         (["figure", "4b"], "figure_4b.csv"),
+        # sweeps of one observable, and of two in an order not the default
+        (["sweep", "--axis", "gamma_d", "--start", "0", "--stop", "2",
+          "--steps", "11", "--observables", "s"], "sweep_gamma_d_0_2_11_s.csv"),
+        (["sweep", "--axis", "delta_fs", "--start", "0", "--stop", "10",
+          "--steps", "11", "--observables", "c_d,c_h"],
+         "sweep_delta_fs_0_10_11_cd_ch.csv"),
     ])
     def test_output_matches_golden_csv(self, tmp_path, argv, golden):
         # captured before sweeps were batched, figures 5 and 6 at default
         # resolution before parameter batches, the correlate curves before
         # uniform grids were filled by doubling, the default-resolution
-        # degree figures before the CSV was written from the value columns;
-        # output must not move a byte
+        # degree figures before the CSV was written from the value columns,
+        # the one- and two-observable sweeps before the values took the shape
+        # of the rows; output must not move a byte
         out = tmp_path / "out.csv"
         assert main(argv + ["--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / golden).read_bytes()
@@ -603,6 +618,16 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("cascadeg2: error: no observables")
 
+    def test_unknown_observable_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--axis", "rabi", "--start", "0", "--stop", "1",
+                  "--steps", "2", "--observables", "c_h,foo"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "cascadeg2: error: unknown observable 'foo'")
+
     @pytest.mark.parametrize("argv", [
         ["degree", "--theta", "0", "--gamma1", "0", "--gamma2", "0",
          "--gamma3", "0", "--gamma4", "0"],
@@ -723,3 +748,20 @@ class TestVerify:
         results = run_all_checks(quick=True, builder=flipped)
         _text, ok = summarize(results)
         assert not ok
+
+    def test_crashed_check_fails_and_the_suite_goes_on(self):
+        def broken(params):
+            raise RuntimeError("no generator")
+
+        results = run_all_checks(quick=True, builder=broken)
+        text, ok = summarize(results)
+        assert not ok and len(results) == 13
+        builder_checks = ["generator_restriction", "trace_preservation",
+                          "hermiticity_preservation", "positivity", "semigroup",
+                          "evolve_route_agreement", "w_phase", "oracle_equivalence"]
+        lines = text.splitlines()
+        for name in builder_checks:
+            assert f"FAIL  {name}: raised RuntimeError('no generator')" in lines
+        assert all(result.passed for result in results
+                   if result.name not in builder_checks)
+        assert any(line.startswith("PASS  tau0_normalization: ") for line in lines)

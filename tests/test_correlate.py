@@ -19,7 +19,7 @@ from cascadeg2.correlate import (_DECAY_FLOOR, _DENSITY_CONES,
                                  _braces, _coherence_generator,
                                  _conditioned_state, _delay_response,
                                  _detection_projector, _exp_entries,
-                                 _population_cone, _population_generator,
+                                 _g2_closed_form, _population_cone, _population_generator,
                                  _population_propagators, _refuse_divergent)
 from cascadeg2.liouvillian import check_tau_grid
 from cascadeg2.observables import (STANDARD_CHSH_ANGLES,
@@ -1233,6 +1233,23 @@ class TestCorrelationCurve:
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
             CorrelationCurve(np.array([0.0, 1.0]), np.array([1.0, -1e-6]))
+
+    def test_negative_round_off_is_washed_out(self, monkeypatch):
+        # undriven, with crossed diagonal analyzers the closed form is zero
+        # but for round-off, half its values in [-4.4e-16, 0)
+        crossed = DetectorSetting(-math.pi / 4.0)
+        taus = np.linspace(0.0, 10.0, 300)
+        raw = _g2_closed_form(CascadeParams(), D, crossed, taus)
+        assert np.any(raw < 0.0) and raw.min() > -1e-12
+        curve = correlation_curve(CascadeParams(), D, crossed, taus)
+        assert np.array_equal(curve.values, np.where(raw < 0, 0.0, raw))
+        # a value below -1e-12 is no round-off and is still refused
+        planted = raw.copy()
+        planted[7] = -2e-12
+        monkeypatch.setattr("cascadeg2.correlate._g2_closed_form",
+                            lambda *args: planted)
+        with pytest.raises(ValueError, match="negative coincidence rate"):
+            correlation_curve(CascadeParams(), D, crossed, taus)
 
     def test_decreasing_grid_rejected(self):
         with pytest.raises(ValueError):

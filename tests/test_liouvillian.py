@@ -374,6 +374,9 @@ class TestEvolve:
                 evolve(bad, _pure(UP), 1.0)
             with pytest.raises(ValueError, match="25x25 generator"):
                 evolve_grid(bad, _pure(UP), [0.0, 1.0])
+        # and the operator it propagates
+        with pytest.raises(ValueError, match="expected a 5x5 operator"):
+            evolve(build_generator(CascadeParams()), np.zeros((4, 4)), 1.0)
 
     def test_negative_tau_rejected(self):
         gen = build_generator(CascadeParams())

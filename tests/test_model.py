@@ -138,6 +138,9 @@ class TestCascadeBatch:
         # a table of the fields as rows, one column per point
         table = np.array([_row(p) for p in points]).T
         assert np.array_equal(CascadeBatch(table).table, batch.table)
+        # and no table of another shape
+        with pytest.raises(ValueError, match=r"expected a \(10, n\) table"):
+            CascadeBatch(np.zeros((3, 2)))
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="gama_u"):
