@@ -386,12 +386,15 @@ def _sweep_plan(params: CascadeParams, axis: str, config: RunConfig,
     """The plan of a one-axis sweep: one block holding every column."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown axis {axis!r}; expected one of {SWEEP_AXES}")
-    if not observables:
+    labels = tuple(observables)
+    if not labels:
         raise ValueError(f"no observables requested; expected some of "
                          f"{', '.join(SWEEP_OBSERVABLES)}")
-    for name in observables:
+    for k, name in enumerate(labels):
         if name not in SWEEP_OBSERVABLES:
             raise ValueError(f"unknown observable {name!r}")
+        if name in labels[:k]:
+            raise ValueError(f"repeated observable {name!r}")
 
     metadata = _base_metadata(f"sweep {axis}")
     metadata.append(("axis", f"{axis} from {_fmt(config.start)} to "
@@ -400,7 +403,6 @@ def _sweep_plan(params: CascadeParams, axis: str, config: RunConfig,
 
     xs = config.grid()
     axes = {"gamma12": xs, "gamma21": xs} if axis == "gamma_d" else {axis: xs}
-    labels = tuple(observables)
 
     def evaluate(response):
         return np.stack([_SWEEP_COLUMNS[name](response) for name in labels],
@@ -495,8 +497,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_param_arguments(p_sweep)
 
     p_ver = sub.add_parser("verify", help="run the oracle and invariant suite")
-    p_ver.add_argument("--tol", type=float, default=1e-6,
-                       help="oracle-equivalence tolerance")
     p_ver.add_argument("--quick", action="store_true",
                        help="reduced parameter-set counts")
     p_ver.add_argument("--out", type=str, default=None,
@@ -574,15 +574,11 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "verify":
-        with _usage_errors(parser):
-            if not (math.isfinite(args.tol) and args.tol > 0):
-                raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
-        results = run_all_checks(tol=args.tol, quick=args.quick)
+        results = run_all_checks(quick=args.quick)
         text, ok = summarize(results)
         print(text)
         if args.out:
-            report = {"version": __version__, "tol": args.tol,
-                      "passed": ok,
+            report = {"version": __version__, "passed": ok,
                       "checks": [dataclasses.asdict(r) for r in results]}
             with _usage_errors(parser), open(args.out, "w", encoding="utf-8",
                                              newline="\n") as fh:

@@ -83,7 +83,7 @@ import numpy as np
 
 from .errors import DivergentAverageError, NumericError
 from .liouvillian import (_as_generator, build_generator, check_tau_grid,
-                          evolve, evolve_grid, propagate_steps, vectorize)
+                          evolve, propagate_steps, vectorize)
 from .model import Level, N_LEVELS, CascadeBatch, CascadeParams, DetectorSetting
 
 # A time average exists only if every mode of the sector it integrates
@@ -366,16 +366,13 @@ def g2_numeric(params: CascadeParams, det1: DetectorSetting,
     """Regression-theorem correlation at a single delay.
 
     method "ode" integrates adaptively (DOP853, see :func:`evolve`); method
-    "expm" propagates exactly on a one-point grid (see :func:`evolve_grid`).
+    "expm" is :func:`g2_numeric_grid` on the one-point grid ``[tau]``.
     """
     if method not in ("ode", "expm"):
         raise ValueError(f"unknown method {method!r}, expected 'ode' or 'expm'")
-    taus, _ = _validate_taus(float(tau))
-    gen, x0 = build_generator(params), _conditioned_state(det1)
-    if method == "ode":
-        op = evolve(gen, x0, taus[0])
-    else:
-        op = evolve_grid(gen, x0, taus)[0]
+    if method == "expm":
+        return float(g2_numeric_grid(params, det1, det2, [tau])[0])
+    op = evolve(build_generator(params), _conditioned_state(det1), tau)
     return float(4.0 * np.real(np.trace(_detection_projector(det2) @ op)))
 
 

@@ -1,9 +1,9 @@
 """Self-contained oracle-equivalence and invariant checks.
 
-These power the ``verify`` CLI command.  Each check returns a
-:class:`CheckResult`; the suite passes only if every check passes.  The
-equation-of-motion coefficient tables are hard-coded here, independent of the
-generator construction they validate.
+These power the ``verify`` CLI command.  Each check holds one fixed bar and
+returns a :class:`CheckResult`; the suite passes only if every check passes.
+The equation-of-motion coefficient tables are hard-coded here, independent of
+the generator construction they validate.
 """
 
 from __future__ import annotations
@@ -85,9 +85,10 @@ def _vec_index(element) -> int:
     return int(i) + 5 * int(j)
 
 
-def check_generator_restriction(builder: GeneratorBuilder = build_generator,
-                                tol: float = 1e-14) -> CheckResult:
+def check_generator_restriction(
+        builder: GeneratorBuilder = build_generator) -> CheckResult:
     """Row-by-row coefficient agreement with the equations of motion."""
+    tol = 1e-14
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(5):
@@ -109,7 +110,8 @@ def check_generator_restriction(builder: GeneratorBuilder = build_generator,
 
 
 def check_trace_preservation(builder: GeneratorBuilder = build_generator,
-                             n_sets: int = 1000, tol: float = 1e-12) -> CheckResult:
+                             n_sets: int = 1000) -> CheckResult:
+    tol = 1e-12
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(n_sets):
@@ -127,8 +129,9 @@ def check_trace_preservation(builder: GeneratorBuilder = build_generator,
                    f"max  |tr(M x)| {worst:.2e} over {n_sets} sets (tol {tol:.0e})")
 
 
-def check_hermiticity_preservation(builder: GeneratorBuilder = build_generator,
-                                   tol: float = 1e-12) -> CheckResult:
+def check_hermiticity_preservation(
+        builder: GeneratorBuilder = build_generator) -> CheckResult:
+    tol = 1e-12
     rng = np.random.default_rng(6)
     worst = 0.0
     for _ in range(50):
@@ -142,8 +145,8 @@ def check_hermiticity_preservation(builder: GeneratorBuilder = build_generator,
                    f"max |M(x) - M(x)^dag| {worst:.2e} (tol {tol:.0e})")
 
 
-def check_positivity(builder: GeneratorBuilder = build_generator,
-                     tol: float = 1e-10) -> CheckResult:
+def check_positivity(builder: GeneratorBuilder = build_generator) -> CheckResult:
+    tol = 1e-10
     rng = np.random.default_rng(8)
     rho0 = np.zeros((5, 5), dtype=complex)
     rho0[Level.TWO_X, Level.TWO_X] = 1.0
@@ -160,8 +163,8 @@ def check_positivity(builder: GeneratorBuilder = build_generator,
                    f"min eigenvalue {worst:.2e} (floor -{tol:.0e})")
 
 
-def check_semigroup(builder: GeneratorBuilder = build_generator,
-                    tol: float = 1e-8) -> CheckResult:
+def check_semigroup(builder: GeneratorBuilder = build_generator) -> CheckResult:
+    tol = 1e-8
     rng = np.random.default_rng(9)
     worst = 0.0
     for idx in range(4):
@@ -176,8 +179,8 @@ def check_semigroup(builder: GeneratorBuilder = build_generator,
                    f"max |e^{{Mt2}}e^{{Mt1}} - e^{{M(t1+t2)}}| {worst:.2e} (tol {tol:.0e})")
 
 
-def check_evolve_routes(builder: GeneratorBuilder = build_generator,
-                        tol: float = 1e-8) -> CheckResult:
+def check_evolve_routes(builder: GeneratorBuilder = build_generator) -> CheckResult:
+    tol = 1e-8
     rng = np.random.default_rng(10)
     worst = 0.0
     for idx in range(4):
@@ -190,9 +193,9 @@ def check_evolve_routes(builder: GeneratorBuilder = build_generator,
                    f"max ODE vs expm deviation {worst:.2e} (tol {tol:.0e})")
 
 
-def check_w_phase(builder: GeneratorBuilder = build_generator,
-                  tol: float = 1e-6) -> CheckResult:
+def check_w_phase(builder: GeneratorBuilder = build_generator) -> CheckResult:
     """The cross coherence must rotate at -delta_fs when the drive is off."""
+    tol = 1e-6
     delta_fs = 5.0
     params = CascadeParams(delta_fs=delta_fs)
     gen = builder(params)
@@ -207,7 +210,7 @@ def check_w_phase(builder: GeneratorBuilder = build_generator,
                    f"(deviation {deviation:.2e}, tol {tol:.0e})")
 
 
-def check_tau0_normalization(tol: float = 1e-10) -> CheckResult:
+def check_tau0_normalization() -> CheckResult:
     rng = np.random.default_rng(12)
     worst = 0.0
     for idx in range(8):
@@ -220,13 +223,14 @@ def check_tau0_normalization(tol: float = 1e-10) -> CheckResult:
         ana = g2_analytic(params, det1, det2, 0.0)
         num = g2_numeric_grid(params, det1, det2, np.array([0.0, 1.0]))[0]
         worst = max(worst, abs(ana - expected), abs(num - expected))
-    return _result("tau0_normalization", worst <= tol,
+    return _result("tau0_normalization", worst <= 1e-10,
                    f"max deviation from closed form at tau=0: {worst:.2e}")
 
 
 def check_oracle_equivalence(builder: GeneratorBuilder = build_generator,
-                             n_sets: int = 50, tol: float = 1e-6) -> CheckResult:
-    """|g2_numeric - g2_analytic| < tol * max(1, g2) across the sweep family."""
+                             n_sets: int = 50) -> CheckResult:
+    """|g2_numeric_grid - g2_analytic| <= tol max(1, |g2|), both routes exact."""
+    tol = 1e-12
     rng = np.random.default_rng(2024)
     taus = np.linspace(0.0, 10.0, 100)
     worst = 0.0
@@ -245,7 +249,7 @@ def check_oracle_equivalence(builder: GeneratorBuilder = build_generator,
                    f"parameter sets x {taus.size} delays (tol {tol:.0e})")
 
 
-def check_average_cross_oracle(n_sets: int = 10, tol: float = 1e-6) -> CheckResult:
+def check_average_cross_oracle(n_sets: int = 10) -> CheckResult:
     rng = np.random.default_rng(31)
     points, angles = [], []
     for idx in range(n_sets):
@@ -255,12 +259,13 @@ def check_average_cross_oracle(n_sets: int = 10, tol: float = 1e-6) -> CheckResu
     ana = _braces(two_photon_response(points), theta1, theta2)
     num = _braces(two_photon_response(points, "numeric"), theta1, theta2)
     worst = float(np.max(np.abs(num - ana) / np.maximum(1e-30, np.abs(ana))))
-    return _result("average_cross_oracle", worst <= tol,
+    return _result("average_cross_oracle", worst <= 1e-12,
                    f"max relative deviation {worst:.2e} over {n_sets} sets")
 
 
-def check_structural_identity(tol: float = 1e-9) -> CheckResult:
+def check_structural_identity() -> CheckResult:
     """Averaged coincidences fit 1 + C_H c1 c2 + C_D s1 s2 exactly."""
+    tol = 1e-9
     params = CascadeParams(delta_fs=3.7, rabi=8.0, detuning=14.0,
                            gamma12=0.35, gamma21=0.35)
     response = two_photon_response([params])
@@ -280,7 +285,8 @@ def check_structural_identity(tol: float = 1e-9) -> CheckResult:
                    f"deviation {coeff_dev:.2e} (tol {tol:.0e})")
 
 
-def check_bell_bridge(tol: float = 1e-9) -> CheckResult:
+def check_bell_bridge() -> CheckResult:
+    tol = 1e-9
     rng = np.random.default_rng(14)
     points, angles = [], []
     for _ in range(5):
@@ -306,17 +312,18 @@ def check_bell_bridge(tol: float = 1e-9) -> CheckResult:
                    f"E-structure deviation {worst_e:.2e} (tol {tol:.0e})")
 
 
-def check_tsirelson(tol: float = 1e-6) -> CheckResult:
+def check_tsirelson() -> CheckResult:
     rng = np.random.default_rng(15)
     points = [_random_params(rng, idx) for idx in range(10)]
     worst = float(np.max(np.abs(bell_s_from_response(two_photon_response(points)))))
-    return _result("tsirelson_bound", worst <= TSIRELSON_BOUND + tol,
+    return _result("tsirelson_bound", worst <= TSIRELSON_BOUND + 1e-6,
                    f"max |S| {worst:.6f} vs bound {TSIRELSON_BOUND:.6f}")
 
 
-def run_all_checks(tol: float = 1e-6, quick: bool = False,
+def run_all_checks(quick: bool = False,
                    builder: GeneratorBuilder = build_generator) -> list[CheckResult]:
-    """Run the whole suite; ``tol`` scales the oracle-equivalence threshold."""
+    """Run the whole suite, each check against its own fixed bar; ``quick``
+    draws fewer parameter sets for the oracle, average and trace checks."""
     n_oracle = 8 if quick else 50
     n_avg = 3 if quick else 10
     n_trace = 100 if quick else 1000
@@ -332,7 +339,7 @@ def run_all_checks(tol: float = 1e-6, quick: bool = False,
         ("w_phase", lambda: check_w_phase(builder)),
         ("tau0_normalization", check_tau0_normalization),
         ("oracle_equivalence",
-         lambda: check_oracle_equivalence(builder, n_sets=n_oracle, tol=tol)),
+         lambda: check_oracle_equivalence(builder, n_sets=n_oracle)),
         ("average_cross_oracle",
          lambda: check_average_cross_oracle(n_sets=n_avg)),
         ("structural_identity", check_structural_identity),

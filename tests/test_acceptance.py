@@ -195,11 +195,11 @@ def test_criterion_10_structural_identity():
 
 def test_criterion_11_generator_hygiene():
     checks = [
-        check_trace_preservation(n_sets=1000, tol=1e-12),
-        check_hermiticity_preservation(tol=1e-12),
-        check_positivity(tol=1e-10),
-        check_semigroup(tol=1e-8),
-        check_generator_restriction(tol=1e-14),
+        check_trace_preservation(n_sets=1000),
+        check_hermiticity_preservation(),
+        check_positivity(),
+        check_semigroup(),
+        check_generator_restriction(),
     ]
     for check in checks:
         assert check.passed, f"{check.name}: {check.detail}"

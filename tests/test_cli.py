@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import cascadeg2
+from cascadeg2 import verify
 from cascadeg2 import (CascadeBatch, CascadeParams, DetectorSetting,
                        bell_s_from_response, degree_from_response, g2_analytic,
                        omega_star, two_photon_response)
@@ -504,6 +506,11 @@ class TestSweep:
             run_sweep(CascadeParams(), "nonsense",
                       RunConfig(start=0.0, stop=1.0, steps=2))
 
+    def test_repeated_observable_rejected(self):
+        with pytest.raises(ValueError, match="repeated observable 'c_d'"):
+            run_sweep(CascadeParams(), "rabi",
+                      RunConfig(start=0.0, stop=1.0, steps=2), ["c_d", "s", "c_d"])
+
 
 class TestCommands:
     def test_bell_command(self, capsys):
@@ -619,14 +626,16 @@ class TestCommands:
         assert err.splitlines()[-1].startswith("cascadeg2: error: no observables")
 
     def test_unknown_observable_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["sweep", "--axis", "rabi", "--start", "0", "--stop", "1",
-                  "--steps", "2", "--observables", "c_h,foo"])
-        assert exit_info.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
-            "cascadeg2: error: unknown observable 'foo'")
+        # an unknown name, and a repeated one, whose rows would repeat a key
+        for observables, message in [("c_h,foo", "unknown observable 'foo'"),
+                                     ("s,c_h,s", "repeated observable 's'")]:
+            with pytest.raises(SystemExit) as exit_info:
+                main(["sweep", "--axis", "rabi", "--start", "0", "--stop", "1",
+                      "--steps", "2", "--observables", observables])
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines()[-1] == f"cascadeg2: error: {message}"
 
     @pytest.mark.parametrize("argv", [
         ["degree", "--theta", "0", "--gamma1", "0", "--gamma2", "0",
@@ -724,20 +733,23 @@ class TestVerify:
             assert isinstance(check["seconds"], float)
             assert check["seconds"] >= 0.0
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-    def test_bad_tolerance_is_usage_error(self, capsys, tol):
+    def test_bars_are_not_settable(self, capsys):
+        checks = [f for name, f in vars(verify).items() if name.startswith("check_")]
+        assert len(checks) == 13
+        for f in checks + [run_all_checks]:
+            assert "tol" not in inspect.signature(f).parameters, f.__name__
         with pytest.raises(SystemExit) as exit_info:
-            main(["verify", "--quick", "--tol", tol])
+            main(["verify", "--quick", "--tol", "1e-6"])
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""  # no check ran
-        assert captured.err.splitlines()[-1].startswith(
-            "cascadeg2: error: --tol must be finite and > 0")
+        assert "unrecognized arguments: --tol 1e-6" in captured.err
 
     def test_tightened_tolerance_passes_at_exact_floor(self):
         # both routes are exact, so they agree to round-off
-        result = check_oracle_equivalence(n_sets=3, tol=1e-12)
+        result = check_oracle_equivalence(n_sets=3)
         assert result.passed, result.detail
+        assert result.detail.endswith("(tol 1e-12)")
 
     def test_sign_flip_mutation_caught_by_w_phase(self):
         def flipped(params):
@@ -748,6 +760,16 @@ class TestVerify:
         results = run_all_checks(quick=True, builder=flipped)
         _text, ok = summarize(results)
         assert not ok
+
+    def test_planted_splitting_error_caught_by_oracle(self):
+        # a relative 1e-9 error in the splitting: only the route agreement
+        # of G(tau), at its 1e-12 bar, sees it
+        def skewed(params):
+            return build_generator(replace(params, delta_fs=params.delta_fs * (1 + 1e-9)))
+
+        assert not check_oracle_equivalence(skewed).passed
+        results = run_all_checks(quick=True, builder=skewed)
+        assert [r.name for r in results if not r.passed] == ["oracle_equivalence"]
 
     def test_crashed_check_fails_and_the_suite_goes_on(self):
         def broken(params):
