@@ -497,8 +497,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_param_arguments(p_sweep)
 
     p_ver = sub.add_parser("verify", help="run the oracle and invariant suite")
-    p_ver.add_argument("--quick", action="store_true",
-                       help="reduced parameter-set counts")
     p_ver.add_argument("--out", type=str, default=None,
                        help="write a JSON report here")
     return parser
@@ -574,15 +572,18 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "verify":
-        results = run_all_checks(quick=args.quick)
-        text, ok = summarize(results)
-        print(text)
-        if args.out:
-            report = {"version": __version__, "passed": ok,
-                      "checks": [dataclasses.asdict(r) for r in results]}
-            with _usage_errors(parser), open(args.out, "w", encoding="utf-8",
-                                             newline="\n") as fh:
-                json.dump(report, fh, indent=2)
+        # the report is opened before any check runs, so a path that cannot
+        # be written costs no run
+        with _usage_errors(parser), (
+                open(args.out, "w", encoding="utf-8", newline="\n")
+                if args.out else contextlib.nullcontext()) as fh:
+            results = run_all_checks()
+            text, ok = summarize(results)
+            print(text)
+            if fh is not None:
+                json.dump({"version": __version__, "passed": ok,
+                           "checks": [dataclasses.asdict(r) for r in results]},
+                          fh, indent=2)
                 fh.write("\n")
         return 0 if ok else 1
 

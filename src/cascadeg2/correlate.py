@@ -70,7 +70,8 @@ serves either way, of the step alone on a uniform grid from 0.
 ``correlation_curve`` checks its grid once, with ``check_tau_grid``,
 before either route runs, so both refuse a bad grid alike; neither route
 nor the curve checks it again.  scipy loads only for the DOP853
-cross-check, ``g2_numeric(..., method="ode")``.
+cross-check ``evolve``, which ``g2_numeric(..., method="ode")`` and the
+``evolve_route_agreement`` check of :mod:`cascadeg2.verify` call.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DivergentAverageError, NumericError
-from .liouvillian import (_as_generator, build_generator, check_tau_grid,
-                          evolve, propagate_steps, vectorize)
+from .liouvillian import (build_generator, check_tau_grid, evolve,
+                          propagate_steps, vectorize)
 from .model import Level, N_LEVELS, CascadeBatch, CascadeParams, DetectorSetting
 
 # A time average exists only if every mode of the sector it integrates
@@ -334,27 +335,22 @@ def _detection_projector(det2: DetectorSetting) -> np.ndarray:
 
 
 def g2_numeric_grid(params: CascadeParams, det1: DetectorSetting,
-                    det2: DetectorSetting, taus,
-                    gen: np.ndarray | None = None) -> np.ndarray:
+                    det2: DetectorSetting, taus) -> np.ndarray:
     """Regression-theorem correlation on a strictly increasing tau grid.
 
-    ``gen`` is the (25, 25) generator of ``params``, built if not given.
     The conditioned state is propagated exactly on the averaged sector of
-    ``gen`` (see :func:`_average_sector`), which it never leaves: a 4x4
-    block without the drive, 9x9 with it.
+    the generator of ``params`` (see :func:`_average_sector`), which it
+    never leaves: a 4x4 block without the drive, 9x9 with it.
     """
-    taus = check_tau_grid(taus)
-    gen = build_generator(params) if gen is None else _as_generator(gen)
-    return _g2_sector_grid(params, det1, det2, taus, gen)
+    return _g2_sector_grid(params, det1, det2, check_tau_grid(taus))
 
 
 def _g2_sector_grid(params: CascadeParams, det1: DetectorSetting,
-                    det2: DetectorSetting, taus: np.ndarray,
-                    gen: np.ndarray) -> np.ndarray:
-    """:func:`g2_numeric_grid` on an accepted grid and a (25, 25) generator."""
+                    det2: DetectorSetting, taus: np.ndarray) -> np.ndarray:
+    """:func:`g2_numeric_grid` on an accepted grid."""
     sector = _average_sector(_DRIVEN_LEVELS if params.rabi != 0.0
                              else _UNDRIVEN_LEVELS)
-    states = propagate_steps(gen[np.ix_(sector, sector)],
+    states = propagate_steps(build_generator(params)[np.ix_(sector, sector)],
                              vectorize(_conditioned_state(det1))[sector], taus)
     # Tr[P X] = vec(P^T) . vec(X)
     proj = vectorize(_detection_projector(det2).T)[sector]
@@ -389,8 +385,7 @@ def correlation_curve(params: CascadeParams, det1: DetectorSetting,
     if method == "analytic":
         values = _g2_closed_form(params, det1, det2, taus)
     elif method == "numeric":
-        values = _g2_sector_grid(params, det1, det2, taus,
-                                 build_generator(params))
+        values = _g2_sector_grid(params, det1, det2, taus)
     else:
         raise ValueError(f"unknown method {method!r}")
     # wash out harmless negative round-off before the curve's value check

@@ -1,31 +1,30 @@
 """Self-contained oracle-equivalence and invariant checks.
 
-These power the ``verify`` CLI command.  Each check holds one fixed bar and
-returns a :class:`CheckResult`; the suite passes only if every check passes.
-The equation-of-motion coefficient tables are hard-coded here, independent of
-the generator construction they validate.
+These power the ``verify`` CLI command, and have no settings.  Each check
+takes no arguments: it draws one fixed number of inputs from its own seed,
+builds any generator it needs with
+:func:`~cascadeg2.liouvillian.build_generator`, holds one fixed bar, which
+its detail names, and returns a :class:`CheckResult`; the suite passes only
+if every check passes.  The equation-of-motion coefficient tables are
+hard-coded here, independent of the generator construction they validate.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .correlate import (_braces, _conditioned_state, g2_analytic,
                         g2_numeric_grid, two_photon_response)
-from .liouvillian import (build_generator, evolve, evolve_grid, unvectorize,
-                          vectorize)
+from .liouvillian import (build_generator, evolve, evolve_grid,
+                          propagate_steps, unvectorize, vectorize)
 from .model import CascadeParams, DetectorSetting, Level
 from .observables import (STANDARD_CHSH_ANGLES, TSIRELSON_BOUND,
                           bell_s_chsh_from_response, bell_s_from_response,
                           chsh_from_response, degree_from_response)
-
-# builds the (25, 25) generator of one parameter point
-GeneratorBuilder = Callable[[CascadeParams], np.ndarray]
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -85,8 +84,7 @@ def _vec_index(element) -> int:
     return int(i) + 5 * int(j)
 
 
-def check_generator_restriction(
-        builder: GeneratorBuilder = build_generator) -> CheckResult:
+def check_generator_restriction() -> CheckResult:
     """Row-by-row coefficient agreement with the equations of motion."""
     tol = 1e-14
     rng = np.random.default_rng(11)
@@ -98,7 +96,7 @@ def check_generator_restriction(
             gamma_u=rng.uniform(0, 1), gamma12=rng.uniform(0, 2),
             gamma21=rng.uniform(0, 2), delta_fs=0.0,
             rabi=rng.uniform(0, 20), detuning=rng.uniform(-50, 50))
-        gen = builder(params)
+        gen = build_generator(params)
         for element, expected in _equation_table(params).items():
             row = gen[_vec_index(element)]
             target = np.zeros(25, dtype=complex)
@@ -109,34 +107,32 @@ def check_generator_restriction(
                    f"max coefficient deviation {worst:.2e} (tol {tol:.0e})")
 
 
-def check_trace_preservation(builder: GeneratorBuilder = build_generator,
-                             n_sets: int = 1000) -> CheckResult:
-    tol = 1e-12
+def check_trace_preservation() -> CheckResult:
+    tol, draws = 1e-12, 1000
     rng = np.random.default_rng(5)
     worst = 0.0
-    for _ in range(n_sets):
+    for _ in range(draws):
         params = CascadeParams(
             gamma1=rng.uniform(0, 2), gamma2=rng.uniform(0, 2),
             gamma3=rng.uniform(0, 2), gamma4=rng.uniform(0, 2),
             gamma_u=rng.uniform(0, 1), gamma12=rng.uniform(0, 2),
             gamma21=rng.uniform(0, 2), delta_fs=rng.uniform(-10, 10),
             rabi=rng.uniform(0, 35), detuning=rng.uniform(-100, 100))
-        gen = builder(params)
+        gen = build_generator(params)
         herm = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         herm = herm + herm.conj().T
         worst = max(worst, abs(np.trace(unvectorize(gen @ vectorize(herm)))))
     return _result("trace_preservation", worst <= tol,
-                   f"max  |tr(M x)| {worst:.2e} over {n_sets} sets (tol {tol:.0e})")
+                   f"max  |tr(M x)| {worst:.2e} over {draws} sets (tol {tol:.0e})")
 
 
-def check_hermiticity_preservation(
-        builder: GeneratorBuilder = build_generator) -> CheckResult:
+def check_hermiticity_preservation() -> CheckResult:
     tol = 1e-12
     rng = np.random.default_rng(6)
     worst = 0.0
     for _ in range(50):
         params = _random_params(rng, 0)
-        gen = builder(params)
+        gen = build_generator(params)
         herm = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         herm = herm + herm.conj().T
         out = unvectorize(gen @ vectorize(herm))
@@ -145,7 +141,7 @@ def check_hermiticity_preservation(
                    f"max |M(x) - M(x)^dag| {worst:.2e} (tol {tol:.0e})")
 
 
-def check_positivity(builder: GeneratorBuilder = build_generator) -> CheckResult:
+def check_positivity() -> CheckResult:
     tol = 1e-10
     rng = np.random.default_rng(8)
     rho0 = np.zeros((5, 5), dtype=complex)
@@ -154,7 +150,7 @@ def check_positivity(builder: GeneratorBuilder = build_generator) -> CheckResult
     taus = np.linspace(0.0, 20.0, 201)
     worst = 0.0
     for idx in range(5):
-        gen = builder(_random_params(rng, idx))
+        gen = build_generator(_random_params(rng, idx))
         states = evolve_grid(gen, rho0, taus)[1:]
         for state in states:
             worst = min(worst, float(np.linalg.eigvalsh(
@@ -163,28 +159,37 @@ def check_positivity(builder: GeneratorBuilder = build_generator) -> CheckResult
                    f"min eigenvalue {worst:.2e} (floor -{tol:.0e})")
 
 
-def check_semigroup(builder: GeneratorBuilder = build_generator) -> CheckResult:
-    tol = 1e-8
+def check_semigroup() -> CheckResult:
+    """:func:`propagate_steps`, the exact propagator of every delay grid of
+    both routes, against itself: two steps against one, and the doubling
+    fill of a uniform grid against the same grid reversed, which takes one
+    exponential per delay."""
+    tol = 1e-12
     rng = np.random.default_rng(9)
-    worst = 0.0
+    taus = np.linspace(0.0, 20.0, 201)
+    worst_step = worst_fill = 0.0
     for idx in range(4):
-        params = _random_params(rng, idx)
-        gen = builder(params)
-        x0 = _conditioned_state(DetectorSetting(rng.uniform(0, np.pi)))
+        gen = build_generator(_random_params(rng, idx))
+        y0 = vectorize(_conditioned_state(DetectorSetting(rng.uniform(0, np.pi))))
         t1, t2 = rng.uniform(0.2, 3.0, size=2)
-        two_step = evolve(gen, evolve(gen, x0, t1), t2)
-        one_step = evolve(gen, x0, t1 + t2)
-        worst = max(worst, float(np.max(np.abs(two_step - one_step))))
-    return _result("semigroup", worst <= tol,
-                   f"max |e^{{Mt2}}e^{{Mt1}} - e^{{M(t1+t2)}}| {worst:.2e} (tol {tol:.0e})")
+        two_step = propagate_steps(gen, propagate_steps(gen, y0, [t1])[0], [t2])
+        one_step = propagate_steps(gen, y0, [t1 + t2])
+        per_delay = propagate_steps(gen, y0, taus[::-1])[::-1]
+        worst_step = max(worst_step, float(np.max(np.abs(two_step - one_step))))
+        worst_fill = max(worst_fill, float(np.max(np.abs(
+            propagate_steps(gen, y0, taus) - per_delay))))
+    return _result("semigroup", worst_step <= tol and worst_fill <= tol,
+                   f"propagate_steps: max |e^{{Mt2}}e^{{Mt1}} - e^{{M(t1+t2)}}| "
+                   f"{worst_step:.2e}, doubling vs per-delay fill "
+                   f"{worst_fill:.2e} (tol {tol:.0e})")
 
 
-def check_evolve_routes(builder: GeneratorBuilder = build_generator) -> CheckResult:
+def check_evolve_routes() -> CheckResult:
     tol = 1e-8
     rng = np.random.default_rng(10)
     worst = 0.0
     for idx in range(4):
-        gen = builder(_random_params(rng, idx))
+        gen = build_generator(_random_params(rng, idx))
         x0 = _conditioned_state(DetectorSetting(rng.uniform(0, np.pi)))
         tau = rng.uniform(0.5, 5.0)
         diff = evolve(gen, x0, tau) - evolve_grid(gen, x0, [tau])[0]
@@ -193,12 +198,12 @@ def check_evolve_routes(builder: GeneratorBuilder = build_generator) -> CheckRes
                    f"max ODE vs expm deviation {worst:.2e} (tol {tol:.0e})")
 
 
-def check_w_phase(builder: GeneratorBuilder = build_generator) -> CheckResult:
+def check_w_phase() -> CheckResult:
     """The cross coherence must rotate at -delta_fs when the drive is off."""
     tol = 1e-6
     delta_fs = 5.0
     params = CascadeParams(delta_fs=delta_fs)
-    gen = builder(params)
+    gen = build_generator(params)
     taus = np.linspace(0.01, 2.0, 200)
     states = evolve_grid(gen, _conditioned_state(DetectorSetting(np.pi / 4)), taus)
     coherence = states[:, Level.X1, Level.X2]
@@ -211,6 +216,7 @@ def check_w_phase(builder: GeneratorBuilder = build_generator) -> CheckResult:
 
 
 def check_tau0_normalization() -> CheckResult:
+    tol = 1e-10
     rng = np.random.default_rng(12)
     worst = 0.0
     for idx in range(8):
@@ -223,44 +229,45 @@ def check_tau0_normalization() -> CheckResult:
         ana = g2_analytic(params, det1, det2, 0.0)
         num = g2_numeric_grid(params, det1, det2, np.array([0.0, 1.0]))[0]
         worst = max(worst, abs(ana - expected), abs(num - expected))
-    return _result("tau0_normalization", worst <= 1e-10,
-                   f"max deviation from closed form at tau=0: {worst:.2e}")
+    return _result("tau0_normalization", worst <= tol,
+                   f"max deviation from closed form at tau=0: {worst:.2e} "
+                   f"(tol {tol:.0e})")
 
 
-def check_oracle_equivalence(builder: GeneratorBuilder = build_generator,
-                             n_sets: int = 50) -> CheckResult:
+def check_oracle_equivalence() -> CheckResult:
     """|g2_numeric_grid - g2_analytic| <= tol max(1, |g2|), both routes exact."""
-    tol = 1e-12
+    tol, draws = 1e-12, 50
     rng = np.random.default_rng(2024)
     taus = np.linspace(0.0, 10.0, 100)
     worst = 0.0
-    for idx in range(n_sets):
+    for idx in range(draws):
         params = _random_params(rng, idx)
         det1 = DetectorSetting(rng.uniform(0, np.pi))
         det2 = DetectorSetting(rng.uniform(0, np.pi))
-        numeric = g2_numeric_grid(params, det1, det2, taus,
-                                  gen=builder(params))
+        numeric = g2_numeric_grid(params, det1, det2, taus)
         analytic = g2_analytic(params, det1, det2, taus)
         err = np.max(np.abs(numeric - analytic)
                      / np.maximum(1.0, np.abs(analytic)))
         worst = max(worst, float(err))
     return _result("oracle_equivalence", worst <= tol,
-                   f"max relative deviation {worst:.2e} over {n_sets} "
+                   f"max relative deviation {worst:.2e} over {draws} "
                    f"parameter sets x {taus.size} delays (tol {tol:.0e})")
 
 
-def check_average_cross_oracle(n_sets: int = 10) -> CheckResult:
+def check_average_cross_oracle() -> CheckResult:
+    tol, draws = 1e-12, 10
     rng = np.random.default_rng(31)
     points, angles = [], []
-    for idx in range(n_sets):
+    for idx in range(draws):
         points.append(_random_params(rng, idx))
         angles.append(rng.uniform(0, np.pi, size=2))
     theta1, theta2 = np.transpose(angles)
     ana = _braces(two_photon_response(points), theta1, theta2)
     num = _braces(two_photon_response(points, "numeric"), theta1, theta2)
     worst = float(np.max(np.abs(num - ana) / np.maximum(1e-30, np.abs(ana))))
-    return _result("average_cross_oracle", worst <= 1e-12,
-                   f"max relative deviation {worst:.2e} over {n_sets} sets")
+    return _result("average_cross_oracle", worst <= tol,
+                   f"max relative deviation {worst:.2e} over {draws} sets "
+                   f"(tol {tol:.0e})")
 
 
 def check_structural_identity() -> CheckResult:
@@ -320,37 +327,31 @@ def check_tsirelson() -> CheckResult:
                    f"max |S| {worst:.6f} vs bound {TSIRELSON_BOUND:.6f}")
 
 
-def run_all_checks(quick: bool = False,
-                   builder: GeneratorBuilder = build_generator) -> list[CheckResult]:
-    """Run the whole suite, each check against its own fixed bar; ``quick``
-    draws fewer parameter sets for the oracle, average and trace checks."""
-    n_oracle = 8 if quick else 50
-    n_avg = 3 if quick else 10
-    n_trace = 100 if quick else 1000
-    staged = [
-        ("generator_restriction", lambda: check_generator_restriction(builder)),
-        ("trace_preservation",
-         lambda: check_trace_preservation(builder, n_sets=n_trace)),
-        ("hermiticity_preservation",
-         lambda: check_hermiticity_preservation(builder)),
-        ("positivity", lambda: check_positivity(builder)),
-        ("semigroup", lambda: check_semigroup(builder)),
-        ("evolve_route_agreement", lambda: check_evolve_routes(builder)),
-        ("w_phase", lambda: check_w_phase(builder)),
-        ("tau0_normalization", check_tau0_normalization),
-        ("oracle_equivalence",
-         lambda: check_oracle_equivalence(builder, n_sets=n_oracle)),
-        ("average_cross_oracle",
-         lambda: check_average_cross_oracle(n_sets=n_avg)),
-        ("structural_identity", check_structural_identity),
-        ("bell_bridge", check_bell_bridge),
-        ("tsirelson_bound", check_tsirelson),
-    ]
+# the suite in the order it runs and reports
+_CHECKS = (
+    ("generator_restriction", check_generator_restriction),
+    ("trace_preservation", check_trace_preservation),
+    ("hermiticity_preservation", check_hermiticity_preservation),
+    ("positivity", check_positivity),
+    ("semigroup", check_semigroup),
+    ("evolve_route_agreement", check_evolve_routes),
+    ("w_phase", check_w_phase),
+    ("tau0_normalization", check_tau0_normalization),
+    ("oracle_equivalence", check_oracle_equivalence),
+    ("average_cross_oracle", check_average_cross_oracle),
+    ("structural_identity", check_structural_identity),
+    ("bell_bridge", check_bell_bridge),
+    ("tsirelson_bound", check_tsirelson),
+)
+
+
+def run_all_checks() -> list[CheckResult]:
+    """Run the whole suite, each check against its own fixed bar."""
     results = []
-    for name, runner in staged:
+    for name, check in _CHECKS:
         start = time.perf_counter()
         try:
-            result = runner()
+            result = check()
         except Exception as exc:  # a crashed check is a failed check
             result = _result(name, False, f"raised {exc!r}")
         results.append(replace(result, seconds=time.perf_counter() - start))

@@ -195,7 +195,7 @@ def test_criterion_10_structural_identity():
 
 def test_criterion_11_generator_hygiene():
     checks = [
-        check_trace_preservation(n_sets=1000),
+        check_trace_preservation(),
         check_hermiticity_preservation(),
         check_positivity(),
         check_semigroup(),

@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import io
 import json
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import cascadeg2
-from cascadeg2 import verify
+from cascadeg2 import cli, correlate, liouvillian, verify
 from cascadeg2 import (CascadeBatch, CascadeParams, DetectorSetting,
                        bell_s_from_response, degree_from_response, g2_analytic,
                        omega_star, two_photon_response)
@@ -22,8 +23,8 @@ from cascadeg2.cli import (FIGURE_IDS, RunConfig, SweepResult, _figure_plan,
                            run_sweep)
 from cascadeg2.liouvillian import build_generator
 from cascadeg2.model import PARAM_FIELDS
-from cascadeg2.verify import (check_oracle_equivalence, check_w_phase,
-                              run_all_checks, summarize)
+from cascadeg2.verify import (check_oracle_equivalence, check_semigroup,
+                              check_w_phase, run_all_checks, summarize)
 
 DATA = Path(__file__).resolve().parent / "data"
 _CORRELATE = ["correlate", "--tau-max", "10", "--tau-steps", "300"]
@@ -662,14 +663,21 @@ class TestCommands:
         ["figure", "3a", "--override", "steps=3"],
         ["correlate", "--tau-max", "1", "--tau-steps", "3"],
         ["sweep", "--axis", "rabi", "--start", "0", "--stop", "1", "--steps", "2"],
-        ["verify", "--quick"],
+        ["verify"],
     ], ids=["figure", "correlate", "sweep", "verify"])
-    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, argv):
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                           argv):
+        def no_run():
+            pytest.fail("verify ran its checks before opening --out")
+
+        monkeypatch.setattr(cli, "run_all_checks", no_run)
         out = tmp_path / "missing" / "out.csv"
         with pytest.raises(SystemExit) as exit_info:
             main(argv + ["--out", str(out)])
         assert exit_info.value.code == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith("cascadeg2: error: ")
         assert str(out) in err
@@ -719,71 +727,141 @@ print(json.dumps({{"loaded": loaded, "grid": grid.tolist(),
         assert result["trace"] < 1e-9
 
 
+# the bar that ends each check's detail
+_BARS = {
+    "generator_restriction": "(tol 1e-14)",
+    "trace_preservation": "(tol 1e-12)",
+    "hermiticity_preservation": "(tol 1e-12)",
+    "positivity": "(floor -1e-10)",
+    "semigroup": "(tol 1e-12)",
+    "evolve_route_agreement": "(tol 1e-08)",
+    "w_phase": "tol 1e-06)",
+    "tau0_normalization": "(tol 1e-10)",
+    "oracle_equivalence": "(tol 1e-12)",
+    "average_cross_oracle": "(tol 1e-12)",
+    "structural_identity": "(tol 1e-09)",
+    "bell_bridge": "(tol 1e-09)",
+    "tsirelson_bound": "vs bound 2.828427",
+}
+
+
+def _plant(monkeypatch, mutant):
+    """Make ``mutant`` build every generator that ``verify`` and both
+    full-generator paths of ``correlate`` read: the one of a point, and the
+    stack of a whole CascadeBatch."""
+    for module in (verify, correlate):
+        monkeypatch.setattr(module, "build_generator", mutant)
+
+
+def _scaled_splitting(scale):
+    """A generator builder whose splitting is delta_fs * scale."""
+    def build(params):
+        if isinstance(params, CascadeBatch):
+            table = params.table.copy()
+            table[PARAM_FIELDS.index("delta_fs")] *= scale
+            return build_generator(CascadeBatch(table))
+        return build_generator(replace(params, delta_fs=params.delta_fs * scale))
+    return build
+
+
+def _failing(results):
+    return [result.name for result in results if not result.passed]
+
+
+@pytest.fixture(scope="class")
+def clean_run(tmp_path_factory):
+    """stdout, exit status and JSON report of one ``verify --out`` run."""
+    report = tmp_path_factory.mktemp("verify") / "report.json"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(["verify", "--out", str(report)])
+    return out.getvalue(), status, json.loads(report.read_text(encoding="utf-8"))
+
+
 class TestVerify:
-    def test_quick_suite_passes(self, capsys, tmp_path):
-        report = tmp_path / "report.json"
-        assert main(["verify", "--quick", "--out", str(report)]) == 0
-        out = capsys.readouterr().out
+    def test_suite_passes(self, clean_run):
+        out, status, payload = clean_run
+        assert status == 0
         assert "oracle_equivalence" in out
         assert "FAIL" not in out
-        payload = json.loads(report.read_text(encoding="utf-8"))
         assert payload["passed"] is True
         assert len(payload["checks"]) == 13
         for check in payload["checks"]:
             assert isinstance(check["seconds"], float)
             assert check["seconds"] >= 0.0
 
+    def test_every_detail_names_its_bar(self, clean_run):
+        out, _status, payload = clean_run
+        assert [check["name"] for check in payload["checks"]] == list(_BARS)
+        for check in payload["checks"]:
+            assert check["detail"].endswith(_BARS[check["name"]]), check
+        assert out.splitlines()[:-1] == [
+            f"PASS  {check['name']}: {check['detail']}"
+            for check in payload["checks"]]
+
     def test_bars_are_not_settable(self, capsys):
         checks = [f for name, f in vars(verify).items() if name.startswith("check_")]
         assert len(checks) == 13
         for f in checks + [run_all_checks]:
-            assert "tol" not in inspect.signature(f).parameters, f.__name__
-        with pytest.raises(SystemExit) as exit_info:
-            main(["verify", "--quick", "--tol", "1e-6"])
-        assert exit_info.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""  # no check ran
-        assert "unrecognized arguments: --tol 1e-6" in captured.err
+            assert not inspect.signature(f).parameters, f.__name__
+        assert list(inspect.signature(cascadeg2.g2_numeric_grid).parameters) == [
+            "params", "det1", "det2", "taus"]
+        for option in (["--quick"], ["--tol", "1e-6"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["verify"] + option)
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""  # no check ran
+            assert f"unrecognized arguments: {' '.join(option)}" in captured.err
 
     def test_tightened_tolerance_passes_at_exact_floor(self):
         # both routes are exact, so they agree to round-off
-        result = check_oracle_equivalence(n_sets=3)
+        result = check_oracle_equivalence()
         assert result.passed, result.detail
         assert result.detail.endswith("(tol 1e-12)")
 
-    def test_sign_flip_mutation_caught_by_w_phase(self):
-        def flipped(params):
-            return build_generator(replace(params, delta_fs=-params.delta_fs))
-
+    def test_sign_flip_mutation_caught_by_w_phase(self, monkeypatch):
         assert check_w_phase().passed
-        assert not check_w_phase(flipped).passed
-        results = run_all_checks(quick=True, builder=flipped)
-        _text, ok = summarize(results)
-        assert not ok
+        _plant(monkeypatch, _scaled_splitting(-1.0))
+        assert not check_w_phase().passed
+        assert _failing(run_all_checks()) == [
+            "w_phase", "oracle_equivalence", "average_cross_oracle"]
 
-    def test_planted_splitting_error_caught_by_oracle(self):
-        # a relative 1e-9 error in the splitting: only the route agreement
-        # of G(tau), at its 1e-12 bar, sees it
-        def skewed(params):
-            return build_generator(replace(params, delta_fs=params.delta_fs * (1 + 1e-9)))
+    def test_planted_splitting_error_caught_by_oracle(self, monkeypatch):
+        # a relative 1e-9 error in the splitting: only the route agreements,
+        # of G(tau) and of the averages, at their 1e-12 bar, see it
+        _plant(monkeypatch, _scaled_splitting(1 + 1e-9))
+        assert _failing(run_all_checks()) == ["oracle_equivalence",
+                                              "average_cross_oracle"]
 
-        assert not check_oracle_equivalence(skewed).passed
-        results = run_all_checks(quick=True, builder=skewed)
-        assert [r.name for r in results if not r.passed] == ["oracle_equivalence"]
+    def test_planted_per_delay_error_caught_by_semigroup(self, monkeypatch):
+        # a relative 1e-6 error in the exponential of every delay of a
+        # per-delay fill; the doubling fill exponentiates at most two
+        # matrices at once, so only a per-delay fill passes a larger stack
+        exact = liouvillian.expm
 
-    def test_crashed_check_fails_and_the_suite_goes_on(self):
+        def skewed(a):
+            a = np.asarray(a)
+            return exact(a * (1 + 1e-6) if a.ndim == 3 and len(a) > 2 else a)
+
+        monkeypatch.setattr(liouvillian, "expm", skewed)
+        result = check_semigroup()
+        assert not result.passed, result.detail
+
+    def test_crashed_check_fails_and_the_suite_goes_on(self, monkeypatch):
         def broken(params):
             raise RuntimeError("no generator")
 
-        results = run_all_checks(quick=True, builder=broken)
+        _plant(monkeypatch, broken)
+        results = run_all_checks()
         text, ok = summarize(results)
         assert not ok and len(results) == 13
-        builder_checks = ["generator_restriction", "trace_preservation",
-                          "hermiticity_preservation", "positivity", "semigroup",
-                          "evolve_route_agreement", "w_phase", "oracle_equivalence"]
+        generator_checks = [
+            "generator_restriction", "trace_preservation",
+            "hermiticity_preservation", "positivity", "semigroup",
+            "evolve_route_agreement", "w_phase", "tau0_normalization",
+            "oracle_equivalence", "average_cross_oracle"]
+        assert _failing(results) == generator_checks
         lines = text.splitlines()
-        for name in builder_checks:
+        for name in generator_checks:
             assert f"FAIL  {name}: raised RuntimeError('no generator')" in lines
-        assert all(result.passed for result in results
-                   if result.name not in builder_checks)
-        assert any(line.startswith("PASS  tau0_normalization: ") for line in lines)
