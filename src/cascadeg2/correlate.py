@@ -7,6 +7,9 @@ Two independent routes compute the same normalized correlation:
   and B the polarization-projected first- and second-photon jump operators.
   ``g2_numeric_grid`` does the same on a delay grid, on the sector of the
   generator that the conditioned state never leaves (``_average_sector``).
+  ``_SECTORS`` holds, for each level set, that sector's vectorized indices
+  and the flat positions of its block in a (25, 25) generator, built once
+  at import: a block is one flat take of the generator built for the call.
 
 * ``g2_analytic`` evaluates the same quantity from two hand-written blocks
   of the conditioned dynamics: the 2x2 cross-coherence block (rho_X1X2,
@@ -83,13 +86,19 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DivergentAverageError, NumericError
-from .liouvillian import (build_generator, check_tau_grid, evolve,
-                          propagate_steps, vectorize)
+from .liouvillian import (DIM, _identity, build_generator, check_tau_grid,
+                          evolve, propagate_steps)
 from .model import Level, N_LEVELS, CascadeBatch, CascadeParams, DetectorSetting
 
 # A time average exists only if every mode of the sector it integrates
 # decays faster than this rate; both routes refuse at the same threshold.
 _DECAY_FLOOR = 1e-12
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: a constant that every call shares."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -206,6 +215,10 @@ def _population_generator(params) -> np.ndarray:
     return m
 
 
+# the X1 and X2 unit columns of the population block's basis
+_POPULATION_UNITS = _frozen(np.eye(5, 2))
+
+
 def _population_propagators(params: CascadeParams, taus: np.ndarray):
     """Exact population propagators on the tau grid, in the field order of
     :class:`TwoPhotonResponse`."""
@@ -213,7 +226,7 @@ def _population_propagators(params: CascadeParams, taus: np.ndarray):
     if params.rabi == 0.0:
         return _exp_entries(m[:2, :2], taus, (0, 0), (0, 1), (1, 0), (1, 1))
     # the first two columns of the propagator
-    cols = propagate_steps(m, np.eye(5, 2), taus)
+    cols = propagate_steps(m, _POPULATION_UNITS, taus)
     return cols[:, 0, 0], cols[:, 0, 1], cols[:, 1, 0], cols[:, 1, 1]
 
 
@@ -348,12 +361,14 @@ def g2_numeric_grid(params: CascadeParams, det1: DetectorSetting,
 def _g2_sector_grid(params: CascadeParams, det1: DetectorSetting,
                     det2: DetectorSetting, taus: np.ndarray) -> np.ndarray:
     """:func:`g2_numeric_grid` on an accepted grid."""
-    sector = _average_sector(_DRIVEN_LEVELS if params.rabi != 0.0
-                             else _UNDRIVEN_LEVELS)
-    states = propagate_steps(build_generator(params)[np.ix_(sector, sector)],
-                             vectorize(_conditioned_state(det1))[sector], taus)
-    # Tr[P X] = vec(P^T) . vec(X)
-    proj = vectorize(_detection_projector(det2).T)[sector]
+    sector, block = _SECTORS[_DRIVEN_LEVELS if params.rabi != 0.0
+                             else _UNDRIVEN_LEVELS]
+    # vec(X) is the column-major ravel of X
+    states = propagate_steps(build_generator(params).take(block),
+                             _conditioned_state(det1).ravel(order="F")[sector],
+                             taus)
+    # Tr[P X] = vec(P^T) . vec(X), and vec(P^T) is the row-major ravel of P
+    proj = _detection_projector(det2).ravel()[sector]
     return 4.0 * np.real(states @ proj)
 
 
@@ -466,7 +481,7 @@ def _refuse_divergent(blocks: np.ndarray, sector: str, cone: _Cone) -> None:
     block, and PSD(2) or PSD(3) for the averaged 4x4 or 9x9 sector of the
     generator.
     """
-    shifted = blocks + _DECAY_FLOOR * np.eye(blocks.shape[-1])
+    shifted = blocks + _DECAY_FLOOR * _identity(blocks.shape[-1])
     try:
         inside = cone.contains(np.linalg.solve(-shifted, cone.unit))
     except np.linalg.LinAlgError:
@@ -553,6 +568,25 @@ def _average_sector(levels) -> np.ndarray:
     return np.array([i + N_LEVELS * j for j in levels for i in levels])
 
 
+def _sector_table(levels) -> tuple[np.ndarray, np.ndarray]:
+    """The vectorized indices of the averaged sector of ``levels``, and the
+    flat positions, row * DIM + column, of its block in a (DIM, DIM)
+    generator, shape (k, k); both read-only."""
+    sector = _average_sector(levels)
+    return _frozen(sector), _frozen(sector[:, None] * DIM + sector)
+
+
+# Each level set's sector table, built once: the tables hold indices only,
+# so every generator is still built per call and read through them
+_SECTORS = {levels: _sector_table(levels)
+            for levels in (_UNDRIVEN_LEVELS, _DRIVEN_LEVELS)}
+
+# The resolvent's right-hand sides on the 4x4 and 9x9 sectors: the unit
+# columns of X1X1, X2X2 and X1X2, at sector positions 0, n + 1 and n for n
+# levels (X1 and X2 lead every level set)
+_RESOLVENT_RHS = {n: _frozen(np.eye(n * n)[:, [0, n + 1, n]]) for n in (2, 3)}
+
+
 def _resolvent_response(params: CascadeBatch) -> TwoPhotonResponse:
     """The response from the full generator, restricted to the averaged sector.
 
@@ -563,17 +597,18 @@ def _resolvent_response(params: CascadeBatch) -> TwoPhotonResponse:
     """
     populations = np.empty((4, len(params)))
     w = np.empty(len(params), dtype=complex)
-    gens = build_generator(params)
+    # one row of flat entries per point: the sector columns are taken before
+    # the drive mask, so no copy of the whole stack is made
+    gens = build_generator(params).reshape(len(params), DIM * DIM)
     driven = params.rabi != 0.0
     for mask, levels in ((~driven, _UNDRIVEN_LEVELS), (driven, _DRIVEN_LEVELS)):
         if not mask.any():
             continue
-        sector = _average_sector(levels)
-        m_ss = gens[np.ix_(mask, sector, sector)]
-        # sector positions of X1X1, X2X2 and X1X2 (X1 and X2 lead ``levels``)
+        m_ss = gens[:, _SECTORS[levels][1]][mask]
+        # sector positions of X1X1, X2X2 and X1X2, as in _RESOLVENT_RHS
         n = len(levels)
         x11, x22, x12 = 0, n + 1, n
-        x = _resolvent(m_ss, np.eye(n * n)[:, [x11, x22, x12]],
+        x = _resolvent(m_ss, _RESOLVENT_RHS[n],
                        "averaged sector of the generator",
                        _DENSITY_CONES[n])
         # the population slots are diagonal entries of Hermitian solutions:

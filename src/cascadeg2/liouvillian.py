@@ -24,10 +24,16 @@ stack of matrices at once, its four polynomial pieces one coefficient
 product on the stacked powers.  A uniform grid from 0 costs one
 exponential, of the step.  scipy is imported only by ``evolve``, on its
 first DOP853 solve, the independent cross-check of that propagation; every
-other path loads numpy only.
+other path loads numpy only.  The identity of each size is built once, on
+its first use, and shared read-only (``_identity``): ``expm`` stacks it as
+the zeroth power, and the refusal rule of :mod:`cascadeg2.correlate`
+shifts its blocks by it.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -61,6 +67,14 @@ _PADE13_PIECES = np.array([
     [_PADE13[6], _PADE13[4], _PADE13[2], _PADE13[0]]])
 
 
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The n x n float identity, built once per size and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def expm(a: np.ndarray) -> np.ndarray:
     """The matrix exponential of one square matrix or of each matrix of a
     stack of shape (..., n, n).
@@ -71,25 +85,28 @@ def expm(a: np.ndarray) -> np.ndarray:
     stacked, so the four polynomial pieces of the approximant are one
     coefficient product and the approximant is one stacked solve.  Each
     result is then squared its own s times, the whole stack at once when
-    every matrix takes the same s.  A real input gives a real result.  The
-    input must be finite.
+    every matrix takes the same s.  The count s = max(0, ceil(log2(|A|_1 /
+    theta_13))) is the binary exponent that ``math.frexp`` gives |A|_1 /
+    theta_13, less one where its mantissa is exactly 1/2.  A real input
+    gives a real result.  The input must be finite.
     """
     a = np.asarray(a)
     a = a.astype(np.result_type(a, float), copy=False)
     shape, n = a.shape, a.shape[-1]
     a = a.reshape(-1, n, n)
     k = len(a)
-    # s = max(0, ceil(log2(|a|_1 / theta_13))), read off the binary exponent
-    mantissa, exponent = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)
-    s = np.maximum(0, exponent - (mantissa == 0.5))
-    squarings = s.tolist()
+    # the 1-norm of each matrix, its largest absolute column sum
+    norms = np.maximum.reduce(np.add.reduce(np.abs(a), axis=-2), axis=-1)
+    squarings = [max(0, exponent - (mantissa == 0.5)) for mantissa, exponent
+                 in map(math.frexp, (norms / _THETA13).tolist())]
     top = max(squarings, default=0)
     if top:
+        s = np.array(squarings)
         a = a * np.exp2(-s)[:, None, None]
     # each power a contiguous stack, so the pieces are one matrix product
     powers = np.empty((4, k, n, n), dtype=a.dtype)
     a6, a4, a2 = powers[0], powers[1], powers[2]
-    powers[3] = np.eye(n)
+    powers[3] = _identity(n)
     np.matmul(a, a, out=a2)
     np.matmul(a2, a2, out=a4)
     np.matmul(a4, a2, out=a6)
@@ -232,7 +249,8 @@ def propagate_steps(m: np.ndarray, y0: np.ndarray, taus) -> np.ndarray:
     NumericError if an input is not finite or the propagation overflows.
     """
     m, y0, taus = np.asarray(m), np.asarray(y0), np.asarray(taus, dtype=float)
-    if not all(np.isfinite(x).all() for x in (m, y0, taus)):
+    if not (np.isfinite(m).all() and np.isfinite(y0).all()
+            and np.isfinite(taus).all()):
         raise NumericError("non-finite generator, state or delay")
     dtype, n = np.result_type(m, y0, float), taus.size
     # an overflow surfaces as a non-finite entry, refused below

@@ -116,10 +116,13 @@ class CascadeBatch:
     (:meth:`broadcast`), by stacking points (:meth:`stack`) or from a table
     of the fields as rows, in the order of PARAM_FIELDS, one column per
     point.  It is validated once, on construction, by the rule of
-    CascadeParams, and read-only after; ``table`` holds that table.
+    CascadeParams, and read-only after; ``table`` holds that table.  Each
+    field is a slot set once, on construction, to its row of ``table``, a
+    read-only view, so reading it calls no Python code; setting or
+    deleting ``table`` or a field raises AttributeError.
     """
 
-    __slots__ = ("table",)
+    __slots__ = ("table",) + PARAM_FIELDS
 
     def __init__(self, table) -> None:
         table = np.array(table, dtype=float)
@@ -128,7 +131,21 @@ class CascadeBatch:
                              f"got shape {table.shape}")
         _check_fields(table)
         table.flags.writeable = False
-        self.table = table
+        set_slot = object.__setattr__
+        set_slot(self, "table", table)
+        for name, row in zip(PARAM_FIELDS, table):
+            set_slot(self, name, row)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CascadeBatch is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CascadeBatch is read-only: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild the batch from its table, since the slots
+        # refuse the assignments that the default protocol makes
+        return CascadeBatch, (self.table,)
 
     @classmethod
     def broadcast(cls, base: CascadeParams, **axes) -> "CascadeBatch":
@@ -155,13 +172,6 @@ class CascadeBatch:
 
     def __len__(self) -> int:
         return self.table.shape[1]
-
-
-for _row, _name in enumerate(PARAM_FIELDS):
-    setattr(CascadeBatch, _name,
-            property(lambda self, row=_row: self.table[row],
-                     doc=f"{_name} of every point, shape (n,)"))
-del _row, _name
 
 
 @dataclass(frozen=True)

@@ -200,7 +200,7 @@ def check_evolve_routes() -> CheckResult:
 
 def check_w_phase() -> CheckResult:
     """The cross coherence must rotate at -delta_fs when the drive is off."""
-    tol = 1e-6
+    tol = 1e-12
     delta_fs = 5.0
     params = CascadeParams(delta_fs=delta_fs)
     gen = build_generator(params)
@@ -251,7 +251,9 @@ def check_oracle_equivalence() -> CheckResult:
         worst = max(worst, float(err))
     return _result("oracle_equivalence", worst <= tol,
                    f"max relative deviation {worst:.2e} over {draws} "
-                   f"parameter sets x {taus.size} delays (tol {tol:.0e})")
+                   f"parameter sets x {taus.size} delays; both sides run "
+                   f"liouvillian.expm on the driven populations "
+                   f"(tol {tol:.0e})")
 
 
 def check_average_cross_oracle() -> CheckResult:
@@ -266,7 +268,8 @@ def check_average_cross_oracle() -> CheckResult:
     num = _braces(two_photon_response(points, "numeric"), theta1, theta2)
     worst = float(np.max(np.abs(num - ana) / np.maximum(1e-30, np.abs(ana))))
     return _result("average_cross_oracle", worst <= tol,
-                   f"max relative deviation {worst:.2e} over {draws} sets "
+                   f"max relative deviation {worst:.2e} over {draws} sets; "
+                   f"the sides share only the refusal rule _refuse_divergent "
                    f"(tol {tol:.0e})")
 
 
@@ -323,7 +326,7 @@ def check_tsirelson() -> CheckResult:
     rng = np.random.default_rng(15)
     points = [_random_params(rng, idx) for idx in range(10)]
     worst = float(np.max(np.abs(bell_s_from_response(two_photon_response(points)))))
-    return _result("tsirelson_bound", worst <= TSIRELSON_BOUND + 1e-6,
+    return _result("tsirelson_bound", worst <= TSIRELSON_BOUND,
                    f"max |S| {worst:.6f} vs bound {TSIRELSON_BOUND:.6f}")
 
 

@@ -15,16 +15,18 @@ import pytest
 
 import cascadeg2
 from cascadeg2 import cli, correlate, liouvillian, verify
-from cascadeg2 import (CascadeBatch, CascadeParams, DetectorSetting,
-                       bell_s_from_response, degree_from_response, g2_analytic,
-                       omega_star, two_photon_response)
+from cascadeg2 import (TSIRELSON_BOUND, CascadeBatch, CascadeParams,
+                       DetectorSetting, bell_s_from_response,
+                       degree_from_response, g2_analytic, omega_star,
+                       two_photon_response)
 from cascadeg2.cli import (FIGURE_IDS, RunConfig, SweepResult, _figure_plan,
                            _parse_overrides, load_config, main, run_figure,
                            run_sweep)
 from cascadeg2.liouvillian import build_generator
 from cascadeg2.model import PARAM_FIELDS
 from cascadeg2.verify import (check_oracle_equivalence, check_semigroup,
-                              check_w_phase, run_all_checks, summarize)
+                              check_tsirelson, check_w_phase, run_all_checks,
+                              summarize)
 
 DATA = Path(__file__).resolve().parent / "data"
 _CORRELATE = ["correlate", "--tau-max", "10", "--tau-steps", "300"]
@@ -342,6 +344,12 @@ class TestFigures:
         (["sweep", "--axis", "delta_fs", "--start", "0", "--stop", "10",
           "--steps", "11", "--observables", "c_d,c_h"],
          "sweep_delta_fs_0_10_11_cd_ch.csv"),
+        # the undriven full-generator curve: D/D analyzers read both the
+        # coherence and the transfer rates of the 4x4 sector
+        (_CORRELATE + ["--rabi", "0", "--delta-fs", "2", "--gamma-d", "0.4",
+                       "--theta1", "0.785398", "--theta2", "0.785398",
+                       "--method", "numeric"],
+         "correlate_rabi0_tau10_300_numeric.csv"),
     ])
     def test_output_matches_golden_csv(self, tmp_path, argv, golden):
         # captured before sweeps were batched, figures 5 and 6 at default
@@ -349,7 +357,9 @@ class TestFigures:
         # uniform grids were filled by doubling, the default-resolution
         # degree figures before the CSV was written from the value columns,
         # the one- and two-observable sweeps before the values took the shape
-        # of the rows; output must not move a byte
+        # of the rows, the undriven numeric curve before the sector blocks
+        # were taken through constant index tables; output must not move a
+        # byte
         out = tmp_path / "out.csv"
         assert main(argv + ["--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / golden).read_bytes()
@@ -735,7 +745,7 @@ _BARS = {
     "positivity": "(floor -1e-10)",
     "semigroup": "(tol 1e-12)",
     "evolve_route_agreement": "(tol 1e-08)",
-    "w_phase": "tol 1e-06)",
+    "w_phase": "tol 1e-12)",
     "tau0_normalization": "(tol 1e-10)",
     "oracle_equivalence": "(tol 1e-12)",
     "average_cross_oracle": "(tol 1e-12)",
@@ -828,11 +838,21 @@ class TestVerify:
             "w_phase", "oracle_equivalence", "average_cross_oracle"]
 
     def test_planted_splitting_error_caught_by_oracle(self, monkeypatch):
-        # a relative 1e-9 error in the splitting: only the route agreements,
-        # of G(tau) and of the averages, at their 1e-12 bar, see it
+        # a relative 1e-9 error in the splitting: the phase slope, off by
+        # 5e-9, and the route agreements, of G(tau) and of the averages, all
+        # at their 1e-12 bar, see it
         _plant(monkeypatch, _scaled_splitting(1 + 1e-9))
-        assert _failing(run_all_checks()) == ["oracle_equivalence",
-                                              "average_cross_oracle"]
+        assert _failing(run_all_checks()) == [
+            "w_phase", "oracle_equivalence", "average_cross_oracle"]
+
+    def test_s_above_the_tsirelson_bound_fails(self, monkeypatch):
+        # the check holds the bound its line names, with no margin
+        assert check_tsirelson().passed
+        monkeypatch.setattr(verify, "bell_s_from_response",
+                            lambda response: np.array([TSIRELSON_BOUND + 5e-7]))
+        result = check_tsirelson()
+        assert not result.passed, result.detail
+        assert result.detail == "max |S| 2.828428 vs bound 2.828427"
 
     def test_planted_per_delay_error_caught_by_semigroup(self, monkeypatch):
         # a relative 1e-6 error in the exponential of every delay of a

@@ -15,7 +15,8 @@ from cascadeg2 import (CascadeBatch, CascadeParams, CorrelationCurve,
                        g2_avg_analytic, g2_avg_numeric, g2_numeric,
                        g2_numeric_grid, two_photon_response)
 from cascadeg2.correlate import (_DECAY_FLOOR, _DENSITY_CONES,
-                                 _POPULATION_CONE, _RATE_CONE, _average_sector,
+                                 _DRIVEN_LEVELS, _POPULATION_CONE, _RATE_CONE,
+                                 _SECTORS, _UNDRIVEN_LEVELS, _average_sector,
                                  _braces, _coherence_generator,
                                  _conditioned_state, _delay_response,
                                  _detection_projector, _exp_entries,
@@ -594,6 +595,24 @@ def _sector_block(params):
     with it."""
     sector = _average_sector((X1, X2, U) if params.rabi else (X1, X2))
     return build_generator(params)[np.ix_(sector, sector)]
+
+
+@pytest.mark.parametrize("levels", [_UNDRIVEN_LEVELS, _DRIVEN_LEVELS])
+def test_sector_table_takes_the_sector_block(levels):
+    # the constant table reads the same block as an index gather of the
+    # sector, from one point's generator and from a mixed batch's stack
+    sector, block = _SECTORS[levels]
+    assert np.array_equal(sector, _average_sector(levels))
+    assert not (sector.flags.writeable or block.flags.writeable)
+    point = CascadeParams(gamma_u=0.01, gamma12=0.3, gamma21=0.2,
+                          delta_fs=2.0, rabi=3.0, detuning=7.0)
+    gen = build_generator(point)
+    assert np.array_equal(gen.take(block), gen[np.ix_(sector, sector)])
+    batch = CascadeBatch.stack([point, point.with_(rabi=0.0),
+                                point.with_(delta_fs=-1.0, rabi=0.5)])
+    stack = build_generator(batch)
+    taken = stack.reshape(len(batch), -1)[:, block]
+    assert np.array_equal(taken, stack[:, sector][:, :, sector])
 
 
 def _slowest_decay(params):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -145,6 +147,34 @@ class TestCascadeBatch:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="gama_u"):
             CascadeBatch.broadcast(CascadeParams(), gama_u=[0.0, 1.0])
+
+    def test_each_field_is_its_row_of_the_table(self):
+        batch = CascadeBatch.stack([CascadeParams(rabi=float(k), delta_fs=-k)
+                                    for k in range(3)])
+        for row, name in enumerate(PARAM_FIELDS):
+            field = getattr(batch, name)
+            assert np.array_equal(field, batch.table[row])
+            assert np.shares_memory(field, batch.table)
+            assert not field.flags.writeable
+
+    @pytest.mark.parametrize("name", ("table",) + PARAM_FIELDS)
+    def test_batch_is_read_only(self, name):
+        batch = CascadeBatch.broadcast(CascadeParams(), rabi=[0.0, 1.0])
+        before = batch.table.copy()
+        with pytest.raises(AttributeError):
+            setattr(batch, name, np.zeros_like(getattr(batch, name)))
+        with pytest.raises(AttributeError):
+            delattr(batch, name)
+        assert np.array_equal(batch.table, before)
+        assert np.array_equal(batch.rabi, [0.0, 1.0])
+
+    def test_pickle_and_copy_keep_the_batch(self):
+        batch = CascadeBatch.broadcast(CascadeParams(), rabi=[0.0, 1.0])
+        for twin in (pickle.loads(pickle.dumps(batch)), copy.copy(batch),
+                     copy.deepcopy(batch)):
+            assert np.array_equal(twin.table, batch.table)
+            assert np.shares_memory(twin.rabi, twin.table)
+            assert not twin.table.flags.writeable
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.sampled_from(PARAM_FIELDS), _BAD_VALUES,
