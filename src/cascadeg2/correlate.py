@@ -6,7 +6,9 @@ Two independent routes compute the same normalized correlation:
   generator: G(tau) = 4 Tr[ B^dag B  e^{M tau}( A |2X><2X| A^dag ) ] with A
   and B the polarization-projected first- and second-photon jump operators.
   ``g2_numeric_grid`` does the same on a delay grid, on the sector of the
-  generator that the conditioned state never leaves (``_average_sector``).
+  generator that the conditioned state never leaves (``_average_sector``):
+  {X1, X2, u}, or {X1, X2} without the drive, since on the larger sector
+  an undriven curve loses accuracy as the detuning grows.
   ``_SECTORS`` holds, for each level set, that sector's vectorized indices
   and the flat positions of its block in a (25, 25) generator, built once
   at import: a block is one flat take of the generator built for the call.
@@ -31,36 +33,30 @@ Every coincidence, at a delay or averaged, is one bilinear form in
 (cos 2theta_i, sin 2theta_i) of a ``TwoPhotonResponse``: the four
 population propagators and the coherence kernel of each point, on a delay
 grid or integrated over tau in [0, infinity); that type states the slots.
-``two_photon_response`` computes the averages for a whole CascadeBatch of
-points, by either route as a Laplace transform at zero frequency: from the
-two blocks, or from the full generator restricted to the elements that the
-conditioned state reaches and the second detection sees.  Both routes build
-their matrices for the whole batch at once, as stacks.  The full-generator
-route solves -M x = y0 for the integral x of e^{M tau} y0, one stacked
-LAPACK solve on its 4x4 or 9x9 sectors (``_resolvent``); it is the
-independent cross-check.  The closed form solves nothing for its averages.
-The averaged populations do not depend on the drive: u has no decay of its
-own, so with the drive on all that X2 sends to u comes back, and
-integrating dP1/dt and d(P2 + Pu)/dt over [0, inf) gives a 2x2 rate system
-whose inverse is written out as ratios of rates.  The field acts through
-the coherence average alone, the X1X2 entry of -C^{-1}, written out as
-1/z, where Im z is the Stark-shifted splitting.  Every block of either
-route is refused by one rule, ``_refuse_divergent``, with no eigenvalues:
-a stack of blocks M is refused with DivergentAverageError if a mode decays
-slower than the floor.  Each block generates a positive semigroup on a
-known cone: the orthant for the undriven 2x2 rate block, R+ x PSD(2) for
-the driven 5x5 population block, PSD(2) or PSD(3) for the 4x4 or 9x9
-generator sector.  So, by the cone version of the M-matrix theorem
-(Schneider and Vidyasagar, SIAM J. Numer. Anal. 7 (1970) 508), every mode
-decays faster than the floor exactly when -(M + floor I) u = y has its
-solution u inside the cone for y the cone's unit, and one backward-stable
-stacked LAPACK solve decides for every block.  The closed form calls LAPACK
-for its refusals alone.  The coherence average needs no refusal of its
-own: the slowest mode of a positive semigroup has a positive semidefinite
-eigenvector, which has no coherence entries, so the coherence modes decay
-at least as fast as the slowest population mode.  The population slots
-are real on both routes, so degrees, Bell parameters and G(tau) are real
-arithmetic.
+``two_photon_response`` computes the averages for a whole CascadeBatch, by
+either route as a Laplace transform at zero frequency, from one stack of
+one block size: the 5x5 population blocks, or the 9x9 sectors of {X1, X2,
+u} of the generator.  Without the drive u never feeds back into {X1, X2},
+so an undriven point's elements with a u index are decoupled as modes of
+their own (``_decoupled``): its block solves and refuses as its 2x2 rate
+block or 4x4 sector would.  The full-generator route, the independent
+cross-check, solves -M x = y0 for the integral x of e^{M tau} y0 in one
+stacked LAPACK solve (``_resolvent_response``).  The closed form solves
+nothing for its averages: u has no decay of its own, so with the drive on
+all that X2 sends to u comes back, and integrating dP1/dt and d(P2 +
+Pu)/dt over [0, inf) gives a 2x2 rate system whose inverse is written out
+as ratios of rates; the field acts through the coherence average alone,
+the X1X2 entry of -C^{-1}, written out as 1/z, where Im z is the
+Stark-shifted splitting.
+Each route refuses its stack by one call of one rule, ``_refuse_divergent``,
+with no eigenvalues: the stack is refused with DivergentAverageError if a
+mode of a block decays slower than the floor, which one stacked solve and
+a test of its cone, R+ x PSD(2) or PSD(3), decide.  The coherence
+average needs no refusal of its own: the slowest mode of a positive
+semigroup has a positive semidefinite eigenvector, which has no coherence
+entries, so the coherence modes decay at least as fast as the slowest
+population mode.  The population slots are real on both routes, so
+degrees, Bell parameters and G(tau) are real arithmetic.
 ``g2_avg_analytic`` and ``g2_avg_numeric`` are one-point calls of it; they
 stay beside the batch surface of :mod:`cascadeg2.observables` because the
 benchmark calls them.
@@ -148,8 +144,10 @@ def _exp_entries(m: np.ndarray, taus: np.ndarray, *entries) -> tuple:
     so nothing overflows at long delays, and expm1 keeps F exact near the
     exceptional point h = 0.  Where |s + h| < |s - h| the sum s + h
     cancels, and an error in it grows with tau in g, so g takes the slower
-    eigenvalue as det(m) / (s - h) there.  A real block with real h, such
-    as the rate block, gives real entries.
+    eigenvalue as det(m) / (s - h) there.  A triangular block, m01 m10 = 0,
+    has the diagonal entries e^{m_ii tau}, taken as they are: s +- h would
+    round a large m00 - m11, such as an undriven detuning, into a phase
+    that should cancel.  A real block with real h gives real entries.
     """
     s = 0.5 * (m[0, 0] + m[1, 1])
     h2 = 0.25 * (m[0, 0] - m[1, 1]) ** 2 + m[0, 1] * m[1, 0]
@@ -165,8 +163,10 @@ def _exp_entries(m: np.ndarray, taus: np.ndarray, *entries) -> tuple:
     else:
         x = np.expm1(-2.0 * h * taus)
         e, f = g * (1.0 + 0.5 * x), g * x / (-2.0 * h)
-    return tuple(e + (m[i, i] - s) * f if i == j else m[i, j] * f
-                 for i, j in entries)
+    triangular = m[0, 1] * m[1, 0] == 0
+    return tuple(m[i, j] * f if i != j
+                 else np.exp(m[i, i] * taus) if triangular
+                 else e + (m[i, i] - s) * f for i, j in entries)
 
 
 def _coherence_generator(params) -> np.ndarray:
@@ -409,12 +409,6 @@ def correlation_curve(params: CascadeParams, det1: DetectorSetting,
     return CorrelationCurve._on_checked_grid(taus, values)
 
 
-def _orthant(x: np.ndarray) -> bool:
-    """Whether every vector of the stack x is inside the positive orthant,
-    and finite."""
-    return bool(np.all((x > 0) & (x < np.inf)))
-
-
 def _population_cone(x: np.ndarray) -> bool:
     """Whether every vector of the stack x is inside R+ x PSD(2), in the real
     basis of :func:`_population_generator`: x0 > 0 and the {X2, u} block
@@ -457,12 +451,10 @@ class _Cone(NamedTuple):
     contains: Callable[[np.ndarray], bool]
 
 
-# the undriven 2x2 rate block; the driven 5x5 population block; the
-# averaged generator sectors without and with the drive
-_RATE_CONE = _Cone(np.ones(2), _orthant)
+# the 5x5 population block; the 9x9 averaged sector of the generator
 _POPULATION_CONE = _Cone(np.array([1.0, 1.0, 1.0, 0.0, 0.0]),
                          _population_cone)
-_DENSITY_CONES = {n: _Cone(np.eye(n).ravel(), _density_cone) for n in (2, 3)}
+_DENSITY_CONE = _Cone(np.eye(3).ravel(), _density_cone)
 
 
 def _refuse_divergent(blocks: np.ndarray, sector: str, cone: _Cone) -> None:
@@ -476,9 +468,8 @@ def _refuse_divergent(blocks: np.ndarray, sector: str, cone: _Cone) -> None:
     Vidyasagar, SIAM J. Numer. Anal. 7 (1970) 508): then u is the integral
     of e^{(M + floor I) tau} y.  So the stack is refused if that solve, with
     y the cone's unit, is singular or leaves the cone for any block; one
-    stacked LAPACK solve serves every block.  The cones are the orthant for
-    the undriven 2x2 rate block, R+ x PSD(2) for the driven 5x5 population
-    block, and PSD(2) or PSD(3) for the averaged 4x4 or 9x9 sector of the
+    stacked LAPACK solve serves every block.  The cones are R+ x PSD(2) for
+    the 5x5 population block and PSD(3) for the 9x9 averaged sector of the
     generator.
     """
     shifted = blocks + _DECAY_FLOOR * _identity(blocks.shape[-1])
@@ -492,47 +483,44 @@ def _refuse_divergent(blocks: np.ndarray, sector: str, cone: _Cone) -> None:
             f"slower than {_DECAY_FLOOR:g}")
 
 
-def _resolvent(blocks: np.ndarray, rhs: np.ndarray, sector: str,
-               cone: _Cone) -> np.ndarray:
-    """The integrals over tau in [0, inf) of e^{M tau} rhs for a stack of
-    generator sectors M: the solutions x of -M x = rhs, one stacked LAPACK
-    solve, after :func:`_refuse_divergent`.
+def _decoupled(blocks: np.ndarray, undriven: np.ndarray,
+               u_entries: np.ndarray) -> np.ndarray:
+    """The stack ``blocks``, with the ``u_entries`` of each ``undriven``
+    block set in place to those of -I.
 
-    Only the full-generator route solves for its averages; the closed form
-    runs the refusal alone and writes its slots out.
+    Without the drive u never feeds back into {X1, X2}, whose elements alone
+    the averages read.  The elements with a u index become modes of their
+    own, decaying at rate 1: the block is block diagonal, and its solve and
+    cone test are those of its X1 and X2 part.
     """
-    _refuse_divergent(blocks, sector, cone)
-    try:
-        return np.linalg.solve(-blocks, rhs)
-    except np.linalg.LinAlgError:
-        raise DivergentAverageError(f"time average diverges: the {sector} "
-                                    "is singular") from None
+    np.copyto(blocks, -_identity(blocks.shape[-1]),
+              where=undriven[:, None, None] & u_entries)
+    return blocks
 
 
 def _closed_form_response(params: CascadeBatch) -> TwoPhotonResponse:
     """The response from the two blocks, with no solve for the averages.
 
-    Undriven points are refused on their 2x2 rate block, driven points on
-    their 5x5 population block.  The drive leaves the averaged populations
-    alone: u has no decay of its own, so what X2 sends to u comes back when
-    driven, and integrating dP1/dt and d(P2 + Pu)/dt over [0, inf) gives the
-    2x2 rate system with X2 leaving at x2_out = gamma4 (driven) or gamma4 +
-    gamma_u (undriven).  With a1 = gamma3 + gamma21 and a2 = x2_out +
-    gamma12, its inverse is P11 = 1/(gamma3 + gamma21 (x2_out/a2)), P22 =
-    1/(a2 (gamma3/a1) + x2_out (gamma21/a1)), P12 = (gamma12/a2) P11 and
-    P21 = (gamma21/a1) P22: ratios of rates at most 1 over sums of
-    nonnegative terms, so no product of two rates overflows and nothing
-    cancels.  The field acts through avg_w alone, the X1X2 entry of -c^{-1}
-    for the coherence block c: 1/z with z = a/2 + i delta_fs + rabi^2 /
-    (a1/2 + i (delta_fs + detuning)), a = a1 + gamma4 + gamma_u + gamma12.
-    Im z is the Stark-shifted splitting, Re z - a/2 the width the drive adds.
+    The batch is refused as one stack of 5x5 population blocks; an undriven
+    point's u and X2-u rows and columns are decoupled, so its cone test is
+    the orthant test of its 2x2 rate block's (x0, x1).  The drive leaves
+    the averaged populations alone: u has no decay of its own, so what X2
+    sends to u comes back when driven, and integrating dP1/dt and d(P2 +
+    Pu)/dt over [0, inf) gives the 2x2 rate system with X2 leaving at
+    x2_out = gamma4 (driven) or gamma4 + gamma_u (undriven).  With a1 =
+    gamma3 + gamma21 and a2 = x2_out + gamma12, its inverse is P11 =
+    1/(gamma3 + gamma21 (x2_out/a2)), P22 = 1/(a2 (gamma3/a1) + x2_out
+    (gamma21/a1)), P12 = (gamma12/a2) P11 and P21 = (gamma21/a1) P22:
+    ratios of rates at most 1 over sums of nonnegative terms, so no product
+    of two rates overflows and nothing cancels.  The field acts through
+    avg_w alone, the X1X2 entry of -c^{-1} for the coherence block c: 1/z
+    with z = a/2 + i delta_fs + rabi^2 / (a1/2 + i (delta_fs + detuning)),
+    a = a1 + gamma4 + gamma_u + gamma12.  Im z is the Stark-shifted
+    splitting, Re z - a/2 the width the drive adds.
     """
-    m = _population_generator(params)
     driven = params.rabi != 0.0
-    for mask, size, cone in ((~driven, 2, _RATE_CONE),
-                             (driven, 5, _POPULATION_CONE)):
-        if mask.any():
-            _refuse_divergent(m[mask, :size, :size], "population block", cone)
+    blocks = _decoupled(_population_generator(params), ~driven, _POPULATION_U)
+    _refuse_divergent(blocks, "population block", _POPULATION_CONE)
     p = params
     x2_out = np.where(driven, p.gamma4, p.gamma4 + p.gamma_u)
     a1, a2 = p.gamma3 + p.gamma21, x2_out + p.gamma12
@@ -581,10 +569,15 @@ def _sector_table(levels) -> tuple[np.ndarray, np.ndarray]:
 _SECTORS = {levels: _sector_table(levels)
             for levels in (_UNDRIVEN_LEVELS, _DRIVEN_LEVELS)}
 
-# The resolvent's right-hand sides on the 4x4 and 9x9 sectors: the unit
-# columns of X1X1, X2X2 and X1X2, at sector positions 0, n + 1 and n for n
-# levels (X1 and X2 lead every level set)
-_RESOLVENT_RHS = {n: _frozen(np.eye(n * n)[:, [0, n + 1, n]]) for n in (2, 3)}
+# The resolvent's right-hand sides on the 9x9 sector: the unit columns of
+# X1X1, X2X2 and X1X2, at sector positions 0, 4 and 3
+_RESOLVENT_RHS = _frozen(np.eye(9)[:, [0, 4, 3]])
+
+# The entries in a row or column of an element with a u index: of the u
+# population and X2-u pair of the population block, and of the 9x9 sector
+_POPULATION_U, _SECTOR_U = (_frozen(has_u[:, None] | has_u) for has_u in (
+    np.arange(5) >= 2, np.array([Level.U in (i, j) for j in _DRIVEN_LEVELS
+                                 for i in _DRIVEN_LEVELS])))
 
 
 def _resolvent_response(params: CascadeBatch) -> TwoPhotonResponse:
@@ -593,30 +586,26 @@ def _resolvent_response(params: CascadeBatch) -> TwoPhotonResponse:
     The integral of e^{M tau} y0 over [0, inf) is x with M_SS x = -y0_S; one
     solve per point takes y0 = |X1><X1|, |X2><X2| and |X1><X2|, whose
     solutions hold the population slots and the coherence slot.  The
-    generators of all points are built as one stack.
+    generators of all points are built as one stack, and every point takes
+    the 9x9 sector of {X1, X2, u}, an undriven one with its u elements
+    decoupled: one refusal and one solve serve the batch.
     """
-    populations = np.empty((4, len(params)))
-    w = np.empty(len(params), dtype=complex)
     # one row of flat entries per point: the sector columns are taken before
-    # the drive mask, so no copy of the whole stack is made
+    # any point is decoupled, so no copy of the whole stack is made
     gens = build_generator(params).reshape(len(params), DIM * DIM)
-    driven = params.rabi != 0.0
-    for mask, levels in ((~driven, _UNDRIVEN_LEVELS), (driven, _DRIVEN_LEVELS)):
-        if not mask.any():
-            continue
-        m_ss = gens[:, _SECTORS[levels][1]][mask]
-        # sector positions of X1X1, X2X2 and X1X2, as in _RESOLVENT_RHS
-        n = len(levels)
-        x11, x22, x12 = 0, n + 1, n
-        x = _resolvent(m_ss, _RESOLVENT_RHS[n],
-                       "averaged sector of the generator",
-                       _DENSITY_CONES[n])
-        # the population slots are diagonal entries of Hermitian solutions:
-        # real, up to round-off in their imaginary parts, which is dropped
-        populations[:, mask] = (x[:, x11, 0].real, x[:, x11, 1].real,
-                                x[:, x22, 0].real, x[:, x22, 1].real)
-        w[mask] = x[:, x12, 2]
-    return TwoPhotonResponse(*populations, w)
+    m_ss = _decoupled(gens[:, _SECTORS[_DRIVEN_LEVELS][1]],
+                      params.rabi == 0.0, _SECTOR_U)
+    sector = "averaged sector of the generator"
+    _refuse_divergent(m_ss, sector, _DENSITY_CONE)
+    try:
+        x = np.linalg.solve(-m_ss, _RESOLVENT_RHS)
+    except np.linalg.LinAlgError:
+        raise DivergentAverageError(f"time average diverges: the {sector} "
+                                    "is singular") from None
+    # the population slots are diagonal entries of Hermitian solutions:
+    # real, up to round-off in their imaginary parts, which is dropped
+    return TwoPhotonResponse(x[:, 0, 0].real, x[:, 0, 1].real,
+                             x[:, 4, 0].real, x[:, 4, 1].real, x[:, 3, 2])
 
 
 def two_photon_response(points, method: str = "analytic") -> TwoPhotonResponse:

@@ -39,12 +39,14 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
 
 
 def _random_params(rng: np.random.Generator, idx: int) -> CascadeParams:
-    gd = rng.uniform(0.0, 2.0)
+    # the transfer rates are drawn apart: with gamma12 = gamma21 and
+    # phase-free analyzers a transposed generator sector only swaps the
+    # roles of the two analyzers, and G(tau) and the averages would not see it
     return CascadeParams(
         delta_fs=rng.uniform(0.0, 10.0),
         rabi=rng.uniform(0.0, 35.0),
         detuning=rng.uniform(0.0, 100.0),
-        gamma12=gd, gamma21=gd,
+        gamma12=rng.uniform(0.0, 2.0), gamma21=rng.uniform(0.0, 2.0),
         gamma_u=0.01 if idx % 2 else 0.0,
     )
 

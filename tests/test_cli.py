@@ -868,6 +868,17 @@ class TestVerify:
         result = check_semigroup()
         assert not result.passed, result.detail
 
+    def test_planted_transposed_sector_caught_by_both_route_checks(
+            self, monkeypatch):
+        # the flat block positions of every sector read transposed: with
+        # gamma12 = gamma21 the mutant only swaps the analyzers' roles, so
+        # the route checks see it because the transfer rates are drawn apart
+        transposed = {levels: (sector, sector * liouvillian.DIM + sector[:, None])
+                      for levels, (sector, _block) in correlate._SECTORS.items()}
+        monkeypatch.setattr(correlate, "_SECTORS", transposed)
+        assert _failing(run_all_checks()) == [
+            "oracle_equivalence", "average_cross_oracle"]
+
     def test_crashed_check_fails_and_the_suite_goes_on(self, monkeypatch):
         def broken(params):
             raise RuntimeError("no generator")

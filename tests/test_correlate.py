@@ -14,11 +14,13 @@ from cascadeg2 import (CascadeBatch, CascadeParams, CorrelationCurve,
                        correlation_curve, evolve, evolve_grid, g2_analytic,
                        g2_avg_analytic, g2_avg_numeric, g2_numeric,
                        g2_numeric_grid, two_photon_response)
-from cascadeg2.correlate import (_DECAY_FLOOR, _DENSITY_CONES,
-                                 _DRIVEN_LEVELS, _POPULATION_CONE, _RATE_CONE,
-                                 _SECTORS, _UNDRIVEN_LEVELS, _average_sector,
+from cascadeg2.correlate import (_DECAY_FLOOR, _DENSITY_CONE,
+                                 _DRIVEN_LEVELS, _POPULATION_CONE,
+                                 _POPULATION_U, _SECTOR_U, _SECTORS,
+                                 _UNDRIVEN_LEVELS, _Cone, _average_sector,
                                  _braces, _coherence_generator,
-                                 _conditioned_state, _delay_response,
+                                 _conditioned_state, _decoupled,
+                                 _delay_response, _density_cone,
                                  _detection_projector, _exp_entries,
                                  _g2_closed_form, _population_cone, _population_generator,
                                  _population_propagators, _refuse_divergent)
@@ -832,7 +834,8 @@ class TestTwoPhotonResponse:
     def test_chsh_at_standard_angles_equals_shortcut(self):
         # they coincide for symmetric rates: gamma3 = gamma4, gamma12 =
         # gamma21 and no decay into u, which would favour X1 over X2
-        symmetric = [p for p in _mixed_family(2024, n=16) if p.gamma_u == 0.0]
+        symmetric = [p.with_(gamma21=p.gamma12)
+                     for p in _mixed_family(2024, n=16) if p.gamma_u == 0.0]
         assert any(p.rabi == 0.0 for p in symmetric)
         for params in symmetric:
             for method in ("analytic", "numeric"):
@@ -1008,16 +1011,31 @@ class TestBraces:
 _RATE = st.one_of(st.just(0.0), st.floats(1e-14, 1e-10), st.floats(0.0, 1e3))
 
 
+def _route_blocks(params):
+    """The block of the one point ``params`` in each route's refusal stack:
+    the 5x5 population block and the 9x9 generator sector, an undriven
+    point's with its u elements decoupled."""
+    batch = CascadeBatch.broadcast(params)
+    undriven = batch.rabi == 0.0
+    sector = build_generator(batch).reshape(1, -1)[:, _SECTORS[_DRIVEN_LEVELS][1]]
+    return (_decoupled(_population_generator(batch), undriven, _POPULATION_U)[0],
+            _decoupled(sector, undriven, _SECTOR_U)[0])
+
+
 def _averaged_blocks(params):
-    """Every averaged block of a point with its cone: the 2x2 rate block and
-    the 4x4 generator sector without the drive and, if ``params`` is driven,
-    the 5x5 population block and the 9x9 generator sector."""
+    """Every averaged block of a point, each beside the block that stands
+    for it in its route's refusal stack and that stack's cone: the 2x2 rate
+    block and the 4x4 generator sector without the drive and, if ``params``
+    is driven, the 5x5 population block and the 9x9 generator sector."""
     undriven = params.with_(rabi=0.0)
-    blocks = [(_population_generator(undriven)[:2, :2], _RATE_CONE),
-              (_sector_block(undriven), _DENSITY_CONES[2])]
+    population, sector = _route_blocks(undriven)
+    blocks = [(_population_generator(undriven)[:2, :2], population,
+               _POPULATION_CONE),
+              (_sector_block(undriven), sector, _DENSITY_CONE)]
     if params.rabi != 0.0:
-        blocks += [(_population_generator(params), _POPULATION_CONE),
-                   (_sector_block(params), _DENSITY_CONES[3])]
+        population, sector = _route_blocks(params)
+        blocks += [(population, population, _POPULATION_CONE),
+                   (sector, sector, _DENSITY_CONE)]
     return blocks
 
 
@@ -1079,6 +1097,49 @@ _POPULATION_VECTOR = st.builds(
                                          * math.sin(phi)]),
     _SIGNED_MANTISSA, _SIGNED_MANTISSA, _SIGNED_MANTISSA,
     st.floats(0.0, 2.0), st.floats(-math.pi, math.pi))
+
+
+def _orthant(x):
+    """Whether every vector of the stack x is inside the positive orthant,
+    and finite."""
+    return bool(np.all((x > 0) & (x < np.inf)))
+
+
+# the cones of the undriven 2x2 rate block and 4x4 generator sector
+_RATE_CONE = _Cone(np.ones(2), _orthant)
+_PAIR_DENSITY_CONE = _Cone(np.eye(2).ravel(), _density_cone)
+
+
+def _per_size_refused(params, method):
+    """The refusal of one point by a block of its own size: the rate block
+    in the orthant or the 4x4 sector in PSD(2) without the drive, the 5x5
+    population block in R+ x PSD(2) or the 9x9 sector in PSD(3) with it."""
+    analytic = method == "analytic"
+    if params.rabi != 0.0:
+        block, cone = ((_population_generator(params), _POPULATION_CONE)
+                       if analytic else (_sector_block(params), _DENSITY_CONE))
+    else:
+        block, cone = ((_population_generator(params)[:2, :2], _RATE_CONE)
+                       if analytic else (_sector_block(params), _PAIR_DENSITY_CONE))
+    return _refused(block, cone)
+
+
+def _per_size_resolvent(params):
+    """The one-point response of a solve on the point's own averaged sector
+    of the generator, 4x4 without the drive, 9x9 with it."""
+    n = 3 if params.rabi else 2
+    x = np.linalg.solve(-_sector_block(params), np.eye(n * n)[:, [0, n + 1, n]])
+    return _map_slots(lambda v: np.array([v]), TwoPhotonResponse(
+        x[0, 0].real, x[0, 1].real, x[n + 1, 0].real, x[n + 1, 1].real,
+        x[n, 2]))
+
+
+# _DOMAIN with planted rates that are zero, near the floor or large, and
+# drives that are zero, weak or ordinary
+_REFUSAL_DOMAIN = st.one_of(_DOMAIN, st.builds(
+    CascadeParams, gamma3=_RATE, gamma4=_RATE, gamma_u=_RATE, gamma12=_RATE,
+    gamma21=_RATE, rabi=_zero_or((1e-12, 1e-3), (0.1, 35.0)),
+    detuning=st.floats(-100.0, 100.0), delta_fs=st.floats(-10.0, 10.0)))
 
 
 class TestPopulationCone:
@@ -1143,30 +1204,95 @@ class TestRefusalRule:
     @example(CascadeParams(gamma3=3.27e-6, gamma4=0.0, gamma12=6.37e-6,
                            gamma21=1.74, gamma_u=1.98, rabi=33.2, detuning=31.4))
     def test_refusal_matches_eigenvalues(self, params):
-        for block, cone in _averaged_blocks(params):
+        for block, stacked, cone in _averaged_blocks(params):
             lapack = np.max(np.linalg.eigvals(block).real)
             # the solve and LAPACK's rate both carry round-off of order eps
             # times the block's largest entry; inside that band of the
             # floor the two may decide differently
             bound = 4.0 * np.finfo(float).eps * np.max(np.abs(block))
             if abs(lapack + _DECAY_FLOOR) > bound:
-                assert _refused(block, cone) == (lapack >= -_DECAY_FLOOR)
+                assert _refused(stacked, cone) == (lapack >= -_DECAY_FLOOR)
 
     def test_rate_within_round_off_of_the_floor(self):
         # s + |h| cancelled to -1.023e-12 here and answered the point; the
         # exact slowest rate of every block is -9.834e-13
         params = CascadeParams(gamma3=9.83413876e-13, gamma4=623.082976)
-        for block, cone in _averaged_blocks(params):
+        for block, stacked, cone in _averaged_blocks(params):
             assert _mp_slowest_rate(block) >= -_DECAY_FLOOR
-            assert _refused(block, cone)
+            assert _refused(stacked, cone)
 
     def test_infinite_solve_is_refused(self):
-        # a planted Metzler block whose refusal solve overflows: u = (inf,
-        # 1.1e11) is positive, but its first entry is no float, so the
-        # orthant test refuses the block rather than answer inf
-        block = np.array([[-1e-11, 1e300], [0.0, -1e-11]])
+        # a planted Metzler rate block, decoupled as an undriven point's,
+        # whose refusal solve overflows: (x0, x1) = (inf, 1.1e11) is
+        # positive, but x0 is no float, so the cone test refuses the block
+        # rather than answer inf
+        block = -np.eye(5)
+        block[:2, :2] = [[-1e-11, 1e300], [0.0, -1e-11]]
         with pytest.raises(DivergentAverageError):
-            _refuse_divergent(block[None], "rate block", _RATE_CONE)
+            _refuse_divergent(block[None], "population block", _POPULATION_CONE)
+
+    def test_undriven_blocks_are_decoupled(self):
+        # an undriven point's u elements are modes of their own, decaying
+        # at rate 1: its X1 and X2 part stands alone beside -I
+        params = CascadeParams(gamma_u=0.3, gamma12=0.2, gamma21=0.7,
+                               delta_fs=2.0, detuning=5.0)
+        population, sector = _route_blocks(params)
+        want = -np.eye(5)
+        want[:2, :2] = _population_generator(params)[:2, :2]
+        assert np.array_equal(population, want)
+        x1x2 = np.isin(_average_sector(_DRIVEN_LEVELS),
+                       _average_sector(_UNDRIVEN_LEVELS))
+        want = -np.eye(9, dtype=complex)
+        want[np.ix_(x1x2, x1x2)] = _sector_block(params)
+        assert np.array_equal(sector, want)
+        # a driven point's blocks are the route's blocks as built
+        driven = params.with_(rabi=3.0)
+        population, sector = _route_blocks(driven)
+        assert np.array_equal(population, _population_generator(driven))
+        assert np.array_equal(sector, _sector_block(driven))
+
+    @pytest.mark.parametrize("method, block", [("analytic", (5, 5)),
+                                               ("numeric", (9, 9))])
+    def test_one_refusal_per_batch(self, method, block, monkeypatch):
+        # a mixed batch is one stack of one block size
+        stacks, refuse = [], _refuse_divergent
+
+        def counted(blocks, *args):
+            stacks.append(blocks.shape)
+            return refuse(blocks, *args)
+
+        monkeypatch.setattr("cascadeg2.correlate._refuse_divergent", counted)
+        points = _mixed_family(2024, n=6)
+        assert {p.rabi == 0.0 for p in points} == {True, False}
+        two_photon_response(points, method)
+        assert stacks == [(6, *block)]
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(_REFUSAL_DOMAIN, min_size=1, max_size=5),
+           st.sampled_from(["analytic", "numeric"]))
+    @example([CascadeParams(gamma3=0.0, gamma4=0.0, gamma12=1.0, gamma21=1.0),
+              CascadeParams(rabi=3.0)], "analytic")
+    @example([CascadeParams(gamma4=0.0, rabi=1e-9), CascadeParams()], "numeric")
+    @example([_BAND[0], _BAND[1].with_(rabi=2.0)], "analytic")
+    @example([_BAND[0], _BAND[1].with_(rabi=2.0)], "numeric")
+    def test_one_stack_refuses_as_the_per_size_rule(self, points, method):
+        # each point alone is refused as the rule of one block size per
+        # drive refused it, and a mixed batch exactly when one of its points
+        # is refused alone; an answered batch's resolvent solves as each
+        # point's own sector would
+        alone = [_response_or_refusal(p, method) is None for p in points]
+        assert alone == [_per_size_refused(p, method) for p in points]
+        try:
+            response = two_photon_response(points, method)
+        except DivergentAverageError:
+            assert any(alone)
+            return
+        assert not any(alone)
+        if method == "numeric":
+            want = TwoPhotonResponse(*map(np.concatenate, zip(
+                *map(_per_size_resolvent, points))))
+            assert (_relative_to_point_scale(response, want)
+                    <= 4.0 * np.finfo(float).eps)
 
     @pytest.mark.parametrize("driven, n", [(False, 1500), (True, 1000)])
     def test_routes_refuse_alike_near_the_floor(self, driven, n):
@@ -1248,6 +1374,21 @@ class TestCorrelationCurve:
             curve = correlation_curve(params, D, D, taus, method=method)
             assert isinstance(curve, CorrelationCurve)
             assert np.all(curve.values >= 0.0)
+
+    @pytest.mark.parametrize("method", ["analytic", "numeric"])
+    @pytest.mark.parametrize("detuning", [1e16, 1e100, 1e300])
+    def test_undriven_curve_does_not_depend_on_the_detuning(self, detuning,
+                                                            method):
+        # without the drive the detuning acts on no element a curve reads;
+        # the closed form once rounded it into the phase of its coherence
+        # kernel, which cancels, and was 0.35 off at detuning 1e16
+        params = CascadeParams(gamma_u=0.01, gamma12=0.4, gamma21=0.4,
+                               delta_fs=2.0)
+        taus = np.linspace(0.0, 10.0, 300)
+        want = correlation_curve(params, D, D, taus, method).values
+        got = correlation_curve(params.with_(detuning=detuning), D, D, taus,
+                                method).values
+        assert np.array_equal(got, want)
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
