@@ -20,8 +20,8 @@ CSV rows: its values have the shape (blocks, swept values, labels per
 block), a figure one block per curve, a sweep one block of every column.
 The CSV formats each swept value once and every value by one format
 operation, and ``rows`` zips the swept values, names and values.  The
-``degree`` and ``bell`` commands evaluate the observables on a one-point
-response.
+``degree`` and ``bell`` commands evaluate the observables on the response
+of their point, with 0-d slots.
 """
 
 from __future__ import annotations
@@ -526,18 +526,18 @@ def main(argv=None) -> int:
 
     if args.command == "degree":
         with _usage_errors(parser):
-            response = two_photon_response([_resolve_params(args)])
-            (degree,) = degree_from_response(response, args.theta)
+            response = two_photon_response(_resolve_params(args))
+            degree = degree_from_response(response, args.theta)
         print(f"C(theta={_fmt(args.theta)}) = {_fmt(degree)}")
         return 0
 
     if args.command == "bell":
         with _usage_errors(parser):
-            response = two_photon_response([_resolve_params(args)])
+            response = two_photon_response(_resolve_params(args))
             if args.angles is None:
-                (s,) = bell_s_from_response(response)
+                s = bell_s_from_response(response)
             else:
-                (s,) = bell_s_chsh_from_response(response, *args.angles)
+                s = bell_s_chsh_from_response(response, *args.angles)
         print(f"S = {_fmt(s)}  violated = {s > 2.0}")
         return 0
 

@@ -36,11 +36,14 @@ grid or integrated over tau in [0, infinity); that type states the slots.
 ``two_photon_response`` computes the averages for a whole CascadeBatch, by
 either route as a Laplace transform at zero frequency, from one stack of
 one block size: the 5x5 population blocks, or the 9x9 sectors of {X1, X2,
-u} of the generator.  Without the drive u never feeds back into {X1, X2},
-so an undriven point's elements with a u index are decoupled as modes of
-their own (``_decoupled``): its block solves and refuses as its 2x2 rate
-block or 4x4 sector would.  The full-generator route, the independent
-cross-check, solves -M x = y0 for the integral x of e^{M tau} y0 in one
+u} of the generator.  A CascadeParams is a point, not a one-point batch:
+its fields are read as numpy scalars, each route runs the same body on
+single blocks, indexed from the end (``[..., i, j]``), and the slots are
+0-d, with the bits of the one-point batch's.  Without the drive u never
+feeds back into {X1, X2}, so an undriven point's elements with a u index
+are decoupled as modes of their own (``_decoupled``): its block solves and
+refuses as its 2x2 rate block or 4x4 sector would.  The full-generator
+route, the independent cross-check, solves -M x = y0 for the integral x of e^{M tau} y0 in one
 stacked LAPACK solve (``_resolvent_response``).  The closed form solves
 nothing for its averages: u has no decay of its own, so with the drive on
 all that X2 sends to u comes back, and integrating dP1/dt and d(P2 +
@@ -57,7 +60,7 @@ semigroup has a positive semidefinite eigenvector, which has no coherence
 entries, so the coherence modes decay at least as fast as the slowest
 population mode.  The population slots are real on both routes, so
 degrees, Bell parameters and G(tau) are real arithmetic.
-``g2_avg_analytic`` and ``g2_avg_numeric`` are one-point calls of it; they
+``g2_avg_analytic`` and ``g2_avg_numeric`` call it on their point; they
 stay beside the batch surface of :mod:`cascadeg2.observables` because the
 benchmark calls them.
 On a delay grid the averaged sector of the generator and the driven
@@ -75,6 +78,7 @@ cross-check ``evolve``, which ``g2_numeric(..., method="ode")`` and the
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -84,7 +88,8 @@ import numpy as np
 from .errors import DivergentAverageError, NumericError
 from .liouvillian import (DIM, _identity, build_generator, check_tau_grid,
                           evolve, propagate_steps)
-from .model import Level, N_LEVELS, CascadeBatch, CascadeParams, DetectorSetting
+from .model import (PARAM_FIELDS, Level, N_LEVELS, CascadeBatch, CascadeParams,
+                    DetectorSetting, _field_values)
 
 # A time average exists only if every mode of the sector it integrates
 # decays faster than this rate; both routes refuse at the same threshold.
@@ -149,6 +154,10 @@ def _exp_entries(m: np.ndarray, taus: np.ndarray, *entries) -> tuple:
     round a large m00 - m11, such as an undriven detuning, into a phase
     that should cancel.  A real block with real h gives real entries.
     """
+    triangular = m[0, 1] * m[1, 0] == 0
+    if triangular and all(i == j for i, j in entries):
+        # the diagonal entries alone need neither E nor F
+        return tuple(np.exp(m[i, i] * taus) for i, _ in entries)
     s = 0.5 * (m[0, 0] + m[1, 1])
     h2 = 0.25 * (m[0, 0] - m[1, 1]) ** 2 + m[0, 1] * m[1, 0]
     # a real block keeps a real root where it has one
@@ -163,7 +172,6 @@ def _exp_entries(m: np.ndarray, taus: np.ndarray, *entries) -> tuple:
     else:
         x = np.expm1(-2.0 * h * taus)
         e, f = g * (1.0 + 0.5 * x), g * x / (-2.0 * h)
-    triangular = m[0, 1] * m[1, 0] == 0
     return tuple(m[i, j] * f if i != j
                  else np.exp(m[i, i] * taus) if triangular
                  else e + (m[i, i] - s) * f for i, j in entries)
@@ -239,7 +247,8 @@ def _angle_weights(theta1, theta2):
 class TwoPhotonResponse(NamedTuple):
     """The two-photon response of a batch of parameter points: four
     population slots and the coherence slot, each an array of the same
-    shape, one entry per point (and per delay on a grid).
+    shape, one entry per point (and per delay on a grid), or 0-d for a
+    single point's time averages.
 
     ``p11``, ``p12``, ``p21`` and ``p22`` are float arrays: Pij is the
     population propagator from the intermediate level Xj, which the first
@@ -273,7 +282,10 @@ def _braces(response: TwoPhotonResponse, theta1, theta2, phase=0.0):
     """
     r = response
     c1, c2, s1, s2 = _angle_weights(theta1, theta2)
-    wterm = 2.0 * np.real(np.exp(-1j * phase) * r.w)
+    # w as an array: numpy multiplies a complex scalar by a complex scalar
+    # with other rounding than its array loop, so a point's 0-d w would
+    # lose the bits of a batch's
+    wterm = 2.0 * np.real(np.exp(-1j * phase) * np.asarray(r.w))
     return ((1 + c1) * (1 + c2) * r.p11 + (1 - c1) * (1 + c2) * r.p12
             + (1 + c1) * (1 - c2) * r.p21 + (1 - c1) * (1 - c2) * r.p22
             + s1 * s2 * wterm)
@@ -485,8 +497,8 @@ def _refuse_divergent(blocks: np.ndarray, sector: str, cone: _Cone) -> None:
 
 def _decoupled(blocks: np.ndarray, undriven: np.ndarray,
                u_entries: np.ndarray) -> np.ndarray:
-    """The stack ``blocks``, with the ``u_entries`` of each ``undriven``
-    block set in place to those of -I.
+    """The stack ``blocks``, or one block with a 0-d ``undriven``, with
+    the ``u_entries`` of each ``undriven`` block set in place to those of -I.
 
     Without the drive u never feeds back into {X1, X2}, whose elements alone
     the averages read.  The elements with a u index become modes of their
@@ -494,15 +506,17 @@ def _decoupled(blocks: np.ndarray, undriven: np.ndarray,
     cone test are those of its X1 and X2 part.
     """
     np.copyto(blocks, -_identity(blocks.shape[-1]),
-              where=undriven[:, None, None] & u_entries)
+              where=undriven[..., None, None] & u_entries)
     return blocks
 
 
 def _closed_form_response(params: CascadeBatch) -> TwoPhotonResponse:
     """The response from the two blocks, with no solve for the averages.
 
-    The batch is refused as one stack of 5x5 population blocks; an undriven
-    point's u and X2-u rows and columns are decoupled, so its cone test is
+    ``params`` is a CascadeBatch, or a point with numpy-scalar fields, whose
+    slots are then 0-d.  The batch is refused as one stack of 5x5
+    population blocks, a point as one block; an undriven point's u and
+    X2-u rows and columns are decoupled, so its cone test is
     the orthant test of its 2x2 rate block's (x0, x1).  The drive leaves
     the averaged populations alone: u has no decay of its own, so what X2
     sends to u comes back when driven, and integrating dP1/dt and d(P2 +
@@ -586,14 +600,17 @@ def _resolvent_response(params: CascadeBatch) -> TwoPhotonResponse:
     The integral of e^{M tau} y0 over [0, inf) is x with M_SS x = -y0_S; one
     solve per point takes y0 = |X1><X1|, |X2><X2| and |X1><X2|, whose
     solutions hold the population slots and the coherence slot.  The
-    generators of all points are built as one stack, and every point takes
-    the 9x9 sector of {X1, X2, u}, an undriven one with its u elements
-    decoupled: one refusal and one solve serve the batch.
+    generators of all points of a CascadeBatch are built as one stack, and
+    every point takes the 9x9 sector of {X1, X2, u}, an undriven one with
+    its u elements decoupled: one refusal and one solve serve the batch.  A
+    point with numpy-scalar fields takes the same steps on its one (25, 25)
+    generator and gives 0-d slots.
     """
     # one row of flat entries per point: the sector columns are taken before
     # any point is decoupled, so no copy of the whole stack is made
-    gens = build_generator(params).reshape(len(params), DIM * DIM)
-    m_ss = _decoupled(gens[:, _SECTORS[_DRIVEN_LEVELS][1]],
+    gens = build_generator(params)
+    gens = gens.reshape(gens.shape[:-2] + (DIM * DIM,))
+    m_ss = _decoupled(gens[..., _SECTORS[_DRIVEN_LEVELS][1]],
                       params.rabi == 0.0, _SECTOR_U)
     sector = "averaged sector of the generator"
     _refuse_divergent(m_ss, sector, _DENSITY_CONE)
@@ -604,25 +621,36 @@ def _resolvent_response(params: CascadeBatch) -> TwoPhotonResponse:
                                     "is singular") from None
     # the population slots are diagonal entries of Hermitian solutions:
     # real, up to round-off in their imaginary parts, which is dropped
-    return TwoPhotonResponse(x[:, 0, 0].real, x[:, 0, 1].real,
-                             x[:, 4, 0].real, x[:, 4, 1].real, x[:, 3, 2])
+    return TwoPhotonResponse(x[..., 0, 0].real, x[..., 0, 1].real,
+                             x[..., 4, 0].real, x[..., 4, 1].real,
+                             x[..., 3, 2])
+
+
+# A point's fields as numpy scalars: each expression of a route then runs
+# on the point as on a row of a batch, to the bit, where Python's own
+# complex division would round differently
+_PointFields = collections.namedtuple("_PointFields", PARAM_FIELDS)
 
 
 def two_photon_response(points, method: str = "analytic") -> TwoPhotonResponse:
     """Time-averaged two-photon response of each of n parameter points.
 
     ``points`` is a CascadeBatch, or a sequence of CascadeParams, which is
-    stacked into one.  Returns a :class:`TwoPhotonResponse` whose slots are
-    arrays of shape (n,): the integrals over tau in [0, inf) of the
-    population propagators and of the coherence kernel.  Every averaged
-    coincidence is :func:`_braces` of it.  method "analytic" uses the
-    coherence and population blocks, "numeric" the resolvent of the full
-    generator.  Raises DivergentAverageError if any
+    stacked into one, or a single CascadeParams.  Returns a
+    :class:`TwoPhotonResponse` whose slots are arrays of shape (n,), or 0-d
+    for a single point, with the bits of its one-point batch: the integrals
+    over tau in [0, inf) of the population propagators and of the coherence
+    kernel.  A point is no batch of one: none is stacked or validated
+    again.  Every averaged coincidence is :func:`_braces` of it.  method
+    "analytic" uses the coherence and population blocks, "numeric" the
+    resolvent of the full generator.  Raises DivergentAverageError if any
     point has a mode decaying slower than the refusal floor.
     """
     if method not in ("analytic", "numeric"):
         raise ValueError(f"unknown method {method!r}")
-    if not isinstance(points, CascadeBatch):
+    if isinstance(points, CascadeParams):
+        points = _PointFields._make(map(np.float64, _field_values(points)))
+    elif not isinstance(points, CascadeBatch):
         points = CascadeBatch.stack(points)
     if method == "analytic":
         return _closed_form_response(points)
@@ -632,13 +660,13 @@ def two_photon_response(points, method: str = "analytic") -> TwoPhotonResponse:
 def _average(response: TwoPhotonResponse, det1: DetectorSetting,
              det2: DetectorSetting) -> float:
     return float(_braces(response, det1.theta, det2.theta,
-                         det1.phi + det2.phi)[0])
+                         det1.phi + det2.phi))
 
 
 def g2_avg_analytic(params: CascadeParams, det1: DetectorSetting,
                     det2: DetectorSetting) -> float:
     """Closed-form time-averaged correlation, integral of g2 over [0, inf)."""
-    return _average(two_photon_response([params]), det1, det2)
+    return _average(two_photon_response(params), det1, det2)
 
 
 def g2_avg_numeric(params: CascadeParams, det1: DetectorSetting,
@@ -648,4 +676,4 @@ def g2_avg_numeric(params: CascadeParams, det1: DetectorSetting,
     The integral of 4 Tr[B^dag B e^{M tau} y0] over [0, inf) is linear in
     y0; see :func:`_resolvent_response`.  Exact up to round-off.
     """
-    return _average(two_photon_response([params], method="numeric"), det1, det2)
+    return _average(two_photon_response(params, method="numeric"), det1, det2)

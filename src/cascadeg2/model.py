@@ -166,9 +166,15 @@ class CascadeBatch:
 
     @classmethod
     def stack(cls, points) -> "CascadeBatch":
-        """The batch of a sequence of CascadeParams, in order."""
-        return cls(np.array([_field_values(p) for p in points],
-                            dtype=float).reshape(-1, len(PARAM_FIELDS)).T)
+        """The batch of a sequence of CascadeParams, in order; TypeError,
+        naming its index, for any other item, a CascadeBatch too."""
+        rows = []
+        for k, point in enumerate(points):
+            if not isinstance(point, CascadeParams):
+                raise TypeError(f"item {k} is a {type(point).__name__}, "
+                                "not a CascadeParams")
+            rows.append(_field_values(point))
+        return cls(np.array(rows, dtype=float).reshape(-1, len(PARAM_FIELDS)).T)
 
     def __len__(self) -> int:
         return self.table.shape[1]

@@ -12,12 +12,12 @@ functions of that response, of any batch of points and of arrays of angles
 that broadcast against the points: C(theta) (``degree_from_response``), E
 (``chsh_from_response``), the four-setting CHSH S
 (``bell_s_chsh_from_response``) and the shortcut S = sqrt(2)(C_H + C_D)
-(``bell_s_from_response``).  A one-point batch serves the CLI ``degree`` and
-``bell`` commands; sweeps and figures evaluate a whole axis in a few array
-operations.  Each refuses a non-finite analyzer angle before any arithmetic,
-and a C or S outside its bound.  The one-point averages ``g2_avg_analytic``
-and ``g2_avg_numeric`` stay in :mod:`cascadeg2.correlate` because the
-benchmark calls them.
+(``bell_s_from_response``).  A point's response, with 0-d slots, gives 0-d
+observables and serves the CLI ``degree`` and ``bell`` commands; sweeps and
+figures evaluate a whole axis in a few array operations.  Each refuses a
+non-finite analyzer angle before any arithmetic, and a C or S outside its
+bound.  The one-point averages ``g2_avg_analytic`` and ``g2_avg_numeric``
+stay in :mod:`cascadeg2.correlate` because the benchmark calls them.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def degree_from_response(response: TwoPhotonResponse, theta) -> np.ndarray:
     return values
 
 
-# the basis angles of C_H and C_D, one row each against the points
-_BELL_BASES = np.array([[0.0], [math.pi / 4.0]])
+# the basis angles of C_H and C_D
+_BELL_BASES = np.array([0.0, math.pi / 4.0])
 
 
 def bell_s_from_response(response: TwoPhotonResponse) -> np.ndarray:
@@ -94,7 +94,9 @@ def bell_s_from_response(response: TwoPhotonResponse) -> np.ndarray:
     symmetric rates.  Raises ValueError if any |C| exceeds 1 or any |S| the
     Tsirelson bound.
     """
-    c_h, c_d = degree_from_response(response, _BELL_BASES)
+    # one basis per leading row, against points of any rank
+    c_h, c_d = degree_from_response(response, _BELL_BASES.reshape(
+        (2,) + (1,) * np.ndim(response.p11)))
     s = math.sqrt(2.0) * (c_h + c_d)
     _check_bell(s)
     return s

@@ -280,7 +280,7 @@ def check_structural_identity() -> CheckResult:
     tol = 1e-9
     params = CascadeParams(delta_fs=3.7, rabi=8.0, detuning=14.0,
                            gamma12=0.35, gamma21=0.35)
-    response = two_photon_response([params])
+    response = two_photon_response(params)
     thetas = np.linspace(0.0, np.pi, 10, endpoint=False)
     th1, th2 = np.repeat(thetas, 10), np.tile(thetas, 10)
     rows = np.column_stack([np.ones_like(th1), np.cos(2 * th1) * np.cos(2 * th2),

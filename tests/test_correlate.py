@@ -24,6 +24,7 @@ from cascadeg2.correlate import (_DECAY_FLOOR, _DENSITY_CONE,
                                  _detection_projector, _exp_entries,
                                  _g2_closed_form, _population_cone, _population_generator,
                                  _population_propagators, _refuse_divergent)
+from cascadeg2.cli import main
 from cascadeg2.liouvillian import check_tau_grid
 from cascadeg2.observables import (STANDARD_CHSH_ANGLES,
                                    bell_s_chsh_from_response,
@@ -1314,6 +1315,91 @@ class TestRefusalRule:
             population = np.max(np.linalg.eigvals(m).real)
             scale = max(np.max(np.abs(c)), np.max(np.abs(m)))
             assert coherence <= population + 4.0 * np.finfo(float).eps * scale
+
+
+# analyzer phases away from 0, where e^{-i phase} w rounds like w
+_PHASE = st.floats(0.1, 3.0)
+
+# _REFUSAL_DOMAIN with huge rates and drives planted too
+_HUGE = st.floats(1e100, 1e300)
+_POINT_DOMAIN = st.one_of(_REFUSAL_DOMAIN, st.builds(
+    CascadeParams, gamma3=st.one_of(_RATE, _HUGE), gamma4=st.one_of(_RATE, _HUGE),
+    gamma_u=st.one_of(_RATE, _HUGE), gamma12=st.one_of(_RATE, _HUGE),
+    gamma21=st.one_of(_RATE, _HUGE),
+    rabi=_zero_or((1e-12, 1e-3), (0.1, 35.0), (1e100, 1e300)),
+    detuning=st.floats(-100.0, 100.0), delta_fs=st.floats(-10.0, 10.0)))
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the refusal or floating-point warning
+    (an error under the test filter) that it raises."""
+    try:
+        return call()
+    except (DivergentAverageError, RuntimeWarning) as exc:
+        return exc
+
+
+def _refusal(exc: Exception) -> tuple:
+    """The type and message of a refusal or warning; numpy names an
+    overflow of a scalar operation "scalar", which is dropped."""
+    return type(exc), str(exc).replace("scalar ", "")
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value).tobytes()
+
+
+class TestPointResponse:
+    """A CascadeParams is a point, not a one-point batch: its response has
+    0-d slots with the bits of the one-point batch's."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(_POINT_DOMAIN, _ANGLE, _ANGLE, _PHASE, _PHASE)
+    # e^{-i phase} w of a 0-d w, multiplied as a complex scalar and not by
+    # the array loop, is one ulp off here
+    @example(CascadeParams(rabi=0.5, delta_fs=0.5), 0.75, 0.5, 1.25, 0.75)
+    def test_point_has_the_bits_of_its_one_point_batch(self, params, theta1,
+                                                         theta2, phi1, phi2):
+        det1, det2 = DetectorSetting(theta1, phi1), DetectorSetting(theta2, phi2)
+        for method, average in (("analytic", g2_avg_analytic),
+                                ("numeric", g2_avg_numeric)):
+            batch = _outcome(lambda: two_photon_response([params], method))
+            point = _outcome(lambda: two_photon_response(params, method))
+            got = _outcome(lambda: average(params, det1, det2))
+            if isinstance(batch, Exception):
+                assert _refusal(point) == _refusal(got) == _refusal(batch)
+                continue
+            for slot, row in zip(point, batch):
+                assert np.shape(slot) == ()
+                assert _bits(slot) == _bits(row[0])
+            want = float(_braces(batch, det1.theta, det2.theta,
+                                 det1.phi + det2.phi)[0])
+            assert _bits(got) == _bits(want)
+
+    def test_one_point_average_builds_no_batch(self, monkeypatch):
+        def refuse(self, table):
+            raise AssertionError("a CascadeBatch was built")
+
+        monkeypatch.setattr(CascadeBatch, "__init__", refuse)
+        params = CascadeParams(delta_fs=1.3, rabi=2.0, detuning=0.7)
+        with pytest.raises(AssertionError, match="CascadeBatch was built"):
+            two_photon_response([params])
+        for method in ("analytic", "numeric"):
+            assert all(np.shape(slot) == ()
+                       for slot in two_photon_response(params, method))
+        g2_avg_analytic(params, D, H)
+        g2_avg_numeric(params, D, H)
+        for argv in ("degree --theta 0.3 --rabi 2", "bell --rabi 2",
+                     "bell --angles 0 0.8 0.4 1.2 --rabi 2"):
+            assert main(argv.split()) == 0
+
+    def test_batch_inside_a_list_refused(self):
+        # a batch's field-major table is not one point's row of fields
+        batch = CascadeBatch.stack([CascadeParams(delta_fs=1.0, rabi=2.0),
+                                    CascadeParams(delta_fs=5.0)])
+        with pytest.raises(TypeError, match="item 0 is a CascadeBatch"):
+            two_photon_response([batch])
+        assert np.array_equal(two_photon_response(batch).p11, [1.0, 1.0])
 
 
 class TestSpecialCases:

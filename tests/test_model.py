@@ -144,6 +144,17 @@ class TestCascadeBatch:
         with pytest.raises(ValueError, match=r"expected a \(10, n\) table"):
             CascadeBatch(np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("k, item", [
+        (0, CascadeBatch.stack([CascadeParams(rabi=2.0), CascadeParams()])),
+        (1, (0.5, 0.5, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+    ], ids=["batch", "tuple"])
+    def test_stack_refuses_what_is_not_a_point(self, k, item):
+        items = [CascadeParams(), CascadeParams()]
+        items[k] = item
+        with pytest.raises(TypeError, match=f"item {k} is a {type(item).__name__}, "
+                                            "not a CascadeParams"):
+            CascadeBatch.stack(items)
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="gama_u"):
             CascadeBatch.broadcast(CascadeParams(), gama_u=[0.0, 1.0])
