@@ -5,13 +5,13 @@ Two independent routes compute the same normalized correlation:
 * ``g2_numeric`` applies the quantum regression theorem over the full 25x25
   generator: G(tau) = 4 Tr[ B^dag B  e^{M tau}( A |2X><2X| A^dag ) ] with A
   and B the polarization-projected first- and second-photon jump operators.
-  ``g2_numeric_grid`` does the same on a delay grid, on the sector of the
-  generator that the conditioned state never leaves (``_average_sector``):
-  {X1, X2, u}, or {X1, X2} without the drive, since on the larger sector
-  an undriven curve loses accuracy as the detuning grows.
-  ``_SECTORS`` holds, for each level set, that sector's vectorized indices
-  and the flat positions of its block in a (25, 25) generator, built once
-  at import: a block is one flat take of the generator built for the call.
+  ``g2_numeric_grid`` does the same on a delay grid, on the 9x9 sector of
+  the generator that the conditioned state never leaves, {X1, X2, u}
+  (``_SECTOR``), an undriven point's with its u elements
+  decoupled, so that its block holds no detuning.  ``_sector_blocks``
+  reads that block, for the grid and for the averages alike, with one
+  flat take of the generator built for the call through the constant
+  table ``_SECTOR_BLOCK``.
 
 * ``g2_analytic`` evaluates the same quantity from two hand-written blocks
   of the conditioned dynamics: the 2x2 cross-coherence block (rho_X1X2,
@@ -363,9 +363,9 @@ def g2_numeric_grid(params: CascadeParams, det1: DetectorSetting,
                     det2: DetectorSetting, taus) -> np.ndarray:
     """Regression-theorem correlation on a strictly increasing tau grid.
 
-    The conditioned state is propagated exactly on the averaged sector of
-    the generator of ``params`` (see :func:`_average_sector`), which it
-    never leaves: a 4x4 block without the drive, 9x9 with it.
+    The conditioned state is propagated exactly on the 9x9 averaged sector
+    of the generator of ``params`` (see :func:`_sector_blocks`), which it
+    never leaves; without the drive the sector's u elements are decoupled.
     """
     return _g2_sector_grid(params, det1, det2, check_tau_grid(taus))
 
@@ -373,14 +373,12 @@ def g2_numeric_grid(params: CascadeParams, det1: DetectorSetting,
 def _g2_sector_grid(params: CascadeParams, det1: DetectorSetting,
                     det2: DetectorSetting, taus: np.ndarray) -> np.ndarray:
     """:func:`g2_numeric_grid` on an accepted grid."""
-    sector, block = _SECTORS[_DRIVEN_LEVELS if params.rabi != 0.0
-                             else _UNDRIVEN_LEVELS]
     # vec(X) is the column-major ravel of X
-    states = propagate_steps(build_generator(params).take(block),
-                             _conditioned_state(det1).ravel(order="F")[sector],
+    states = propagate_steps(_sector_blocks(params),
+                             _conditioned_state(det1).ravel(order="F")[_SECTOR],
                              taus)
     # Tr[P X] = vec(P^T) . vec(X), and vec(P^T) is the row-major ravel of P
-    proj = _detection_projector(det2).ravel()[sector]
+    proj = _detection_projector(det2).ravel()[_SECTOR]
     return 4.0 * np.real(states @ proj)
 
 
@@ -501,9 +499,10 @@ def _decoupled(blocks: np.ndarray, undriven: np.ndarray,
     the ``u_entries`` of each ``undriven`` block set in place to those of -I.
 
     Without the drive u never feeds back into {X1, X2}, whose elements alone
-    the averages read.  The elements with a u index become modes of their
-    own, decaying at rate 1: the block is block diagonal, and its solve and
-    cone test are those of its X1 and X2 part.
+    the averages and the delay grid read.  The elements with a u index
+    become modes of their own, decaying at rate 1: the block is block
+    diagonal, and its solve, cone test and exponential are those of its X1
+    and X2 part, with no detuning.
     """
     np.copyto(blocks, -_identity(blocks.shape[-1]),
               where=undriven[..., None, None] & u_entries)
@@ -544,44 +543,39 @@ def _closed_form_response(params: CascadeBatch) -> TwoPhotonResponse:
     # mode, so avg_w needs no refusal of its own.  It is 0.5 / (z/2): every
     # term of z is halved before the sum, which rates and drives near the
     # float maximum would overflow, and exactly, so avg_w keeps the bits of
-    # 1/z
-    half_z = (0.25 * a1 + 0.25 * (p.gamma4 + p.gamma_u + p.gamma12)
-              + 0.5j * p.delta_fs
-              + p.rabi * (0.5 * p.rabi / (0.5 * a1 + 1j * (p.delta_fs + p.detuning))))
+    # 1/z.  The drive adds rabi times drive = rabi / (2 d) to z/2, with
+    # d = a1/2 + i (delta_fs + detuning).
+    rest = (0.25 * a1 + 0.25 * (p.gamma4 + p.gamma_u + p.gamma12)
+            + 0.5j * p.delta_fs)
+    drive = 0.5 * p.rabi / (0.5 * a1 + 1j * (p.delta_fs + p.detuning))
+    # Where that product would pass the float maximum, z/2 is divided by
+    # rabi before it is inverted; elsewhere by 1, which keeps its bits.  A
+    # part of drive times rabi overflows exactly where the two factors, each
+    # scaled by 2^-512, have a product of at least 1: a power of two scales
+    # exactly, and the scaled product cannot overflow
+    huge = (2.0 ** -512 * p.rabi) * (
+        2.0 ** -512 * np.maximum(abs(drive.real), abs(drive.imag))) >= 1.0
+    scale = np.where(huge, p.rabi, 1.0)
+    half_z = rest / scale + (p.rabi / scale) * drive
     return TwoPhotonResponse(p11=p11, p12=p.gamma12 / a2 * p11,
                              p21=p.gamma21 / a1 * p22, p22=p22,
-                             w=0.5 / half_z)
+                             w=(0.5 / scale) / half_z)
 
 
-# The averaged sector: both indices in these levels, X1 and X2 leading.
-_UNDRIVEN_LEVELS = (Level.X1, Level.X2)
-_DRIVEN_LEVELS = (Level.X1, Level.X2, Level.U)
+# The averaged sector: the elements with both indices in {X1, X2, u}, X1
+# and X2 leading.  The conditioned state A|2X><2X|A^dag lives on {X1, X2},
+# and B^dag B only reads that block.  Elements with both indices in {X1,
+# X2, u} evolve among themselves: they leak into g but are fed only from
+# 2X, which stays empty.  Propagating or averaging the sector alone is
+# exact.
+_SECTOR_LEVELS = (Level.X1, Level.X2, Level.U)
 
-
-def _average_sector(levels) -> np.ndarray:
-    """Vectorized indices of the elements with both indices in ``levels``.
-
-    The conditioned state A|2X><2X|A^dag lives on {X1, X2}, and B^dag B only
-    reads that block.  Elements with both indices in {X1, X2, u} evolve among
-    themselves: they leak into g but are fed only from 2X, which stays empty.
-    Without the drive u is a trap that never feeds back into {X1, X2}, so it
-    is left out too.  Propagating or averaging the sector alone is exact.
-    """
-    return np.array([i + N_LEVELS * j for j in levels for i in levels])
-
-
-def _sector_table(levels) -> tuple[np.ndarray, np.ndarray]:
-    """The vectorized indices of the averaged sector of ``levels``, and the
-    flat positions, row * DIM + column, of its block in a (DIM, DIM)
-    generator, shape (k, k); both read-only."""
-    sector = _average_sector(levels)
-    return _frozen(sector), _frozen(sector[:, None] * DIM + sector)
-
-
-# Each level set's sector table, built once: the tables hold indices only,
-# so every generator is still built per call and read through them
-_SECTORS = {levels: _sector_table(levels)
-            for levels in (_UNDRIVEN_LEVELS, _DRIVEN_LEVELS)}
+# The sector's vectorized indices and the flat positions, row * DIM +
+# column, of its block in a (DIM, DIM) generator, built once: the tables
+# hold indices only, so every generator is still built per call
+_SECTOR = _frozen(np.array([i + N_LEVELS * j for j in _SECTOR_LEVELS
+                            for i in _SECTOR_LEVELS]))
+_SECTOR_BLOCK = _frozen(_SECTOR[:, None] * DIM + _SECTOR)
 
 # The resolvent's right-hand sides on the 9x9 sector: the unit columns of
 # X1X1, X2X2 and X1X2, at sector positions 0, 4 and 3
@@ -590,8 +584,20 @@ _RESOLVENT_RHS = _frozen(np.eye(9)[:, [0, 4, 3]])
 # The entries in a row or column of an element with a u index: of the u
 # population and X2-u pair of the population block, and of the 9x9 sector
 _POPULATION_U, _SECTOR_U = (_frozen(has_u[:, None] | has_u) for has_u in (
-    np.arange(5) >= 2, np.array([Level.U in (i, j) for j in _DRIVEN_LEVELS
-                                 for i in _DRIVEN_LEVELS])))
+    np.arange(5) >= 2, np.array([Level.U in (i, j) for j in _SECTOR_LEVELS
+                                 for i in _SECTOR_LEVELS])))
+
+
+def _sector_blocks(params) -> np.ndarray:
+    """The 9x9 averaged sector of the generator of ``params``: one block for
+    a point, a stack for a CascadeBatch, each undriven block with its u
+    elements decoupled (see :func:`_decoupled`)."""
+    # one row of flat entries per point: the sector columns are taken before
+    # any point is decoupled, so no copy of the whole stack is made
+    gens = build_generator(params).reshape(np.shape(params.rabi) + (DIM * DIM,))
+    # np.equal, since a CascadeParams' rabi == 0.0 is a bool, not an array
+    return _decoupled(gens[..., _SECTOR_BLOCK], np.equal(params.rabi, 0.0),
+                      _SECTOR_U)
 
 
 def _resolvent_response(params: CascadeBatch) -> TwoPhotonResponse:
@@ -606,12 +612,7 @@ def _resolvent_response(params: CascadeBatch) -> TwoPhotonResponse:
     point with numpy-scalar fields takes the same steps on its one (25, 25)
     generator and gives 0-d slots.
     """
-    # one row of flat entries per point: the sector columns are taken before
-    # any point is decoupled, so no copy of the whole stack is made
-    gens = build_generator(params)
-    gens = gens.reshape(gens.shape[:-2] + (DIM * DIM,))
-    m_ss = _decoupled(gens[..., _SECTORS[_DRIVEN_LEVELS][1]],
-                      params.rabi == 0.0, _SECTOR_U)
+    m_ss = _sector_blocks(params)
     sector = "averaged sector of the generator"
     _refuse_divergent(m_ss, sector, _DENSITY_CONE)
     try:

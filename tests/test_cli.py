@@ -547,6 +547,11 @@ class TestCommands:
         assert main(argv.split()) == 0
         assert capsys.readouterr().out == stdout
 
+    def test_bell_at_a_drive_whose_square_overflows(self, capsys):
+        # rabi^2 passes the float maximum; the closed form still answers
+        assert main("bell --rabi 1e155 --delta-fs 1".split()) == 0
+        assert capsys.readouterr().out == "S = 1.41421356237e+00  violated = False\n"
+
     def test_bell_with_explicit_angles(self, capsys):
         assert main(["bell", "--gamma-u", "0", "--angles", "0",
                      "0.7853981633974483", "0.39269908169872414",
@@ -870,12 +875,12 @@ class TestVerify:
 
     def test_planted_transposed_sector_caught_by_both_route_checks(
             self, monkeypatch):
-        # the flat block positions of every sector read transposed: with
+        # the flat block positions of the sector read transposed: with
         # gamma12 = gamma21 the mutant only swaps the analyzers' roles, so
         # the route checks see it because the transfer rates are drawn apart
-        transposed = {levels: (sector, sector * liouvillian.DIM + sector[:, None])
-                      for levels, (sector, _block) in correlate._SECTORS.items()}
-        monkeypatch.setattr(correlate, "_SECTORS", transposed)
+        sector = correlate._SECTOR
+        monkeypatch.setattr(correlate, "_SECTOR_BLOCK",
+                            sector * liouvillian.DIM + sector[:, None])
         assert _failing(run_all_checks()) == [
             "oracle_equivalence", "average_cross_oracle"]
 

@@ -10,22 +10,23 @@ from scipy.integrate import quad
 
 from cascadeg2 import (CascadeBatch, CascadeParams, CorrelationCurve,
                        DetectorSetting, DivergentAverageError, Level,
-                       TSIRELSON_BOUND, TwoPhotonResponse, build_generator,
-                       correlation_curve, evolve, evolve_grid, g2_analytic,
+                       N_LEVELS, TSIRELSON_BOUND, TwoPhotonResponse,
+                       build_generator, correlation_curve, evolve,
+                       evolve_grid, g2_analytic,
                        g2_avg_analytic, g2_avg_numeric, g2_numeric,
                        g2_numeric_grid, two_photon_response)
 from cascadeg2.correlate import (_DECAY_FLOOR, _DENSITY_CONE,
-                                 _DRIVEN_LEVELS, _POPULATION_CONE,
-                                 _POPULATION_U, _SECTOR_U, _SECTORS,
-                                 _UNDRIVEN_LEVELS, _Cone, _average_sector,
-                                 _braces, _coherence_generator,
-                                 _conditioned_state, _decoupled,
+                                 _POPULATION_CONE, _POPULATION_U, _SECTOR,
+                                 _SECTOR_BLOCK, _Cone, _braces,
+                                 _coherence_generator, _conditioned_state,
+                                 _decoupled,
                                  _delay_response, _density_cone,
                                  _detection_projector, _exp_entries,
                                  _g2_closed_form, _population_cone, _population_generator,
-                                 _population_propagators, _refuse_divergent)
+                                 _population_propagators, _refuse_divergent,
+                                 _sector_blocks)
 from cascadeg2.cli import main
-from cascadeg2.liouvillian import check_tau_grid
+from cascadeg2.liouvillian import check_tau_grid, propagate_steps
 from cascadeg2.observables import (STANDARD_CHSH_ANGLES,
                                    bell_s_chsh_from_response,
                                    bell_s_from_response, chsh_from_response,
@@ -331,13 +332,18 @@ class TestOracleEquivalence:
     def test_sector_grid_equals_full_generator(self, params, theta1, theta2,
                                                phi1, phi2):
         # the conditioned state never leaves the averaged sector, so the
-        # 4x4 or 9x9 propagation reads the same as the 25x25 one
+        # 9x9 propagation reads the same as the 25x25 one
         det1, det2 = DetectorSetting(theta1, phi1), DetectorSetting(theta2, phi2)
         taus = np.linspace(0.0, 10.0, 41)
         full = evolve_grid(build_generator(params), _conditioned_state(det1), taus)
         want = 4.0 * np.real(np.einsum("ij,kji->k", _detection_projector(det2), full))
         got = g2_numeric_grid(params, det1, det2, taus)
         assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
+        if params.rabi == 0.0:
+            # without the drive the decoupled 9x9 block reads as the 4x4
+            # sector of {X1, X2} alone
+            pair = _pair_grid(params, det1, det2, taus)
+            assert np.max(np.abs(got - pair) / np.maximum(1.0, np.abs(pair))) <= 1e-14
 
     def test_nonfinite_delays_are_bad_input_on_both_routes(self):
         params = CascadeParams(delta_fs=2.0, rabi=3.0)
@@ -593,29 +599,76 @@ def _response_or_refusal(params, method):
         return None
 
 
+def _level_sector(levels):
+    """Vectorized indices of the elements with both indices in ``levels``."""
+    return np.array([i + N_LEVELS * j for j in levels for i in levels])
+
+
+# The 9x9 sector that both numeric paths read, and the 4x4 sector of {X1,
+# X2} alone, the undriven physical block, kept here as a reference
+_SECTOR_LEVELS, _PAIR_LEVELS = (X1, X2, U), (X1, X2)
+_PAIR = _level_sector(_PAIR_LEVELS)
+
+
+def _pair_block(params):
+    """The 4x4 sector of {X1, X2} of the generator, closed without the
+    drive."""
+    return build_generator(params)[np.ix_(_PAIR, _PAIR)]
+
+
 def _sector_block(params):
-    """The averaged sector of the generator: 4x4 without the drive, 9x9
-    with it."""
-    sector = _average_sector((X1, X2, U) if params.rabi else (X1, X2))
-    return build_generator(params)[np.ix_(sector, sector)]
+    """The 9x9 sector of {X1, X2, u} of the generator, as the numeric grid
+    and resolvent read it: without the drive, the elements with a u index
+    are modes of their own, decaying at rate 1."""
+    sector = _level_sector(_SECTOR_LEVELS)
+    block = build_generator(params)[np.ix_(sector, sector)]
+    if params.rabi == 0.0:
+        u = ~np.isin(sector, _PAIR)
+        block[u] = block[:, u] = 0.0
+        block[u, u] = -1.0
+    return block
 
 
-@pytest.mark.parametrize("levels", [_UNDRIVEN_LEVELS, _DRIVEN_LEVELS])
+def _pair_grid(params, det1, det2, taus):
+    """The undriven G(tau) propagated on the 4x4 sector of {X1, X2}."""
+    states = propagate_steps(_pair_block(params),
+                             _conditioned_state(det1).ravel(order="F")[_PAIR],
+                             taus)
+    return 4.0 * np.real(states @ _detection_projector(det2).ravel()[_PAIR])
+
+
+@pytest.mark.parametrize("levels", [_PAIR_LEVELS, _SECTOR_LEVELS])
 def test_sector_table_takes_the_sector_block(levels):
-    # the constant table reads the same block as an index gather of the
-    # sector, from one point's generator and from a mixed batch's stack
-    sector, block = _SECTORS[levels]
-    assert np.array_equal(sector, _average_sector(levels))
-    assert not (sector.flags.writeable or block.flags.writeable)
+    # the one constant table reads the same block as an index gather of the
+    # sector, from one point's generator and from a mixed batch's stack,
+    # and the blocks read through it are the sector blocks above; the
+    # levels' sub-block of what it reads is the block of those levels alone,
+    # so the undriven {X1, X2} block needs no table of its own
+    assert np.array_equal(_SECTOR, _level_sector(_SECTOR_LEVELS))
+    assert not (_SECTOR.flags.writeable or _SECTOR_BLOCK.flags.writeable)
+    sector = _level_sector(levels)
+    sub = np.ix_(np.isin(_SECTOR, sector), np.isin(_SECTOR, sector))
     point = CascadeParams(gamma_u=0.01, gamma12=0.3, gamma21=0.2,
                           delta_fs=2.0, rabi=3.0, detuning=7.0)
     gen = build_generator(point)
-    assert np.array_equal(gen.take(block), gen[np.ix_(sector, sector)])
-    batch = CascadeBatch.stack([point, point.with_(rabi=0.0),
-                                point.with_(delta_fs=-1.0, rabi=0.5)])
+    n = len(_SECTOR)
+    assert np.array_equal(gen.take(_SECTOR_BLOCK),
+                          gen[np.ix_(_SECTOR, _SECTOR)])
+    assert np.array_equal(gen.take(_SECTOR_BLOCK).reshape(n, n)[sub],
+                          gen[np.ix_(sector, sector)])
+    points = [point, point.with_(rabi=0.0), point.with_(delta_fs=-1.0, rabi=0.5)]
+    batch = CascadeBatch.stack(points)
     stack = build_generator(batch)
-    taken = stack.reshape(len(batch), -1)[:, block]
-    assert np.array_equal(taken, stack[:, sector][:, :, sector])
+    taken = stack.reshape(len(batch), -1)[:, _SECTOR_BLOCK]
+    assert np.array_equal(taken, stack[:, _SECTOR][:, :, _SECTOR])
+    assert np.array_equal(_sector_blocks(batch),
+                          [_sector_block(p) for p in points])
+    for p in points:
+        assert np.array_equal(_sector_blocks(p), _sector_block(p))
+        want = (_pair_block(p) if levels == _PAIR_LEVELS
+                else build_generator(p)[np.ix_(sector, sector)])
+        if p.rabi or levels == _PAIR_LEVELS:
+            assert np.array_equal(_sector_blocks(p)[sub], want)
 
 
 def _slowest_decay(params):
@@ -627,8 +680,7 @@ def _mp_response(params):
     """The one-point response from a 50-digit mpmath solve of the averaged
     sector of the generator."""
     block = _sector_block(params)
-    n = 3 if params.rabi else 2
-    x11, x22, x12 = 0, n + 1, n
+    x11, x22, x12 = 0, 4, 3
     with mpmath.workdps(50):
         inv = mpmath.inverse(-mpmath.matrix(
             [[mpmath.mpc(complex(v)) for v in row] for row in block]))
@@ -1017,10 +1069,9 @@ def _route_blocks(params):
     the 5x5 population block and the 9x9 generator sector, an undriven
     point's with its u elements decoupled."""
     batch = CascadeBatch.broadcast(params)
-    undriven = batch.rabi == 0.0
-    sector = build_generator(batch).reshape(1, -1)[:, _SECTORS[_DRIVEN_LEVELS][1]]
-    return (_decoupled(_population_generator(batch), undriven, _POPULATION_U)[0],
-            _decoupled(sector, undriven, _SECTOR_U)[0])
+    return (_decoupled(_population_generator(batch), batch.rabi == 0.0,
+                       _POPULATION_U)[0],
+            _sector_blocks(params))
 
 
 def _averaged_blocks(params):
@@ -1032,7 +1083,7 @@ def _averaged_blocks(params):
     population, sector = _route_blocks(undriven)
     blocks = [(_population_generator(undriven)[:2, :2], population,
                _POPULATION_CONE),
-              (_sector_block(undriven), sector, _DENSITY_CONE)]
+              (_pair_block(undriven), sector, _DENSITY_CONE)]
     if params.rabi != 0.0:
         population, sector = _route_blocks(params)
         blocks += [(population, population, _POPULATION_CONE),
@@ -1121,7 +1172,7 @@ def _per_size_refused(params, method):
                        if analytic else (_sector_block(params), _DENSITY_CONE))
     else:
         block, cone = ((_population_generator(params)[:2, :2], _RATE_CONE)
-                       if analytic else (_sector_block(params), _PAIR_DENSITY_CONE))
+                       if analytic else (_pair_block(params), _PAIR_DENSITY_CONE))
     return _refused(block, cone)
 
 
@@ -1129,7 +1180,8 @@ def _per_size_resolvent(params):
     """The one-point response of a solve on the point's own averaged sector
     of the generator, 4x4 without the drive, 9x9 with it."""
     n = 3 if params.rabi else 2
-    x = np.linalg.solve(-_sector_block(params), np.eye(n * n)[:, [0, n + 1, n]])
+    block = _sector_block(params) if params.rabi else _pair_block(params)
+    x = np.linalg.solve(-block, np.eye(n * n)[:, [0, n + 1, n]])
     return _map_slots(lambda v: np.array([v]), TwoPhotonResponse(
         x[0, 0].real, x[0, 1].real, x[n + 1, 0].real, x[n + 1, 1].real,
         x[n, 2]))
@@ -1241,11 +1293,11 @@ class TestRefusalRule:
         want = -np.eye(5)
         want[:2, :2] = _population_generator(params)[:2, :2]
         assert np.array_equal(population, want)
-        x1x2 = np.isin(_average_sector(_DRIVEN_LEVELS),
-                       _average_sector(_UNDRIVEN_LEVELS))
+        x1x2 = np.isin(_level_sector(_SECTOR_LEVELS), _PAIR)
         want = -np.eye(9, dtype=complex)
-        want[np.ix_(x1x2, x1x2)] = _sector_block(params)
+        want[np.ix_(x1x2, x1x2)] = _pair_block(params)
         assert np.array_equal(sector, want)
+        assert np.array_equal(_sector_block(params), want)
         # a driven point's blocks are the route's blocks as built
         driven = params.with_(rabi=3.0)
         population, sector = _route_blocks(driven)
@@ -1392,6 +1444,18 @@ class TestPointResponse:
         for argv in ("degree --theta 0.3 --rabi 2", "bell --rabi 2",
                      "bell --angles 0 0.8 0.4 1.2 --rabi 2"):
             assert main(argv.split()) == 0
+
+    @pytest.mark.parametrize("rabi", [1e155, 1e200, 1e300])
+    def test_huge_drive_answers_as_the_numeric_route(self, rabi):
+        # rabi^2 / |d| passes the float maximum: the closed form inverts z/2
+        # divided by rabi, with no warning (an error under the test filter),
+        # and its S is the full-generator route's, on a point and on a batch
+        points = [CascadeParams(rabi=rabi, delta_fs=delta_fs, detuning=detuning)
+                  for delta_fs, detuning in ((0.0, 0.0), (1.0, 0.0), (5.0, 25.0))]
+        for sample in (*points, CascadeBatch.stack(points)):
+            s = bell_s_from_response(two_photon_response(sample))
+            want = bell_s_from_response(two_photon_response(sample, "numeric"))
+            np.testing.assert_allclose(s, want, rtol=1e-12, atol=0.0)
 
     def test_batch_inside_a_list_refused(self):
         # a batch's field-major table is not one point's row of fields

@@ -9,8 +9,7 @@ from scipy.linalg import expm
 from cascadeg2 import (CascadeBatch, CascadeParams, DetectorSetting, Level,
                        NumericError, build_generator, evolve, evolve_grid,
                        g2_numeric_grid, liouvillian, unvectorize, vectorize)
-from cascadeg2.correlate import (_DRIVEN_LEVELS, _UNDRIVEN_LEVELS,
-                                 _average_sector, _population_generator)
+from cascadeg2.correlate import _population_generator, _sector_blocks
 from cascadeg2.liouvillian import propagate_steps
 
 UP, X1, X2, U, G = Level.TWO_X, Level.X1, Level.X2, Level.U, Level.G
@@ -115,11 +114,9 @@ _PARAMS = st.builds(
 
 
 def _blocks_times_tau(params, tau):
-    """The real population block and the averaged generator sector, times tau."""
-    levels = _DRIVEN_LEVELS if params.rabi != 0.0 else _UNDRIVEN_LEVELS
-    sector = _average_sector(levels)
-    return (_population_generator(params) * tau,
-            build_generator(params)[np.ix_(sector, sector)] * tau)
+    """The real population block and the 9x9 averaged generator sector, an
+    undriven one decoupled as the grid route propagates it, times tau."""
+    return _population_generator(params) * tau, _sector_blocks(params) * tau
 
 
 def _mp_expm(a):
