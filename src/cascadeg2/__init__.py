@@ -10,8 +10,7 @@ CHSH Bell observables across parameter sweeps.
 from .errors import DivergentAverageError, NumericError
 from .model import (CascadeBatch, CascadeParams, DetectorSetting, Level,
                     N_LEVELS, omega_star)
-from .liouvillian import (build_generator, evolve, evolve_grid, unvectorize,
-                          vectorize)
+from .liouvillian import build_generator, evolve_grid, unvectorize, vectorize
 from .correlate import (CorrelationCurve, TwoPhotonResponse,
                         correlation_curve, g2_analytic, g2_avg_analytic,
                         g2_avg_numeric, g2_numeric, g2_numeric_grid,
@@ -40,7 +39,6 @@ __all__ = [
     "chsh_from_response",
     "correlation_curve",
     "degree_from_response",
-    "evolve",
     "evolve_grid",
     "g2_analytic",
     "g2_avg_analytic",

@@ -71,9 +71,7 @@ order, by one exponential per delay; one numpy matrix exponential call
 serves either way, of the step alone on a uniform grid from 0.
 ``correlation_curve`` checks its grid once, with ``check_tau_grid``,
 before either route runs, so both refuse a bad grid alike; neither route
-nor the curve checks it again.  scipy loads only for the DOP853
-cross-check ``evolve``, which ``g2_numeric(..., method="ode")`` and the
-``evolve_route_agreement`` check of :mod:`cascadeg2.verify` call.
+nor the curve checks it again.
 """
 
 from __future__ import annotations
@@ -87,7 +85,7 @@ import numpy as np
 
 from .errors import DivergentAverageError, NumericError
 from .liouvillian import (DIM, _identity, build_generator, check_tau_grid,
-                          evolve, propagate_steps)
+                          propagate_steps)
 from .model import (PARAM_FIELDS, Level, N_LEVELS, CascadeBatch, CascadeParams,
                     DetectorSetting, _field_values)
 
@@ -383,18 +381,15 @@ def _g2_sector_grid(params: CascadeParams, det1: DetectorSetting,
 
 
 def g2_numeric(params: CascadeParams, det1: DetectorSetting,
-               det2: DetectorSetting, tau: float, method: str = "ode") -> float:
+               det2: DetectorSetting, tau: float, method: str = "expm") -> float:
     """Regression-theorem correlation at a single delay.
 
-    method "ode" integrates adaptively (DOP853, see :func:`evolve`); method
-    "expm" is :func:`g2_numeric_grid` on the one-point grid ``[tau]``.
+    The one method, "expm", is :func:`g2_numeric_grid` on the one-point
+    grid ``[tau]``; any other raises ValueError.
     """
-    if method not in ("ode", "expm"):
-        raise ValueError(f"unknown method {method!r}, expected 'ode' or 'expm'")
-    if method == "expm":
-        return float(g2_numeric_grid(params, det1, det2, [tau])[0])
-    op = evolve(build_generator(params), _conditioned_state(det1), tau)
-    return float(4.0 * np.real(np.trace(_detection_projector(det2) @ op)))
+    if method != "expm":
+        raise ValueError(f"unknown method {method!r}, expected 'expm'")
+    return float(g2_numeric_grid(params, det1, det2, [tau])[0])
 
 
 def correlation_curve(params: CascadeParams, det1: DetectorSetting,

@@ -15,16 +15,14 @@ being the total rate out of level k.
 
 The generator is a plain complex array: ``build_generator`` fills one (25,
 25) matrix for a CascadeParams point, or a stack of shape (n, 25, 25) for
-the n points of a CascadeBatch, entry for entry the same.  ``evolve`` and
-``evolve_grid`` take one (25, 25) matrix.
+the n points of a CascadeBatch, entry for entry the same.  ``evolve_grid``
+takes one (25, 25) matrix.
 
 Exact propagation, ``evolve_grid``, goes through ``propagate_steps`` and
 ``expm``, a numpy scaling-and-squaring Padé exponential that takes a whole
 stack of matrices at once, its four polynomial pieces one coefficient
 product on the stacked powers.  A uniform grid from 0 costs one
-exponential, of the step.  scipy is imported only by ``evolve``, on its
-first DOP853 solve, the independent cross-check of that propagation; every
-other path loads numpy only.  The identity of each size is built once, on
+exponential, of the step.  The identity of each size is built once, on
 its first use, and shared read-only (``_identity``): ``expm`` stacks it as
 the zeroth power, and the refusal rule of :mod:`cascadeg2.correlate`
 shifts its blocks by it.
@@ -41,12 +39,6 @@ from .errors import NumericError
 from .model import Level, N_LEVELS, CascadeBatch, CascadeParams
 
 DIM = N_LEVELS * N_LEVELS
-
-# Default tolerances of the adaptive integrator behind evolve, the
-# cross-check of the exact matrix-exponential propagation.
-DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-12
-
 
 # Coefficients b_0..b_13 of the [13/13] Padé approximant of exp, divided by
 # b_0 so that a zero matrix gives the identity exactly, and the largest
@@ -124,12 +116,6 @@ def expm(a: np.ndarray) -> np.ndarray:
             part = r[square]
             r[square] = part @ part
     return r.reshape(shape)
-
-
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
 
 
 def vectorize(op: np.ndarray) -> np.ndarray:
@@ -321,24 +307,3 @@ def evolve_grid(gen: np.ndarray, x0, taus) -> np.ndarray:
     vecs = propagate_steps(gen, vectorize(x0), taus)
     # row k holds vec(X_k) column-major, so the reshape yields X_k transposed
     return vecs.reshape(taus.size, N_LEVELS, N_LEVELS).transpose(0, 2, 1)
-
-
-def evolve(gen: np.ndarray, x0, tau: float) -> np.ndarray:
-    """Return exp(M tau) applied to the operator x0, M being the (25, 25)
-    generator ``gen``, by adaptive DOP853 integration at DEFAULT_RTOL and
-    DEFAULT_ATOL.
-
-    The independent cross-check of the exact propagation of
-    :func:`evolve_grid`; the two agree to better than 1e-8 over the rate and
-    drive ranges this package sweeps.
-    """
-    gen, x0 = _as_generator(gen), _as_operator(x0)
-    if not np.isfinite(tau) or tau < 0:
-        raise ValueError(f"tau must be finite and >= 0, got {tau}")
-    if tau == 0.0:
-        return x0.copy()
-    sol = solve_ivp(lambda _t, y: gen @ y, (0.0, float(tau)), vectorize(x0),
-                    method="DOP853", rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL)
-    if not sol.success or not np.all(np.isfinite(sol.y)):
-        raise NumericError(f"ODE propagation failed: {sol.message}")
-    return unvectorize(sol.y[:, -1])

@@ -18,14 +18,14 @@ PUBLIC_NAMES = {
     "STANDARD_CHSH_ANGLES", "TSIRELSON_BOUND", "TwoPhotonResponse",
     "bell_s_chsh_from_response", "bell_s_from_response", "build_generator",
     "chsh_from_response", "correlation_curve", "degree_from_response",
-    "evolve", "evolve_grid", "g2_analytic", "g2_avg_analytic",
+    "evolve_grid", "g2_analytic", "g2_avg_analytic",
     "g2_avg_numeric", "g2_numeric", "g2_numeric_grid", "omega_star",
     "two_photon_response", "unvectorize", "vectorize", "__version__",
 }
 
 
 def test_exported_names_are_pinned_and_resolve():
-    assert len(cascadeg2.__all__) == len(PUBLIC_NAMES) == 29
+    assert len(cascadeg2.__all__) == len(PUBLIC_NAMES) == 28
     assert set(cascadeg2.__all__) == PUBLIC_NAMES
     for name in cascadeg2.__all__:
         assert getattr(cascadeg2, name) is not None

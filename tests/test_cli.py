@@ -24,9 +24,9 @@ from cascadeg2.cli import (FIGURE_IDS, RunConfig, SweepResult, _figure_plan,
                            run_sweep)
 from cascadeg2.liouvillian import build_generator
 from cascadeg2.model import PARAM_FIELDS
-from cascadeg2.verify import (check_oracle_equivalence, check_semigroup,
-                              check_tsirelson, check_w_phase, run_all_checks,
-                              summarize)
+from cascadeg2.verify import (check_evolve_routes, check_oracle_equivalence,
+                              check_semigroup, check_tsirelson, check_w_phase,
+                              run_all_checks, summarize)
 
 DATA = Path(__file__).resolve().parent / "data"
 _CORRELATE = ["correlate", "--tau-max", "10", "--tau-steps", "300"]
@@ -706,26 +706,28 @@ class TestCommands:
         assert "x,observable,value" in out
         assert out.endswith("\n")
 
-    def test_closed_form_commands_leave_scipy_unloaded(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
         # a fresh interpreter, since this one has imported scipy already;
-        # only the DOP853 solve at the end may load it
+        # numpy is the only runtime dependency, of every command and of
+        # verify's checks too
         child = f"""
 import json, sys
 import numpy as np
 from cascadeg2 import cli
-from cascadeg2 import CascadeParams, DetectorSetting, build_generator, evolve
+from cascadeg2 import CascadeParams, DetectorSetting, build_generator, evolve_grid
 from cascadeg2 import g2_numeric_grid
 cli.main(["figure", "5", "--out", {str(tmp_path / "figure_5.csv")!r}])
 cli.main(["bell"])
 cli.main(["correlate", "--rabi", "3", "--tau-max", "5", "--tau-steps", "20",
           "--out", {str(tmp_path / "curve.csv")!r}])
+status = cli.main(["verify", "--out", {str(tmp_path / "verify.json")!r}])
 det = DetectorSetting(0.0)
 grid = g2_numeric_grid(CascadeParams(), det, det, np.linspace(0.0, 2.0, 5))
 driven = g2_numeric_grid(CascadeParams(rabi=3.0), det, det, np.linspace(0.0, 2.0, 5))
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 params = CascadeParams(rabi=1.0)
-state = evolve(build_generator(params), np.eye(5) / 5, 0.5)
-print(json.dumps({{"loaded": loaded, "grid": grid.tolist(),
+state = evolve_grid(build_generator(params), np.eye(5) / 5, [0.5])[0]
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+print(json.dumps({{"loaded": loaded, "status": status, "grid": grid.tolist(),
                   "driven": driven.tolist(),
                   "trace": abs(np.trace(state) - 1.0)}}))
 """
@@ -735,8 +737,8 @@ print(json.dumps({{"loaded": loaded, "grid": grid.tolist(),
         proc = subprocess.run([sys.executable, "-c", child], env=env, check=True,
                               capture_output=True, text=True, timeout=120)
         result = json.loads(proc.stdout.splitlines()[-1])
-        # the driven correlate curve and the driven grid need no scipy.linalg
         assert result["loaded"] == []
+        assert result["status"] == 0
         for grid in (result["grid"], result["driven"]):
             assert grid[0] == pytest.approx(4.0) and np.all(np.isfinite(grid))
         assert result["trace"] < 1e-9
@@ -749,7 +751,7 @@ _BARS = {
     "hermiticity_preservation": "(tol 1e-12)",
     "positivity": "(floor -1e-10)",
     "semigroup": "(tol 1e-12)",
-    "evolve_route_agreement": "(tol 1e-08)",
+    "evolve_route_agreement": "(tol 1e-12)",
     "w_phase": "tol 1e-12)",
     "tau0_normalization": "(tol 1e-10)",
     "oracle_equivalence": "(tol 1e-12)",
@@ -871,6 +873,18 @@ class TestVerify:
 
         monkeypatch.setattr(liouvillian, "expm", skewed)
         result = check_semigroup()
+        assert not result.passed, result.detail
+
+    def test_planted_expm_error_caught_by_evolve_route_agreement(
+            self, monkeypatch):
+        # a relative 1e-10 error in every exponential, about 1e-10 in each
+        # propagated state: eigenvector propagation shares no code with
+        # expm, so the check sees it at its 1e-12 bar
+        exact = liouvillian.expm
+        assert check_evolve_routes().passed
+        monkeypatch.setattr(liouvillian, "expm",
+                            lambda a: exact(a) * (1 + 1e-10))
+        result = check_evolve_routes()
         assert not result.passed, result.detail
 
     def test_planted_transposed_sector_caught_by_both_route_checks(

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from cascadeg2 import (CascadeBatch, CascadeParams, CorrelationCurve,
                        DetectorSetting, DivergentAverageError, Level,
                        N_LEVELS, TSIRELSON_BOUND, TwoPhotonResponse,
-                       build_generator, correlation_curve, evolve,
+                       build_generator, correlation_curve,
                        evolve_grid, g2_analytic,
                        g2_avg_analytic, g2_avg_numeric, g2_numeric,
                        g2_numeric_grid, two_photon_response)
@@ -352,11 +352,8 @@ class TestOracleEquivalence:
                 g2_numeric_grid(params, H, D, taus)
             with pytest.raises(ValueError, match="finite"):
                 g2_analytic(params, H, D, taus)
-        gen = build_generator(params)
         with pytest.raises(ValueError, match="finite"):
-            evolve(gen, np.eye(5), math.nan)
-        with pytest.raises(ValueError, match="finite"):
-            evolve_grid(gen, np.eye(5), [math.nan])
+            evolve_grid(build_generator(params), np.eye(5), [math.nan])
 
     def test_analytic_delays_in_any_order_but_one_dimension(self):
         # unsorted, repeated and decreasing delays are valid, driven and
@@ -388,15 +385,15 @@ class TestOracleEquivalence:
                               / np.maximum(1.0, np.abs(want))) <= 1e-12
 
     def test_single_delay_methods(self):
-        # "expm" is the exact one-point grid, "ode" the DOP853 cross-check
+        # "expm", the default, is the exact one-point grid and the one method
         params = CascadeParams(delta_fs=2.0, rabi=3.0, detuning=5.0,
                                gamma12=0.3, gamma21=0.3)
         for tau in (0.0, 0.7, 4.0):
             grid = g2_numeric_grid(params, H, D, [tau])[0]
-            assert g2_numeric(params, H, D, tau, method="expm") == grid
-            assert abs(g2_numeric(params, H, D, tau) - grid) <= 1e-8
-        with pytest.raises(ValueError, match="'magic'"):
-            g2_numeric(params, H, D, 1.0, method="magic")
+            assert g2_numeric(params, H, D, tau) == grid
+        for method in ("ode", "magic"):
+            with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+                g2_numeric(params, H, D, 1.0, method=method)
 
 
 class TestAgainstClosedFormOracles:

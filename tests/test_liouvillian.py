@@ -7,10 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from cascadeg2 import (CascadeBatch, CascadeParams, DetectorSetting, Level,
-                       NumericError, build_generator, evolve, evolve_grid,
+                       NumericError, build_generator, evolve_grid,
                        g2_numeric_grid, liouvillian, unvectorize, vectorize)
 from cascadeg2.correlate import _population_generator, _sector_blocks
 from cascadeg2.liouvillian import propagate_steps
+from cascadeg2.verify import _eigenvector_propagate
 
 UP, X1, X2, U, G = Level.TWO_X, Level.X1, Level.X2, Level.U, Level.G
 
@@ -291,7 +292,7 @@ class TestEvolve:
     def test_identity_at_tau_zero(self):
         gen = build_generator(CascadeParams(delta_fs=3.0, rabi=2.0))
         rho = _pure(UP)
-        assert np.array_equal(evolve(gen, rho, 0.0), rho)
+        assert np.array_equal(evolve_grid(gen, rho, [0.0])[0], rho)
 
     def test_upper_level_decay_decouples(self):
         # the 2X population decays at gamma1 + gamma2 for any parameters
@@ -317,16 +318,18 @@ class TestEvolve:
     def test_cascade_conservation(self):
         # everything ends in the ground level without drive or side channels
         gen = build_generator(CascadeParams())
-        final = evolve(gen, _pure(UP), 50.0)
+        final = evolve_grid(gen, _pure(UP), [50.0])[0]
         assert abs(final[G, G].real - 1.0) < 1e-8
 
-    def test_ode_and_expm_agree(self):
+    def test_eigenvectors_and_expm_agree(self):
+        # eigenvector propagation shares no code with expm
         rng = np.random.default_rng(5)
         for _ in range(4):
             gen = build_generator(_random_params(rng))
             x0 = _random_hermitian(rng)
             tau = rng.uniform(0.2, 4.0)
-            diff = evolve(gen, x0, tau) - evolve_grid(gen, x0, [tau])[0]
+            state, _cond = _eigenvector_propagate(gen, vectorize(x0), tau)
+            diff = unvectorize(state) - evolve_grid(gen, x0, [tau])[0]
             assert np.max(np.abs(diff)) < 1e-8
 
     def test_semigroup_property(self):
@@ -335,8 +338,8 @@ class TestEvolve:
             gen = build_generator(_random_params(rng))
             x0 = _pure(UP)
             t1, t2 = rng.uniform(0.2, 3.0, size=2)
-            via = evolve(gen, evolve(gen, x0, t1), t2)
-            direct = evolve(gen, x0, t1 + t2)
+            via = evolve_grid(gen, evolve_grid(gen, x0, [t1])[0], [t2])[0]
+            direct = evolve_grid(gen, x0, [t1 + t2])[0]
             assert np.max(np.abs(via - direct)) < 1e-8
 
     def test_positivity_along_evolution(self):
@@ -353,7 +356,7 @@ class TestEvolve:
         gen = build_generator(CascadeParams(delta_fs=5.0, rabi=8.0,
                                             detuning=12.0, gamma12=0.4,
                                             gamma21=0.4, gamma_u=0.01))
-        state = evolve(gen, _pure(UP), 1.7)
+        state = evolve_grid(gen, _pure(UP), [1.7])[0]
         assert np.max(np.abs(state - state.conj().T)) <= 1e-12
         assert abs(np.trace(state) - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(0.5 * (state + state.conj().T))[0] >= -1e-10
@@ -362,23 +365,21 @@ class TestEvolve:
         gen = build_generator(CascadeParams())
         bad = np.full((5, 5), np.nan, dtype=complex)
         with pytest.raises(NumericError):
-            evolve(gen, bad, 1.0)
+            evolve_grid(gen, bad, [1.0])
 
     def test_generator_shape_checked(self):
         stack = build_generator(CascadeBatch.stack([CascadeParams()] * 2))
         for bad in (stack, stack[0, :5, :5]):
             with pytest.raises(ValueError, match="25x25 generator"):
-                evolve(bad, _pure(UP), 1.0)
-            with pytest.raises(ValueError, match="25x25 generator"):
                 evolve_grid(bad, _pure(UP), [0.0, 1.0])
         # and the operator it propagates
         with pytest.raises(ValueError, match="expected a 5x5 operator"):
-            evolve(build_generator(CascadeParams()), np.zeros((4, 4)), 1.0)
+            evolve_grid(build_generator(CascadeParams()), np.zeros((4, 4)), [1.0])
 
     def test_negative_tau_rejected(self):
         gen = build_generator(CascadeParams())
         with pytest.raises(ValueError):
-            evolve(gen, _pure(UP), -1.0)
+            evolve_grid(gen, _pure(UP), [-1.0])
 
     def test_step_propagators_exact_on_uniform_grid(self, monkeypatch):
         # a uniform grid from 0 is filled by doubling: one exponential call,
