@@ -51,15 +51,17 @@ Pu)/dt over [0, inf) gives a 2x2 rate system whose inverse is written out
 as ratios of rates; the field acts through the coherence average alone,
 the X1X2 entry of -C^{-1}, written out as 1/z, where Im z is the
 Stark-shifted splitting.
-Each route refuses its stack by one call of one rule, ``_refuse_divergent``,
-with no eigenvalues: the stack is refused with DivergentAverageError if a
-mode of a block decays slower than the floor, which one stacked solve and
-a test of its cone, R+ x PSD(2) or PSD(3), decide.  The coherence
-average needs no refusal of its own: the slowest mode of a positive
-semigroup has a positive semidefinite eigenvector, which has no coherence
-entries, so the coherence modes decay at least as fast as the slowest
-population mode.  The population slots are real on both routes, so
-degrees, Bell parameters and G(tau) are real arithmetic.
+Each route refuses its stack of 5x5 population blocks by one call of one
+rule, ``_refuse_divergent``, with no eigenvalues: it is refused with
+DivergentAverageError if a mode of a block decays slower than the floor,
+which one stacked solve and a test of the cone R+ x PSD(2) decide.  The
+full-generator route takes its blocks from its own sector
+(``_sector_populations``).  The coherence average needs no refusal of its
+own: the slowest mode of a positive semigroup has a positive semidefinite
+eigenvector, which has no coherence entries, so the coherence modes decay
+at least as fast as the slowest population mode.  The population slots
+are real on both routes, so degrees, Bell parameters and G(tau) are real
+arithmetic.
 ``g2_avg_analytic`` and ``g2_avg_numeric`` call it on their point; they
 stay beside the batch surface of :mod:`cascadeg2.observables` because the
 benchmark calls them.
@@ -77,9 +79,8 @@ nor the curve checks it again.
 from __future__ import annotations
 
 import collections
-import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -432,54 +433,28 @@ def _population_cone(x: np.ndarray) -> bool:
             np.hypot(x3, x4) < 2.0 * np.sqrt(x1) * np.sqrt(x2))))
 
 
-def _density_cone(x: np.ndarray) -> bool:
-    """Whether every vector of the stack x is a vectorized positive definite
-    operator: the Hermitian part of unvec(x) has positive leading minors,
-    which its Cholesky factorization tests."""
-    n = math.isqrt(x.shape[-1])
-    # the rows of unvec(x)^T; its Hermitian part has the same leading minors
-    op = x.reshape(-1, n, n)
-    if not np.all(np.isfinite(op)):
-        return False
-    try:
-        np.linalg.cholesky(0.5 * (op + op.conj().swapaxes(-1, -2)))
-    except np.linalg.LinAlgError:
-        return False
-    return True
+# the interior point of R+ x PSD(2) that the refusal solve takes
+_POPULATION_UNIT = _frozen(np.array([1.0, 1.0, 1.0, 0.0, 0.0]))
 
 
-class _Cone(NamedTuple):
-    """A proper cone that the semigroup of a block maps into itself, as an
-    interior point and an interior test of a stack of vectors."""
-
-    unit: np.ndarray
-    contains: Callable[[np.ndarray], bool]
-
-
-# the 5x5 population block; the 9x9 averaged sector of the generator
-_POPULATION_CONE = _Cone(np.array([1.0, 1.0, 1.0, 0.0, 0.0]),
-                         _population_cone)
-_DENSITY_CONE = _Cone(np.eye(3).ravel(), _density_cone)
-
-
-def _refuse_divergent(blocks: np.ndarray, sector: str, cone: _Cone) -> None:
+def _refuse_divergent(blocks: np.ndarray, sector: str) -> None:
     """Raise DivergentAverageError, naming ``sector``, unless every mode of
-    every block M of the stack decays faster than the refusal floor.
+    every 5x5 population block M of the stack, in the real basis of
+    :func:`_population_generator`, decays faster than the refusal floor.
 
     The integral over tau in [0, inf) of e^{M tau} exists only if M + floor I
-    is stable.  Each block generates a positive semigroup on a proper cone,
-    ``cone``, and such a block is stable exactly when -(M + floor I) u = y
-    has its solution u inside the cone for y inside it (Schneider and
-    Vidyasagar, SIAM J. Numer. Anal. 7 (1970) 508): then u is the integral
-    of e^{(M + floor I) tau} y.  So the stack is refused if that solve, with
-    y the cone's unit, is singular or leaves the cone for any block; one
-    stacked LAPACK solve serves every block.  The cones are R+ x PSD(2) for
-    the 5x5 population block and PSD(3) for the 9x9 averaged sector of the
-    generator.
+    is stable.  Each block generates a positive semigroup on the proper cone
+    R+ x PSD(2) of the X1 population and the {X2, u} block, and such a block
+    is stable exactly when -(M + floor I) u = y has its solution u inside
+    the cone for y inside it (Schneider and Vidyasagar, SIAM J. Numer. Anal.
+    7 (1970) 508): then u is the integral of e^{(M + floor I) tau} y.  So
+    the stack is refused if that solve, with y the cone's unit, is singular
+    or leaves the cone (:func:`_population_cone`) for any block; one stacked
+    LAPACK solve serves every block, from either route.
     """
     shifted = blocks + _DECAY_FLOOR * _identity(blocks.shape[-1])
     try:
-        inside = cone.contains(np.linalg.solve(-shifted, cone.unit))
+        inside = _population_cone(np.linalg.solve(-shifted, _POPULATION_UNIT))
     except np.linalg.LinAlgError:
         inside = False
     if not inside:
@@ -527,8 +502,11 @@ def _closed_form_response(params: CascadeBatch) -> TwoPhotonResponse:
     splitting, Re z - a/2 the width the drive adds.
     """
     driven = params.rabi != 0.0
-    blocks = _decoupled(_population_generator(params), ~driven, _POPULATION_U)
-    _refuse_divergent(blocks, "population block", _POPULATION_CONE)
+    # past half the float maximum 2 rabi overflows, and the block is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = _decoupled(_population_generator(params), ~driven,
+                            _POPULATION_U)
+    _refuse_divergent(blocks, "population block")
     p = params
     x2_out = np.where(driven, p.gamma4, p.gamma4 + p.gamma_u)
     a1, a2 = p.gamma3 + p.gamma21, x2_out + p.gamma12
@@ -582,6 +560,15 @@ _POPULATION_U, _SECTOR_U = (_frozen(has_u[:, None] | has_u) for has_u in (
     np.arange(5) >= 2, np.array([Level.U in (i, j) for j in _SECTOR_LEVELS
                                  for i in _SECTOR_LEVELS])))
 
+# The sector's populations and X2-u coherences, (X1X1, X2X2, uu, X2u, uX2)
+# at sector positions (0, 4, 8, 7, 5), and the similarity that takes (X2u,
+# uX2) to the real pair (X2u + uX2, i(X2u - uX2)) of the population block,
+# and its inverse
+_SECTOR_POPULATIONS = _frozen(np.array([0, 4, 8, 7, 5]))
+_TO_REAL, _FROM_REAL = (_frozen(np.diag([1.0, 1.0, 1.0, 0.0, 0.0])
+                                + np.pad(pair, (3, 0))) for pair in (
+    np.array([[1.0, 1.0], [1j, -1j]]), np.array([[0.5, -0.5j], [0.5, 0.5j]])))
+
 
 def _sector_blocks(params) -> np.ndarray:
     """The 9x9 averaged sector of the generator of ``params``: one block for
@@ -593,6 +580,18 @@ def _sector_blocks(params) -> np.ndarray:
     # np.equal, since a CascadeParams' rabi == 0.0 is a bool, not an array
     return _decoupled(gens[..., _SECTOR_BLOCK], np.equal(params.rabi, 0.0),
                       _SECTOR_U)
+
+
+def _sector_populations(m_ss: np.ndarray) -> np.ndarray:
+    """The population part of each 9x9 sector block, which evolves apart
+    from the sector's other coherences, in the real basis: entry for entry
+    the decoupled :func:`_population_generator` block of the point, up to
+    the rounding of halved subnormal rates."""
+    pos = _SECTOR_POPULATIONS
+    # a drive past half the float maximum overflows in the real pair, as in
+    # that block; the imaginary parts are exact zeros
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (_TO_REAL @ m_ss[..., pos[:, None], pos] @ _FROM_REAL).real
 
 
 def _resolvent_response(params: CascadeBatch) -> TwoPhotonResponse:
@@ -609,7 +608,7 @@ def _resolvent_response(params: CascadeBatch) -> TwoPhotonResponse:
     """
     m_ss = _sector_blocks(params)
     sector = "averaged sector of the generator"
-    _refuse_divergent(m_ss, sector, _DENSITY_CONE)
+    _refuse_divergent(_sector_populations(m_ss), sector)
     try:
         x = np.linalg.solve(-m_ss, _RESOLVENT_RHS)
     except np.linalg.LinAlgError:

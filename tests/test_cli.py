@@ -657,11 +657,13 @@ class TestCommands:
         ["degree", "--theta", "0", "--gamma1", "0", "--gamma2", "0",
          "--gamma3", "0", "--gamma4", "0"],
         ["bell", "--gamma4", "0", "--rabi", "5", "--gamma-u", "0"],
+        # 2 rabi passes the float maximum in the population block
+        ["bell", "--rabi", "1e308"],
         ["figure", "3a", "--override", "gamma3=0", "--override", "gamma21=0"],
         # the undriven point rabi = 0 of the sweep diverges
         ["sweep", "--axis", "rabi", "--start", "0", "--stop", "5",
          "--steps", "3", "--gamma4", "0", "--gamma-u", "0", "--out", "s.csv"],
-    ], ids=["degree", "bell", "figure", "sweep"])
+    ], ids=["degree", "bell", "bell-huge-drive", "figure", "sweep"])
     def test_divergent_average_is_usage_error(self, tmp_path, monkeypatch,
                                               capsys, argv):
         monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 import math
 import warnings
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import mpmath
 import numpy as np
@@ -15,16 +16,16 @@ from cascadeg2 import (CascadeBatch, CascadeParams, CorrelationCurve,
                        evolve_grid, g2_analytic,
                        g2_avg_analytic, g2_avg_numeric, g2_numeric,
                        g2_numeric_grid, two_photon_response)
-from cascadeg2.correlate import (_DECAY_FLOOR, _DENSITY_CONE,
-                                 _POPULATION_CONE, _POPULATION_U, _SECTOR,
-                                 _SECTOR_BLOCK, _Cone, _braces,
+from cascadeg2.correlate import (_DECAY_FLOOR, _FROM_REAL, _POPULATION_U,
+                                 _SECTOR, _SECTOR_BLOCK, _SECTOR_POPULATIONS,
+                                 _TO_REAL, _braces,
                                  _coherence_generator, _conditioned_state,
                                  _decoupled,
-                                 _delay_response, _density_cone,
+                                 _delay_response,
                                  _detection_projector, _exp_entries,
                                  _g2_closed_form, _population_cone, _population_generator,
                                  _population_propagators, _refuse_divergent,
-                                 _sector_blocks)
+                                 _sector_blocks, _sector_populations)
 from cascadeg2.cli import main
 from cascadeg2.liouvillian import check_tau_grid, propagate_steps
 from cascadeg2.observables import (STANDARD_CHSH_ANGLES,
@@ -1072,28 +1073,48 @@ def _route_blocks(params):
 
 
 def _averaged_blocks(params):
-    """Every averaged block of a point, each beside the block that stands
-    for it in its route's refusal stack and that stack's cone: the 2x2 rate
-    block and the 4x4 generator sector without the drive and, if ``params``
-    is driven, the 5x5 population block and the 9x9 generator sector."""
-    undriven = params.with_(rabi=0.0)
-    population, sector = _route_blocks(undriven)
-    blocks = [(_population_generator(undriven)[:2, :2], population,
-               _POPULATION_CONE),
-              (_pair_block(undriven), sector, _DENSITY_CONE)]
-    if params.rabi != 0.0:
-        population, sector = _route_blocks(params)
-        blocks += [(population, population, _POPULATION_CONE),
-                   (sector, sector, _DENSITY_CONE)]
+    """Every averaged block of a point, each beside the 5x5 block that its
+    route refuses for it: the 2x2 rate block and the 4x4 generator sector
+    without the drive and, if ``params`` is driven, the 5x5 population block
+    and the 9x9 generator sector.  The closed form refuses its population
+    block, the full-generator route the population part of its sector."""
+    blocks = []
+    for point in {params.with_(rabi=0.0), params}:
+        population, sector = _route_blocks(point)
+        if point.rabi == 0.0:
+            physical = (_population_generator(point)[:2, :2],
+                        _pair_block(point))
+        else:
+            physical = population, sector
+        blocks += zip(physical, (population, _sector_populations(sector)))
     return blocks
 
 
-def _refused(block, cone):
+def _route_refused(block):
+    """Whether the refusal rule refuses the one 5x5 population block."""
     try:
-        _refuse_divergent(block[None], "block", cone)
+        _refuse_divergent(block[None], "block")
     except DivergentAverageError:
         return True
     return False
+
+
+class _Cone(NamedTuple):
+    """A proper cone that the semigroup of a block maps into itself, as an
+    interior point and an interior test of one vector."""
+
+    unit: np.ndarray
+    contains: Callable[[np.ndarray], bool]
+
+
+def _refused(block, cone):
+    """The refusal rule on one block of any size, as a reference: refused if
+    the solve of -(M + floor I) u = unit is singular or leaves the cone."""
+    shifted = block + _DECAY_FLOOR * np.eye(len(block))
+    try:
+        return not cone.contains(np.linalg.solve(-shifted, cone.unit))
+    except np.linalg.LinAlgError:
+        return True
 
 
 def _mp_slowest_rate(block):
@@ -1149,14 +1170,34 @@ _POPULATION_VECTOR = st.builds(
 
 
 def _orthant(x):
-    """Whether every vector of the stack x is inside the positive orthant,
-    and finite."""
+    """Whether the vector x is inside the positive orthant, and finite."""
     return bool(np.all((x > 0) & (x < np.inf)))
 
 
-# the cones of the undriven 2x2 rate block and 4x4 generator sector
+def _density_cone(x):
+    """Whether the vector x is a vectorized positive definite operator: the
+    Hermitian part of unvec(x) has positive leading minors, which its
+    Cholesky factorization tests."""
+    n = math.isqrt(len(x))
+    # the rows of unvec(x)^T; its Hermitian part has the same leading minors
+    op = x.reshape(n, n)
+    if not np.all(np.isfinite(op)):
+        return False
+    try:
+        np.linalg.cholesky(0.5 * (op + op.conj().T))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+# The cones of each block size's own refusal: the undriven 2x2 rate block
+# and 4x4 generator sector, the 5x5 population block in R+ x PSD(2) and the
+# 9x9 generator sector in PSD(3)
 _RATE_CONE = _Cone(np.ones(2), _orthant)
 _PAIR_DENSITY_CONE = _Cone(np.eye(2).ravel(), _density_cone)
+_POPULATION_CONE = _Cone(np.array([1.0, 1.0, 1.0, 0.0, 0.0]),
+                         _population_cone)
+_DENSITY_CONE = _Cone(np.eye(3).ravel(), _density_cone)
 
 
 def _per_size_refused(params, method):
@@ -1190,6 +1231,30 @@ _REFUSAL_DOMAIN = st.one_of(_DOMAIN, st.builds(
     CascadeParams, gamma3=_RATE, gamma4=_RATE, gamma_u=_RATE, gamma12=_RATE,
     gamma21=_RATE, rabi=_zero_or((1e-12, 1e-3), (0.1, 35.0)),
     detuning=st.floats(-100.0, 100.0), delta_fs=st.floats(-10.0, 10.0)))
+
+# _REFUSAL_DOMAIN with huge rates and drives planted too
+_HUGE = st.floats(1e100, 1e300)
+_POINT_DOMAIN = st.one_of(_REFUSAL_DOMAIN, st.builds(
+    CascadeParams, gamma3=st.one_of(_RATE, _HUGE), gamma4=st.one_of(_RATE, _HUGE),
+    gamma_u=st.one_of(_RATE, _HUGE), gamma12=st.one_of(_RATE, _HUGE),
+    gamma21=st.one_of(_RATE, _HUGE),
+    rabi=_zero_or((1e-12, 1e-3), (0.1, 35.0), (1e100, 1e300)),
+    detuning=st.floats(-100.0, 100.0), delta_fs=st.floats(-10.0, 10.0)))
+
+
+def _assert_same_refusal_block(got, want, params):
+    """``got`` equals ``want`` entry for entry (a zero may differ in sign,
+    which no solve or cone test reads).  Where a rate, the drive or the
+    detuning of ``params`` is below twice the smallest normal float, the
+    halves that the generator and the similarity form round, and the
+    entries agree within the smallest subnormal."""
+    fields = (params.gamma3, params.gamma4, params.gamma_u, params.gamma12,
+              params.gamma21, params.rabi, params.detuning)
+    if any(0.0 < abs(v) < 2.0 * np.finfo(float).tiny for v in fields):
+        assert (np.max(np.abs(got - want))
+                <= np.finfo(float).smallest_subnormal)
+    else:
+        assert np.array_equal(got, want)
 
 
 class TestPopulationCone:
@@ -1254,22 +1319,22 @@ class TestRefusalRule:
     @example(CascadeParams(gamma3=3.27e-6, gamma4=0.0, gamma12=6.37e-6,
                            gamma21=1.74, gamma_u=1.98, rabi=33.2, detuning=31.4))
     def test_refusal_matches_eigenvalues(self, params):
-        for block, stacked, cone in _averaged_blocks(params):
+        for block, refused in _averaged_blocks(params):
             lapack = np.max(np.linalg.eigvals(block).real)
             # the solve and LAPACK's rate both carry round-off of order eps
             # times the block's largest entry; inside that band of the
             # floor the two may decide differently
             bound = 4.0 * np.finfo(float).eps * np.max(np.abs(block))
             if abs(lapack + _DECAY_FLOOR) > bound:
-                assert _refused(stacked, cone) == (lapack >= -_DECAY_FLOOR)
+                assert _route_refused(refused) == (lapack >= -_DECAY_FLOOR)
 
     def test_rate_within_round_off_of_the_floor(self):
         # s + |h| cancelled to -1.023e-12 here and answered the point; the
         # exact slowest rate of every block is -9.834e-13
         params = CascadeParams(gamma3=9.83413876e-13, gamma4=623.082976)
-        for block, stacked, cone in _averaged_blocks(params):
+        for block, refused in _averaged_blocks(params):
             assert _mp_slowest_rate(block) >= -_DECAY_FLOOR
-            assert _refused(stacked, cone)
+            assert _route_refused(refused)
 
     def test_infinite_solve_is_refused(self):
         # a planted Metzler rate block, decoupled as an undriven point's,
@@ -1279,7 +1344,7 @@ class TestRefusalRule:
         block = -np.eye(5)
         block[:2, :2] = [[-1e-11, 1e300], [0.0, -1e-11]]
         with pytest.raises(DivergentAverageError):
-            _refuse_divergent(block[None], "population block", _POPULATION_CONE)
+            _refuse_divergent(block[None], "population block")
 
     def test_undriven_blocks_are_decoupled(self):
         # an undriven point's u elements are modes of their own, decaying
@@ -1301,10 +1366,35 @@ class TestRefusalRule:
         assert np.array_equal(population, _population_generator(driven))
         assert np.array_equal(sector, _sector_block(driven))
 
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(_POINT_DOMAIN)
+    # a subnormal drive, whose half rounds
+    @example(CascadeParams(gamma3=3.2e-6, gamma4=0.27, gamma_u=0.084,
+                           gamma21=8.6e-6, rabi=5e-324, detuning=-88.5))
+    def test_routes_refuse_one_block(self, params):
+        # the population part of the sector, in the real basis, is the
+        # closed form's population block, decoupled alike without the
+        # drive: so both routes reach one verdict
+        population, sector = _route_blocks(params)
+        pos = _SECTOR_POPULATIONS
+        similar = _TO_REAL @ sector[pos[:, None], pos] @ _FROM_REAL
+        assert not similar.imag.any()
+        _assert_same_refusal_block(_sector_populations(sector), population,
+                                   params)
+        # and so a stack's, point for point
+        points = [params, params.with_(rabi=0.0), CascadeParams(rabi=3.0)]
+        batch = CascadeBatch.stack(points)
+        got = _sector_populations(_sector_blocks(batch))
+        want = _decoupled(_population_generator(batch), batch.rabi == 0.0,
+                          _POPULATION_U)
+        for point, block, closed_form in zip(points, got, want):
+            _assert_same_refusal_block(block, closed_form, point)
+
     @pytest.mark.parametrize("method, block", [("analytic", (5, 5)),
-                                               ("numeric", (9, 9))])
+                                               ("numeric", (5, 5))])
     def test_one_refusal_per_batch(self, method, block, monkeypatch):
-        # a mixed batch is one stack of one block size
+        # a mixed batch is one stack of one block size: the 5x5 population
+        # block, which the full-generator route takes from its sector
         stacks, refuse = [], _refuse_divergent
 
         def counted(blocks, *args):
@@ -1368,15 +1458,6 @@ class TestRefusalRule:
 
 # analyzer phases away from 0, where e^{-i phase} w rounds like w
 _PHASE = st.floats(0.1, 3.0)
-
-# _REFUSAL_DOMAIN with huge rates and drives planted too
-_HUGE = st.floats(1e100, 1e300)
-_POINT_DOMAIN = st.one_of(_REFUSAL_DOMAIN, st.builds(
-    CascadeParams, gamma3=st.one_of(_RATE, _HUGE), gamma4=st.one_of(_RATE, _HUGE),
-    gamma_u=st.one_of(_RATE, _HUGE), gamma12=st.one_of(_RATE, _HUGE),
-    gamma21=st.one_of(_RATE, _HUGE),
-    rabi=_zero_or((1e-12, 1e-3), (0.1, 35.0), (1e100, 1e300)),
-    detuning=st.floats(-100.0, 100.0), delta_fs=st.floats(-10.0, 10.0)))
 
 
 def _outcome(call):
@@ -1442,7 +1523,11 @@ class TestPointResponse:
                      "bell --angles 0 0.8 0.4 1.2 --rabi 2"):
             assert main(argv.split()) == 0
 
-    @pytest.mark.parametrize("rabi", [1e155, 1e200, 1e300])
+    # 10^154.5 and the grid points 3 and 12 of 40 log-spaced drives from
+    # 1e154 to 1e308, 7.017e165 and 2.424e201, which the full-generator
+    # route refused when it tested its 9x9 sector in PSD(3)
+    @pytest.mark.parametrize("rabi", [1e155, 1e200, 1e300, 10 ** 154.5,
+                                      *np.logspace(154.0, 308.0, 40)[[3, 12]]])
     def test_huge_drive_answers_as_the_numeric_route(self, rabi):
         # rabi^2 / |d| passes the float maximum: the closed form inverts z/2
         # divided by rabi, with no warning (an error under the test filter),
@@ -1453,6 +1538,19 @@ class TestPointResponse:
             s = bell_s_from_response(two_photon_response(sample))
             want = bell_s_from_response(two_photon_response(sample, "numeric"))
             np.testing.assert_allclose(s, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("rabi", [8.9e307, 1e308, np.finfo(float).max])
+    def test_drive_near_the_float_maximum_refused_alike(self, rabi):
+        # 2 rabi passes the float maximum, or the refusal solve overflows:
+        # both routes refuse, on a point and on a batch, with no warning
+        # (an error under the test filter)
+        points = [CascadeParams(rabi=rabi), CascadeParams(rabi=rabi,
+                                                          delta_fs=1.0)]
+        for sample in (points[0], CascadeBatch.stack(points)):
+            for method in ("analytic", "numeric"):
+                with pytest.raises(DivergentAverageError,
+                                   match="slower than 1e-12"):
+                    two_photon_response(sample, method)
 
     def test_batch_inside_a_list_refused(self):
         # a batch's field-major table is not one point's row of fields
