@@ -11,7 +11,9 @@ Two independent routes compute the same normalized correlation:
   decoupled, so that its block holds no detuning.  ``_sector_blocks``
   reads that block, for the grid and for the averages alike, with one
   flat take of the generator built for the call through the constant
-  table ``_SECTOR_BLOCK``.
+  table ``_SECTOR_BLOCK``, then takes it by one constant similarity to a
+  real Hermitian basis (``_TO_REAL``), where the route propagates and
+  solves in real arithmetic.
 
 * ``g2_analytic`` evaluates the same quantity from two hand-written blocks
   of the conditioned dynamics: the 2x2 cross-coherence block (rho_X1X2,
@@ -55,8 +57,8 @@ Each route refuses its stack of 5x5 population blocks by one call of one
 rule, ``_refuse_divergent``, with no eigenvalues: it is refused with
 DivergentAverageError if a mode of a block decays slower than the floor,
 which one stacked solve and a test of the cone R+ x PSD(2) decide.  The
-full-generator route takes its blocks from its own sector
-(``_sector_populations``).  The coherence average needs no refusal of its
+full-generator route takes its blocks from its own sector: the leading
+5x5 block of the real sector.  The coherence average needs no refusal of its
 own: the slowest mode of a positive semigroup has a positive semidefinite
 eigenvector, which has no coherence entries, so the coherence modes decay
 at least as fast as the slowest population mode.  The population slots
@@ -365,6 +367,7 @@ def g2_numeric_grid(params: CascadeParams, det1: DetectorSetting,
     The conditioned state is propagated exactly on the 9x9 averaged sector
     of the generator of ``params`` (see :func:`_sector_blocks`), which it
     never leaves; without the drive the sector's u elements are decoupled.
+    The Hermitian state is propagated as a real vector of its real basis.
     """
     return _g2_sector_grid(params, det1, det2, check_tau_grid(taus))
 
@@ -372,13 +375,14 @@ def g2_numeric_grid(params: CascadeParams, det1: DetectorSetting,
 def _g2_sector_grid(params: CascadeParams, det1: DetectorSetting,
                     det2: DetectorSetting, taus: np.ndarray) -> np.ndarray:
     """:func:`g2_numeric_grid` on an accepted grid."""
-    # vec(X) is the column-major ravel of X
-    states = propagate_steps(_sector_blocks(params),
-                             _conditioned_state(det1).ravel(order="F")[_SECTOR],
-                             taus)
-    # Tr[P X] = vec(P^T) . vec(X), and vec(P^T) is the row-major ravel of P
-    proj = _detection_projector(det2).ravel()[_SECTOR]
-    return 4.0 * np.real(states @ proj)
+    # vec(X) is the column-major ravel of X; a Hermitian X has real
+    # coordinates in the real basis
+    state = _TO_REAL @ _conditioned_state(det1).ravel(order="F")[_SECTOR]
+    # Tr[P X] = vec(P^T) . vec(X), and vec(P^T) is the row-major ravel of P;
+    # its dual in the real basis is real for a Hermitian P
+    dual = (_detection_projector(det2).ravel()[_SECTOR] @ _FROM_REAL).real
+    states = propagate_steps(_sector_blocks(params), state.real, taus)
+    return 4.0 * (states @ dual)
 
 
 def g2_numeric(params: CascadeParams, det1: DetectorSetting,
@@ -550,56 +554,53 @@ _SECTOR = _frozen(np.array([i + N_LEVELS * j for j in _SECTOR_LEVELS
                             for i in _SECTOR_LEVELS]))
 _SECTOR_BLOCK = _frozen(_SECTOR[:, None] * DIM + _SECTOR)
 
-# The resolvent's right-hand sides on the 9x9 sector: the unit columns of
-# X1X1, X2X2 and X1X2, at sector positions 0, 4 and 3
-_RESOLVENT_RHS = _frozen(np.eye(9)[:, [0, 4, 3]])
-
 # The entries in a row or column of an element with a u index: of the u
 # population and X2-u pair of the population block, and of the 9x9 sector
 _POPULATION_U, _SECTOR_U = (_frozen(has_u[:, None] | has_u) for has_u in (
     np.arange(5) >= 2, np.array([Level.U in (i, j) for j in _SECTOR_LEVELS
                                  for i in _SECTOR_LEVELS])))
 
-# The sector's populations and X2-u coherences, (X1X1, X2X2, uu, X2u, uX2)
-# at sector positions (0, 4, 8, 7, 5), and the similarity that takes (X2u,
-# uX2) to the real pair (X2u + uX2, i(X2u - uX2)) of the population block,
-# and its inverse
-_SECTOR_POPULATIONS = _frozen(np.array([0, 4, 8, 7, 5]))
-_TO_REAL, _FROM_REAL = (_frozen(np.diag([1.0, 1.0, 1.0, 0.0, 0.0])
-                                + np.pad(pair, (3, 0))) for pair in (
-    np.array([[1.0, 1.0], [1j, -1j]]), np.array([[0.5, -0.5j], [0.5, 0.5j]])))
+# The sector's real Hermitian basis, real on Hermitian operators: the
+# populations (X1X1, X2X2, uu) at sector positions (0, 4, 8), then each
+# coherence pair (ij, ji) as (ij + ji, i(ij - ji)), for (X2, u), (X1, X2)
+# and (X1, u) at (7, 5), (3, 1) and (6, 2); its leading five elements are
+# the population block's basis.  _TO_REAL takes a sector vector to it and
+# _FROM_REAL back: each pair's inverse is its conjugate transpose over 2
+_TO_REAL = np.zeros((9, 9), dtype=complex)
+_TO_REAL[:3, [0, 4, 8]] = np.eye(3)
+_TO_REAL[3:, [7, 5, 3, 1, 6, 2]] = np.kron(np.eye(3), [[1.0, 1.0], [1j, -1j]])
+_FROM_REAL = _frozen(_TO_REAL.conj().T * np.repeat([1.0, 0.5], [3, 6]))
+_frozen(_TO_REAL)
+
+# The resolvent's right-hand sides in the real basis: the units of X1X1,
+# X2X2 and of the X1X2 pair's two real elements, at positions 0, 1, 5 and 6
+_RESOLVENT_RHS = _frozen(np.eye(9)[:, [0, 1, 5, 6]])
 
 
 def _sector_blocks(params) -> np.ndarray:
-    """The 9x9 averaged sector of the generator of ``params``: one block for
-    a point, a stack for a CascadeBatch, each undriven block with its u
-    elements decoupled (see :func:`_decoupled`)."""
+    """The 9x9 averaged sector of the generator of ``params`` in the real
+    basis of ``_TO_REAL``, where it is real: one block for a point, a stack
+    for a CascadeBatch, each undriven block with its u elements decoupled
+    (see :func:`_decoupled`)."""
     # one row of flat entries per point: the sector columns are taken before
     # any point is decoupled, so no copy of the whole stack is made
     gens = build_generator(params).reshape(np.shape(params.rabi) + (DIM * DIM,))
     # np.equal, since a CascadeParams' rabi == 0.0 is a bool, not an array
-    return _decoupled(gens[..., _SECTOR_BLOCK], np.equal(params.rabi, 0.0),
+    m_ss = _decoupled(gens[..., _SECTOR_BLOCK], np.equal(params.rabi, 0.0),
                       _SECTOR_U)
-
-
-def _sector_populations(m_ss: np.ndarray) -> np.ndarray:
-    """The population part of each 9x9 sector block, which evolves apart
-    from the sector's other coherences, in the real basis: entry for entry
-    the decoupled :func:`_population_generator` block of the point, up to
-    the rounding of halved subnormal rates."""
-    pos = _SECTOR_POPULATIONS
-    # a drive past half the float maximum overflows in the real pair, as in
-    # that block; the imaginary parts are exact zeros
+    # a drive past half the float maximum overflows in the real pairs, as
+    # in the population block; the imaginary parts are exact zeros
     with np.errstate(over="ignore", invalid="ignore"):
-        return (_TO_REAL @ m_ss[..., pos[:, None], pos] @ _FROM_REAL).real
+        return (_TO_REAL @ m_ss @ _FROM_REAL).real
 
 
 def _resolvent_response(params: CascadeBatch) -> TwoPhotonResponse:
     """The response from the full generator, restricted to the averaged sector.
 
     The integral of e^{M tau} y0 over [0, inf) is x with M_SS x = -y0_S; one
-    solve per point takes y0 = |X1><X1|, |X2><X2| and |X1><X2|, whose
-    solutions hold the population slots and the coherence slot.  The
+    real solve per point takes y0 = |X1><X1|, |X2><X2| and the two real
+    elements of the X1X2 pair, whose solutions hold the population slots
+    and, as the pair's complex solution, the coherence slot.  The
     generators of all points of a CascadeBatch are built as one stack, and
     every point takes the 9x9 sector of {X1, X2, u}, an undriven one with
     its u elements decoupled: one refusal and one solve serve the batch.  A
@@ -608,17 +609,17 @@ def _resolvent_response(params: CascadeBatch) -> TwoPhotonResponse:
     """
     m_ss = _sector_blocks(params)
     sector = "averaged sector of the generator"
-    _refuse_divergent(_sector_populations(m_ss), sector)
+    _refuse_divergent(m_ss[..., :5, :5], sector)
     try:
         x = np.linalg.solve(-m_ss, _RESOLVENT_RHS)
     except np.linalg.LinAlgError:
         raise DivergentAverageError(f"time average diverges: the {sector} "
                                     "is singular") from None
-    # the population slots are diagonal entries of Hermitian solutions:
-    # real, up to round-off in their imaginary parts, which is dropped
-    return TwoPhotonResponse(x[..., 0, 0].real, x[..., 0, 1].real,
-                             x[..., 4, 0].real, x[..., 4, 1].real,
-                             x[..., 3, 2])
+    # the X1X2 element of the pair (r5, r6) is (r5 - i r6)/2, and the
+    # complex solution is the first pair source's plus i times the second's
+    re, im = (x[..., 5, 2] + x[..., 6, 3], x[..., 5, 3] - x[..., 6, 2])
+    return TwoPhotonResponse(x[..., 0, 0], x[..., 0, 1], x[..., 1, 0],
+                             x[..., 1, 1], 0.5 * re + 0.5j * im)
 
 
 # A point's fields as numpy scalars: each expression of a route then runs

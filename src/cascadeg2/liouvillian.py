@@ -19,13 +19,13 @@ the n points of a CascadeBatch, entry for entry the same.  ``evolve_grid``
 takes one (25, 25) matrix.
 
 Exact propagation, ``evolve_grid``, goes through ``propagate_steps`` and
-``expm``, a numpy scaling-and-squaring Padé exponential that takes a whole
-stack of matrices at once, its four polynomial pieces one coefficient
-product on the stacked powers.  A uniform grid from 0 costs one
-exponential, of the step.  The identity of each size is built once, on
-its first use, and shared read-only (``_identity``): ``expm`` stacks it as
-the zeroth power, and the refusal rule of :mod:`cascadeg2.correlate`
-shifts its blocks by it.
+``expm``, a numpy scaling-and-squaring Padé exponential that takes one
+matrix as one matrix, or a whole stack of matrices at once, its four
+polynomial pieces one coefficient product on the stacked powers.  A
+uniform grid from 0 costs one exponential, of the step.  The identity of
+each size is built once, on its first use, and shared read-only
+(``_identity``): ``expm`` stacks it as the zeroth power, and the refusal
+rule of :mod:`cascadeg2.correlate` shifts its blocks by it.
 """
 
 from __future__ import annotations
@@ -79,30 +79,28 @@ def expm(a: np.ndarray) -> np.ndarray:
     result is then squared its own s times, the whole stack at once when
     every matrix takes the same s.  The count s = max(0, ceil(log2(|A|_1 /
     theta_13))) is the binary exponent that ``math.frexp`` gives |A|_1 /
-    theta_13, less one where its mantissa is exactly 1/2.  A real input
-    gives a real result.  The input must be finite.
+    theta_13, less one where its mantissa is exactly 1/2.  One matrix keeps
+    its rank, and each matrix of a stack has the bits of its own call.  A
+    real input gives a real result.  The input must be finite.
     """
     a = np.asarray(a)
     a = a.astype(np.result_type(a, float), copy=False)
-    shape, n = a.shape, a.shape[-1]
-    a = a.reshape(-1, n, n)
-    k = len(a)
     # the 1-norm of each matrix, its largest absolute column sum
     norms = np.maximum.reduce(np.add.reduce(np.abs(a), axis=-2), axis=-1)
     squarings = [max(0, exponent - (mantissa == 0.5)) for mantissa, exponent
-                 in map(math.frexp, (norms / _THETA13).tolist())]
+                 in map(math.frexp, np.ravel(norms / _THETA13).tolist())]
     top = max(squarings, default=0)
     if top:
-        s = np.array(squarings)
-        a = a * np.exp2(-s)[:, None, None]
+        s = np.reshape(squarings, norms.shape)
+        a = a * np.exp2(-s)[..., None, None]
     # each power a contiguous stack, so the pieces are one matrix product
-    powers = np.empty((4, k, n, n), dtype=a.dtype)
+    powers = np.empty((4,) + a.shape, dtype=a.dtype)
     a6, a4, a2 = powers[0], powers[1], powers[2]
-    powers[3] = _identity(n)
+    powers[3] = _identity(a.shape[-1])
     np.matmul(a, a, out=a2)
     np.matmul(a2, a2, out=a4)
     np.matmul(a4, a2, out=a6)
-    pieces = (_PADE13_PIECES @ powers.reshape(4, -1)).reshape(4, k, n, n)
+    pieces = (_PADE13_PIECES @ powers.reshape(4, -1)).reshape(powers.shape)
     # (A^6 U1 + U2, A^6 V1 + V2), the second of which is v
     uv = a6 @ pieces[:2] + pieces[2:]
     u, v = a @ uv[0], uv[1]
@@ -115,7 +113,7 @@ def expm(a: np.ndarray) -> np.ndarray:
             square = s > j
             part = r[square]
             r[square] = part @ part
-    return r.reshape(shape)
+    return r
 
 
 def vectorize(op: np.ndarray) -> np.ndarray:

@@ -11,21 +11,21 @@ from scipy.integrate import quad
 
 from cascadeg2 import (CascadeBatch, CascadeParams, CorrelationCurve,
                        DetectorSetting, DivergentAverageError, Level,
-                       N_LEVELS, TSIRELSON_BOUND, TwoPhotonResponse,
+                       N_LEVELS, NumericError, TSIRELSON_BOUND,
+                       TwoPhotonResponse,
                        build_generator, correlation_curve,
                        evolve_grid, g2_analytic,
                        g2_avg_analytic, g2_avg_numeric, g2_numeric,
                        g2_numeric_grid, two_photon_response)
-from cascadeg2.correlate import (_DECAY_FLOOR, _FROM_REAL, _POPULATION_U,
-                                 _SECTOR, _SECTOR_BLOCK, _SECTOR_POPULATIONS,
-                                 _TO_REAL, _braces,
+from cascadeg2.correlate import (_DECAY_FLOOR, _POPULATION_U,
+                                 _SECTOR, _SECTOR_BLOCK, _braces,
                                  _coherence_generator, _conditioned_state,
                                  _decoupled,
                                  _delay_response,
                                  _detection_projector, _exp_entries,
                                  _g2_closed_form, _population_cone, _population_generator,
                                  _population_propagators, _refuse_divergent,
-                                 _sector_blocks, _sector_populations)
+                                 _sector_blocks)
 from cascadeg2.cli import main
 from cascadeg2.liouvillian import check_tau_grid, propagate_steps
 from cascadeg2.observables import (STANDARD_CHSH_ANGLES,
@@ -627,6 +627,43 @@ def _sector_block(params):
     return block
 
 
+# The coherence pairs of the sector, in the order of its real basis
+_COHERENCE_PAIRS = ((X2, U), (X1, X2), (X1, U))
+
+
+def _real_similarity(levels):
+    """The similarity that takes the sector of ``levels``, in the order of
+    ``_level_sector``, to its real Hermitian basis, and its inverse, written
+    out element by element: each population, then each coherence pair (ij,
+    ji) of ``_COHERENCE_PAIRS`` within ``levels`` as (ij + ji, i(ij - ji))."""
+    position = {int(k): n for n, k in enumerate(_level_sector(levels))}
+    n = len(position)
+    to_real, from_real = np.zeros((2, n, n), dtype=complex)
+    elements = [(i, i) for i in levels] + [
+        pair for pair in _COHERENCE_PAIRS if set(pair) <= set(levels)]
+    row = 0
+    for i, j in elements:
+        ij, ji = position[i + N_LEVELS * j], position[j + N_LEVELS * i]
+        if i == j:
+            to_real[row, ij] = from_real[ij, row] = 1.0
+            row += 1
+        else:
+            to_real[row:row + 2, [ij, ji]] = [[1.0, 1.0], [1j, -1j]]
+            from_real[[ij, ji], row:row + 2] = [[0.5, -0.5j], [0.5, 0.5j]]
+            row += 2
+    return to_real, from_real
+
+
+def _similar(block, levels=_SECTOR_LEVELS):
+    """A complex sector block of ``levels``, or a stack of them, in the real
+    basis of :func:`_real_similarity`, whose imaginary parts must be exact
+    zeros."""
+    to_real, from_real = _real_similarity(levels)
+    similar = to_real @ block @ from_real
+    assert not similar.imag.any()
+    return similar.real
+
+
 def _pair_grid(params, det1, det2, taus):
     """The undriven G(tau) propagated on the 4x4 sector of {X1, X2}."""
     states = propagate_steps(_pair_block(params),
@@ -639,13 +676,18 @@ def _pair_grid(params, det1, det2, taus):
 def test_sector_table_takes_the_sector_block(levels):
     # the one constant table reads the same block as an index gather of the
     # sector, from one point's generator and from a mixed batch's stack,
-    # and the blocks read through it are the sector blocks above; the
-    # levels' sub-block of what it reads is the block of those levels alone,
-    # so the undriven {X1, X2} block needs no table of its own
+    # and the blocks read through it, taken to the real basis, are the
+    # sector blocks above taken there; the levels' sub-block of what it
+    # reads is the block of those levels alone, in the complex sector and
+    # in the real basis, so the undriven {X1, X2} block needs no table of
+    # its own
     assert np.array_equal(_SECTOR, _level_sector(_SECTOR_LEVELS))
     assert not (_SECTOR.flags.writeable or _SECTOR_BLOCK.flags.writeable)
     sector = _level_sector(levels)
     sub = np.ix_(np.isin(_SECTOR, sector), np.isin(_SECTOR, sector))
+    # the real elements whose levels are all in ``levels``
+    inside = [0, 1, 5, 6] if levels == _PAIR_LEVELS else list(range(9))
+    real_sub = np.ix_(inside, inside)
     point = CascadeParams(gamma_u=0.01, gamma12=0.3, gamma21=0.2,
                           delta_fs=2.0, rabi=3.0, detuning=7.0)
     gen = build_generator(point)
@@ -659,14 +701,16 @@ def test_sector_table_takes_the_sector_block(levels):
     stack = build_generator(batch)
     taken = stack.reshape(len(batch), -1)[:, _SECTOR_BLOCK]
     assert np.array_equal(taken, stack[:, _SECTOR][:, :, _SECTOR])
-    assert np.array_equal(_sector_blocks(batch),
-                          [_sector_block(p) for p in points])
+    blocks = np.stack([_sector_block(p) for p in points])
+    assert np.array_equal(_sector_blocks(batch), _similar(blocks))
     for p in points:
-        assert np.array_equal(_sector_blocks(p), _sector_block(p))
+        assert np.array_equal(_sector_blocks(p), _similar(_sector_block(p)))
         want = (_pair_block(p) if levels == _PAIR_LEVELS
                 else build_generator(p)[np.ix_(sector, sector)])
         if p.rabi or levels == _PAIR_LEVELS:
-            assert np.array_equal(_sector_blocks(p)[sub], want)
+            assert np.array_equal(_sector_block(p)[sub], want)
+            assert np.array_equal(_sector_blocks(p)[real_sub],
+                                  _similar(want, levels))
 
 
 def _slowest_decay(params):
@@ -1064,8 +1108,8 @@ _RATE = st.one_of(st.just(0.0), st.floats(1e-14, 1e-10), st.floats(0.0, 1e3))
 
 def _route_blocks(params):
     """The block of the one point ``params`` in each route's refusal stack:
-    the 5x5 population block and the 9x9 generator sector, an undriven
-    point's with its u elements decoupled."""
+    the 5x5 population block and the 9x9 generator sector in its real
+    basis, an undriven point's with its u elements decoupled."""
     batch = CascadeBatch.broadcast(params)
     return (_decoupled(_population_generator(batch), batch.rabi == 0.0,
                        _POPULATION_U)[0],
@@ -1077,7 +1121,8 @@ def _averaged_blocks(params):
     route refuses for it: the 2x2 rate block and the 4x4 generator sector
     without the drive and, if ``params`` is driven, the 5x5 population block
     and the 9x9 generator sector.  The closed form refuses its population
-    block, the full-generator route the population part of its sector."""
+    block, the full-generator route the leading 5x5 block of its real
+    sector."""
     blocks = []
     for point in {params.with_(rabi=0.0), params}:
         population, sector = _route_blocks(point)
@@ -1086,7 +1131,7 @@ def _averaged_blocks(params):
                         _pair_block(point))
         else:
             physical = population, sector
-        blocks += zip(physical, (population, _sector_populations(sector)))
+        blocks += zip(physical, (population, sector[:5, :5]))
     return blocks
 
 
@@ -1215,14 +1260,19 @@ def _per_size_refused(params, method):
 
 
 def _per_size_resolvent(params):
-    """The one-point response of a solve on the point's own averaged sector
-    of the generator, 4x4 without the drive, 9x9 with it."""
-    n = 3 if params.rabi else 2
-    block = _sector_block(params) if params.rabi else _pair_block(params)
-    x = np.linalg.solve(-block, np.eye(n * n)[:, [0, n + 1, n]])
+    """The one-point response of a real solve on the point's own averaged
+    sector of the generator in its real basis, 4x4 without the drive, 9x9
+    with it: the sources X1X1, X2X2 and the X1X2 pair's two real elements,
+    at positions 0, 1, k and k + 1, the last two the real and imaginary
+    parts of the source |X1><X2|, at sector position n."""
+    levels, block = ((_SECTOR_LEVELS, _sector_block(params)) if params.rabi
+                     else (_PAIR_LEVELS, _pair_block(params)))
+    n, k = len(levels), 5 if params.rabi else 2
+    x = np.linalg.solve(-_similar(block, levels),
+                        np.eye(n * n)[:, [0, 1, k, k + 1]])
+    w = (_real_similarity(levels)[1] @ (x[:, 2] + 1j * x[:, 3]))[n]
     return _map_slots(lambda v: np.array([v]), TwoPhotonResponse(
-        x[0, 0].real, x[0, 1].real, x[n + 1, 0].real, x[n + 1, 1].real,
-        x[n, 2]))
+        x[0, 0], x[0, 1], x[1, 0], x[1, 1], w))
 
 
 # _DOMAIN with planted rates that are zero, near the floor or large, and
@@ -1358,13 +1408,13 @@ class TestRefusalRule:
         x1x2 = np.isin(_level_sector(_SECTOR_LEVELS), _PAIR)
         want = -np.eye(9, dtype=complex)
         want[np.ix_(x1x2, x1x2)] = _pair_block(params)
-        assert np.array_equal(sector, want)
+        assert np.array_equal(sector, _similar(want))
         assert np.array_equal(_sector_block(params), want)
         # a driven point's blocks are the route's blocks as built
         driven = params.with_(rabi=3.0)
         population, sector = _route_blocks(driven)
         assert np.array_equal(population, _population_generator(driven))
-        assert np.array_equal(sector, _sector_block(driven))
+        assert np.array_equal(sector, _similar(_sector_block(driven)))
 
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(_POINT_DOMAIN)
@@ -1372,19 +1422,17 @@ class TestRefusalRule:
     @example(CascadeParams(gamma3=3.2e-6, gamma4=0.27, gamma_u=0.084,
                            gamma21=8.6e-6, rabi=5e-324, detuning=-88.5))
     def test_routes_refuse_one_block(self, params):
-        # the population part of the sector, in the real basis, is the
-        # closed form's population block, decoupled alike without the
+        # the leading 5x5 block of the sector in the real basis, the
+        # similar block of the complex sector with no imaginary part, is
+        # the closed form's population block, decoupled alike without the
         # drive: so both routes reach one verdict
         population, sector = _route_blocks(params)
-        pos = _SECTOR_POPULATIONS
-        similar = _TO_REAL @ sector[pos[:, None], pos] @ _FROM_REAL
-        assert not similar.imag.any()
-        _assert_same_refusal_block(_sector_populations(sector), population,
-                                   params)
+        assert np.array_equal(sector, _similar(_sector_block(params)))
+        _assert_same_refusal_block(sector[:5, :5], population, params)
         # and so a stack's, point for point
         points = [params, params.with_(rabi=0.0), CascadeParams(rabi=3.0)]
         batch = CascadeBatch.stack(points)
-        got = _sector_populations(_sector_blocks(batch))
+        got = _sector_blocks(batch)[:, :5, :5]
         want = _decoupled(_population_generator(batch), batch.rabi == 0.0,
                           _POPULATION_U)
         for point, block, closed_form in zip(points, got, want):
@@ -1499,8 +1547,10 @@ class TestPointResponse:
             if isinstance(batch, Exception):
                 assert _refusal(point) == _refusal(got) == _refusal(batch)
                 continue
-            for slot, row in zip(point, batch):
-                assert np.shape(slot) == ()
+            for k, (slot, row) in enumerate(zip(point, batch)):
+                assert np.shape(slot) == () and slot.dtype == row.dtype
+                # the four population slots are floats on both routes
+                assert k == 4 or slot.dtype == np.float64
                 assert _bits(slot) == _bits(row[0])
             want = float(_braces(batch, det1.theta, det2.theta,
                                  det1.phi + det2.phi)[0])
@@ -1634,6 +1684,45 @@ class TestCorrelationCurve:
         got = correlation_curve(params.with_(detuning=detuning), D, D, taus,
                                 method).values
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rabi", [1e308, np.finfo(float).max])
+    def test_grid_past_half_the_float_maximum_refused_alike(self, rabi):
+        # 2 rabi passes the float maximum in the population block and in
+        # the real pairs of the sector alike: both routes refuse the grid
+        # with one message, and with no warning
+        taus = np.linspace(0.0, 10.0, 300)
+        messages = set()
+        for method in ("analytic", "numeric"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericError) as refused:
+                    correlation_curve(CascadeParams(rabi=rabi), H, H, taus,
+                                      method)
+            messages.add(str(refused.value))
+        assert messages == {"non-finite generator, state or delay"}
+
+    @pytest.mark.parametrize("rabi, wrong", [
+        (6.768750009458513e39, "analytic"),
+        (4.23758716060402e69, "numeric"),
+        (8.9e307, "numeric")])
+    def test_extreme_drive_outcomes_are_pinned(self, rabi, wrong):
+        # past a drive of ~1e15 the true curve, 4 e^{-tau}, is lost to
+        # round-off on both routes (ROADMAP direction 12): at each of these
+        # drives one route answers a curve that is wrong by ~4 and the other
+        # refuses.  A threshold that refuses them all changes this pattern.
+        taus = np.linspace(0.0, 10.0, 300)
+        for method in ("analytic", "numeric"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                curve = lambda: correlation_curve(CascadeParams(rabi=rabi),
+                                                  H, H, taus, method).values
+                if method == wrong:
+                    got = curve()
+                    assert np.max(np.abs(got - 4.0 * np.exp(-taus))) > 3.9
+                    continue
+                with pytest.raises(NumericError, match="^matrix-exponential "
+                                   "propagation overflowed$"):
+                    curve()
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):

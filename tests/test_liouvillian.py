@@ -115,8 +115,9 @@ _PARAMS = st.builds(
 
 
 def _blocks_times_tau(params, tau):
-    """The real population block and the 9x9 averaged generator sector, an
-    undriven one decoupled as the grid route propagates it, times tau."""
+    """The real population block and the 9x9 averaged generator sector in
+    its real basis, an undriven one decoupled as the grid route propagates
+    it, times tau."""
     return _population_generator(params) * tau, _sector_blocks(params) * tau
 
 
@@ -188,6 +189,29 @@ class TestMatrixExponential:
         assert got.dtype == np.float64 and got.shape == (7, 5, 5)
         for a, e in zip(stack, got):
             assert _deviation(e, expm(a)) <= 1e-11
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_stack_slices_have_the_bits_of_one_matrix(self, n, dtype):
+        # one matrix keeps its rank, and each matrix of a stack is scaled
+        # and squared by its own count: every slice of a stack, with equal
+        # and with mixed squaring counts, is the one-matrix call to the bit
+        rng = np.random.default_rng(n)
+        base = rng.normal(size=(6, n, n)).astype(dtype)
+        if dtype is complex:
+            base += 1j * rng.normal(size=(6, n, n))
+        base /= np.linalg.norm(base, 1, axis=(1, 2))[:, None, None]
+        # 1-norm 20 takes 2 squarings each; 1e-3 to 1e2 take 0 to 5
+        for norms in (np.full(6, 20.0), np.logspace(-3, 2, 6)):
+            stack = base * norms[:, None, None]
+            got = liouvillian.expm(stack)
+            assert got.dtype == stack.dtype and got.shape == stack.shape
+            assert np.array_equal(liouvillian.expm(stack.reshape(2, 3, n, n)),
+                                  got.reshape(2, 3, n, n))
+            for a, e in zip(stack, got):
+                one = liouvillian.expm(a)
+                assert one.shape == (n, n) and one.dtype == e.dtype
+                assert np.array_equal(one, e)
 
     @pytest.mark.parametrize("bad", ["m", "y0", "taus"])
     def test_nonfinite_input_to_propagate_steps(self, bad):
