@@ -7,13 +7,15 @@ Two independent routes compute the same normalized correlation:
   and B the polarization-projected first- and second-photon jump operators.
   ``g2_numeric_grid`` does the same on a delay grid, on the 9x9 sector of
   the generator that the conditioned state never leaves, {X1, X2, u}
-  (``_SECTOR``), an undriven point's with its u elements
+  (``_SECTOR_LEVELS``), an undriven point's with its u elements
   decoupled, so that its block holds no detuning.  ``_sector_blocks``
-  reads that block, for the grid and for the averages alike, with one
-  flat take of the generator built for the call through the constant
-  table ``_SECTOR_BLOCK``, then takes it by one constant similarity to a
-  real Hermitian basis (``_TO_REAL``), where the route propagates and
-  solves in real arithmetic.
+  builds that block, for the grid and for the averages alike, by the
+  generator's own fill rule over the three levels, entry for entry the
+  block of ``build_generator``, then takes it by one constant real map
+  of its float view (``_REAL_SIMILARITY``) to a real Hermitian basis
+  (``_TO_REAL``), where the route propagates and solves in real
+  arithmetic.  The conditioned state and the detection dual are formed
+  from the three sector amplitudes of the analyzers.
 
 * ``g2_analytic`` evaluates the same quantity from two hand-written blocks
   of the conditioned dynamics: the 2x2 cross-coherence block (rho_X1X2,
@@ -56,7 +58,8 @@ Stark-shifted splitting.
 Each route refuses its stack of 5x5 population blocks by one call of one
 rule, ``_refuse_divergent``, with no eigenvalues: it is refused with
 DivergentAverageError if a mode of a block decays slower than the floor,
-which one stacked solve and a test of the cone R+ x PSD(2) decide.  The
+which one stacked solve of the blocks shifted by a constant and a test
+of the cone R+ x PSD(2) decide.  The
 full-generator route takes its blocks from its own sector: the leading
 5x5 block of the real sector.  The coherence average needs no refusal of its
 own: the slowest mode of a positive semigroup has a positive semidefinite
@@ -75,7 +78,11 @@ order, by one exponential per delay; one numpy matrix exponential call
 serves either way, of the step alone on a uniform grid from 0.
 ``correlation_curve`` checks its grid once, with ``check_tau_grid``,
 before either route runs, so both refuse a bad grid alike; neither route
-nor the curve checks it again.
+nor the curve checks it again.  Each public call pays each fixed cost
+once: the routes call the propagation core of :mod:`cascadeg2.liouvillian`
+directly on their checked grids and finite states, under one
+``np.errstate`` guard per call, and a point's closed-form averages stay
+numpy scalars.
 """
 
 from __future__ import annotations
@@ -87,8 +94,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivergentAverageError, NumericError
-from .liouvillian import (DIM, _identity, build_generator, check_tau_grid,
-                          propagate_steps)
+from .liouvillian import _fill_levels, _identity, _propagate, check_tau_grid
 from .model import (PARAM_FIELDS, Level, N_LEVELS, CascadeBatch, CascadeParams,
                     DetectorSetting, _field_values)
 
@@ -234,8 +240,9 @@ def _population_propagators(params: CascadeParams, taus: np.ndarray):
     m = _population_generator(params)
     if params.rabi == 0.0:
         return _exp_entries(m[:2, :2], taus, (0, 0), (0, 1), (1, 0), (1, 1))
-    # the first two columns of the propagator
-    cols = propagate_steps(m, _POPULATION_UNITS, taus)
+    # the first two columns of the propagator, under the guard of
+    # _g2_closed_form
+    cols = _propagate(m, _POPULATION_UNITS, taus)
     return cols[:, 0, 0], cols[:, 0, 1], cols[:, 1, 0], cols[:, 1, 1]
 
 
@@ -338,11 +345,19 @@ def g2_analytic(params: CascadeParams, det1: DetectorSetting,
     return float(value[0]) if scalar else value
 
 
+def _sector_amplitudes(det: DetectorSetting) -> np.ndarray:
+    """cos(theta) |X1> + e^{i phi} sin(theta) |X2>, on the sector levels
+    (X1, X2, u)."""
+    v = np.zeros(3, dtype=complex)
+    v[0] = np.cos(det.theta)
+    v[1] = np.exp(1j * det.phi) * np.sin(det.theta)
+    return v
+
+
 def _polarization_vector(det: DetectorSetting) -> np.ndarray:
     """cos(theta) |X1> + e^{i phi} sin(theta) |X2>."""
     v = np.zeros(N_LEVELS, dtype=complex)
-    v[Level.X1] = np.cos(det.theta)
-    v[Level.X2] = np.exp(1j * det.phi) * np.sin(det.theta)
+    v[Level.X1:Level.U + 1] = _sector_amplitudes(det)
     return v
 
 
@@ -351,13 +366,6 @@ def _conditioned_state(det1: DetectorSetting) -> np.ndarray:
     A = cos(theta) |X1><2X| + e^{i phi} sin(theta) |X2><2X|."""
     a = _polarization_vector(det1)  # A |2X>
     return np.outer(a, a.conj())
-
-
-def _detection_projector(det2: DetectorSetting) -> np.ndarray:
-    """B^dag B for the second-photon jump operator
-    B = cos(theta) |g><X1| + e^{i phi} sin(theta) |g><X2|."""
-    b = _polarization_vector(det2)  # <g| B, as a row
-    return np.outer(b.conj(), b)
 
 
 def g2_numeric_grid(params: CascadeParams, det1: DetectorSetting,
@@ -375,13 +383,21 @@ def g2_numeric_grid(params: CascadeParams, det1: DetectorSetting,
 def _g2_sector_grid(params: CascadeParams, det1: DetectorSetting,
                     det2: DetectorSetting, taus: np.ndarray) -> np.ndarray:
     """:func:`g2_numeric_grid` on an accepted grid."""
-    # vec(X) is the column-major ravel of X; a Hermitian X has real
-    # coordinates in the real basis
-    state = _TO_REAL @ _conditioned_state(det1).ravel(order="F")[_SECTOR]
-    # Tr[P X] = vec(P^T) . vec(X), and vec(P^T) is the row-major ravel of P;
-    # its dual in the real basis is real for a Hermitian P
-    dual = (_detection_projector(det2).ravel()[_SECTOR] @ _FROM_REAL).real
-    states = propagate_steps(_sector_blocks(params), state.real, taus)
+    # the sector of X = A|2X><2X|A^dag from a = A|2X> on the sector levels:
+    # vec(X) is the column-major ravel of X, the row-major ravel of its
+    # transpose [j, i] = a_i conj(a_j); a Hermitian X has real coordinates
+    # in the real basis
+    a = _sector_amplitudes(det1)
+    state = (_TO_REAL @ (a * a.conj()[:, None]).ravel()).real
+    # Tr[P X] = vec(P^T) . vec(X), and vec(P^T) is the row-major ravel of
+    # P = B^dag B, [i, j] = conj(b_i) b_j; its dual in the real basis is
+    # real for a Hermitian P
+    b = _sector_amplitudes(det2)
+    dual = ((b.conj()[:, None] * b).ravel() @ _FROM_REAL).real
+    # a drive past half the float maximum overflows in the real pairs, and
+    # an overflow surfaces as a non-finite entry, refused by the propagation
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = _propagate(_sector_blocks(params), state, taus)
     return 4.0 * (states @ dual)
 
 
@@ -433,12 +449,14 @@ def _population_cone(x: np.ndarray) -> bool:
     x0, x1, x2, x3, x4 = x.T
     # a negative x1 or x2 has no root, and its nan fails the comparison
     with np.errstate(invalid="ignore"):
-        return bool(np.all((x0 > 0) & (x1 > 0) & (
-            np.hypot(x3, x4) < 2.0 * np.sqrt(x1) * np.sqrt(x2))))
+        return bool(((x0 > 0) & (x1 > 0) & (
+            np.hypot(x3, x4) < 2.0 * np.sqrt(x1) * np.sqrt(x2))).all())
 
 
-# the interior point of R+ x PSD(2) that the refusal solve takes
+# the interior point of R+ x PSD(2) that the refusal solve takes, and the
+# shift of a population block by the floor
 _POPULATION_UNIT = _frozen(np.array([1.0, 1.0, 1.0, 0.0, 0.0]))
+_FLOOR_SHIFT = _frozen(_DECAY_FLOOR * np.eye(5))
 
 
 def _refuse_divergent(blocks: np.ndarray, sector: str) -> None:
@@ -454,9 +472,11 @@ def _refuse_divergent(blocks: np.ndarray, sector: str) -> None:
     7 (1970) 508): then u is the integral of e^{(M + floor I) tau} y.  So
     the stack is refused if that solve, with y the cone's unit, is singular
     or leaves the cone (:func:`_population_cone`) for any block; one stacked
-    LAPACK solve serves every block, from either route.
+    LAPACK solve serves every block, from either route.  The shift by the
+    floor is one constant 5x5 block, ``_FLOOR_SHIFT``, so the refusal of a
+    point costs little beside the solve it guards.
     """
-    shifted = blocks + _DECAY_FLOOR * _identity(blocks.shape[-1])
+    shifted = blocks + _FLOOR_SHIFT
     try:
         inside = _population_cone(np.linalg.solve(-shifted, _POPULATION_UNIT))
     except np.linalg.LinAlgError:
@@ -487,9 +507,10 @@ def _closed_form_response(params: CascadeBatch) -> TwoPhotonResponse:
     """The response from the two blocks, with no solve for the averages.
 
     ``params`` is a CascadeBatch, or a point with numpy-scalar fields, whose
-    slots are then 0-d.  The batch is refused as one stack of 5x5
-    population blocks, a point as one block; an undriven point's u and
-    X2-u rows and columns are decoupled, so its cone test is
+    slots are then numpy scalars: no selection leaves a 0-d array behind.
+    The batch is refused as one stack of 5x5 population blocks, a point as
+    one block; an undriven point's u and X2-u rows and columns are
+    decoupled, so its cone test is
     the orthant test of its 2x2 rate block's (x0, x1).  The drive leaves
     the averaged populations alone: u has no decay of its own, so what X2
     sends to u comes back when driven, and integrating dP1/dt and d(P2 +
@@ -512,7 +533,8 @@ def _closed_form_response(params: CascadeBatch) -> TwoPhotonResponse:
                             _POPULATION_U)
     _refuse_divergent(blocks, "population block")
     p = params
-    x2_out = np.where(driven, p.gamma4, p.gamma4 + p.gamma_u)
+    # [()] makes a point's 0-d selection a scalar, and is a batch's view
+    x2_out = np.where(driven, p.gamma4, p.gamma4 + p.gamma_u)[()]
     a1, a2 = p.gamma3 + p.gamma21, x2_out + p.gamma12
     p11 = 1.0 / (p.gamma3 + p.gamma21 * (x2_out / a2))
     p22 = 1.0 / (a2 * (p.gamma3 / a1) + x2_out * (p.gamma21 / a1))
@@ -532,7 +554,7 @@ def _closed_form_response(params: CascadeBatch) -> TwoPhotonResponse:
     # exactly, and the scaled product cannot overflow
     huge = (2.0 ** -512 * p.rabi) * (
         2.0 ** -512 * np.maximum(abs(drive.real), abs(drive.imag))) >= 1.0
-    scale = np.where(huge, p.rabi, 1.0)
+    scale = np.where(huge, p.rabi, 1.0)[()]
     half_z = rest / scale + (p.rabi / scale) * drive
     return TwoPhotonResponse(p11=p11, p12=p.gamma12 / a2 * p11,
                              p21=p.gamma21 / a1 * p22, p22=p22,
@@ -547,18 +569,11 @@ def _closed_form_response(params: CascadeBatch) -> TwoPhotonResponse:
 # exact.
 _SECTOR_LEVELS = (Level.X1, Level.X2, Level.U)
 
-# The sector's vectorized indices and the flat positions, row * DIM +
-# column, of its block in a (DIM, DIM) generator, built once: the tables
-# hold indices only, so every generator is still built per call
-_SECTOR = _frozen(np.array([i + N_LEVELS * j for j in _SECTOR_LEVELS
-                            for i in _SECTOR_LEVELS]))
-_SECTOR_BLOCK = _frozen(_SECTOR[:, None] * DIM + _SECTOR)
-
 # The entries in a row or column of an element with a u index: of the u
-# population and X2-u pair of the population block, and of the 9x9 sector
+# population and X2-u pair of the population block, and of the 9x9 sector,
+# whose element k is rho_ij with i = k % 3 and j = k // 3 in _SECTOR_LEVELS
 _POPULATION_U, _SECTOR_U = (_frozen(has_u[:, None] | has_u) for has_u in (
-    np.arange(5) >= 2, np.array([Level.U in (i, j) for j in _SECTOR_LEVELS
-                                 for i in _SECTOR_LEVELS])))
+    np.arange(5) >= 2, (np.arange(9) % 3 == 2) | (np.arange(9) >= 6)))
 
 # The sector's real Hermitian basis, real on Hermitian operators: the
 # populations (X1X1, X2X2, uu) at sector positions (0, 4, 8), then each
@@ -572,6 +587,19 @@ _TO_REAL[3:, [7, 5, 3, 1, 6, 2]] = np.kron(np.eye(3), [[1.0, 1.0], [1j, -1j]])
 _FROM_REAL = _frozen(_TO_REAL.conj().T * np.repeat([1.0, 0.5], [3, 6]))
 _frozen(_TO_REAL)
 
+
+
+def _real_similarity() -> np.ndarray:
+    """The similarity ``_TO_REAL @ m @ _FROM_REAL`` of a complex 9x9 block m
+    whose image is real, as one real (162, 81) map of m's float view: each
+    entry m_kl, as its pair (Re, Im), adds Re(c m_kl) with c = _TO_REAL[a,
+    k] _FROM_REAL[l, b] to entry (a, b) of the image."""
+    c = np.einsum("ak,lb->klab", _TO_REAL, _FROM_REAL).reshape(81, 81)
+    return _frozen(np.stack([c.real, -c.imag], axis=1).reshape(162, 81))
+
+
+_REAL_SIMILARITY = _real_similarity()
+
 # The resolvent's right-hand sides in the real basis: the units of X1X1,
 # X2X2 and of the X1X2 pair's two real elements, at positions 0, 1, 5 and 6
 _RESOLVENT_RHS = _frozen(np.eye(9)[:, [0, 1, 5, 6]])
@@ -581,17 +609,21 @@ def _sector_blocks(params) -> np.ndarray:
     """The 9x9 averaged sector of the generator of ``params`` in the real
     basis of ``_TO_REAL``, where it is real: one block for a point, a stack
     for a CascadeBatch, each undriven block with its u elements decoupled
-    (see :func:`_decoupled`)."""
-    # one row of flat entries per point: the sector columns are taken before
-    # any point is decoupled, so no copy of the whole stack is made
-    gens = build_generator(params).reshape(np.shape(params.rabi) + (DIM * DIM,))
+    (see :func:`_decoupled`).
+
+    The generator's fill rule fills the sector alone, entry for entry the
+    generator's, and one real product with ``_REAL_SIMILARITY`` takes it to
+    the real basis, with no complex product and no imaginary part to drop.
+    A drive past half the float maximum overflows in the real pairs, as in
+    the population block: the caller holds the ``np.errstate`` guard, and
+    refuses the non-finite block.
+    """
     # np.equal, since a CascadeParams' rabi == 0.0 is a bool, not an array
-    m_ss = _decoupled(gens[..., _SECTOR_BLOCK], np.equal(params.rabi, 0.0),
-                      _SECTOR_U)
-    # a drive past half the float maximum overflows in the real pairs, as
-    # in the population block; the imaginary parts are exact zeros
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (_TO_REAL @ m_ss @ _FROM_REAL).real
+    m_ss = _decoupled(_fill_levels(params, _SECTOR_LEVELS),
+                      np.equal(params.rabi, 0.0), _SECTOR_U)
+    lead = m_ss.shape[:-2]
+    real = m_ss.view(float).reshape(lead + (162,)) @ _REAL_SIMILARITY
+    return real.reshape(lead + (9, 9))
 
 
 def _resolvent_response(params: CascadeBatch) -> TwoPhotonResponse:
@@ -600,14 +632,14 @@ def _resolvent_response(params: CascadeBatch) -> TwoPhotonResponse:
     The integral of e^{M tau} y0 over [0, inf) is x with M_SS x = -y0_S; one
     real solve per point takes y0 = |X1><X1|, |X2><X2| and the two real
     elements of the X1X2 pair, whose solutions hold the population slots
-    and, as the pair's complex solution, the coherence slot.  The
-    generators of all points of a CascadeBatch are built as one stack, and
-    every point takes the 9x9 sector of {X1, X2, u}, an undriven one with
-    its u elements decoupled: one refusal and one solve serve the batch.  A
-    point with numpy-scalar fields takes the same steps on its one (25, 25)
-    generator and gives 0-d slots.
+    and, as the pair's complex solution, the coherence slot.  The 9x9
+    sectors of {X1, X2, u} of all points of a CascadeBatch are filled as one
+    stack, an undriven point's with its u elements decoupled: one refusal
+    and one solve serve the batch.  A point with numpy-scalar fields takes
+    the same steps on its one sector and gives 0-d slots.
     """
-    m_ss = _sector_blocks(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_ss = _sector_blocks(params)
     sector = "averaged sector of the generator"
     _refuse_divergent(m_ss[..., :5, :5], sector)
     try:

@@ -13,19 +13,28 @@ the drive adds 20 off-diagonal entries.  rho_upper,upper feeds
 rho_lower,lower at rate r, and rho_ij decays at (out_i + out_j) / 2, out_k
 being the total rate out of level k.
 
-The generator is a plain complex array: ``build_generator`` fills one (25,
-25) matrix for a CascadeParams point, or a stack of shape (n, 25, 25) for
-the n points of a CascadeBatch, entry for entry the same.  ``evolve_grid``
+The generator is a plain complex array, filled by one rule over a tuple of
+levels (``_fill_levels``): the block of the elements rho_ij with i and j
+among the levels, its drive, jump and diagonal positions in constant
+tables built once per tuple (``_fill_tables``).  ``build_generator`` is
+that fill over all five levels, one (25, 25) matrix for a CascadeParams
+point or a stack of shape (n, 25, 25) for the n points of a CascadeBatch,
+entry for entry the same; :mod:`cascadeg2.correlate` fills the 9x9 block
+of {X1, X2, u} alone, entry for entry the generator's.  ``evolve_grid``
 takes one (25, 25) matrix.
 
 Exact propagation, ``evolve_grid``, goes through ``propagate_steps`` and
 ``expm``, a numpy scaling-and-squaring Padé exponential that takes one
 matrix as one matrix, or a whole stack of matrices at once, its four
 polynomial pieces one coefficient product on the stacked powers.  A
-uniform grid from 0 costs one exponential, of the step.  The identity of
-each size is built once, on its first use, and shared read-only
-(``_identity``): ``expm`` stacks it as the zeroth power, and the refusal
-rule of :mod:`cascadeg2.correlate` shifts its blocks by it.
+uniform grid from 0 costs one exponential, of the step.
+``propagate_steps`` checks the state and the delays, then calls its core,
+``_propagate``, which ``evolve_grid`` and the routes of
+:mod:`cascadeg2.correlate` call directly on the grids and states they have
+already checked.  The identity of each size is built once, on its first
+use, and shared read-only (``_identity``): ``expm`` stacks it as the
+zeroth power, and :mod:`cascadeg2.correlate` decouples the u elements of
+an undriven block with it.
 """
 
 from __future__ import annotations
@@ -151,46 +160,85 @@ def _drive_pattern() -> tuple[np.ndarray, np.ndarray]:
 
 _DRIVE, _DRIVE_SIGNS = _drive_pattern()
 
-# (rate, upper, lower) of the seven jumps |lower><upper|
-_JUMPS = (
-    ("gamma1", Level.TWO_X, Level.X1),
-    ("gamma2", Level.TWO_X, Level.X2),
-    ("gamma3", Level.X1, Level.G),
-    ("gamma4", Level.X2, Level.G),
-    ("gamma_u", Level.X2, Level.U),
-    ("gamma21", Level.X1, Level.X2),
-    ("gamma12", Level.X2, Level.X1),
-)
+# The seven jumps |lower><upper|: their rates, and the vec indices k (N_LEVELS
+# + 1) of the populations rho_kk of their upper and lower levels
+_JUMP_RATES = ("gamma1", "gamma2", "gamma3", "gamma4", "gamma_u", "gamma21",
+               "gamma12")
+_JUMP_UPPER = np.array([Level.TWO_X, Level.TWO_X, Level.X1, Level.X2, Level.X2,
+                        Level.X1, Level.X2]) * (N_LEVELS + 1)
+_JUMP_LOWER = np.array([Level.X1, Level.X2, Level.G, Level.G, Level.U,
+                        Level.X2, Level.X1]) * (N_LEVELS + 1)
+
+_ALL_LEVELS = tuple(Level)
+
+
+@functools.cache
+def _fill_tables(levels: tuple) -> tuple:
+    """The constant tables of the block of ``levels``, the elements rho_ij
+    with i and j among them, j major, as ``vectorize`` orders them, built
+    once: an index of the levels into the per-level energies and rates,
+    their number, the flat block positions of the drive entries and their
+    signs, and the (rate name, flat block position) of each jump."""
+    index = np.array(levels)
+    n = index.size ** 2
+    # the block position of each vec index, -1 for one outside the block
+    position = np.full(DIM, -1)
+    position[(N_LEVELS * index[:, None] + index).ravel()] = np.arange(n)
+    rows, cols = position[_DRIVE // DIM], position[_DRIVE % DIM]
+    inside = (rows >= 0) & (cols >= 0)
+    jump_rows, jump_cols = position[_JUMP_LOWER], position[_JUMP_UPPER]
+    jumps = np.flatnonzero((jump_rows >= 0) & (jump_cols >= 0))
+    drive, drive_signs = rows[inside] * n + cols[inside], _DRIVE_SIGNS[inside]
+    # every call shares the tables, so they are read-only
+    for table in (index, drive, drive_signs):
+        table.flags.writeable = False
+    return (index, index.size, drive, drive_signs,
+            tuple((_JUMP_RATES[k], jump_rows[k] * n + jump_cols[k])
+                  for k in jumps))
+
+
+def _fill_levels(params, levels: tuple) -> np.ndarray:
+    """The block of the generator of ``params`` on the elements rho_ij with
+    i and j in ``levels``: shape (k^2, k^2) for k levels, or (n, k^2, k^2)
+    for the n points of a CascadeBatch, entry for entry the generator's.
+
+    One rule fills every block, element by element: the drive entries
+    inside it, each jump whose two populations are in it, and the
+    diagonal.
+    """
+    p = params
+    index, size, drive, drive_signs, jumps = _fill_tables(levels)
+    lead = np.shape(p.rabi)
+    energy = np.zeros(lead + (N_LEVELS,))
+    energy[..., Level.X1] = p.delta_fs
+    energy[..., Level.U] = -p.detuning
+    # the total rate out of each level, its jumps summed in _JUMP_RATES order
+    out = np.zeros(lead + (N_LEVELS,))
+    out[..., Level.TWO_X] = p.gamma1 + p.gamma2
+    out[..., Level.X1] = p.gamma3 + p.gamma21
+    out[..., Level.X2] = p.gamma4 + p.gamma_u + p.gamma12
+    energy, out = energy[..., index], out[..., index]
+
+    n = size ** 2
+    m = np.zeros(lead + (n, n), dtype=complex)
+    flat = m.reshape(lead + (n * n,))
+    flat[..., drive] = np.multiply.outer(1j * p.rabi, drive_signs)
+    for name, position in jumps:
+        flat[..., position] = getattr(p, name)
+    # rho_ij rotates at -(E_i - E_j) and decays at out_i/2 + out_j/2, halved
+    # before the sum, which rates near the float maximum would overflow; each
+    # outer difference's [j, i] entry ravels to k j + i, the position of rho_ij
+    half = 0.5 * out
+    flat[..., ::n + 1] = (
+        1j * (energy[..., :, None] - energy[..., None, :])
+        - (half[..., :, None] + half[..., None, :])).reshape(lead + (n,))
+    return m
 
 
 def build_generator(params: CascadeParams | CascadeBatch) -> np.ndarray:
     """The Lindblad generator of one parameter point, shape (25, 25), or of
     each point of a CascadeBatch, shape (n, 25, 25)."""
-    p = params
-    lead = np.shape(p.rabi)
-    energy = np.zeros(lead + (N_LEVELS,))
-    energy[..., Level.X1] = p.delta_fs
-    energy[..., Level.U] = -p.detuning
-    # the total rate out of each level, its jumps summed in the order above
-    out = np.zeros(lead + (N_LEVELS,))
-    out[..., Level.TWO_X] = p.gamma1 + p.gamma2
-    out[..., Level.X1] = p.gamma3 + p.gamma21
-    out[..., Level.X2] = p.gamma4 + p.gamma_u + p.gamma12
-
-    m = np.zeros(lead + (DIM, DIM), dtype=complex)
-    flat = m.reshape(lead + (DIM * DIM,))
-    flat[..., _DRIVE] = np.multiply.outer(1j * p.rabi, _DRIVE_SIGNS)
-    # the population rho_kk sits at vec index k (N_LEVELS + 1)
-    for name, upper, lower in _JUMPS:
-        m[..., lower * (N_LEVELS + 1), upper * (N_LEVELS + 1)] = getattr(p, name)
-    # rho_ij rotates at -(E_i - E_j) and decays at out_i/2 + out_j/2, halved
-    # before the sum, which rates near the float maximum would overflow; each
-    # outer difference's [j, i] entry ravels to 5j + i, the vec index of rho_ij
-    half = 0.5 * out
-    flat[..., ::DIM + 1] = (
-        1j * (energy[..., :, None] - energy[..., None, :])
-        - (half[..., :, None] + half[..., None, :])).reshape(lead + (DIM,))
-    return m
+    return _fill_levels(params, _ALL_LEVELS)
 
 
 def _as_generator(gen) -> np.ndarray:
@@ -231,22 +279,37 @@ def propagate_steps(m: np.ndarray, y0: np.ndarray, taus) -> np.ndarray:
     array of shape ``(len(taus),) + y0.shape`` and dtype ``result_type(m,
     y0, float)``, so a real block is propagated in real arithmetic.  Raises
     NumericError if an input is not finite or the propagation overflows.
+
+    The public checks, a finite state and finite delays, come first; the
+    core, ``_propagate``, checks the generator and the result under one
+    ``np.errstate`` guard.  :func:`evolve_grid` and the routes of
+    :mod:`cascadeg2.correlate` have checked their delays and their state,
+    so they call the core directly, under the one guard of their call.
     """
     m, y0, taus = np.asarray(m), np.asarray(y0), np.asarray(taus, dtype=float)
-    if not (np.isfinite(m).all() and np.isfinite(y0).all()
-            and np.isfinite(taus).all()):
+    if not (np.isfinite(y0).all() and np.isfinite(taus).all()):
+        raise NumericError("non-finite generator, state or delay")
+    # an overflow surfaces as a non-finite entry, refused by the core
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _propagate(m, y0, taus)
+
+
+def _propagate(m: np.ndarray, y0: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """:func:`propagate_steps` on a finite state ``y0`` and a finite 1-d
+    float array ``taus``, which the caller has checked, under the caller's
+    ``np.errstate`` guard against overflow and invalid values.  Raises
+    NumericError if ``m`` is not finite or the propagation overflows."""
+    if not np.isfinite(m).all():
         raise NumericError("non-finite generator, state or delay")
     dtype, n = np.result_type(m, y0, float), taus.size
-    # an overflow surfaces as a non-finite entry, refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        dt = (taus[-1] - taus[0]) / max(n - 1, 1) if n else 0.0
-        uniform = n > 0 and dt >= 0 and (
-            np.abs(taus - (taus[0] + np.arange(n, dtype=float) * dt))
-            <= np.abs(np.spacing(taus))).all()
-        if uniform:
-            out = _fill_by_doubling(m, y0, taus[0], dt, n, dtype)
-        else:
-            out = expm(taus[:, None, None] * m) @ y0
+    dt = (taus[-1] - taus[0]) / max(n - 1, 1) if n else 0.0
+    uniform = n > 0 and dt >= 0 and (
+        np.abs(taus - (taus[0] + np.arange(n, dtype=float) * dt))
+        <= np.abs(np.spacing(taus))).all()
+    if uniform:
+        out = _fill_by_doubling(m, y0, taus[0], dt, n, dtype)
+    else:
+        out = expm(taus[:, None, None] * m) @ y0
     if not np.isfinite(out).all():
         raise NumericError("matrix-exponential propagation overflowed")
     return out
@@ -302,6 +365,8 @@ def evolve_grid(gen: np.ndarray, x0, taus) -> np.ndarray:
     array of shape (len(taus), 5, 5).
     """
     gen, x0, taus = _as_generator(gen), _as_operator(x0), check_tau_grid(taus)
-    vecs = propagate_steps(gen, vectorize(x0), taus)
+    # the state and the grid are checked: the core checks the generator
+    with np.errstate(over="ignore", invalid="ignore"):
+        vecs = _propagate(gen, vectorize(x0), taus)
     # row k holds vec(X_k) column-major, so the reshape yields X_k transposed
     return vecs.reshape(taus.size, N_LEVELS, N_LEVELS).transpose(0, 2, 1)

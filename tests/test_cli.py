@@ -22,7 +22,7 @@ from cascadeg2 import (TSIRELSON_BOUND, CascadeBatch, CascadeParams,
 from cascadeg2.cli import (FIGURE_IDS, RunConfig, SweepResult, _figure_plan,
                            _parse_overrides, load_config, main, run_figure,
                            run_sweep)
-from cascadeg2.liouvillian import build_generator
+from cascadeg2.liouvillian import _fill_levels
 from cascadeg2.model import PARAM_FIELDS
 from cascadeg2.verify import (check_evolve_routes, check_oracle_equivalence,
                               check_semigroup, check_tsirelson, check_w_phase,
@@ -30,6 +30,9 @@ from cascadeg2.verify import (check_evolve_routes, check_oracle_equivalence,
 
 DATA = Path(__file__).resolve().parent / "data"
 _CORRELATE = ["correlate", "--tau-max", "10", "--tau-steps", "300"]
+_PHASED = ["--rabi", "3", "--delta-fs", "2", "--detuning", "5", "--gamma-d",
+           "0.3", "--theta1", "0.4", "--theta2", "1.1", "--phi1", "0.7",
+           "--phi2", "-1.3"]
 
 _BASE = CascadeParams(gamma_u=0.01)
 _DEPHASED = _BASE.with_(gamma12=1.0, gamma21=1.0)
@@ -350,6 +353,11 @@ class TestFigures:
                        "--theta1", "0.785398", "--theta2", "0.785398",
                        "--method", "numeric"],
          "correlate_rabi0_tau10_300_numeric.csv"),
+        # driven curves with phases on both analyzers, by each route: the
+        # conditioned state and the detection dual are complex
+        *[(_CORRELATE + _PHASED + ["--method", method],
+           f"correlate_rabi3_phased_tau10_300_{method}.csv")
+          for method in ("analytic", "numeric")],
     ])
     def test_output_matches_golden_csv(self, tmp_path, argv, golden):
         # captured before sweeps were batched, figures 5 and 6 at default
@@ -765,22 +773,27 @@ _BARS = {
 
 
 def _plant(monkeypatch, mutant):
-    """Make ``mutant`` build every generator that ``verify`` and both
-    full-generator paths of ``correlate`` read: the one of a point, and the
-    stack of a whole CascadeBatch."""
-    for module in (verify, correlate):
-        monkeypatch.setattr(module, "build_generator", mutant)
+    """Make ``mutant`` the one fill of every generator block that ``verify``
+    and both full-generator paths of ``correlate`` read: the whole
+    generator of a point and the stack of a CascadeBatch, which
+    ``build_generator`` fills, and the route's sector of {X1, X2, u}."""
+    for module in (liouvillian, correlate):
+        monkeypatch.setattr(module, "_fill_levels", mutant)
 
 
 def _scaled_splitting(scale):
-    """A generator builder whose splitting is delta_fs * scale."""
-    def build(params):
+    """A fill of generator blocks whose splitting is delta_fs * scale."""
+    def fill(params, levels):
         if isinstance(params, CascadeBatch):
             table = params.table.copy()
             table[PARAM_FIELDS.index("delta_fs")] *= scale
-            return build_generator(CascadeBatch(table))
-        return build_generator(replace(params, delta_fs=params.delta_fs * scale))
-    return build
+            return _fill_levels(CascadeBatch(table), levels)
+        if isinstance(params, CascadeParams):
+            params = replace(params, delta_fs=params.delta_fs * scale)
+        else:  # a point's numpy-scalar fields
+            params = params._replace(delta_fs=params.delta_fs * scale)
+        return _fill_levels(params, levels)
+    return fill
 
 
 def _failing(results):
@@ -891,17 +904,25 @@ class TestVerify:
 
     def test_planted_transposed_sector_caught_by_both_route_checks(
             self, monkeypatch):
-        # the flat block positions of the sector read transposed: with
+        # the sector fill's flat block positions read transposed: with
         # gamma12 = gamma21 the mutant only swaps the analyzers' roles, so
         # the route checks see it because the transfer rates are drawn apart
-        sector = correlate._SECTOR
-        monkeypatch.setattr(correlate, "_SECTOR_BLOCK",
-                            sector * liouvillian.DIM + sector[:, None])
+        levels, exact = correlate._SECTOR_LEVELS, liouvillian._fill_tables
+        index, size, drive, drive_signs, jumps = exact(levels)
+        n = size ** 2
+
+        def transposed(position):
+            return position % n * n + position // n
+
+        mutant = (index, size, transposed(drive), drive_signs,
+                  tuple((name, transposed(position)) for name, position in jumps))
+        monkeypatch.setattr(liouvillian, "_fill_tables", lambda fill_levels: (
+            mutant if fill_levels == levels else exact(fill_levels)))
         assert _failing(run_all_checks()) == [
             "oracle_equivalence", "average_cross_oracle"]
 
     def test_crashed_check_fails_and_the_suite_goes_on(self, monkeypatch):
-        def broken(params):
+        def broken(params, levels):
             raise RuntimeError("no generator")
 
         _plant(monkeypatch, broken)

@@ -17,17 +17,19 @@ from cascadeg2 import (CascadeBatch, CascadeParams, CorrelationCurve,
                        evolve_grid, g2_analytic,
                        g2_avg_analytic, g2_avg_numeric, g2_numeric,
                        g2_numeric_grid, two_photon_response)
-from cascadeg2.correlate import (_DECAY_FLOOR, _POPULATION_U,
-                                 _SECTOR, _SECTOR_BLOCK, _braces,
+from cascadeg2.correlate import (_DECAY_FLOOR, _FROM_REAL, _POPULATION_U,
+                                 _SECTOR_U, _TO_REAL, _PointFields, _braces,
                                  _coherence_generator, _conditioned_state,
                                  _decoupled,
-                                 _delay_response,
-                                 _detection_projector, _exp_entries,
-                                 _g2_closed_form, _population_cone, _population_generator,
+                                 _delay_response, _exp_entries,
+                                 _g2_closed_form, _polarization_vector,
+                                 _population_cone, _population_generator,
                                  _population_propagators, _refuse_divergent,
                                  _sector_blocks)
 from cascadeg2.cli import main
-from cascadeg2.liouvillian import check_tau_grid, propagate_steps
+from cascadeg2.liouvillian import (DIM, _fill_tables, check_tau_grid,
+                                  propagate_steps)
+from cascadeg2.model import _field_values
 from cascadeg2.observables import (STANDARD_CHSH_ANGLES,
                                    bell_s_chsh_from_response,
                                    bell_s_from_response, chsh_from_response,
@@ -607,6 +609,21 @@ def _level_sector(levels):
 _SECTOR_LEVELS, _PAIR_LEVELS = (X1, X2, U), (X1, X2)
 _PAIR = _level_sector(_PAIR_LEVELS)
 
+# The sector's vectorized indices and the flat positions, row * DIM +
+# column, of its block in a (DIM, DIM) generator: the reference that the
+# route's own fill of the sector is held to
+_SECTOR = _level_sector(_SECTOR_LEVELS)
+_SECTOR_BLOCK = _SECTOR[:, None] * DIM + _SECTOR
+
+
+def _detection_projector(det2):
+    """B^dag B for the second-photon jump operator
+    B = cos(theta) |g><X1| + e^{i phi} sin(theta) |g><X2|, the reference
+    for the detection dual that the route forms from the sector
+    amplitudes."""
+    b = _polarization_vector(det2)  # <g| B, as a row
+    return np.outer(b.conj(), b)
+
 
 def _pair_block(params):
     """The 4x4 sector of {X1, X2} of the generator, closed without the
@@ -674,15 +691,15 @@ def _pair_grid(params, det1, det2, taus):
 
 @pytest.mark.parametrize("levels", [_PAIR_LEVELS, _SECTOR_LEVELS])
 def test_sector_table_takes_the_sector_block(levels):
-    # the one constant table reads the same block as an index gather of the
+    # the reference table reads the same block as an index gather of the
     # sector, from one point's generator and from a mixed batch's stack,
-    # and the blocks read through it, taken to the real basis, are the
-    # sector blocks above taken there; the levels' sub-block of what it
-    # reads is the block of those levels alone, in the complex sector and
-    # in the real basis, so the undriven {X1, X2} block needs no table of
-    # its own
-    assert np.array_equal(_SECTOR, _level_sector(_SECTOR_LEVELS))
-    assert not (_SECTOR.flags.writeable or _SECTOR_BLOCK.flags.writeable)
+    # and the route's sector blocks are the blocks read through it, taken
+    # to the real basis; the levels' sub-block of what it reads is the
+    # block of those levels alone, in the complex sector and in the real
+    # basis, so the undriven {X1, X2} block needs no table of its own; the
+    # route's own fill tables, shared by every call, are read-only
+    _, _, drive, drive_signs, _ = _fill_tables(_SECTOR_LEVELS)
+    assert not (drive.flags.writeable or drive_signs.flags.writeable)
     sector = _level_sector(levels)
     sub = np.ix_(np.isin(_SECTOR, sector), np.isin(_SECTOR, sector))
     # the real elements whose levels are all in ``levels``
@@ -711,6 +728,56 @@ def test_sector_table_takes_the_sector_block(levels):
             assert np.array_equal(_sector_block(p)[sub], want)
             assert np.array_equal(_sector_blocks(p)[real_sub],
                                   _similar(want, levels))
+
+
+def _taken_sector(params):
+    """The reference for the route's real sector: one flat take of the
+    whole generator through ``_SECTOR_BLOCK``, each undriven block
+    decoupled, then the complex similarity to the real basis, whose
+    imaginary parts are exact zeros."""
+    lead = np.shape(params.rabi)
+    gens = build_generator(params).reshape(lead + (DIM * DIM,))
+    m_ss = _decoupled(gens[..., _SECTOR_BLOCK], np.equal(params.rabi, 0.0),
+                      _SECTOR_U)
+    similar = _TO_REAL @ m_ss @ _FROM_REAL
+    assert not similar.imag.any()
+    return similar.real
+
+
+_TINY = np.finfo(float).smallest_subnormal
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_DOMAIN)
+@example(CascadeParams(gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=0.0,
+                       gamma_u=0.0, gamma12=0.0, gamma21=0.0))
+@example(CascadeParams(gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=0.0,
+                       gamma_u=0.0, gamma12=0.0, gamma21=0.0, rabi=3.0,
+                       detuning=-2.0, delta_fs=1.0))
+# subnormal rates, drive, detuning and splitting, whose halves round
+@example(CascadeParams(gamma3=_TINY, gamma4=3 * _TINY, gamma_u=1e-310,
+                       gamma12=_TINY, gamma21=2.5e-320, rabi=_TINY,
+                       detuning=3 * _TINY, delta_fs=-_TINY))
+@example(CascadeParams(gamma3=_TINY, gamma4=0.3, gamma12=_TINY, rabi=_TINY))
+@example(CascadeParams(gamma3=1e300, gamma4=1e300, gamma_u=1e300,
+                       gamma12=1e300, gamma21=1e300, rabi=1e300,
+                       detuning=1e300, delta_fs=-1e300))
+@example(CascadeParams(gamma3=0.2, gamma4=1e300, gamma12=0.0, rabi=1e300))
+def test_route_sector_is_the_generators(params):
+    # the fill of the sector alone, and its one real product, give the
+    # sector of the whole generator taken to the real basis, to the sign
+    # of a zero: for a point with float fields, with numpy-scalar fields,
+    # and for a mixed batch; its population part is still the closed
+    # form's population block
+    point = _PointFields._make(map(np.float64, _field_values(params)))
+    want = _taken_sector(params)
+    assert np.array_equal(_sector_blocks(params), want)
+    assert np.array_equal(_sector_blocks(point), want)
+    batch = CascadeBatch.stack([params, params.with_(rabi=0.0),
+                                CascadeParams(rabi=3.0)])
+    assert np.array_equal(_sector_blocks(batch), _taken_sector(batch))
+    population, sector = _route_blocks(params)
+    _assert_same_refusal_block(sector[:5, :5], population, params)
 
 
 def _slowest_decay(params):
